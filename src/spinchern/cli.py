@@ -251,12 +251,17 @@ def _cmd_pulse_verify(args) -> int:
 def _cmd_linear_zone(args) -> int:
     spec = ChainSpec(n_spins=args.n, coupling_j=args.j)
     velocities = _parse_velocities(args.v)
+    f_static = curvature_spectral(spec, FieldPoint(theta=math.pi / 2)).f_phitheta
     table = linear_zone_scan(spec, velocities, steps=args.steps)
-    baseline = table[0][1]
+    # A plateau with Chern number 0 has no curvature to compare against.
     _print_table(
-        ["v_theta", "m_phi/v", "vs_slow_limit"],
+        ["v_theta", "m_phi/v", "vs_static"],
         [
-            [f"{v:.4f}", f"{ratio:.6f}", f"{ratio / baseline:.4f}"]
+            [
+                f"{v:.4f}",
+                f"{ratio:.6f}",
+                f"{ratio / f_static:.4f}" if round(2.0 * f_static) else "nan",
+            ]
             for v, ratio in table
         ],
     )
@@ -363,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument(
         "--v",
-        default="0.05,0.1,0.2,0.5,1.0,1.53,2.0",
+        default="0.05,0.1,0.2,0.29,0.5,1.0,2.0",
         help="comma-separated ascending ramp rates",
     )
     p.add_argument("--steps", type=int, default=300)

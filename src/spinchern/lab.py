@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateGroundState, LengthMismatch, TooFewRows
+from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
 from .model import ChainSpec, FieldPoint
 from .pulsesim import simulate_protocol_trotter
 from .quench import QuenchProtocol, extract_curvature, evolve_quench
@@ -124,6 +124,17 @@ def _sweep_row(payload) -> SweepRow:
     )
 
 
+def _worker_count() -> int:
+    raw = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(raw)
+        if workers >= 1:
+            return workers
+    except ValueError:
+        pass
+    raise OutOfRange(f"{WORKERS_ENV}={raw!r} is not a positive integer")
+
+
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per coupling value, sorted by J.
 
@@ -132,6 +143,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     Set the worker-count environment variable to parallelize over rows;
     output order is independent of the worker count.
     """
+    workers = _worker_count()
     payloads = [
         (
             cfg.spec.n_spins,
@@ -144,7 +156,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         )
         for j in sorted(cfg.j_values)
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_row, payloads))

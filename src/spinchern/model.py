@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionCap
+from .errors import DimensionCap, OutOfRange
 from .qcore import PAULI, site_operator
 
 _AXES = ("x", "y", "z")
@@ -56,6 +56,8 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_spins < 1:
             raise ValueError("n_spins must be >= 1")
+        if not math.isfinite(self.coupling_j):
+            raise OutOfRange(f"coupling_j must be finite, got {self.coupling_j}")
 
     @property
     def dim(self) -> int:

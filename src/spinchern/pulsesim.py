@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCouplings,
-    DegenerateGroundState,
     OutOfRange,
     UnphysicalDurations,
 )
@@ -30,10 +29,15 @@ from .model import (
     _pair_operators,
     _z_diagonals,
     build_heisenberg,
-    total_magnetization,
 )
 from .qcore import PAULI, expm_i
-from .quench import QuenchProtocol, QuenchResult, theta_of_t
+from .quench import (
+    QuenchProtocol,
+    QuenchResult,
+    _pole_system,
+    _ramp_result,
+    _ramp_state,
+)
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -60,6 +64,13 @@ def _split_parts(spec: ChainSpec, magnitude: float):
     return a_diag, b_part
 
 
+def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
+    """e^{-i(H_z+H_zz)tau/2} e^{-i(H_xx+H_yy)tau} e^{-i(H_z+H_zz)tau/2} at the pole."""
+    a_diag, b_part = _split_parts(spec, magnitude)
+    half = np.exp(-0.5j * a_diag * tau)
+    return (half[:, None] * expm_i(b_part, tau)) * half[None, :]
+
+
 def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
     """One symmetric split step for the chain Hamiltonian at phi = 0.
 
@@ -72,66 +83,18 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
         raise ValueError("trotter_step is defined on the phi=0 meridian")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    a_diag, b_part = _split_parts(spec, p.magnitude)
-    half = np.exp(-0.5j * a_diag * tau)
-    u_b = expm_i(b_part, tau)
-    core = (half[:, None] * u_b) * half[None, :]
     rot = _collective_ry(spec.n_spins, p.theta)
-    return rot @ core @ rot.T
-
-
-def _trotter_evolve(
-    spec: ChainSpec,
-    protocol: QuenchProtocol,
-    magnitude: float,
-    deltas: np.ndarray | None = None,
-) -> np.ndarray:
-    """Final state of the Trotterized ramp, optionally with per-step
-    rotation-angle offsets (shared by the framing +/- rotations)."""
-    a_diag, b_part = _split_parts(spec, magnitude)
-    start = np.diag(a_diag.astype(complex)) + b_part
-    values, vectors = np.linalg.eigh(start)
-    if values[1] - values[0] < 1e-9 * magnitude:
-        raise DegenerateGroundState(
-            f"initial ground state degenerate (gap={values[1] - values[0]:.3e})"
-        )
-    psi = vectors[:, 0].astype(complex)
-
-    tau = protocol.total_time / protocol.steps
-    half = np.exp(-0.5j * a_diag * tau)
-    u_b = expm_i(b_part, tau)
-    core = (half[:, None] * u_b) * half[None, :]
-
-    for k in range(protocol.steps):
-        theta = theta_of_t(protocol, (k + 0.5) * tau)
-        if deltas is not None:
-            theta = theta + deltas[k]
-        rot = _collective_ry(spec.n_spins, theta)
-        psi = rot @ (core @ (rot.T @ psi))
-    return psi
+    return rot @ _trotter_core(spec, p.magnitude, tau) @ rot.T
 
 
 def simulate_protocol_trotter(
     spec: ChainSpec, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Trotterized counterpart of the exact-step ramp integrator."""
-    magnitude = 1.0
-    psi = _trotter_evolve(spec, protocol, magnitude)
-    theta_final = theta_of_t(protocol, protocol.total_time)
-    m_phi = total_magnetization(psi, "y") * math.sin(theta_final)
-
-    h_final = build_heisenberg(
-        spec, FieldPoint(theta=theta_final, magnitude=magnitude)
-    )
-    values, vectors = np.linalg.eigh(h_final)
-    overlap = abs(np.vdot(vectors[:, 0], psi)) ** 2
-    return QuenchResult(
-        final_state=psi,
-        m_phi=float(m_phi),
-        f_extracted=float(m_phi / protocol.v_theta),
-        v_theta=protocol.v_theta,
-        adiabatic_overlap=float(overlap),
-    )
+    """Trotterized counterpart of the exact-step ramp integrator: the same
+    pole eigensolve and rotations around the split step core."""
+    pole = _pole_system(spec)
+    psi = _ramp_state(pole, _trotter_core(spec, 1.0, protocol.step_time), protocol)
+    return _ramp_result(pole, psi, protocol)
 
 
 def trotter_order(spec: ChainSpec, p: FieldPoint, taus) -> float:
@@ -161,18 +124,19 @@ def perturbed_fidelity(
     seeds seed+0 .. seed+trials-1, so the result is reproducible and
     individual trials can run anywhere.
     """
-    if angle_error_deg < 0.0:
-        raise OutOfRange("angle_error_deg must be nonnegative")
+    if not (math.isfinite(angle_error_deg) and angle_error_deg >= 0.0):
+        raise OutOfRange("angle_error_deg must be nonnegative and finite")
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
-    magnitude = 1.0
-    ideal = _trotter_evolve(spec, protocol, magnitude)
+    pole = _pole_system(spec)
+    core = _trotter_core(spec, 1.0, protocol.step_time)
+    ideal = _ramp_state(pole, core, protocol)
     bound = math.radians(angle_error_deg)
     worst = 1.0
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         deltas = rng.uniform(-bound, bound, protocol.steps)
-        psi = _trotter_evolve(spec, protocol, magnitude, deltas)
+        psi = _ramp_state(pole, core, protocol, deltas)
         worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
     return float(worst)
 

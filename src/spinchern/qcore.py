@@ -95,7 +95,11 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
     Computed through the eigendecomposition, which is exact for
     Hermitian inputs at these dimensions.
     """
-    system = eigh(h)
+    return propagator(eigh(h), t)
+
+
+def propagator(system: EigenSystem, t: float) -> np.ndarray:
+    """Unitary exp(-i h t) given the eigensystem of ``h``."""
     phases = np.exp(-1j * system.values * t)
     return (system.vectors * phases) @ system.vectors.conj().T
 

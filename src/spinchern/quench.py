@@ -20,8 +20,15 @@ from .errors import (
     StepCountTooSmall,
     VelocityOutOfLinearZone,
 )
-from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
-from .model import _chain_operators
+from .model import (
+    ChainSpec,
+    FieldPoint,
+    build_heisenberg,
+    param_derivative,
+    total_magnetization,
+)
+from .qcore import EigenSystem, eigh, propagator
+from .spectral import DEGENERACY_RTOL
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -45,14 +52,18 @@ class QuenchProtocol:
     steps: int = 300
 
     def __post_init__(self) -> None:
-        if self.v_theta <= 0.0:
-            raise OutOfRange("v_theta must be positive")
+        if not (math.isfinite(self.v_theta) and self.v_theta > 0.0):
+            raise OutOfRange(f"v_theta must be positive and finite, got {self.v_theta}")
         if self.steps < 1:
             raise OutOfRange("steps must be at least 1")
 
     @property
     def total_time(self) -> float:
         return math.pi / self.v_theta
+
+    @property
+    def step_time(self) -> float:
+        return self.total_time / self.steps
 
 
 @dataclass(frozen=True)
@@ -66,40 +77,94 @@ class QuenchResult:
     adiabatic_overlap: float
 
 
-def theta_of_t(protocol: QuenchProtocol, t: float) -> float:
-    """Ramp profile; quadratic in t so the rate grows linearly from zero."""
+def theta_of_t(protocol: QuenchProtocol, t):
+    """Ramp profile; quadratic in t so the rate grows linearly from zero.
+
+    ``t`` is a time or an array of times.
+    """
     total = protocol.total_time
-    if t < 0.0 or t > total * (1.0 + 1e-12):
-        raise OutOfRange(f"t={t:.6g} outside ramp window [0, {total:.6g}]")
+    early, late = np.min(t), np.max(t)
+    if early < 0.0 or late > total * (1.0 + 1e-12):
+        bad = early if early < 0.0 else late
+        raise OutOfRange(f"t={bad:.6g} outside ramp window [0, {total:.6g}]")
     return protocol.v_theta**2 * t**2 / (2.0 * math.pi)
 
 
-def _ramp_pieces(spec: ChainSpec, magnitude: float):
-    totals, interaction = _chain_operators(spec.n_spins)
-    return (
-        -magnitude * totals["x"],
-        -magnitude * totals["z"],
-        -spec.coupling_j * interaction,
-    )
+# --- propagation kernel -------------------------------------------------------
+#
+# The isotropic chain is rotation-covariant on the phi = 0 meridian:
+# H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
+# the real collective y-rotation.  One eigensolve at the pole therefore
+# serves a whole ramp: a step at angle a is R(a) C R(a)^T with a fixed
+# step core C, exactly V e^{-i Lambda dt} V^dagger for the exact ramp or
+# the symmetric split step of pulsesim for the Trotter ramp.
 
 
-def _evolve(spec: ChainSpec, protocol: QuenchProtocol, magnitude: float):
-    sin_part, cos_part, coupling_part = _ramp_pieces(spec, magnitude)
-    start = cos_part + coupling_part
-    values, vectors = np.linalg.eigh(start)
-    if values[1] - values[0] < 1e-9 * magnitude:
+def _pole_system(spec: ChainSpec) -> EigenSystem:
+    """Eigensystem of the unit-field pole Hamiltonian that starts every ramp.
+
+    ``build_heisenberg`` enforces the dimension cap before any work.
+    """
+    system = eigh(build_heisenberg(spec, FieldPoint(theta=0.0)))
+    if system.ground_gap < DEGENERACY_RTOL:
         raise DegenerateGroundState(
-            f"initial ground state degenerate (gap={values[1] - values[0]:.3e})"
+            f"initial ground state degenerate (gap={system.ground_gap:.3e})"
         )
-    psi = vectors[:, 0].astype(complex)
+    return system
 
-    dt = protocol.total_time / protocol.steps
-    for k in range(protocol.steps):
-        theta = theta_of_t(protocol, (k + 0.5) * dt)
-        h = math.sin(theta) * sin_part + math.cos(theta) * cos_part + coupling_part
-        values, vectors = np.linalg.eigh(h)
-        psi = vectors @ (np.exp(-1j * values * dt) * (vectors.conj().T @ psi))
-    return psi
+
+def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
+    """Apply R(angle) as one 2x2 contraction per spin, O(n 2^n).
+
+    Each contraction acts on the leading spin and moves it to the back,
+    so after n of them every spin is rotated and the order is restored.
+    """
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    single = np.array([[c, -s], [s, c]], dtype=complex)
+    out = psi
+    for _ in range(psi.size.bit_length() - 1):
+        out = (single @ out.reshape(2, -1)).T
+    return out.reshape(-1)
+
+
+def _ramp_state(
+    pole: EigenSystem,
+    core: np.ndarray,
+    protocol: QuenchProtocol,
+    offsets: np.ndarray | None = None,
+) -> np.ndarray:
+    """Final state of the ramp that applies R(a_k) core R(a_k)^T at step k.
+
+    a_k is the midpoint angle of step k plus ``offsets[k]`` if given.
+    Consecutive rotations fuse, R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}),
+    so a step costs one rotation pass and one dense mat-vec.
+    """
+    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
+    angles = theta_of_t(protocol, midpoints)
+    if offsets is not None:
+        angles = angles + offsets
+    angles = angles.tolist()
+    psi = _rotate_y(pole.ground_state, -angles[0])
+    for a, b in zip(angles, angles[1:]):
+        psi = _rotate_y(core @ psi, a - b)
+    return _rotate_y(core @ psi, angles[-1])
+
+
+def _ramp_result(
+    pole: EigenSystem, psi: np.ndarray, protocol: QuenchProtocol
+) -> QuenchResult:
+    """Readout of a final state; the adiabatic target is the rotated pole
+    ground state, so no eigensolve is needed at the end."""
+    theta_final = theta_of_t(protocol, protocol.total_time)
+    m_phi = total_magnetization(psi, "y") * math.sin(theta_final)
+    target = _rotate_y(pole.ground_state, theta_final)
+    return QuenchResult(
+        final_state=psi,
+        m_phi=float(m_phi),
+        f_extracted=float(m_phi / protocol.v_theta),
+        v_theta=protocol.v_theta,
+        adiabatic_overlap=float(abs(np.vdot(target, psi)) ** 2),
+    )
 
 
 def evolve_quench(
@@ -114,36 +179,20 @@ def evolve_quench(
     run rejected if the transverse magnetization moves by more than
     ``CONVERGENCE_TOL``.
     """
-    magnitude = 1.0
-    psi = _evolve(spec, protocol, magnitude)
-    theta_final = theta_of_t(protocol, protocol.total_time)
-    m_phi = total_magnetization(psi, "y") * math.sin(theta_final)
+    pole = _pole_system(spec)
+    psi = _ramp_state(pole, propagator(pole, protocol.step_time), protocol)
+    result = _ramp_result(pole, psi, protocol)
 
     if check_convergence:
-        fine = _evolve(spec, replace(protocol, steps=2 * protocol.steps), magnitude)
-        m_fine = total_magnetization(fine, "y") * math.sin(theta_final)
-        if abs(m_fine - m_phi) > CONVERGENCE_TOL:
+        fine = replace(protocol, steps=2 * protocol.steps)
+        psi_fine = _ramp_state(pole, propagator(pole, fine.step_time), fine)
+        drift = abs(_ramp_result(pole, psi_fine, fine).m_phi - result.m_phi)
+        if drift > CONVERGENCE_TOL:
             raise StepCountTooSmall(
-                f"m_phi drifts by {abs(m_fine - m_phi):.3e} on step doubling; "
+                f"m_phi drifts by {drift:.3e} on step doubling; "
                 f"increase steps beyond {protocol.steps}"
             )
-
-    sin_part, cos_part, coupling_part = _ramp_pieces(spec, magnitude)
-    h_final = (
-        math.sin(theta_final) * sin_part
-        + math.cos(theta_final) * cos_part
-        + coupling_part
-    )
-    values, vectors = np.linalg.eigh(h_final)
-    overlap = abs(np.vdot(vectors[:, 0], psi)) ** 2
-
-    return QuenchResult(
-        final_state=psi,
-        m_phi=float(m_phi),
-        f_extracted=float(m_phi / protocol.v_theta),
-        v_theta=protocol.v_theta,
-        adiabatic_overlap=float(overlap),
-    )
+    return result
 
 
 def generalized_force(spec: ChainSpec, p: FieldPoint, state: np.ndarray) -> float:

@@ -19,10 +19,29 @@ from spinchern import (
     QuenchProtocol,
     build_heisenberg,
     eigh,
+    expm_i,
     theta_of_t,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "scripts" / "data"
+
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Ramps checked against ``dense_ramp``: one (N, J) inside each plateau of
+# the pole ground state for J in [-2, 2], away from the level crossings,
+# at rates from slow through the linear-zone cap to far outside it.
+PLATEAU_CASES = [
+    (1, 1.0),
+    (2, -1.25), (2, 0.75),
+    (3, -1.2), (3, 0.8),
+    (4, -1.4), (4, -0.5), (4, 0.85),
+    (5, -1.2), (5, -0.36), (5, 0.86),
+    (6, -1.5), (6, -0.69), (6, -0.31), (6, 0.87),
+]  # fmt: skip
+RAMP_RATES = (0.05, 0.1, 0.29, 2.0)
+ORACLE_STEPS = 40
 
 
 def plaquette_curvature(
@@ -88,19 +107,74 @@ def angle_noise_infidelity(
     return b**2 / 3.0 * dt**2 * total
 
 
+def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n):
+        out = np.kron(out, op if k == site else np.eye(2))
+    return out
+
+
+def collective_ry(n: int, angle: float) -> np.ndarray:
+    """exp(-i angle sum_j sigma_y^j / 2) as an explicit Kronecker product."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    out = np.array([[1.0]])
+    for _ in range(n):
+        out = np.kron(out, np.array([[c, -s], [s, c]]))
+    return out
+
+
+def dense_ramp(
+    spec: ChainSpec,
+    protocol: QuenchProtocol,
+    *,
+    trotter: bool = False,
+    offsets=None,
+):
+    """Per-step dense integrator of the polar ramp.
+
+    Returns (final state, m_phi, adiabatic overlap).  The exact variant
+    rebuilds H at each step's midpoint angle theta_k and applies
+    expm_i(H, dt).  The Trotter variant splits the pole Hamiltonian into
+    its diagonal part A (field and zz) and the rest B (xx + yy) and
+    applies R S R^T with S = e^{-iA dt/2} e^{-iB dt} e^{-iA dt/2} and R
+    the Kronecker rotation to theta_k + offsets[k].  The start state is
+    the pole ground state, m_phi = <S_y> sin(theta_final), and the
+    overlap is taken with the ground state of H(theta_final), each from
+    its own eigensolve.
+    """
+    n = spec.n_spins
+    dt = protocol.total_time / protocol.steps
+    pole = build_heisenberg(spec, FieldPoint(theta=0.0))
+    psi = eigh(pole).ground_state.astype(complex)
+    if trotter:
+        a = np.diag(np.diag(pole))
+        half = expm_i(a, dt / 2.0)
+        split = half @ expm_i(pole - a, dt) @ half
+    for k in range(protocol.steps):
+        theta = theta_of_t(protocol, (k + 0.5) * dt)
+        if trotter:
+            if offsets is not None:
+                theta += offsets[k]
+            rot = collective_ry(n, theta)
+            psi = rot @ (split @ (rot.T @ psi))
+        else:
+            h = build_heisenberg(spec, FieldPoint(theta=theta))
+            psi = expm_i(h, dt) @ psi
+    theta_final = theta_of_t(protocol, protocol.total_time)
+    s_y = sum(_embed(_SY, site, n) for site in range(n))
+    m_phi = float(np.vdot(psi, s_y @ psi).real) * math.sin(theta_final)
+    final = eigh(build_heisenberg(spec, FieldPoint(theta=theta_final))).ground_state
+    return psi, m_phi, float(abs(np.vdot(final, psi)) ** 2)
+
+
+def assert_same_state(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> None:
+    """States equal up to a global phase, entrywise within ``tol``."""
+    phase = np.vdot(a, b)
+    assert np.max(np.abs(a * phase / abs(phase) - b)) <= tol
+
+
 def kron_chain_hamiltonian(n: int, j: float, theta: float, phi: float) -> np.ndarray:
     """Direct Kronecker-product construction of the chain Hamiltonian."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-
-    def embed(op, site):
-        out = np.array([[1.0 + 0.0j]])
-        for k in range(n):
-            out = np.kron(out, op if k == site else eye)
-        return out
-
     h_vec = np.array(
         [
             math.sin(theta) * math.cos(phi),
@@ -110,10 +184,9 @@ def kron_chain_hamiltonian(n: int, j: float, theta: float, phi: float) -> np.nda
     )
     total = np.zeros((2**n, 2**n), dtype=complex)
     for site in range(n):
-        total -= h_vec[0] * embed(sx, site)
-        total -= h_vec[1] * embed(sy, site)
-        total -= h_vec[2] * embed(sz, site)
+        for h, op in zip(h_vec, (_SX, _SY, _SZ)):
+            total -= h * _embed(op, site, n)
     for site in range(n - 1):
-        for op in (sx, sy, sz):
-            total -= j * embed(op, site) @ embed(op, site + 1)
+        for op in (_SX, _SY, _SZ):
+            total -= j * _embed(op, site, n) @ _embed(op, site + 1, n)
     return total

@@ -11,6 +11,7 @@ from spinchern import (
     ChainSpec,
     LengthMismatch,
     PlateauStats,
+    SpinChernError,
     SweepConfig,
     SweepRow,
     TooFewRows,
@@ -22,6 +23,7 @@ from spinchern import (
     import_results,
     run_sweep,
 )
+from spinchern.quench import LINEAR_ZONE_CAP
 
 from _oracles import DATA_DIR
 
@@ -108,6 +110,14 @@ def test_trotter_sweep_matches_dynamical():
     for d, t in zip(dyn, trot):
         assert t.f_phitheta == pytest.approx(d.f_phitheta, abs=1e-6)
         assert t.method == "trotter"
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_worker_count_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("SPINCHERN_WORKERS", value)
+    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,), method="spectral")
+    with pytest.raises(SpinChernError, match="SPINCHERN_WORKERS"):
+        run_sweep(cfg)
 
 
 def test_worker_pool_matches_serial(monkeypatch):
@@ -419,9 +429,12 @@ def test_cli_pulse_compile_rejects_wrong_size(capsys):
 
 
 def test_cli_linear_zone(capsys):
-    assert cli_main(["linear-zone", "--n", "2", "--j", "1.0", "--v", "0.1,0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "v_theta" in out
+    assert cli_main(["linear-zone", "--n", "2", "--j", "1.0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["v_theta", "m_phi/v", "vs_static"]
+    rows = {float(r.split()[0]): float(r.split()[2]) for r in lines[2:]}
+    assert LINEAR_ZONE_CAP in rows and 1.53 not in rows
+    assert abs(rows[LINEAR_ZONE_CAP] - 1.0) <= 0.05
 
 
 def test_cli_robustness(capsys):

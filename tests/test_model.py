@@ -13,6 +13,7 @@ from spinchern import (
     DimensionCap,
     FieldPoint,
     MoleculeSpec,
+    OutOfRange,
     build_heisenberg,
     build_nmr_hamiltonian,
     eigh,
@@ -21,7 +22,7 @@ from spinchern import (
     total_magnetization,
 )
 
-from _oracles import kron_chain_hamiltonian
+from _oracles import collective_ry, kron_chain_hamiltonian
 
 ANGLES = st.floats(0.05, math.pi - 0.05)
 PHIS = st.floats(0.0, 2 * math.pi - 1e-9)
@@ -60,6 +61,12 @@ def test_chain_spec_dim_and_cap():
         build_heisenberg(ChainSpec(5, 1.0, max_spins=4), FieldPoint(theta=1.0))
 
 
+def test_chain_spec_rejects_nonfinite_coupling():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange):
+            ChainSpec(2, bad)
+
+
 def test_single_spin_hamiltonian_at_pole():
     h = build_heisenberg(ChainSpec(1, 0.0), FieldPoint(theta=0.0))
     assert np.allclose(h, -np.diag([1.0, -1.0]))
@@ -78,6 +85,23 @@ def test_hamiltonian_matches_kron_oracle(n, j, theta, phi):
     assert np.allclose(
         build_heisenberg(spec, p), kron_chain_hamiltonian(n, j, theta, phi), atol=1e-12
     )
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    j=st.floats(-2.0, 2.0),
+    theta=st.floats(0.0, math.pi),
+    magnitude=st.floats(0.1, 3.0),
+)
+def test_hamiltonian_is_rotation_covariant(n, j, theta, magnitude):
+    # H(theta) = R_y(theta) H(pole) R_y(theta)^T on the phi = 0 meridian:
+    # the fact that lets one pole eigensolve serve a whole ramp.
+    spec = ChainSpec(n, j)
+    pole = build_heisenberg(spec, FieldPoint(theta=0.0, magnitude=magnitude))
+    rot = collective_ry(n, theta)
+    h = build_heisenberg(spec, FieldPoint(theta=theta, magnitude=magnitude))
+    assert np.max(np.abs(h - rot @ pole @ rot.T)) <= 1e-12
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spinchern import (
     ChainSpec,
     DegenerateCouplings,
+    DimensionCap,
     Delay,
     FieldPoint,
     MoleculeSpec,
@@ -33,6 +34,14 @@ from spinchern import (
     trotter_step,
     verify_sequence,
     zz_target_propagator,
+)
+
+from _oracles import (
+    ORACLE_STEPS,
+    PLATEAU_CASES,
+    RAMP_RATES,
+    assert_same_state,
+    dense_ramp,
 )
 
 TAU = 1e-3
@@ -149,6 +158,9 @@ def test_perturbed_fidelity_validation():
         perturbed_fidelity(ChainSpec(2, 1.0), PROTO, -1.0)
     with pytest.raises(OutOfRange):
         perturbed_fidelity(ChainSpec(2, 1.0), PROTO, 1.0, trials=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            perturbed_fidelity(ChainSpec(2, 1.0), PROTO, bad)
 
 
 # --- refocusing compiler -----------------------------------------------------
@@ -340,3 +352,45 @@ def test_simulate_program_applies_frame_offsets(molecule2):
 def test_step_always_unitary(theta, tau, j):
     step = trotter_step(ChainSpec(2, j), FieldPoint(theta=theta), tau)
     assert np.allclose(step @ step.conj().T, np.eye(4), atol=1e-9)
+
+
+# --- one propagation kernel against the dense per-step oracle ----------------
+
+@pytest.mark.parametrize("n, j", PLATEAU_CASES)
+def test_trotter_ramp_matches_dense_oracle(n, j):
+    spec = ChainSpec(n, j)
+    for v in RAMP_RATES:
+        proto = QuenchProtocol(v, ORACLE_STEPS)
+        psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True)
+        result = simulate_protocol_trotter(spec, proto)
+        assert_same_state(result.final_state, psi)
+        assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
+        assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
+
+
+@pytest.mark.parametrize("n, j", PLATEAU_CASES)
+def test_perturbed_fidelity_matches_dense_oracle(n, j):
+    spec = ChainSpec(n, j)
+    seed, trials, error_deg = 11, 2, 5.0
+    bound = math.radians(error_deg)
+    for v in RAMP_RATES:
+        proto = QuenchProtocol(v, ORACLE_STEPS)
+        ideal = dense_ramp(spec, proto, trotter=True)[0]
+        worst = 1.0
+        for trial in range(trials):
+            offsets = np.random.default_rng(seed + trial).uniform(
+                -bound, bound, ORACLE_STEPS
+            )
+            psi = dense_ramp(spec, proto, trotter=True, offsets=offsets)[0]
+            worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
+        assert perturbed_fidelity(
+            spec, proto, error_deg, seed=seed, trials=trials
+        ) == pytest.approx(worst, abs=1e-10)
+
+
+def test_ramps_reject_chain_over_cap():
+    spec = ChainSpec(3, 1.0, max_spins=2)
+    with pytest.raises(DimensionCap):
+        simulate_protocol_trotter(spec, PROTO)
+    with pytest.raises(DimensionCap):
+        perturbed_fidelity(spec, PROTO, 1.0, trials=1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from spinchern import (
     ChainSpec,
     DegenerateGroundState,
+    DimensionCap,
     FieldPoint,
     OutOfRange,
     QuenchProtocol,
@@ -21,6 +23,15 @@ from spinchern import (
     generalized_force,
     linear_zone_scan,
     theta_of_t,
+)
+from spinchern.quench import CONVERGENCE_TOL
+
+from _oracles import (
+    ORACLE_STEPS,
+    PLATEAU_CASES,
+    RAMP_RATES,
+    assert_same_state,
+    dense_ramp,
 )
 
 EQUATOR = FieldPoint(theta=math.pi / 2)
@@ -34,7 +45,15 @@ def test_protocol_validation():
         QuenchProtocol(v_theta=-1.0)
     with pytest.raises(OutOfRange):
         QuenchProtocol(v_theta=1.0, steps=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            QuenchProtocol(v_theta=bad)
     assert QuenchProtocol(v_theta=2.0).total_time == pytest.approx(math.pi / 2)
+
+
+def test_ramp_rejects_chain_over_cap():
+    with pytest.raises(DimensionCap):
+        evolve_quench(ChainSpec(3, 1.0, max_spins=2), SLOW, check_convergence=True)
 
 
 def test_ramp_profile_endpoints_and_window():
@@ -143,3 +162,24 @@ def test_final_state_is_normalized(v, n):
     result = evolve_quench(ChainSpec(n, 1.0), QuenchProtocol(v, 50))
     assert np.linalg.norm(result.final_state) == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= result.adiabatic_overlap <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n, j", PLATEAU_CASES)
+def test_evolve_quench_matches_dense_oracle(n, j):
+    spec = ChainSpec(n, j)
+    for v in RAMP_RATES:
+        proto = QuenchProtocol(v, ORACLE_STEPS)
+        psi, m_phi, overlap = dense_ramp(spec, proto)
+        result = evolve_quench(spec, proto)
+        assert_same_state(result.final_state, psi)
+        assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
+        assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
+
+        m_fine = dense_ramp(spec, replace(proto, steps=2 * ORACLE_STEPS))[1]
+        if abs(m_fine - m_phi) > CONVERGENCE_TOL:
+            with pytest.raises(StepCountTooSmall):
+                evolve_quench(spec, proto, check_convergence=True)
+        else:
+            checked = evolve_quench(spec, proto, check_convergence=True)
+            assert_same_state(checked.final_state, psi)
+            assert checked.m_phi == pytest.approx(m_phi, abs=1e-10)
