@@ -16,6 +16,7 @@ minus the total y-magnetization.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -113,40 +114,34 @@ def field_cartesian(p: FieldPoint) -> np.ndarray:
 
 
 # Total spin operators and the unit-strength interaction are reused
-# heavily by sweeps, so cache them per chain size.
-_chain_cache: dict = {}
+# heavily by sweeps, so cache them per chain size.  Callers must not
+# modify the cached arrays.
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_operators(n_spins: int) -> dict:
-    """Per-axis sums of adjacent two-site couplings, cached per size."""
-    key = ("pairs", n_spins)
-    pairs = _chain_cache.get(key)
-    if pairs is None:
-        dim = 2**n_spins
-        pairs = {}
-        for axis in _AXES:
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in range(n_spins - 1):
-                acc += site_operator(PAULI[axis], k, n_spins) @ site_operator(
-                    PAULI[axis], k + 1, n_spins
-                )
-            pairs[axis] = acc
-        _chain_cache[key] = pairs
+    """Per-axis sums of adjacent two-site couplings."""
+    dim = 2**n_spins
+    pairs = {}
+    for axis in _AXES:
+        acc = np.zeros((dim, dim), dtype=complex)
+        for k in range(n_spins - 1):
+            acc += site_operator(PAULI[axis], k, n_spins) @ site_operator(
+                PAULI[axis], k + 1, n_spins
+            )
+        pairs[axis] = acc
     return pairs
 
 
+@functools.lru_cache(maxsize=None)
 def _chain_operators(n_spins: int):
-    ops = _chain_cache.get(n_spins)
-    if ops is None:
-        totals = {
-            axis: sum(site_operator(PAULI[axis], k, n_spins) for k in range(n_spins))
-            for axis in _AXES
-        }
-        pairs = _pair_operators(n_spins)
-        interaction = pairs["x"] + pairs["y"] + pairs["z"]
-        ops = (totals, interaction)
-        _chain_cache[n_spins] = ops
-    return ops
+    """Total spin per axis and the unit-strength interaction."""
+    totals = {
+        axis: sum(site_operator(PAULI[axis], k, n_spins) for k in range(n_spins))
+        for axis in _AXES
+    }
+    pairs = _pair_operators(n_spins)
+    return totals, pairs["x"] + pairs["y"] + pairs["z"]
 
 
 def _check_cap(spec: ChainSpec) -> None:

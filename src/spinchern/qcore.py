@@ -81,11 +81,15 @@ def eigh(h: np.ndarray) -> EigenSystem:
     results are deterministic for regression purposes.
     """
     values, vectors = np.linalg.eigh(_symmetrized(h))
-    for k in range(vectors.shape[1]):
-        idx = int(np.argmax(np.abs(vectors[:, k])))
-        pivot = vectors[idx, k]
-        if abs(pivot) > 0:
-            vectors[:, k] *= np.conj(pivot) / abs(pivot)
+    columns = np.arange(vectors.shape[1])
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), columns]
+    # hypot, as the scalar abs() does; numpy's vectorised complex abs can
+    # differ from it in the last bit.
+    scale = np.hypot(pivots.real, pivots.imag)
+    nonzero = scale > 0
+    phases = np.ones_like(pivots)
+    phases[nonzero] = np.conj(pivots[nonzero]) / scale[nonzero]
+    vectors *= phases
     return EigenSystem(values=values, vectors=vectors)
 
 

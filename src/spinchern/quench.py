@@ -20,15 +20,9 @@ from .errors import (
     StepCountTooSmall,
     VelocityOutOfLinearZone,
 )
-from .model import (
-    ChainSpec,
-    FieldPoint,
-    build_heisenberg,
-    param_derivative,
-    total_magnetization,
-)
-from .qcore import EigenSystem, eigh, propagator
-from .spectral import DEGENERACY_RTOL
+from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
+from .qcore import EigenSystem, propagator
+from .spectral import DEGENERACY_RTOL, _rotate_y, pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -94,37 +88,24 @@ def theta_of_t(protocol: QuenchProtocol, t):
 #
 # The isotropic chain is rotation-covariant on the phi = 0 meridian:
 # H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
-# the real collective y-rotation.  One eigensolve at the pole therefore
-# serves a whole ramp: a step at angle a is R(a) C R(a)^T with a fixed
-# step core C, exactly V e^{-i Lambda dt} V^dagger for the exact ramp or
-# the symmetric split step of pulsesim for the Trotter ramp.
+# the real collective y-rotation.  The closed-form pole spectrum of
+# spectral.pole_system therefore serves a whole ramp: a step at angle a
+# is R(a) C R(a)^T with a fixed step core C, exactly V e^{-i Lambda dt}
+# V^dagger for the exact ramp or the symmetric split step of pulsesim for
+# the Trotter ramp.
 
 
 def _pole_system(spec: ChainSpec) -> EigenSystem:
     """Eigensystem of the unit-field pole Hamiltonian that starts every ramp.
 
-    ``build_heisenberg`` enforces the dimension cap before any work.
+    ``pole_system`` enforces the dimension cap before any work.
     """
-    system = eigh(build_heisenberg(spec, FieldPoint(theta=0.0)))
+    system = pole_system(spec)
     if system.ground_gap < DEGENERACY_RTOL:
         raise DegenerateGroundState(
             f"initial ground state degenerate (gap={system.ground_gap:.3e})"
         )
     return system
-
-
-def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
-    """Apply R(angle) as one 2x2 contraction per spin, O(n 2^n).
-
-    Each contraction acts on the leading spin and moves it to the back,
-    so after n of them every spin is rotated and the order is restored.
-    """
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    single = np.array([[c, -s], [s, c]], dtype=complex)
-    out = psi
-    for _ in range(psi.size.bit_length() - 1):
-        out = (single @ out.reshape(2, -1)).T
-    return out.reshape(-1)
 
 
 def _ramp_state(

@@ -3,21 +3,40 @@
 Berry curvature from the sum-over-states formula, Chern numbers from
 sphere quadrature and from a gauge-invariant lattice plaquette method,
 and level-crossing location in the coupling strength.
+
+Every query rests on one closed-form pole spectrum.  At the north pole
+the field term is -|h| M_z and the interaction X commutes with M_z, so
+the levels are -|h| M - J lambda with lambda running over the
+eigenvalues of each M_z block X_M.  The blocks are diagonalised once per
+chain size; their eigenvectors depend on neither J nor |h|.  Any other
+field point follows by rotation covariance, H(theta, phi) = U H(pole)
+U^dagger with U = R_z(phi) R_y(theta), so the spectrum is the same on
+the whole sphere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGroundState
-from .model import ChainSpec, FieldPoint, build_heisenberg, param_derivative
+from .errors import DegenerateGroundState, OutOfRange
+from .model import ChainSpec, FieldPoint, _chain_operators, _check_cap, _z_diagonals
 from .qcore import EigenSystem, eigh
 
 # Gap below this fraction of |h| counts as a ground-state degeneracy.
 DEGENERACY_RTOL = 1e-9
+
+# Admissibility of a plaquette grid (Fukui, Hatsugai and Suzuki, J. Phys.
+# Soc. Jpn. 74, 1674 (2005)): the lattice sum is an exact integer when no
+# plaquette phase wraps past pi.  A map over square grids of 2-24 cells
+# at N = 4, 6 and 10 found every wrong integer with a link overlap below
+# 0.2 or a plaquette phase above pi/2; grids from 10x10 up kept overlaps
+# of at least 0.60 and phases of at most 1.01.
+LATTICE_MIN_OVERLAP = 0.5
+LATTICE_MAX_PHASE = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -38,8 +57,79 @@ class ChernResult:
     reduced_value: float
 
 
-def _solve(spec: ChainSpec, p: FieldPoint) -> EigenSystem:
-    return eigh(build_heisenberg(spec, p))
+@dataclass(frozen=True)
+class _Sectors:
+    """The interaction diagonalised block by block in M_z.
+
+    Columns of ``vectors`` are the block eigenvectors, sector after
+    sector in ascending M; ``level_m`` and ``level_x`` hold each
+    column's M and interaction eigenvalue, and ``starts`` the first
+    column of each sector.  ``basis_m`` is the M_z of each basis state.
+    """
+
+    basis_m: np.ndarray
+    level_m: np.ndarray
+    level_x: np.ndarray
+    vectors: np.ndarray
+    starts: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_data(n_spins: int) -> _Sectors:
+    basis_m = _z_diagonals(n_spins).sum(axis=0)
+    _, interaction = _chain_operators(n_spins)
+    dim = basis_m.size
+    vectors = np.zeros((dim, dim), dtype=complex)
+    level_m = np.empty(dim)
+    level_x = np.empty(dim)
+    starts = []
+    col = 0
+    for m in np.unique(basis_m):
+        idx = np.flatnonzero(basis_m == m)
+        block = eigh(interaction[np.ix_(idx, idx)])
+        cols = slice(col, col + idx.size)
+        vectors[idx, cols] = block.vectors
+        level_m[cols] = m
+        level_x[cols] = block.values
+        starts.append(col)
+        col += idx.size
+    return _Sectors(basis_m, level_m, level_x, vectors, np.array(starts))
+
+
+def _sectors(spec: ChainSpec) -> _Sectors:
+    """Sector data of the chain size; the dimension cap is checked first."""
+    _check_cap(spec)
+    return _sector_data(spec.n_spins)
+
+
+def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> EigenSystem:
+    """Eigensystem of the chain Hamiltonian with the field at the north pole.
+
+    The levels -|h| M - J lambda are sorted ascending; no eigensolve is
+    made once the chain size's sector blocks are cached.  The spectrum
+    is the same at every field point of the same magnitude.
+    """
+    sectors = _sectors(spec)
+    if not (math.isfinite(magnitude) and magnitude > 0.0):
+        raise OutOfRange(f"field magnitude must be positive and finite: {magnitude}")
+    values = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
+    order = np.argsort(values, kind="stable")
+    return EigenSystem(values=values[order], vectors=sectors.vectors[:, order])
+
+
+def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
+    """Apply R_y(angle) = exp(-i angle S_y / 2) as one 2x2 contraction per
+    spin, O(n 2^n).
+
+    Each contraction acts on the leading spin and moves it to the back,
+    so after n of them every spin is rotated and the order is restored.
+    """
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    single = np.array([[c, -s], [s, c]], dtype=complex)
+    out = psi
+    for _ in range(psi.size.bit_length() - 1):
+        out = (single @ out.reshape(2, -1)).T
+    return out.reshape(-1)
 
 
 def _require_gap(system: EigenSystem, p: FieldPoint) -> float:
@@ -54,7 +144,7 @@ def _require_gap(system: EigenSystem, p: FieldPoint) -> float:
 
 def ground_gap(spec: ChainSpec, p: FieldPoint) -> float:
     """Energy difference between the two lowest levels."""
-    return _solve(spec, p).ground_gap
+    return pole_system(spec, p.magnitude).ground_gap
 
 
 def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
@@ -63,13 +153,17 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
     F = i sum_{n>0} [<0|dH/dphi|n><n|dH/dtheta|0> - (theta <-> phi)]
         / (e_n - e_0)^2,
 
-    oriented so a single free spin gives +1/2 at the equator.
+    oriented so a single free spin gives +1/2 at the equator.  The sum
+    is taken in the pole frame, where U^dagger dH/dtheta U = -|h| S_x and
+    U^dagger dH/dphi U = -|h| sin(theta) S_y.
     """
-    system = _solve(spec, p)
+    system = pole_system(spec, p.magnitude)
     gap = _require_gap(system, p)
+    totals, _ = _chain_operators(spec.n_spins)
     ground = system.ground_state
-    a = system.vectors.conj().T @ (param_derivative(spec, p, "phi") @ ground)
-    b = system.vectors.conj().T @ (param_derivative(spec, p, "theta") @ ground)
+    bra = system.vectors.conj().T
+    a = -p.magnitude * math.sin(p.theta) * (bra @ (totals["y"] @ ground))
+    b = -p.magnitude * (bra @ (totals["x"] @ ground))
     denom = (system.values - system.values[0]) ** 2
     denom[0] = 1.0  # excluded term
     terms = -2.0 * np.imag(np.conj(a) * b) / denom
@@ -125,31 +219,36 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
 
     The Berry connection is discretized into overlap link variables;
     the summed plaquette phase winding is an exact integer for any grid
-    fine enough that no plaquette phase wraps past pi.
+    fine enough that no plaquette phase wraps past pi.  The grid state
+    at (theta, phi) is the rotated pole ground state R_z(phi) R_y(theta)
+    g.  Raises ``OutOfRange`` when a link overlap falls below
+    ``LATTICE_MIN_OVERLAP`` or a plaquette phase exceeds
+    ``LATTICE_MAX_PHASE``, where a coarse grid can return a wrong integer.
     """
     n_theta, n_phi = grid
+    if n_theta < 1 or n_phi < 1:
+        raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
+    system = pole_system(spec)
+    _require_gap(system, FieldPoint(theta=0.0))
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
-    states = []
-    for theta in thetas:
-        row = []
-        for phi in phis:
-            p = FieldPoint(theta=float(theta), phi=float(phi))
-            system = _solve(spec, p)
-            _require_gap(system, p)
-            row.append(system.ground_state)
-        states.append(row)
-    total = 0.0
-    for i in range(n_theta):
-        for k in range(n_phi):
-            plaquette = (
-                np.vdot(states[i][k], states[i + 1][k])
-                * np.vdot(states[i + 1][k], states[i + 1][k + 1])
-                * np.vdot(states[i + 1][k + 1], states[i][k + 1])
-                * np.vdot(states[i][k + 1], states[i][k])
-            )
-            total += np.angle(plaquette)
-    return int(round(total / (2.0 * math.pi)))
+    rows = np.array([_rotate_y(system.ground_state, t) for t in thetas])
+    phases = np.exp(-0.5j * np.outer(phis, _sectors(spec).basis_m))
+    states = rows[:, None, :] * phases[None, :, :]  # [theta, phi, basis]
+    # <(i,k)|(i+1,k)> and <(i,k)|(i,k+1)>
+    down = np.einsum("ikb,ikb->ik", states[:-1].conj(), states[1:])
+    right = np.einsum("ikb,ikb->ik", states[:, :-1].conj(), states[:, 1:])
+    plaquettes = down[:, :-1] * right[1:] * down[:, 1:].conj() * right[:-1].conj()
+    angles = np.angle(plaquettes)
+    overlap = min(np.abs(down).min(), np.abs(right).min())
+    phase = np.abs(angles).max()
+    if overlap < LATTICE_MIN_OVERLAP or phase > LATTICE_MAX_PHASE:
+        raise OutOfRange(
+            f"{n_theta}x{n_phi} plaquette grid too coarse: smallest link overlap "
+            f"{overlap:.3g} (needs >= {LATTICE_MIN_OVERLAP}), largest plaquette "
+            f"phase {phase:.3g} (needs <= {LATTICE_MAX_PHASE:.3g})"
+        )
+    return int(round(angles.sum() / (2.0 * math.pi)))
 
 
 def chern_result(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> ChernResult:
@@ -162,6 +261,33 @@ def chern_result(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> ChernResu
     )
 
 
+def _sector_ground_energies(sectors: _Sectors, js: np.ndarray) -> np.ndarray:
+    """Lowest pole level of each sector at unit field, one row per J."""
+    levels = -sectors.level_m - js[:, None] * sectors.level_x
+    return np.minimum.reduceat(levels, sectors.starts, axis=1)
+
+
+def _sector_crossings(sectors: _Sectors, a: float, b: float) -> list[float]:
+    """Couplings in [a, b] where the ground sector changes.
+
+    A sector's lowest level is linear in J on either side of J = 0, so
+    the crossing of two sectors within a same-sign bracket is the root
+    of a linear function.  If a third sector lies lowest at that root,
+    the bracket holds two crossings and is split there.
+    """
+    if a < 0.0 < b:
+        return _sector_crossings(sectors, a, 0.0) + _sector_crossings(sectors, 0.0, b)
+    ea, eb = _sector_ground_energies(sectors, np.array([a, b]))
+    sa, sb = np.argmin(ea), np.argmin(eb)
+    if sa == sb:
+        return []
+    da, db = ea[sa] - ea[sb], eb[sa] - eb[sb]  # da <= 0 <= db
+    root = a + (b - a) * da / (da - db)
+    if np.argmin(_sector_ground_energies(sectors, np.array([root]))[0]) in (sa, sb):
+        return [float(root)]
+    return _sector_crossings(sectors, a, root) + _sector_crossings(sectors, root, b)
+
+
 def find_crossings(
     spec: ChainSpec,
     j_interval: tuple[float, float],
@@ -170,44 +296,22 @@ def find_crossings(
 ) -> list[float]:
     """Coupling values where the two lowest levels cross.
 
-    The gap is scanned at the north pole (where different magnetization
-    sectors may cross); each local minimum is refined by bisection on
-    the sign of the gap slope and kept only if the refined gap closes.
+    At the pole the lowest level of each M_z sector is non-degenerate
+    for J != 0 (Perron-Frobenius), so the two lowest levels cross
+    exactly where the ground sector changes.  The ground sector is
+    scanned on a grid of ``scan_step``; each grid interval where it
+    changes is solved in closed form, and a root is kept only if the
+    pole gap there is below ``gap_tol``.
     """
     lo, hi = j_interval
     if not lo < hi:
         raise ValueError("j_interval must satisfy lo < hi")
-    pole = FieldPoint(theta=0.0)
-
-    def gap_at(j: float) -> float:
-        return ground_gap(replace(spec, coupling_j=j), pole)
-
-    def slope(j: float, h: float = 1e-7) -> float:
-        return (gap_at(j + h) - gap_at(j - h)) / (2.0 * h)
-
+    sectors = _sectors(spec)
     n_points = max(2, int(round((hi - lo) / scan_step)) + 1)
     js = np.linspace(lo, hi, n_points)
-    gaps = np.array([gap_at(j) for j in js])
-
-    crossings = []
-    for k in range(1, len(js) - 1):
-        if not (gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]):
-            continue
-        if gaps[k] < gap_tol:
-            crossings.append(float(js[k]))
-            continue
-        a, b = float(js[k - 1]), float(js[k + 1])
-        if not (slope(a) < 0.0 < slope(b)):
-            continue
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if slope(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-            if b - a < 1e-13:
-                break
-        j_star = 0.5 * (a + b)
-        if gap_at(j_star) < gap_tol:
-            crossings.append(j_star)
-    return crossings
+    labels = np.argmin(_sector_ground_energies(sectors, js), axis=1)
+    roots = []
+    for k in np.flatnonzero(labels[1:] != labels[:-1]):
+        roots += _sector_crossings(sectors, float(js[k]), float(js[k + 1]))
+    pole = FieldPoint(theta=0.0)
+    return [j for j in roots if ground_gap(replace(spec, coupling_j=j), pole) < gap_tol]

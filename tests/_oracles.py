@@ -9,6 +9,7 @@ validates itself against its own internals.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,106 @@ def plaquette_curvature(
     for k in range(4):
         product *= np.vdot(states[k], states[(k + 1) % 4])
     return float(-np.angle(product) / d**2)
+
+
+def _field_derivative(spec: ChainSpec, p: FieldPoint, which: str) -> np.ndarray:
+    """dH/dtheta or dH/dphi from total spins read off build_heisenberg.
+
+    With J = 0 and a unit field along axis a the Hamiltonian is -S_a,
+    and only the field term depends on the angles.
+    """
+    free = replace(spec, coupling_j=0.0)
+    s_x = -build_heisenberg(free, FieldPoint(theta=math.pi / 2))
+    s_y = -build_heisenberg(free, FieldPoint(theta=math.pi / 2, phi=math.pi / 2))
+    s_z = -build_heisenberg(free, FieldPoint(theta=0.0))
+    st, ct = math.sin(p.theta), math.cos(p.theta)
+    sp, cp = math.sin(p.phi), math.cos(p.phi)
+    if which == "theta":
+        direction = ct * cp * s_x + ct * sp * s_y - st * s_z
+    else:
+        direction = -st * sp * s_x + st * cp * s_y
+    return -p.magnitude * direction
+
+
+def dense_curvature(spec: ChainSpec, p: FieldPoint) -> float:
+    """F_phitheta by the sum over states of a dense eigensolve at ``p``."""
+    system = eigh(build_heisenberg(spec, p))
+    ground = system.ground_state
+    bra = system.vectors.conj().T
+    a = bra @ (_field_derivative(spec, p, "phi") @ ground)
+    b = bra @ (_field_derivative(spec, p, "theta") @ ground)
+    gaps = system.values[1:] - system.values[0]
+    return float(np.sum(-2.0 * np.imag(np.conj(a[1:]) * b[1:]) / gaps**2))
+
+
+def dense_chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
+    """Plaquette Chern number from one dense eigensolve per grid point."""
+    n_theta, n_phi = grid
+    thetas = np.linspace(0.0, math.pi, n_theta + 1)
+    phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
+    states = [
+        [
+            eigh(build_heisenberg(spec, FieldPoint(theta=th, phi=ph))).ground_state
+            for ph in phis
+        ]
+        for th in thetas
+    ]
+    total = 0.0
+    for i in range(n_theta):
+        for k in range(n_phi):
+            plaquette = (
+                np.vdot(states[i][k], states[i + 1][k])
+                * np.vdot(states[i + 1][k], states[i + 1][k + 1])
+                * np.vdot(states[i + 1][k + 1], states[i][k + 1])
+                * np.vdot(states[i][k + 1], states[i][k])
+            )
+            total += np.angle(plaquette)
+    return int(round(total / (2.0 * math.pi)))
+
+
+def bisection_crossings(
+    spec: ChainSpec,
+    j_interval: tuple[float, float],
+    scan_step: float = 0.01,
+    gap_tol: float = 1e-8,
+) -> list[float]:
+    """Pole level crossings from dense gaps: each interior grid minimum of
+    the gap is refined by bisection on the sign of its finite-difference
+    slope and kept if the gap closes there."""
+    lo, hi = j_interval
+    pole = FieldPoint(theta=0.0)
+
+    def gap_at(j: float) -> float:
+        h = build_heisenberg(replace(spec, coupling_j=j), pole)
+        return eigh(h).ground_gap
+
+    def slope(j: float, h: float = 1e-7) -> float:
+        return (gap_at(j + h) - gap_at(j - h)) / (2.0 * h)
+
+    js = np.linspace(lo, hi, max(2, int(round((hi - lo) / scan_step)) + 1))
+    gaps = [gap_at(j) for j in js]
+    crossings = []
+    for k in range(1, len(js) - 1):
+        if not (gaps[k] <= gaps[k - 1] and gaps[k] <= gaps[k + 1]):
+            continue
+        if gaps[k] < gap_tol:
+            crossings.append(float(js[k]))
+            continue
+        a, b = float(js[k - 1]), float(js[k + 1])
+        if not (slope(a) < 0.0 < slope(b)):
+            continue
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            if slope(mid) < 0.0:
+                a = mid
+            else:
+                b = mid
+            if b - a < 1e-13:
+                break
+        j_star = 0.5 * (a + b)
+        if gap_at(j_star) < gap_tol:
+            crossings.append(j_star)
+    return crossings
 
 
 def angle_noise_infidelity(

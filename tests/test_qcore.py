@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchern import (
+    ChainSpec,
     EigenSystem,
+    FieldPoint,
     NotHermitian,
     eigh,
     expm_i,
     kron_all,
     propagate,
     site_operator,
+    build_heisenberg,
 )
 from spinchern.qcore import IDENTITY_2, PAULI, kron
 
@@ -55,6 +58,33 @@ def test_eigh_sorted_and_phase_fixed():
         pivot = column[np.argmax(np.abs(column))]
         assert pivot.imag == pytest.approx(0.0, abs=1e-12)
         assert pivot.real > 0
+
+
+def _column_loop_eigh(h: np.ndarray):
+    """Reference phase fix: one column at a time, pivot by scalar abs()."""
+    values, vectors = np.linalg.eigh((h + h.conj().T) / 2)
+    for k in range(vectors.shape[1]):
+        pivot = vectors[int(np.argmax(np.abs(vectors[:, k]))), k]
+        if abs(pivot) > 0:
+            vectors[:, k] *= np.conj(pivot) / abs(pivot)
+    return values, vectors
+
+
+def test_eigh_phase_fix_is_bit_identical_to_column_loop():
+    matrices = [
+        random_hermitian(dim, seed) for dim in (1, 2, 3, 8, 32) for seed in range(4)
+    ]
+    matrices += [
+        build_heisenberg(ChainSpec(n, j), FieldPoint(theta=theta, phi=0.3))
+        for n in (1, 2, 3, 5)
+        for j in (-1.3, -0.5, 0.0, 1.0)
+        for theta in (0.0, 0.4, 2.9)
+    ]
+    for h in matrices:
+        values, vectors = _column_loop_eigh(h)
+        system = eigh(h)
+        assert np.array_equal(system.values, values)
+        assert np.array_equal(system.vectors, vectors)
 
 
 def test_eigh_rejects_non_hermitian():

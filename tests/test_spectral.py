@@ -4,24 +4,38 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinchern.model as model
+import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateGroundState,
+    DimensionCap,
     FieldPoint,
+    OutOfRange,
+    build_heisenberg,
     chern_integral,
     chern_lattice,
     chern_meridian,
     chern_result,
     curvature_profile,
     curvature_spectral,
+    eigh,
     find_crossings,
     ground_gap,
+    pole_system,
+    total_magnetization,
 )
 
-from _oracles import plaquette_curvature
+from _oracles import (
+    PLATEAU_CASES,
+    bisection_crossings,
+    dense_chern_lattice,
+    dense_curvature,
+    plaquette_curvature,
+)
 
 EQUATOR = FieldPoint(theta=math.pi / 2)
 
@@ -110,6 +124,16 @@ def test_chern_lattice_exact_integers():
     assert chern_lattice(ChainSpec(4, -0.5)) == 2
 
 
+def test_chern_lattice_rejects_coarse_grids():
+    # Unchecked, these grids return 1 and -2 for the Chern numbers 4 and 6.
+    for spec, grid in ((ChainSpec(4, 1.0), (3, 3)), (ChainSpec(6, 1.0), (4, 4))):
+        with pytest.raises(OutOfRange, match=f"{grid[0]}x{grid[1]}.*overlap.*phase"):
+            chern_lattice(spec, grid)
+    for grid in ((0, 4), (4, 0)):
+        with pytest.raises(OutOfRange, match="no cells"):
+            chern_lattice(ChainSpec(2, 1.0), grid)
+
+
 def test_chern_lattice_raises_on_crossing():
     with pytest.raises(DegenerateGroundState):
         chern_lattice(ChainSpec(2, -0.5))
@@ -135,6 +159,22 @@ def test_find_crossings_analytic_values():
     )
 
 
+def test_find_crossings_in_first_and_last_scan_interval():
+    # -0.5 lies within one scan step of the interval's end, or on a grid point.
+    for interval in ((-0.503, 2.0), (-2.0, -0.497), (-2.0, 2.0)):
+        assert find_crossings(ChainSpec(2, 0.0), interval) == pytest.approx(
+            [-0.5], abs=1e-12
+        )
+
+
+def test_find_crossings_resolves_several_crossings_in_one_scan_step():
+    # N = 6 crosses three times in [-2, 2], twice within [-1, 0].
+    fine = find_crossings(ChainSpec(6, 0.0), (-2.0, 2.0))
+    for scan_step in (4.0, 1.0):
+        coarse = find_crossings(ChainSpec(6, 0.0), (-2.0, 2.0), scan_step=scan_step)
+        assert coarse == pytest.approx(fine, abs=1e-12)
+
+
 def test_find_crossings_empty_when_no_crossing():
     assert find_crossings(ChainSpec(2, 0.0), (0.5, 2.0)) == []
     with pytest.raises(ValueError):
@@ -148,3 +188,82 @@ def test_curvature_independent_of_field_strength():
         ChainSpec(1, 0.0), FieldPoint(theta=math.pi / 2, magnitude=2.0)
     ).f_phitheta
     assert strong == pytest.approx(weak, abs=1e-12)
+
+
+# --- closed-form pole spectrum against dense per-point oracles ---------------
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pole_system_matches_dense_spectrum(n):
+    for j in (-1.7, -0.4, 0.0, 0.3, 1.2):
+        for magnitude in (0.5, 1.0, 2.5):
+            system = pole_system(ChainSpec(n, j), magnitude)
+            dense = np.linalg.eigvalsh(
+                build_heisenberg(ChainSpec(n, j), FieldPoint(0.0, magnitude=magnitude))
+            )
+            assert np.max(np.abs(system.values - dense)) <= 1e-12
+            assert np.allclose(system.vectors.conj().T @ system.vectors, np.eye(2**n))
+
+
+def test_pole_system_rejects_bad_field_magnitude():
+    for magnitude in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            pole_system(ChainSpec(2, 1.0), magnitude)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    j=st.sampled_from(OFF_CROSSING),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+    magnitude=st.floats(0.3, 3.0),
+)
+def test_curvature_matches_dense_oracle(n, j, theta, phi, magnitude):
+    # Crossings sit at J proportional to |h|, so scale J with the field.
+    spec = ChainSpec(n, j * magnitude)
+    p = FieldPoint(theta=theta, phi=phi, magnitude=magnitude)
+    fast = curvature_spectral(spec, p).f_phitheta
+    assert fast == pytest.approx(dense_curvature(spec, p), abs=1e-10)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), j=st.floats(-2.0, 2.0))
+def test_equator_curvature_is_half_the_pole_magnetization(n, j):
+    spec = ChainSpec(n, j)
+    pole = FieldPoint(theta=0.0)
+    assume(ground_gap(spec, pole) > 1e-3)  # a clean dense ground state
+    ground = eigh(build_heisenberg(spec, pole)).ground_state
+    two_f = 2.0 * curvature_spectral(spec, EQUATOR).f_phitheta
+    assert two_f == pytest.approx(total_magnetization(ground, "z"), abs=1e-9)
+
+
+@pytest.mark.parametrize("n,j", PLATEAU_CASES)
+def test_chern_lattice_matches_dense_oracle_on_every_plateau(n, j):
+    assert chern_lattice(ChainSpec(n, j)) == dense_chern_lattice(ChainSpec(n, j))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_find_crossings_matches_bisection_oracle(n):
+    fast = find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0))
+    slow = bisection_crossings(ChainSpec(n, 0.0), (-2.0, 2.0))
+    assert len(fast) == len(slow) >= 1
+    assert np.max(np.abs(np.array(fast) - np.array(slow))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda s: curvature_spectral(s, EQUATOR), id="curvature_spectral"),
+        pytest.param(lambda s: ground_gap(s, FieldPoint(theta=0.0)), id="ground_gap"),
+        pytest.param(lambda s: chern_lattice(s), id="chern_lattice"),
+        pytest.param(lambda s: find_crossings(s, (-2.0, 2.0)), id="find_crossings"),
+        pytest.param(lambda s: pole_system(s), id="pole_system"),
+    ],
+)
+def test_size_cap_is_checked_before_any_cache_access(call):
+    caches = (spectral._sector_data, model._chain_operators, model._pair_operators)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(DimensionCap):
+        call(ChainSpec(3, 1.0, max_spins=2))
+    assert [cache.cache_info() for cache in caches] == before
