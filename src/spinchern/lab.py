@@ -8,11 +8,12 @@ segments the resulting staircase and summarizes each quantized step.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,9 +80,9 @@ class PlateauStats:
     nearest_theory: float
 
 
-def _sweep_row(payload) -> SweepRow:
-    n_spins, max_spins, j, method, velocities, steps, grid = payload
-    spec = ChainSpec(n_spins=n_spins, coupling_j=j, max_spins=max_spins)
+def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
+    spec = replace(cfg.spec, coupling_j=j)
+    method = cfg.method
     gap = ground_gap(spec, FieldPoint(theta=0.0))
     try:
         if method == "spectral":
@@ -89,20 +90,22 @@ def _sweep_row(payload) -> SweepRow:
             chern = 2.0 * f
         elif method == "dynamical":
             results = [
-                evolve_quench(spec, QuenchProtocol(v_theta=v, steps=steps))
-                for v in velocities
+                evolve_quench(spec, QuenchProtocol(v_theta=v, steps=cfg.steps))
+                for v in cfg.velocities
             ]
             f = extract_curvature(results)
             chern = 2.0 * f
         elif method == "trotter":
             results = [
-                simulate_protocol_trotter(spec, QuenchProtocol(v_theta=v, steps=steps))
-                for v in velocities
+                simulate_protocol_trotter(
+                    spec, QuenchProtocol(v_theta=v, steps=cfg.steps)
+                )
+                for v in cfg.velocities
             ]
             f = extract_curvature(results)
             chern = 2.0 * f
         else:
-            integer = chern_lattice(spec, grid)
+            integer = chern_lattice(spec, cfg.lattice_grid)
             chern = float(integer)
             f = 0.5 * chern
     except DegenerateGroundState:
@@ -144,22 +147,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     output order is independent of the worker count.
     """
     workers = _worker_count()
-    payloads = [
-        (
-            cfg.spec.n_spins,
-            cfg.spec.max_spins,
-            j,
-            cfg.method,
-            cfg.velocities,
-            cfg.steps,
-            cfg.lattice_grid,
-        )
-        for j in sorted(cfg.j_values)
-    ]
+    js = sorted(cfg.j_values)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row, payloads))
-    return [_sweep_row(p) for p in payloads]
+            return list(pool.map(_sweep_row, itertools.repeat(cfg), js))
+    return [_sweep_row(cfg, j) for j in js]
 
 
 def detect_plateaus(rows) -> list[PlateauStats]:

@@ -120,15 +120,20 @@ def field_cartesian(p: FieldPoint) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _pair_operators(n_spins: int) -> dict:
-    """Per-axis sums of adjacent two-site couplings."""
+    """Per-axis sums of adjacent two-site couplings.
+
+    Each term embeds the 4x4 sigma (x) sigma between identities, O(4^n),
+    rather than multiplying two dense site operators, O(8^n).
+    """
     dim = 2**n_spins
     pairs = {}
     for axis in _AXES:
+        bond = np.kron(PAULI[axis], PAULI[axis])
         acc = np.zeros((dim, dim), dtype=complex)
         for k in range(n_spins - 1):
-            acc += site_operator(PAULI[axis], k, n_spins) @ site_operator(
-                PAULI[axis], k + 1, n_spins
-            )
+            left = np.eye(2**k, dtype=complex)
+            right = np.eye(2 ** (n_spins - k - 2), dtype=complex)
+            acc += np.kron(np.kron(left, bond), right)
         pairs[axis] = acc
     return pairs
 

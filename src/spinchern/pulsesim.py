@@ -10,6 +10,7 @@ compiler that places pi pulses between delay segments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,11 +27,12 @@ from .model import (
     ChainSpec,
     FieldPoint,
     MoleculeSpec,
+    _check_cap,
     _pair_operators,
     _z_diagonals,
     build_heisenberg,
 )
-from .qcore import PAULI, expm_i
+from .qcore import PAULI, EigenSystem, expm_i, propagator
 from .quench import (
     QuenchProtocol,
     QuenchResult,
@@ -38,6 +40,7 @@ from .quench import (
     _ramp_result,
     _ramp_state,
 )
+from .spectral import _sector_eigh
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -54,21 +57,34 @@ def _collective_ry(n_spins: int, angle: float) -> np.ndarray:
     return out
 
 
-def _split_parts(spec: ChainSpec, magnitude: float):
-    """Diagonal (field+zz) part as a vector and the xx+yy part as a matrix."""
+def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
+    """Field and zz part of the pole Hamiltonian, which is diagonal."""
     z = _z_diagonals(spec.n_spins)
     adjacent_zz = (z[:-1] * z[1:]).sum(axis=0)
-    a_diag = -magnitude * z.sum(axis=0) - spec.coupling_j * adjacent_zz
-    pairs = _pair_operators(spec.n_spins)
-    b_part = -spec.coupling_j * (pairs["x"] + pairs["y"])
-    return a_diag, b_part
+    return -magnitude * z.sum(axis=0) - spec.coupling_j * adjacent_zz
+
+
+@functools.lru_cache(maxsize=None)
+def _exchange_system(n_spins: int) -> EigenSystem:
+    """Eigensystem of the unit xx+yy exchange, which conserves M_z, solved
+    by M_z blocks once per chain size."""
+    pairs = _pair_operators(n_spins)
+    basis_m = _z_diagonals(n_spins).sum(axis=0)
+    _, values, vectors, _ = _sector_eigh(pairs["x"] + pairs["y"], basis_m)
+    order = np.argsort(values, kind="stable")
+    return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
 def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
-    """e^{-i(H_z+H_zz)tau/2} e^{-i(H_xx+H_yy)tau} e^{-i(H_z+H_zz)tau/2} at the pole."""
-    a_diag, b_part = _split_parts(spec, magnitude)
-    half = np.exp(-0.5j * a_diag * tau)
-    return (half[:, None] * expm_i(b_part, tau)) * half[None, :]
+    """e^{-i(H_z+H_zz)tau/2} e^{-i(H_xx+H_yy)tau} e^{-i(H_z+H_zz)tau/2} at the pole.
+
+    H_xx+H_yy is -J times the unit exchange, so its propagator over tau
+    is the unit exchange's over -J tau.
+    """
+    _check_cap(spec)
+    half = np.exp(-0.5j * _diagonal_part(spec, magnitude) * tau)
+    exchange = propagator(_exchange_system(spec.n_spins), -spec.coupling_j * tau)
+    return (half[:, None] * exchange) * half[None, :]
 
 
 def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
@@ -130,6 +146,7 @@ def perturbed_fidelity(
         raise OutOfRange("trials must be at least 1")
     pole = _pole_system(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
+    # Both states stay in the ramp kernel's frame; the overlap is the same.
     ideal = _ramp_state(pole, core, protocol)
     bound = math.radians(angle_error_deg)
     worst = 1.0

@@ -20,9 +20,9 @@ from .errors import (
     StepCountTooSmall,
     VelocityOutOfLinearZone,
 )
-from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
+from .model import ChainSpec, FieldPoint, param_derivative
 from .qcore import EigenSystem, propagator
-from .spectral import DEGENERACY_RTOL, _rotate_y, pole_system
+from .spectral import DEGENERACY_RTOL, _each_spin, _sector_data, pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -93,6 +93,17 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # is R(a) C R(a)^T with a fixed step core C, exactly V e^{-i Lambda dt}
 # V^dagger for the exact ramp or the symmetric split step of pulsesim for
 # the Trotter ramp.
+#
+# The ramp runs in the frame W = w (x) ... (x) w whose columns are the
+# sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
+# diagonal of M_z labels m of spectral's sectors, so every rotation is
+# the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
+
+_Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+
+# Steps whose diagonal phases are built at once; bounds the phase table
+# to this many rows of the state dimension.
+_PHASE_CHUNK = 64
 
 
 def _pole_system(spec: ChainSpec) -> EigenSystem:
@@ -108,41 +119,60 @@ def _pole_system(spec: ChainSpec) -> EigenSystem:
     return system
 
 
+def _y_labels(pole: EigenSystem) -> np.ndarray:
+    """The S_y eigenvalue of each basis state of the y frame."""
+    return _sector_data(pole.vectors.shape[0].bit_length() - 1).basis_m
+
+
+def _to_y_frame(x: np.ndarray) -> np.ndarray:
+    """W^dagger x for a state, or for each column of a matrix."""
+    return _each_spin(_Y_FRAME.conj().T, x)
+
+
 def _ramp_state(
     pole: EigenSystem,
     core: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final state of the ramp that applies R(a_k) core R(a_k)^T at step k.
+    """Final state, in the y frame, of the ramp that applies
+    R(a_k) core R(a_k)^T at step k.
 
     a_k is the midpoint angle of step k plus ``offsets[k]`` if given.
     Consecutive rotations fuse, R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}),
-    so a step costs one rotation pass and one dense mat-vec.
+    so in the y frame a step is one dense mat-vec with W^dagger core W
+    and one diagonal phase.
     """
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     angles = theta_of_t(protocol, midpoints)
     if offsets is not None:
         angles = angles + offsets
-    angles = angles.tolist()
-    psi = _rotate_y(pole.ground_state, -angles[0])
-    for a, b in zip(angles, angles[1:]):
-        psi = _rotate_y(core @ psi, a - b)
-    return _rotate_y(core @ psi, angles[-1])
+    m = _y_labels(pole)
+    # W^dagger core W = (W^T (W^dagger core)^T)^T
+    core_y = _each_spin(_Y_FRAME.T, _to_y_frame(core).T).T
+    psi = np.exp(0.5j * angles[0] * m) * _to_y_frame(pole.ground_state)
+    deltas = angles - np.append(angles[1:], 0.0)
+    for start in range(0, deltas.size, _PHASE_CHUNK):
+        chunk = deltas[start : start + _PHASE_CHUNK]
+        for phase in np.exp(-0.5j * np.multiply.outer(chunk, m)):
+            psi = phase * (core_y @ psi)
+    return psi
 
 
 def _ramp_result(
     pole: EigenSystem, psi: np.ndarray, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Readout of a final state; the adiabatic target is the rotated pole
-    ground state, so no eigensolve is needed at the end."""
+    """Readout of a final state in the y frame.  The adiabatic target is
+    the rotated pole ground state, so no eigensolve is needed at the end;
+    only ``final_state`` is mapped back to the computational basis."""
     theta_final = theta_of_t(protocol, protocol.total_time)
-    m_phi = total_magnetization(psi, "y") * math.sin(theta_final)
-    target = _rotate_y(pole.ground_state, theta_final)
+    m = _y_labels(pole)
+    m_phi = math.sin(theta_final) * float(np.dot(m, np.abs(psi) ** 2))
+    target = np.exp(-0.5j * theta_final * m) * _to_y_frame(pole.ground_state)
     return QuenchResult(
-        final_state=psi,
-        m_phi=float(m_phi),
-        f_extracted=float(m_phi / protocol.v_theta),
+        final_state=_each_spin(_Y_FRAME, psi),
+        m_phi=m_phi,
+        f_extracted=m_phi / protocol.v_theta,
         v_theta=protocol.v_theta,
         adiabatic_overlap=float(abs(np.vdot(target, psi)) ** 2),
     )

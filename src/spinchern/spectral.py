@@ -74,26 +74,37 @@ class _Sectors:
     starts: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _sector_data(n_spins: int) -> _Sectors:
-    basis_m = _z_diagonals(n_spins).sum(axis=0)
-    _, interaction = _chain_operators(n_spins)
+def _sector_eigh(operator: np.ndarray, basis_m: np.ndarray):
+    """Diagonalise an operator that conserves M_z one M_z block at a time.
+
+    ``basis_m`` is the M_z of each basis state.  Returns each column's M
+    and eigenvalue, the eigenvector columns sector after sector in
+    ascending M, and the first column of each sector.
+    """
     dim = basis_m.size
     vectors = np.zeros((dim, dim), dtype=complex)
     level_m = np.empty(dim)
-    level_x = np.empty(dim)
+    values = np.empty(dim)
     starts = []
     col = 0
     for m in np.unique(basis_m):
         idx = np.flatnonzero(basis_m == m)
-        block = eigh(interaction[np.ix_(idx, idx)])
+        block = eigh(operator[np.ix_(idx, idx)])
         cols = slice(col, col + idx.size)
         vectors[idx, cols] = block.vectors
         level_m[cols] = m
-        level_x[cols] = block.values
+        values[cols] = block.values
         starts.append(col)
         col += idx.size
-    return _Sectors(basis_m, level_m, level_x, vectors, np.array(starts))
+    return level_m, values, vectors, np.array(starts)
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_data(n_spins: int) -> _Sectors:
+    basis_m = _z_diagonals(n_spins).sum(axis=0)
+    _, interaction = _chain_operators(n_spins)
+    level_m, level_x, vectors, starts = _sector_eigh(interaction, basis_m)
+    return _Sectors(basis_m, level_m, level_x, vectors, starts)
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -117,19 +128,24 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> EigenSystem:
     return EigenSystem(values=values[order], vectors=sectors.vectors[:, order])
 
 
-def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
-    """Apply R_y(angle) = exp(-i angle S_y / 2) as one 2x2 contraction per
-    spin, O(n 2^n).
+def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply ``single`` to every spin of a state, or of each column of a
+    matrix, as one 2x2 contraction per spin, O(n 2^n) per column.
 
     Each contraction acts on the leading spin and moves it to the back,
-    so after n of them every spin is rotated and the order is restored.
+    so after n of them every spin is transformed and the spins are back
+    in order, behind the column index.
     """
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    single = np.array([[c, -s], [s, c]], dtype=complex)
-    out = psi
-    for _ in range(psi.size.bit_length() - 1):
+    out = x
+    for _ in range(x.shape[0].bit_length() - 1):
         out = (single @ out.reshape(2, -1)).T
-    return out.reshape(-1)
+    return out.reshape(x.shape[::-1]).T
+
+
+def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
+    """Apply R_y(angle) = exp(-i angle S_y / 2) to a state."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
 
 
 def _require_gap(system: EigenSystem, p: FieldPoint) -> float:

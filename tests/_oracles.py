@@ -215,6 +215,18 @@ def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return out
 
 
+def product_pair_operators(n: int) -> dict:
+    """Per-axis sums of adjacent two-site couplings, each a dense product
+    of two embedded site operators."""
+    pairs = {}
+    for axis, op in (("x", _SX), ("y", _SY), ("z", _SZ)):
+        acc = np.zeros((2**n, 2**n), dtype=complex)
+        for site in range(n - 1):
+            acc += _embed(op, site, n) @ _embed(op, site + 1, n)
+        pairs[axis] = acc
+    return pairs
+
+
 def collective_ry(n: int, angle: float) -> np.ndarray:
     """exp(-i angle sum_j sigma_y^j / 2) as an explicit Kronecker product."""
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchern.model as model
 from spinchern import (
     ChainSpec,
     DimensionCap,
@@ -22,7 +23,7 @@ from spinchern import (
     total_magnetization,
 )
 
-from _oracles import collective_ry, kron_chain_hamiltonian
+from _oracles import collective_ry, kron_chain_hamiltonian, product_pair_operators
 
 ANGLES = st.floats(0.05, math.pi - 0.05)
 PHIS = st.floats(0.0, 2 * math.pi - 1e-9)
@@ -85,6 +86,14 @@ def test_hamiltonian_matches_kron_oracle(n, j, theta, phi):
     assert np.allclose(
         build_heisenberg(spec, p), kron_chain_hamiltonian(n, j, theta, phi), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_operators_equal_product_construction(n):
+    built = model._pair_operators(n)
+    products = product_pair_operators(n)
+    for axis in ("x", "y", "z"):
+        assert np.array_equal(built[axis], products[axis])
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

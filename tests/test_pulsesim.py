@@ -388,8 +388,44 @@ def test_perturbed_fidelity_matches_dense_oracle(n, j):
         ) == pytest.approx(worst, abs=1e-10)
 
 
+# Ramp error against the exact integrator at the same step count, on the
+# plateaus of PLATEAU_CASES with N >= 3 except the one whose pole ground
+# state has the smallest M_z (J = -1.2, -1.4, -1.2, -1.5 for N = 3-6).
+# There the tau^2 term of the m_phi error cancels and it falls as tau^4:
+# at N = 3, J = -1.2 it reads 1.0e-6, 6.3e-8 and 3.9e-9 at 600, 1200 and
+# 2400 steps.
+SECOND_ORDER_CASES = [
+    (3, 0.8), (4, -0.5), (4, 0.85), (5, -0.36), (5, 0.86),
+    (6, -0.69), (6, -0.31), (6, 0.87),
+]  # fmt: skip
+
+
+def _trotter_ramp_errors(spec: ChainSpec) -> list:
+    errors = []
+    for steps in (150, 300, 600):
+        proto = QuenchProtocol(0.1, steps)
+        trotter = simulate_protocol_trotter(spec, proto).m_phi
+        errors.append(abs(trotter - evolve_quench(spec, proto).m_phi))
+    return errors
+
+
+@pytest.mark.parametrize("n, j", SECOND_ORDER_CASES)
+def test_trotter_ramp_error_is_second_order(n, j):
+    errors = _trotter_ramp_errors(ChainSpec(n, j))
+    assert all(3.5 <= a / b <= 4.5 for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("j", [-1.25, 0.75])
+def test_two_spin_trotter_ramp_is_exact(j):
+    # A single bond's zz and xx+yy parts commute, so the split step is the
+    # exact step (measured error <= 2.1e-14).
+    assert max(_trotter_ramp_errors(ChainSpec(2, j))) <= 1e-13
+
+
 def test_ramps_reject_chain_over_cap():
     spec = ChainSpec(3, 1.0, max_spins=2)
+    with pytest.raises(DimensionCap):
+        trotter_step(spec, POINT, 0.1)
     with pytest.raises(DimensionCap):
         simulate_protocol_trotter(spec, PROTO)
     with pytest.raises(DimensionCap):

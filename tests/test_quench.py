@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchern.quench as quench
+import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateGroundState,
@@ -17,11 +20,13 @@ from spinchern import (
     QuenchProtocol,
     StepCountTooSmall,
     VelocityOutOfLinearZone,
+    build_heisenberg,
     curvature_spectral,
     evolve_quench,
     extract_curvature,
     generalized_force,
     linear_zone_scan,
+    simulate_protocol_trotter,
     theta_of_t,
 )
 from spinchern.quench import CONVERGENCE_TOL
@@ -31,6 +36,7 @@ from _oracles import (
     PLATEAU_CASES,
     RAMP_RATES,
     assert_same_state,
+    collective_ry,
     dense_ramp,
 )
 
@@ -183,3 +189,34 @@ def test_evolve_quench_matches_dense_oracle(n, j):
             checked = evolve_quench(spec, proto, check_convergence=True)
             assert_same_state(checked.final_state, psi)
             assert checked.m_phi == pytest.approx(m_phi, abs=1e-10)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), delta=st.floats(-math.pi, math.pi))
+def test_y_frame_diagonalises_rotations_and_keeps_the_exchange(n, delta):
+    # The ramp kernel runs in W = w (x) ... (x) w, w the sigma_y
+    # eigenvectors: there every framing rotation is a diagonal phase and
+    # the SU(2)-invariant exchange is unchanged.
+    frame = functools.reduce(np.kron, [quench._Y_FRAME] * n)
+    pole = FieldPoint(theta=0.0)
+    exchange = build_heisenberg(ChainSpec(n, 0.0), pole) - build_heisenberg(
+        ChainSpec(n, 1.0), pole
+    )
+    assert np.max(np.abs(frame.conj().T @ exchange @ frame - exchange)) <= 1e-12
+    m = spectral._sector_data(n).basis_m
+    rotated = frame.conj().T @ collective_ry(n, delta) @ frame
+    assert np.max(np.abs(rotated - np.diag(np.exp(-0.5j * delta * m)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n, j", [(3, 0.8), (5, -0.36)])
+def test_full_length_ramps_match_dense_oracle(n, j):
+    # The default 300-step protocol, as the sweeps run it: guards the
+    # phase accumulated over a whole ramp, which the 40-step oracle
+    # comparisons above cannot.
+    spec = ChainSpec(n, j)
+    for trotter, ramp in ((False, evolve_quench), (True, simulate_protocol_trotter)):
+        psi, m_phi, overlap = dense_ramp(spec, SLOW, trotter=trotter)
+        result = ramp(spec, SLOW)
+        assert_same_state(result.final_state, psi)
+        assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
+        assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
