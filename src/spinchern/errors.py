@@ -23,8 +23,11 @@ class DegenerateGroundState(SpinChernError):
     """
 
 
-class OutOfRange(SpinChernError):
-    """Scalar argument lies outside its documented domain."""
+class OutOfRange(SpinChernError, ValueError):
+    """Scalar argument lies outside its documented domain.
+
+    Also a ``ValueError``, the builtin type for a bad argument value.
+    """
 
 
 class StepCountTooSmall(SpinChernError):

@@ -38,23 +38,13 @@ from .quench import (
     QuenchResult,
     _pole_system,
     _ramp_result,
-    _ramp_state,
+    theta_of_t,
 )
-from .spectral import _sector_eigh
+from .spectral import _each_spin, _rotate_y, _sector_data, _sector_eigh
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
 _COUPLING_RTOL = 1e-12
-
-
-def _collective_ry(n_spins: int, angle: float) -> np.ndarray:
-    """Simultaneous y-rotation of every spin; real orthogonal matrix."""
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    single = np.array([[c, -s], [s, c]])
-    out = np.array([[1.0]])
-    for _ in range(n_spins):
-        out = np.kron(out, single)
-    return out
 
 
 def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
@@ -97,19 +87,80 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
     """
     if p.phi != 0.0:
         raise ValueError("trotter_step is defined on the phi=0 meridian")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    rot = _collective_ry(spec.n_spins, p.theta)
-    return rot @ _trotter_core(spec, p.magnitude, tau) @ rot.T
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise OutOfRange(f"tau must be positive and finite, got {tau}")
+    # R core R^T = (R (R core)^T)^T, R real
+    rotated = _rotate_y(_trotter_core(spec, p.magnitude, tau), p.theta)
+    return _rotate_y(rotated.T, p.theta).T
+
+
+# --- Trotter ramp kernel -----------------------------------------------------
+#
+# The isotropic chain is rotation-covariant on the phi = 0 meridian:
+# H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
+# the real collective y-rotation.  A Trotter step at angle a is therefore
+# R(a) C R(a)^T with the fixed split step core C of ``_trotter_core``.
+# The split step breaks SU(2), so unlike the exact ramp of ``quench`` it
+# does not reduce to one spin.
+#
+# The ramp runs in the frame W = w (x) ... (x) w whose columns are the
+# sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
+# diagonal of M_z labels m of spectral's sectors, so every rotation is
+# the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
+
+_Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+
+# Steps whose diagonal phases are built at once; bounds the phase table
+# to this many rows of the state dimension.
+_PHASE_CHUNK = 64
+
+
+def _to_y_frame(x: np.ndarray) -> np.ndarray:
+    """W^dagger x for a state, or for each column of a matrix."""
+    return _each_spin(_Y_FRAME.conj().T, x)
+
+
+def _core_in_y_frame(core: np.ndarray) -> np.ndarray:
+    """W^dagger core W = (W^T (W^dagger core)^T)^T."""
+    return _each_spin(_Y_FRAME.T, _to_y_frame(core).T).T
+
+
+def _ramp_state(
+    pole: EigenSystem,
+    core_y: np.ndarray,
+    protocol: QuenchProtocol,
+    offsets: np.ndarray | None = None,
+) -> np.ndarray:
+    """Final state, in the y frame, of the ramp that applies
+    R(a_k) core R(a_k)^T at step k, given ``core_y`` = W^dagger core W.
+
+    a_k is the midpoint angle of step k plus ``offsets[k]`` if given.
+    Consecutive rotations fuse, R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}),
+    so in the y frame a step is one dense mat-vec with ``core_y`` and
+    one diagonal phase.
+    """
+    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
+    angles = theta_of_t(protocol, midpoints)
+    if offsets is not None:
+        angles = angles + offsets
+    m = _sector_data(pole.vectors.shape[0].bit_length() - 1).basis_m
+    psi = np.exp(0.5j * angles[0] * m) * _to_y_frame(pole.ground_state)
+    deltas = angles - np.append(angles[1:], 0.0)
+    for start in range(0, deltas.size, _PHASE_CHUNK):
+        chunk = deltas[start : start + _PHASE_CHUNK]
+        for phase in np.exp(-0.5j * np.multiply.outer(chunk, m)):
+            psi = phase * (core_y @ psi)
+    return psi
 
 
 def simulate_protocol_trotter(
     spec: ChainSpec, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Trotterized counterpart of the exact-step ramp integrator: the same
-    pole eigensolve and rotations around the split step core."""
+    """Trotterized counterpart of the exact ramp: the same pole system and
+    readout, with rotations around the split step core."""
     pole = _pole_system(spec)
-    psi = _ramp_state(pole, _trotter_core(spec, 1.0, protocol.step_time), protocol)
+    core_y = _core_in_y_frame(_trotter_core(spec, 1.0, protocol.step_time))
+    psi = _each_spin(_Y_FRAME, _ramp_state(pole, core_y, protocol))
     return _ramp_result(pole, psi, protocol)
 
 
@@ -145,15 +196,15 @@ def perturbed_fidelity(
     if trials < 1:
         raise OutOfRange("trials must be at least 1")
     pole = _pole_system(spec)
-    core = _trotter_core(spec, 1.0, protocol.step_time)
+    core_y = _core_in_y_frame(_trotter_core(spec, 1.0, protocol.step_time))
     # Both states stay in the ramp kernel's frame; the overlap is the same.
-    ideal = _ramp_state(pole, core, protocol)
+    ideal = _ramp_state(pole, core_y, protocol)
     bound = math.radians(angle_error_deg)
     worst = 1.0
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         deltas = rng.uniform(-bound, bound, protocol.steps)
-        psi = _ramp_state(pole, core, protocol, deltas)
+        psi = _ramp_state(pole, core_y, protocol, deltas)
         worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
     return float(worst)
 
@@ -288,8 +339,8 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     """
     if not 2 <= m.n_spins <= 4:
         raise OutOfRange("refocusing compiler supports 2 to 4 spins")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise OutOfRange(f"tau must be positive and finite, got {tau}")
     _check_compilable(m)
 
     n = m.n_spins

@@ -9,6 +9,7 @@ the proportionality constant.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -20,9 +21,9 @@ from .errors import (
     StepCountTooSmall,
     VelocityOutOfLinearZone,
 )
-from .model import ChainSpec, FieldPoint, param_derivative
-from .qcore import EigenSystem, propagator
-from .spectral import DEGENERACY_RTOL, _each_spin, _sector_data, pole_system
+from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
+from .qcore import EigenSystem
+from .spectral import DEGENERACY_RTOL, _each_spin, _rotate_y, pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -48,8 +49,8 @@ class QuenchProtocol:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.v_theta) and self.v_theta > 0.0):
             raise OutOfRange(f"v_theta must be positive and finite, got {self.v_theta}")
-        if self.steps < 1:
-            raise OutOfRange("steps must be at least 1")
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+            raise OutOfRange(f"steps must be a whole number >= 1, got {self.steps}")
 
     @property
     def total_time(self) -> float:
@@ -84,26 +85,15 @@ def theta_of_t(protocol: QuenchProtocol, t):
     return protocol.v_theta**2 * t**2 / (2.0 * math.pi)
 
 
-# --- propagation kernel -------------------------------------------------------
+# --- reduced ramp ------------------------------------------------------------
 #
-# The isotropic chain is rotation-covariant on the phi = 0 meridian:
-# H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
-# the real collective y-rotation.  The closed-form pole spectrum of
-# spectral.pole_system therefore serves a whole ramp: a step at angle a
-# is R(a) C R(a)^T with a fixed step core C, exactly V e^{-i Lambda dt}
-# V^dagger for the exact ramp or the symmetric split step of pulsesim for
-# the Trotter ramp.
-#
-# The ramp runs in the frame W = w (x) ... (x) w whose columns are the
-# sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
-# diagonal of M_z labels m of spectral's sectors, so every rotation is
-# the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
-
-_Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-
-# Steps whose diagonal phases are built at once; bounds the phase table
-# to this many rows of the state dimension.
-_PHASE_CHUNK = 64
+# The exchange X commutes with the total spin, and the field term
+# -n(theta) . S is linear in it, so an exact step factorises,
+# exp(-i H(theta) dt) = exp(i J X dt) exp(i dt n(theta) . S), and both
+# factors commute along the ramp.  The pole ground state g is an X
+# eigenstate (J lambda_g = -(E_g + M_g) at unit field), so the ramp is
+# U g = e^{i J lambda_g T} (u (x) ... (x) u) g with u the 2x2 ramp of one
+# free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
 
 
 def _pole_system(spec: ChainSpec) -> EigenSystem:
@@ -119,58 +109,43 @@ def _pole_system(spec: ChainSpec) -> EigenSystem:
     return system
 
 
-def _y_labels(pole: EigenSystem) -> np.ndarray:
-    """The S_y eigenvalue of each basis state of the y frame."""
-    return _sector_data(pole.vectors.shape[0].bit_length() - 1).basis_m
+def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
+    """u = prod_k exp(i dt n_k . sigma), latest step leftmost, n_k the field
+    direction at the midpoint of step k.
 
-
-def _to_y_frame(x: np.ndarray) -> np.ndarray:
-    """W^dagger x for a state, or for each column of a matrix."""
-    return _each_spin(_Y_FRAME.conj().T, x)
-
-
-def _ramp_state(
-    pole: EigenSystem,
-    core: np.ndarray,
-    protocol: QuenchProtocol,
-    offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Final state, in the y frame, of the ramp that applies
-    R(a_k) core R(a_k)^T at step k.
-
-    a_k is the midpoint angle of step k plus ``offsets[k]`` if given.
-    Consecutive rotations fuse, R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}),
-    so in the y frame a step is one dense mat-vec with W^dagger core W
-    and one diagonal phase.
+    Each step is the SU(2) matrix [[a, -b*], [b, a*]]; neighbouring steps
+    are multiplied pairwise, all pairs at once, until one is left.
     """
-    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
-    angles = theta_of_t(protocol, midpoints)
-    if offsets is not None:
-        angles = angles + offsets
-    m = _y_labels(pole)
-    # W^dagger core W = (W^T (W^dagger core)^T)^T
-    core_y = _each_spin(_Y_FRAME.T, _to_y_frame(core).T).T
-    psi = np.exp(0.5j * angles[0] * m) * _to_y_frame(pole.ground_state)
-    deltas = angles - np.append(angles[1:], 0.0)
-    for start in range(0, deltas.size, _PHASE_CHUNK):
-        chunk = deltas[start : start + _PHASE_CHUNK]
-        for phase in np.exp(-0.5j * np.multiply.outer(chunk, m)):
-            psi = phase * (core_y @ psi)
-    return psi
+    dt = protocol.step_time
+    theta = theta_of_t(protocol, (np.arange(protocol.steps) + 0.5) * dt)
+    a = math.cos(dt) + 1j * math.sin(dt) * np.cos(theta)
+    b = 1j * math.sin(dt) * np.sin(theta)
+    while a.size > 1:
+        if a.size % 2:  # pad with the identity as the latest step
+            a, b = np.append(a, 1.0), np.append(b, 0.0)
+        a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
+        a, b = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
+
+
+def _reduced_ramp(pole: EigenSystem, protocol: QuenchProtocol) -> np.ndarray:
+    """Final state of the exact ramp from the pole ground state."""
+    g = pole.ground_state
+    m_g = total_magnetization(g, "z")
+    phase = np.exp(-1j * (pole.values[0] + m_g) * protocol.total_time)
+    return phase * _each_spin(_free_spin_ramp(protocol), g)
 
 
 def _ramp_result(
     pole: EigenSystem, psi: np.ndarray, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Readout of a final state in the y frame.  The adiabatic target is
-    the rotated pole ground state, so no eigensolve is needed at the end;
-    only ``final_state`` is mapped back to the computational basis."""
+    """Readout of a ramp's final state.  The adiabatic target is the
+    rotated pole ground state, so no eigensolve is needed at the end."""
     theta_final = theta_of_t(protocol, protocol.total_time)
-    m = _y_labels(pole)
-    m_phi = math.sin(theta_final) * float(np.dot(m, np.abs(psi) ** 2))
-    target = np.exp(-0.5j * theta_final * m) * _to_y_frame(pole.ground_state)
+    m_phi = math.sin(theta_final) * total_magnetization(psi, "y")
+    target = _rotate_y(pole.ground_state, theta_final)
     return QuenchResult(
-        final_state=_each_spin(_Y_FRAME, psi),
+        final_state=psi,
         m_phi=m_phi,
         f_extracted=m_phi / protocol.v_theta,
         v_theta=protocol.v_theta,
@@ -186,18 +161,19 @@ def evolve_quench(
 ) -> QuenchResult:
     """Integrate the ramp with midpoint-sampled piecewise-constant steps.
 
-    With ``check_convergence`` the step count is doubled once and the
-    run rejected if the transverse magnetization moves by more than
+    The steps are exact, so the ramp reduces to one 2x2 product (see
+    above) and no propagator of the chain is formed.  With
+    ``check_convergence`` the step count is doubled once and the run
+    rejected if the transverse magnetization moves by more than
     ``CONVERGENCE_TOL``.
     """
     pole = _pole_system(spec)
-    psi = _ramp_state(pole, propagator(pole, protocol.step_time), protocol)
-    result = _ramp_result(pole, psi, protocol)
+    result = _ramp_result(pole, _reduced_ramp(pole, protocol), protocol)
 
     if check_convergence:
         fine = replace(protocol, steps=2 * protocol.steps)
-        psi_fine = _ramp_state(pole, propagator(pole, fine.step_time), fine)
-        drift = abs(_ramp_result(pole, psi_fine, fine).m_phi - result.m_phi)
+        fine_m_phi = _ramp_result(pole, _reduced_ramp(pole, fine), fine).m_phi
+        drift = abs(fine_m_phi - result.m_phi)
         if drift > CONVERGENCE_TOL:
             raise StepCountTooSmall(
                 f"m_phi drifts by {drift:.3e} on step doubling; "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,11 +135,13 @@ def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Each contraction acts on the leading spin and moves it to the back,
     so after n of them every spin is transformed and the spins are back
-    in order, behind the column index.
+    in order, behind the column index.  A contraction is computed as
+    x^T single^T, whose result is laid out for the next reshape, so no
+    contraction copies the array first.
     """
     out = x
     for _ in range(x.shape[0].bit_length() - 1):
-        out = (single @ out.reshape(2, -1)).T
+        out = out.reshape(2, -1).T @ single.T
     return out.reshape(x.shape[::-1]).T
 
 
@@ -242,6 +245,8 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     ``LATTICE_MAX_PHASE``, where a coarse grid can return a wrong integer.
     """
     n_theta, n_phi = grid
+    if not all(isinstance(cells, numbers.Integral) for cells in grid):
+        raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} must count whole cells")
     if n_theta < 1 or n_phi < 1:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
     system = pole_system(spec)
@@ -320,8 +325,12 @@ def find_crossings(
     pole gap there is below ``gap_tol``.
     """
     lo, hi = j_interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OutOfRange(f"j_interval must be finite, got {j_interval}")
     if not lo < hi:
         raise ValueError("j_interval must satisfy lo < hi")
+    if not (math.isfinite(scan_step) and scan_step > 0.0):
+        raise OutOfRange(f"scan_step must be positive and finite, got {scan_step}")
     sectors = _sectors(spec)
     n_points = max(2, int(round((hi - lo) / scan_step)) + 1)
     js = np.linspace(lo, hi, n_points)

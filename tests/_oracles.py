@@ -280,6 +280,15 @@ def dense_ramp(
     return psi, m_phi, float(abs(np.vdot(final, psi)) ** 2)
 
 
+def pole_ground_magnetization(spec: ChainSpec) -> int:
+    """Total sigma_z of the pole ground state, from one dense eigensolve;
+    the total sigma_z is -H of the free chain with the field at the pole."""
+    pole = FieldPoint(theta=0.0)
+    ground = eigh(build_heisenberg(spec, pole)).ground_state
+    s_z = -build_heisenberg(replace(spec, coupling_j=0.0), pole)
+    return round(float(np.vdot(ground, s_z @ ground).real))
+
+
 def assert_same_state(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> None:
     """States equal up to a global phase, entrywise within ``tol``."""
     phase = np.vdot(a, b)

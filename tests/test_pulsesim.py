@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchern.pulsesim as pulsesim
+import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateCouplings,
@@ -41,6 +44,7 @@ from _oracles import (
     PLATEAU_CASES,
     RAMP_RATES,
     assert_same_state,
+    collective_ry,
     dense_ramp,
 )
 
@@ -86,6 +90,12 @@ def test_step_validation():
         trotter_step(ChainSpec(2, 1.0), FieldPoint(theta=0.7, phi=0.3), 0.1)
     with pytest.raises(ValueError):
         trotter_step(ChainSpec(2, 1.0), POINT, 0.0)
+
+
+def test_step_rejects_nan_tau():
+    # Unchecked, this returned a matrix of NaNs.
+    with pytest.raises(OutOfRange):
+        trotter_step(ChainSpec(2, 1.0), POINT, math.nan)
 
 
 def test_local_error_is_third_order():
@@ -247,6 +257,13 @@ def test_compile_size_and_time_validation(molecule2):
         compile_zz(molecule2, 1.0, 0.0)
 
 
+def test_compile_rejects_nonfinite_tau(molecule2):
+    # Unchecked, both returned an empty schedule.
+    for tau in (math.inf, math.nan):
+        with pytest.raises(OutOfRange):
+            compile_zz(molecule2, 1.0, tau)
+
+
 def test_toggled_average_hits_target_and_refocuses_rest(molecule3, molecule4):
     for m in (molecule3, molecule4):
         target = _target_for(m)
@@ -355,6 +372,23 @@ def test_step_always_unitary(theta, tau, j):
 
 
 # --- one propagation kernel against the dense per-step oracle ----------------
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), delta=st.floats(-math.pi, math.pi))
+def test_y_frame_diagonalises_rotations_and_keeps_the_exchange(n, delta):
+    # The ramp kernel runs in W = w (x) ... (x) w, w the sigma_y
+    # eigenvectors: there every framing rotation is a diagonal phase and
+    # the SU(2)-invariant exchange is unchanged.
+    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * n)
+    pole = FieldPoint(theta=0.0)
+    exchange = build_heisenberg(ChainSpec(n, 0.0), pole) - build_heisenberg(
+        ChainSpec(n, 1.0), pole
+    )
+    assert np.max(np.abs(frame.conj().T @ exchange @ frame - exchange)) <= 1e-12
+    m = spectral._sector_data(n).basis_m
+    rotated = frame.conj().T @ collective_ry(n, delta) @ frame
+    assert np.max(np.abs(rotated - np.diag(np.exp(-0.5j * delta * m)))) <= 1e-12
+
 
 @pytest.mark.parametrize("n, j", PLATEAU_CASES)
 def test_trotter_ramp_matches_dense_oracle(n, j):

@@ -267,3 +267,33 @@ def test_size_cap_is_checked_before_any_cache_access(call):
     with pytest.raises(DimensionCap):
         call(ChainSpec(3, 1.0, max_spins=2))
     assert [cache.cache_info() for cache in caches] == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda s: find_crossings(s, (-2.0, 2.0), scan_step=0.0),
+            id="scan_step_zero",
+        ),
+        pytest.param(
+            lambda s: find_crossings(s, (-2.0, 2.0), scan_step=math.nan),
+            id="scan_step_nan",
+        ),
+        pytest.param(
+            lambda s: find_crossings(s, (-math.inf, 2.0)), id="interval_infinite_lo"
+        ),
+        pytest.param(
+            lambda s: find_crossings(s, (-2.0, math.inf)), id="interval_infinite_hi"
+        ),
+        pytest.param(lambda s: chern_lattice(s, (2.5, 3)), id="fractional_grid"),
+    ],
+)
+def test_bad_scan_inputs_raise_before_any_cache_access(call):
+    # Unchecked, these raised ZeroDivisionError, a bare ValueError,
+    # OverflowError and TypeError.
+    caches = (spectral._sector_data, model._chain_operators, model._pair_operators)
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(OutOfRange):
+        call(ChainSpec(3, 1.0))
+    assert [cache.cache_info() for cache in caches] == before
