@@ -27,6 +27,7 @@ from .lab import (
 )
 from .model import ChainSpec, FieldPoint, MoleculeSpec, build_heisenberg
 from .pulsesim import (
+    _zz_fidelity,
     compile_zz,
     effective_uniform_coupling,
     perturbed_fidelity,
@@ -241,9 +242,10 @@ def _cmd_pulse_compile(args) -> int:
 def _cmd_pulse_verify(args) -> int:
     m = _load_molecule(args)
     program = program_from_json(args.sequence)
-    effective = simulate_program(program, m)
-    target = zz_target_propagator(m.n_spins, args.target_j, args.tau)
-    fidelity = abs(np.trace(effective.conj().T @ target)) / target.shape[0]
+    fidelity = _zz_fidelity(
+        simulate_program(program, m),
+        zz_target_propagator(m.n_spins, args.target_j, args.tau),
+    )
     print(f"fidelity: {fidelity:.12f}")
     return 0
 

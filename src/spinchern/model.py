@@ -39,11 +39,11 @@ class FieldPoint:
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta={self.theta} outside [0, pi]")
+            raise OutOfRange(f"theta={self.theta} outside [0, pi]")
         if not (0.0 <= self.phi <= 2 * math.pi):
-            raise ValueError(f"phi={self.phi} outside [0, 2*pi]")
+            raise OutOfRange(f"phi={self.phi} outside [0, 2*pi]")
         if not (self.magnitude > 0.0 and math.isfinite(self.magnitude)):
-            raise ValueError("field magnitude must be positive and finite")
+            raise OutOfRange("field magnitude must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class ChainSpec:
 
     def __post_init__(self):
         if self.n_spins < 1:
-            raise ValueError("n_spins must be >= 1")
+            raise OutOfRange(f"n_spins must be >= 1, got {self.n_spins}")
         if not math.isfinite(self.coupling_j):
             raise OutOfRange(f"coupling_j must be finite, got {self.coupling_j}")
 

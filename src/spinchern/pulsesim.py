@@ -110,8 +110,8 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
 
 _Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 
-# Steps whose diagonal phases are built at once; bounds the phase table
-# to this many rows of the state dimension.
+# Bounds the diagonal phases built at once to this many rows of the state
+# dimension: this many steps of one ramp, fewer of a stack.
 _PHASE_CHUNK = 64
 
 
@@ -134,21 +134,29 @@ def _ramp_state(
     """Final state, in the y frame, of the ramp that applies
     R(a_k) core R(a_k)^T at step k, given ``core_y`` = W^dagger core W.
 
-    a_k is the midpoint angle of step k plus ``offsets[k]`` if given.
-    Consecutive rotations fuse, R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}),
-    so in the y frame a step is one dense mat-vec with ``core_y`` and
-    one diagonal phase.
+    a_k is the midpoint angle of step k.  Consecutive rotations fuse,
+    R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame a step is
+    one dense mat-vec with ``core_y`` and one diagonal phase.
+
+    ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
+    a_k + offsets[k, t], and returns their states with shape (T, d, 1).
+    Each ramp keeps its own mat-vec, so its state has the same bits in
+    any stack.
     """
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     angles = theta_of_t(protocol, midpoints)
-    if offsets is not None:
-        angles = angles + offsets
     m = _sector_data(pole.vectors.shape[0].bit_length() - 1).basis_m
-    psi = np.exp(0.5j * angles[0] * m) * _to_y_frame(pole.ground_state)
-    deltas = angles - np.append(angles[1:], 0.0)
-    for start in range(0, deltas.size, _PHASE_CHUNK):
-        chunk = deltas[start : start + _PHASE_CHUNK]
-        for phase in np.exp(-0.5j * np.multiply.outer(chunk, m)):
+    ground = _to_y_frame(pole.ground_state)
+    if offsets is not None:
+        angles = angles[:, None] + offsets
+        m, ground = m[:, None], ground[:, None]
+    psi = np.exp(0.5j * np.multiply.outer(angles[0], m)) * ground
+    deltas = angles.copy()
+    deltas[:-1] -= angles[1:]
+    chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
+    for start in range(0, protocol.steps, chunk):
+        phases = np.exp(-0.5j * np.multiply.outer(deltas[start : start + chunk], m))
+        for phase in phases:
             psi = phase * (core_y @ psi)
     return psi
 
@@ -197,14 +205,16 @@ def perturbed_fidelity(
         raise OutOfRange("trials must be at least 1")
     pole = _pole_system(spec)
     core_y = _core_in_y_frame(_trotter_core(spec, 1.0, protocol.step_time))
-    # Both states stay in the ramp kernel's frame; the overlap is the same.
-    ideal = _ramp_state(pole, core_y, protocol)
     bound = math.radians(angle_error_deg)
-    worst = 1.0
+    # Column 0 is the ideal ramp; every state stays in the kernel's frame,
+    # where the overlaps are the same.
+    offsets = np.zeros((protocol.steps, trials + 1))
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        deltas = rng.uniform(-bound, bound, protocol.steps)
-        psi = _ramp_state(pole, core_y, protocol, deltas)
+        offsets[:, trial + 1] = rng.uniform(-bound, bound, protocol.steps)
+    ideal, *noisy = _ramp_state(pole, core_y, protocol, offsets)
+    worst = 1.0
+    for psi in noisy:
         worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
     return float(worst)
 
@@ -336,11 +346,24 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     segment durations that integrate adjacent couplings to the target
     and non-adjacent ones to zero, taking the minimum-wall-time vertex
     of that linear program.
+
+    Vertex rule: the bases are the column subsets in lexicographic
+    order, and a feasible vertex replaces the one kept so far only if
+    its wall time is lower by more than 1e-15 tau, so of vertices tied
+    within that margin the first is kept.  This is not a global argmin,
+    and the pick matters: four-spin tables with fewer than three
+    non-adjacent couplings often have several optimal vertices.
+
+    All bases are stacked and solved in one batch; those with a zero
+    determinant, the zero pivot on which a single solve raises, are
+    dropped first.
     """
     if not 2 <= m.n_spins <= 4:
         raise OutOfRange("refocusing compiler supports 2 to 4 spins")
     if not (math.isfinite(tau) and tau > 0.0):
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(target_j):
+        raise OutOfRange(f"target_j must be finite, got {target_j}")
     _check_compilable(m)
 
     n = m.n_spins
@@ -359,29 +382,29 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     )
     required = np.array([r for _, _, r in rows])
 
+    # blocks[s] = columns[:, subsets[s]]
+    subsets = np.array(list(itertools.combinations(range(len(patterns)), len(rows))))
+    blocks = np.ascontiguousarray(np.moveaxis(columns[:, subsets], 1, 0))
+    nonsingular = np.linalg.det(blocks) != 0.0
+    subsets, blocks = subsets[nonsingular], blocks[nonsingular]
+    rhs = np.broadcast_to(required[:, None], (len(blocks), len(rows), 1))
+    durations = np.linalg.solve(blocks, rhs)
+    residual = np.abs(blocks @ durations - rhs).max(axis=(1, 2))
+    durations = durations[..., 0]
+    feasible = (residual <= 1e-9 * max(1.0, np.max(np.abs(required)))) & (
+        durations.min(axis=1) >= -1e-12 * tau
+    )
+    walls = durations.sum(axis=1)
     best = None
-    n_rows = len(rows)
-    for subset in itertools.combinations(range(len(patterns)), n_rows):
-        block = columns[:, subset]
-        try:
-            durations = np.linalg.solve(block, required)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(block @ durations - required)) > 1e-9 * max(
-            1.0, np.max(np.abs(required))
-        ):
-            continue
-        if np.min(durations) < -1e-12 * tau:
-            continue
-        wall = float(np.sum(durations))
-        if best is None or wall < best[0] - 1e-15 * tau:
-            best = (wall, subset, np.clip(durations, 0.0, None))
+    for k in np.flatnonzero(feasible):
+        if best is None or walls[k] < walls[best] - 1e-15 * tau:
+            best = k
     if best is None:
         raise UnphysicalDurations(
             f"no nonnegative segment durations realize weights {required.tolist()}"
         )
 
-    _, subset, durations = best
+    subset, durations = subsets[best], np.clip(durations[best], 0.0, None)
     segments = [
         (patterns[idx], float(t))
         for idx, t in zip(subset, durations)
@@ -498,7 +521,8 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
 
     Delays evolve under the coupling table plus the event's explicit
     frame offsets; chemical shifts are absorbed by the frames and do
-    not appear.  Rotations are ideal and instantaneous.
+    not appear.  Rotations are ideal and instantaneous, applied as one
+    2x2 contraction per rotated spin.
     """
     n = program.n_spins
     if m.n_spins != n:
@@ -509,19 +533,18 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
         for j in range(i + 1, n):
             zz += 0.5 * math.pi * m.couplings_hz[i, j] * z[i] * z[j]
 
-    unitary = np.eye(2**n, dtype=complex)
+    dim = 2**n
+    unitary = np.eye(dim, dtype=complex)
     for ev in program.events:
         if isinstance(ev, Delay):
-            diag = zz.copy()
-            for i, offset in enumerate(ev.frame_offsets):
-                diag += 0.5 * offset * z[i]
+            diag = zz + 0.5 * np.asarray(ev.frame_offsets) @ z
             unitary = np.exp(-1j * diag * ev.duration)[:, None] * unitary
         else:
             single = _pauli_rotation(ev.axis, ev.angle)
-            gate = np.array([[1.0 + 0.0j]])
-            for k in range(n):
-                gate = np.kron(gate, single if k in ev.spins else np.eye(2))
-            unitary = gate @ unitary
+            # Spin k is the middle axis of a (2^k, 2, -1) view of the rows;
+            # a spin listed twice is rotated once.
+            for k in sorted(set(ev.spins)):
+                unitary = (single @ unitary.reshape(2**k, 2, -1)).reshape(dim, dim)
     return unitary
 
 
@@ -542,9 +565,15 @@ def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarra
     return np.diag(np.exp(-1j * diag * tau))
 
 
-def _target_propagator(c: CompiledZZ, scale: float = 1.0) -> np.ndarray:
+def _target_propagator(c: CompiledZZ) -> np.ndarray:
     n = c.base_couplings.shape[0]
-    return zz_target_propagator(n, c.target_j, c.tau * scale)
+    return zz_target_propagator(n, c.target_j, c.tau)
+
+
+def _zz_fidelity(effective: np.ndarray, target: np.ndarray) -> float:
+    """|tr(effective^dagger target)| / dim, 1 for equal propagators up to
+    a global phase."""
+    return float(abs(np.trace(effective.conj().T @ target)) / target.shape[0])
 
 
 def _scaled(c: CompiledZZ, scale: float) -> CompiledZZ:
@@ -565,14 +594,12 @@ def verify_sequence(c: CompiledZZ, m: MoleculeSpec) -> SequenceReport:
     """
     effective = simulate_program(to_pulse_program(c), m)
     target = _target_propagator(c)
-    dim = target.shape[0]
-    fidelity = abs(np.trace(effective.conj().T @ target)) / dim
-
-    def defect(scale: float) -> float:
-        u = simulate_program(to_pulse_program(_scaled(c, scale)), m)
-        return 1.0 - abs(np.trace(u.conj().T @ _target_propagator(c, scale))) / dim
-
-    d_full, d_half = defect(1.0), defect(0.5)
+    fidelity = _zz_fidelity(effective, target)
+    half = _scaled(c, 0.5)
+    d_full = 1.0 - fidelity
+    d_half = 1.0 - _zz_fidelity(
+        simulate_program(to_pulse_program(half), m), _target_propagator(half)
+    )
     if d_full > 1e-12 and d_half > 1e-12:
         order = math.log2(d_full / d_half)
     else:
@@ -580,6 +607,6 @@ def verify_sequence(c: CompiledZZ, m: MoleculeSpec) -> SequenceReport:
     return SequenceReport(
         effective_propagator=effective,
         target_propagator=target,
-        fidelity=float(fidelity),
+        fidelity=fidelity,
         trotter_order_estimate=float(order),
     )

@@ -39,6 +39,9 @@ DEGENERACY_RTOL = 1e-9
 LATTICE_MIN_OVERLAP = 0.5
 LATTICE_MAX_PHASE = 0.5 * math.pi
 
+# Largest crossing-scan table, grid points times levels: 32 MB of floats.
+_MAX_SCAN_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class CurvatureSample:
@@ -322,7 +325,8 @@ def find_crossings(
     exactly where the ground sector changes.  The ground sector is
     scanned on a grid of ``scan_step``; each grid interval where it
     changes is solved in closed form, and a root is kept only if the
-    pole gap there is below ``gap_tol``.
+    pole gap there is below ``gap_tol``.  A grid whose table of levels
+    would exceed ``_MAX_SCAN_ENTRIES`` raises ``OutOfRange``.
     """
     lo, hi = j_interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -331,8 +335,16 @@ def find_crossings(
         raise ValueError("j_interval must satisfy lo < hi")
     if not (math.isfinite(scan_step) and scan_step > 0.0):
         raise OutOfRange(f"scan_step must be positive and finite, got {scan_step}")
+    # hi - lo overflows to inf on the widest finite intervals.
+    intervals = (hi - lo) / scan_step
+    if not (max(2.0, intervals + 1.0) * spec.dim <= _MAX_SCAN_ENTRIES):
+        raise OutOfRange(
+            f"scan of {j_interval} by {scan_step} at {spec.dim} levels exceeds "
+            f"{_MAX_SCAN_ENTRIES} table entries; use a larger scan_step or a "
+            "narrower j_interval"
+        )
     sectors = _sectors(spec)
-    n_points = max(2, int(round((hi - lo) / scan_step)) + 1)
+    n_points = max(2, int(round(intervals)) + 1)
     js = np.linspace(lo, hi, n_points)
     labels = np.argmin(_sector_ground_energies(sectors, js), axis=1)
     roots = []

@@ -8,6 +8,7 @@ validates itself against its own internals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,10 @@ import numpy as np
 
 from spinchern import (
     ChainSpec,
+    Delay,
     FieldPoint,
+    MoleculeSpec,
+    PulseProgram,
     QuenchProtocol,
     build_heisenberg,
     eigh,
@@ -312,3 +316,104 @@ def kron_chain_hamiltonian(n: int, j: float, theta: float, phi: float) -> np.nda
         for op in (_SX, _SY, _SZ):
             total -= j * _embed(op, site, n) @ _embed(op, site + 1, n)
     return total
+
+
+def enumerate_zz_vertices(m: MoleculeSpec, target_j: float, tau: float) -> list:
+    """Every feasible vertex of the refocusing linear program, one
+    ``np.linalg.solve`` per basis, in lexicographic basis order.
+
+    Rows are the adjacent pairs, which must integrate J_ij t to the
+    target, and the coupled non-adjacent pairs, which must integrate to
+    zero.  Columns are the flip-parity patterns with the first spin
+    pinned to +1.  Returns (wall time, patterns, durations) per vertex.
+    """
+    n = m.n_spins
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            coupling = m.couplings_hz[i, j]
+            if j == i + 1:
+                rows.append((i, j, -2.0 * target_j * tau / (math.pi * coupling)))
+            elif coupling != 0.0:
+                rows.append((i, j, 0.0))
+    patterns = [(1,) + rest for rest in itertools.product((1, -1), repeat=n - 1)]
+    columns = np.array(
+        [[p[i] * p[j] for p in patterns] for i, j, _ in rows], dtype=float
+    )
+    required = np.array([r for _, _, r in rows])
+    vertices = []
+    for subset in itertools.combinations(range(len(patterns)), len(rows)):
+        block = columns[:, subset]
+        try:
+            durations = np.linalg.solve(block, required)
+        except np.linalg.LinAlgError:
+            continue
+        if np.max(np.abs(block @ durations - required)) > 1e-9 * max(
+            1.0, np.max(np.abs(required))
+        ):
+            continue
+        if np.min(durations) < -1e-12 * tau:
+            continue
+        vertices.append(
+            (float(np.sum(durations)), [patterns[k] for k in subset], durations)
+        )
+    return vertices
+
+
+def enumerated_zz_schedule(m: MoleculeSpec, target_j: float, tau: float):
+    """The schedule ``compile_zz`` should return, from the enumeration.
+
+    Scans the vertices in order and keeps a later one only if its wall
+    time is lower by more than 1e-15 tau.  Returns (segment durations,
+    segment patterns, pi-pulse placements) laid out as in ``CompiledZZ``.
+    """
+    best = None
+    for vertex in enumerate_zz_vertices(m, target_j, tau):
+        if best is None or vertex[0] < best[0] - 1e-15 * tau:
+            best = vertex
+    _, patterns, durations = best
+    segments = [
+        (p, float(t))
+        for p, t in zip(patterns, np.clip(durations, 0.0, None))
+        if t > 1e-15 * tau
+    ]
+    segments.sort(key=lambda seg: (seg[0].count(-1), [x < 0 for x in seg[0]]))
+    edges = [(1,) * m.n_spins] + [p for p, _ in segments] + [(1,) * m.n_spins]
+    placements = tuple(
+        frozenset(k for k in range(m.n_spins) if a[k] != b[k])
+        for a, b in zip(edges, edges[1:])
+    )
+    return (
+        tuple(t for _, t in segments),
+        tuple(p for p, _ in segments),
+        placements,
+    )
+
+
+def kron_simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
+    """Propagator of an event list with every rotation a dense Kronecker
+    gate and every delay a diagonal built spin by spin."""
+    n = program.n_spins
+    z = [np.diag(_embed(_SZ, site, n)).real for site in range(n)]
+    zz = np.zeros(2**n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            zz += 0.5 * math.pi * m.couplings_hz[i, j] * z[i] * z[j]
+    paulis = {"x": _SX, "y": _SY, "z": _SZ}
+    unitary = np.eye(2**n, dtype=complex)
+    for ev in program.events:
+        if isinstance(ev, Delay):
+            diag = zz.copy()
+            for i, offset in enumerate(ev.frame_offsets):
+                diag += 0.5 * offset * z[i]
+            unitary = np.exp(-1j * diag * ev.duration)[:, None] * unitary
+        else:
+            single = (
+                math.cos(ev.angle / 2.0) * np.eye(2)
+                - 1j * math.sin(ev.angle / 2.0) * paulis[ev.axis]
+            )
+            gate = np.array([[1.0 + 0.0j]])
+            for k in range(n):
+                gate = np.kron(gate, single if k in ev.spins else np.eye(2))
+            unitary = gate @ unitary
+    return unitary

@@ -68,6 +68,18 @@ def test_chain_spec_rejects_nonfinite_coupling():
             ChainSpec(2, bad)
 
 
+def test_field_point_rejects_nan_theta():
+    # Unchecked, this raised a plain ValueError, outside SpinChernError.
+    with pytest.raises(OutOfRange):
+        FieldPoint(theta=math.nan)
+
+
+def test_chain_spec_rejects_empty_chain():
+    # Unchecked, this raised a plain ValueError, outside SpinChernError.
+    with pytest.raises(OutOfRange):
+        ChainSpec(0, 1.0)
+
+
 def test_single_spin_hamiltonian_at_pole():
     h = build_heisenberg(ChainSpec(1, 0.0), FieldPoint(theta=0.0))
     assert np.allclose(h, -np.diag([1.0, -1.0]))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinchern.pulsesim as pulsesim
@@ -21,6 +21,7 @@ from spinchern import (
     PulseProgram,
     QuenchProtocol,
     Rotation,
+    UnphysicalDurations,
     build_heisenberg,
     compile_zz,
     effective_uniform_coupling,
@@ -46,6 +47,9 @@ from _oracles import (
     assert_same_state,
     collective_ry,
     dense_ramp,
+    enumerate_zz_vertices,
+    enumerated_zz_schedule,
+    kron_simulate_program,
 )
 
 TAU = 1e-3
@@ -161,6 +165,30 @@ def test_perturbed_fidelity_mean_monotone_in_error_bound():
         [perturbed_fidelity(spec, PROTO, deg, seed=k, trials=1) for k in range(20)]
     )
     assert mean(1.0) >= mean(5.0)
+
+
+@pytest.mark.parametrize("n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (5, 0.86)])
+def test_stacked_trials_equal_single_trials_bit_for_bit(n, j):
+    # The trials run as one stack, each with its own mat-vec, so a trial's
+    # fidelity has the same bits alone as among the others.
+    spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, ORACLE_STEPS)
+    worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=6)
+    singles = [
+        perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1) for k in range(6)
+    ]
+    assert worst == min(singles)
+
+
+def test_single_ramp_equals_its_stacked_run():
+    spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 150)
+    pole = pulsesim._pole_system(spec)
+    core_y = pulsesim._core_in_y_frame(
+        pulsesim._trotter_core(spec, 1.0, proto.step_time)
+    )
+    alone = pulsesim._ramp_state(pole, core_y, proto)
+    stacked = pulsesim._ramp_state(pole, core_y, proto, np.zeros((proto.steps, 3)))
+    assert stacked.shape == (3, 8, 1)
+    assert all(np.array_equal(alone, psi[:, 0]) for psi in stacked)
 
 
 def test_perturbed_fidelity_validation():
@@ -358,6 +386,114 @@ def test_simulate_program_applies_frame_offsets(molecule2):
         np.eye(2),
     )
     assert np.allclose(u, z_rot @ plain, atol=1e-12)
+
+
+# --- batched compiler and gate-free simulator against their oracles ----------
+
+
+def _molecule(upper: np.ndarray) -> MoleculeSpec:
+    """Molecule with zero shifts and the couplings of an upper-triangular table."""
+    n = upper.shape[0]
+    return MoleculeSpec(
+        labels=tuple("abcd"[:n]), shifts_hz=np.zeros(n), couplings_hz=upper + upper.T
+    )
+
+
+@st.composite
+def compilable_molecules(draw):
+    """2-4 spins; signed adjacent couplings, non-adjacent ones zero half
+    the time.  At four spins, tables with fewer than three non-adjacent
+    couplings often have several optimal vertices."""
+    n = draw(st.integers(2, 4))
+    table = np.zeros((n, n))
+    for i in range(n - 1):
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        table[i, i + 1] = sign * draw(st.floats(20.0, 200.0))
+    for i in range(n):
+        for k in range(i + 2, n):
+            table[i, k] = draw(st.just(0.0) | st.floats(-15.0, 15.0))
+    if n >= 3:
+        assume(abs(table[n - 3, n - 2] - table[n - 2, n - 1]) >= 10.0)
+    return _molecule(table)
+
+
+def _assert_compiles_like_enumeration(m: MoleculeSpec, target_j: float) -> None:
+    durations, patterns, placements = enumerated_zz_schedule(m, target_j, TAU)
+    compiled = compile_zz(m, target_j, TAU)
+    assert np.array_equal(compiled.segment_durations, durations)
+    assert compiled.segment_patterns == patterns
+    assert compiled.pi_pulse_placements == placements
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(m=compilable_molecules(), target_j=st.floats(-300.0, 300.0))
+def test_compile_matches_vertex_enumeration(m, target_j):
+    if enumerate_zz_vertices(m, target_j, TAU):
+        _assert_compiles_like_enumeration(m, target_j)
+    else:
+        with pytest.raises(UnphysicalDurations):
+            compile_zz(m, target_j, TAU)
+
+
+def test_compile_keeps_the_first_of_tied_vertices():
+    # Vertices 0 and 2 tie to 1 ulp, and vertex 2 is the lower: a global
+    # argmin would pick it and change the schedule.
+    m, target_j = _molecule(np.diag([156.0, 27.0, 93.0], 1)), -242.0
+    walls = [wall for wall, _, _ in enumerate_zz_vertices(m, target_j, TAU)]
+    assert 0 < walls[0] - walls[2] <= 1e-15 * TAU
+    assert int(np.argmin(walls)) == 2
+    _assert_compiles_like_enumeration(m, target_j)
+    patterns = enumerate_zz_vertices(m, target_j, TAU)[2][1]
+    assert set(compile_zz(m, target_j, TAU).segment_patterns) != set(patterns)
+
+
+def test_compile_rejects_nonfinite_target(molecule3):
+    # Unchecked, a NaN target compiled to an empty schedule.
+    for target_j in (math.nan, math.inf):
+        with pytest.raises(OutOfRange):
+            compile_zz(molecule3, target_j, TAU)
+
+
+@st.composite
+def programs_on_molecules(draw):
+    """Random rotations (spins may repeat) and delays with frame offsets."""
+    n = draw(st.integers(2, 4))
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            spins = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
+            axis = draw(st.sampled_from("xyz"))
+            angle = draw(st.floats(-2.0 * math.pi, 2.0 * math.pi))
+            events.append(Rotation(spins=tuple(spins), axis=axis, angle=angle))
+        else:
+            offsets = draw(st.lists(st.floats(-3e3, 3e3), min_size=n, max_size=n))
+            duration = draw(st.floats(0.0, 1e-3))
+            events.append(Delay(duration=duration, frame_offsets=tuple(offsets)))
+    entries = draw(st.lists(st.floats(-200.0, 200.0), min_size=n * n, max_size=n * n))
+    table = np.triu(np.reshape(entries, (n, n)), 1)
+    return PulseProgram(n_spins=n, events=tuple(events)), _molecule(table)
+
+
+_TWICE_LISTED = (
+    PulseProgram(
+        n_spins=3,
+        events=(
+            Rotation(spins=(1, 1, 2), axis="y", angle=0.9),
+            Delay(duration=4e-4, frame_offsets=(300.0, -50.0, 0.0)),
+            Rotation(spins=(0, 2, 0), axis="x", angle=math.pi),
+        ),
+    ),
+    _molecule(np.diag([120.0, -80.0], 1)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=programs_on_molecules())
+@example(case=_TWICE_LISTED)
+def test_simulate_program_matches_kron_gates(case):
+    program, m = case
+    u = simulate_program(program, m)
+    assert np.max(np.abs(u - kron_simulate_program(program, m))) <= 1e-14
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

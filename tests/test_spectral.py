@@ -286,12 +286,20 @@ def test_size_cap_is_checked_before_any_cache_access(call):
         pytest.param(
             lambda s: find_crossings(s, (-2.0, math.inf)), id="interval_infinite_hi"
         ),
+        pytest.param(
+            lambda s: find_crossings(s, (-1e300, 1e300)), id="interval_too_wide"
+        ),
+        pytest.param(
+            lambda s: find_crossings(s, (-1.7e308, 1.7e308)),
+            id="interval_width_overflows",
+        ),
         pytest.param(lambda s: chern_lattice(s, (2.5, 3)), id="fractional_grid"),
     ],
 )
 def test_bad_scan_inputs_raise_before_any_cache_access(call):
     # Unchecked, these raised ZeroDivisionError, a bare ValueError,
-    # OverflowError and TypeError.
+    # OverflowError and TypeError.  The two wide intervals raised numpy's
+    # "Maximum allowed size exceeded" and OverflowError.
     caches = (spectral._sector_data, model._chain_operators, model._pair_operators)
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(OutOfRange):
