@@ -25,7 +25,7 @@ from .lab import (
     export_results,
     run_sweep,
 )
-from .model import ChainSpec, FieldPoint, MoleculeSpec, build_heisenberg
+from .model import ChainSpec, FieldPoint, MoleculeSpec
 from .pulsesim import (
     _zz_fidelity,
     compile_zz,
@@ -39,8 +39,7 @@ from .pulsesim import (
     zz_target_propagator,
 )
 from .quench import QuenchProtocol, evolve_quench, linear_zone_scan
-from .spectral import chern_lattice, curvature_spectral, find_crossings
-from .qcore import eigh
+from .spectral import chern_lattice, curvature_spectral, find_crossings, pole_system
 
 
 def _print_table(headers, rows, widths=None):
@@ -71,13 +70,11 @@ def _parse_velocities(text: str) -> tuple:
 
 def _cmd_spectrum(args) -> int:
     grid = _j_grid_from_args(args) or default_j_grid(step=0.1)
-    spec = ChainSpec(n_spins=args.n, coupling_j=0.0)
-    point = FieldPoint(theta=args.theta)
     table = []
     for j in grid:
-        system = eigh(build_heisenberg(ChainSpec(args.n, j), point))
-        table.append([f"{j:.4f}"] + [f"{e:.6f}" for e in system.values])
-    headers = ["j"] + [f"e{k}" for k in range(spec.dim)]
+        levels = pole_system(ChainSpec(args.n, j)).values
+        table.append([f"{j:.4f}"] + [f"{e:.6f}" for e in levels])
+    headers = ["j"] + [f"e{k}" for k in range(2**args.n)]
     _print_table(headers, table)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -304,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="energy levels versus coupling strength")
     p.add_argument("--n", type=int, required=True)
     _add_j_grid_flags(p)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -88,18 +88,10 @@ def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
         if method == "spectral":
             f = curvature_spectral(spec, FieldPoint(theta=math.pi / 2)).f_phitheta
             chern = 2.0 * f
-        elif method == "dynamical":
+        elif method in ("dynamical", "trotter"):
+            ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
             results = [
-                evolve_quench(spec, QuenchProtocol(v_theta=v, steps=cfg.steps))
-                for v in cfg.velocities
-            ]
-            f = extract_curvature(results)
-            chern = 2.0 * f
-        elif method == "trotter":
-            results = [
-                simulate_protocol_trotter(
-                    spec, QuenchProtocol(v_theta=v, steps=cfg.steps)
-                )
+                ramp(spec, QuenchProtocol(v_theta=v, steps=cfg.steps))
                 for v in cfg.velocities
             ]
             f = extract_curvature(results)

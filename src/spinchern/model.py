@@ -113,40 +113,45 @@ def field_cartesian(p: FieldPoint) -> np.ndarray:
     return p.magnitude * np.array([st * cp, st * sp, ct])
 
 
+def _interaction_blocks(n_spins: int):
+    """Yield (M, basis indices, block) of the unit interaction X for each
+    M_z sector in ascending M, built from bit patterns.
+
+    X conserves M_z.  Its block is real symmetric: the zz sum on the
+    diagonal, and 2 from xx+yy between two states that differ by the
+    flip of one anti-aligned bond.  Site k is bit n-1-k of the basis
+    index, set for sigma_z = -1.
+    """
+    z = _z_diagonals(n_spins)
+    basis_m = z.sum(axis=0)
+    zz = (z[:-1] * z[1:]).sum(axis=0)
+    rank = np.empty(basis_m.size, dtype=int)  # position within the sector
+    for m in range(-n_spins, n_spins + 1, 2):
+        idx = np.flatnonzero(basis_m == m)
+        rank[idx] = np.arange(idx.size)
+        block = np.diag(zz[idx])
+        for k in range(n_spins - 1):
+            anti = idx[z[k, idx] != z[k + 1, idx]]
+            block[rank[anti], rank[anti ^ (3 << (n_spins - 2 - k))]] = 2.0
+        yield m, idx, block
+
+
 # Total spin operators and the unit-strength interaction are reused
 # heavily by sweeps, so cache them per chain size.  Callers must not
 # modify the cached arrays.
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_operators(n_spins: int) -> dict:
-    """Per-axis sums of adjacent two-site couplings.
-
-    Each term embeds the 4x4 sigma (x) sigma between identities, O(4^n),
-    rather than multiplying two dense site operators, O(8^n).
-    """
-    dim = 2**n_spins
-    pairs = {}
-    for axis in _AXES:
-        bond = np.kron(PAULI[axis], PAULI[axis])
-        acc = np.zeros((dim, dim), dtype=complex)
-        for k in range(n_spins - 1):
-            left = np.eye(2**k, dtype=complex)
-            right = np.eye(2 ** (n_spins - k - 2), dtype=complex)
-            acc += np.kron(np.kron(left, bond), right)
-        pairs[axis] = acc
-    return pairs
-
-
-@functools.lru_cache(maxsize=None)
 def _chain_operators(n_spins: int):
-    """Total spin per axis and the unit-strength interaction."""
+    """Total spin per axis and the dense unit-strength interaction."""
     totals = {
         axis: sum(site_operator(PAULI[axis], k, n_spins) for k in range(n_spins))
         for axis in _AXES
     }
-    pairs = _pair_operators(n_spins)
-    return totals, pairs["x"] + pairs["y"] + pairs["z"]
+    interaction = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
+    for _, idx, block in _interaction_blocks(n_spins):
+        interaction[np.ix_(idx, idx)] = block
+    return totals, interaction
 
 
 def _check_cap(spec: ChainSpec) -> None:

@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .model import (
     FieldPoint,
     MoleculeSpec,
     _check_cap,
-    _pair_operators,
+    _interaction_blocks,
     _z_diagonals,
     build_heisenberg,
 )
@@ -40,7 +40,7 @@ from .quench import (
     _ramp_result,
     theta_of_t,
 )
-from .spectral import _each_spin, _rotate_y, _sector_data, _sector_eigh
+from .spectral import PoleSystem, _each_spin, _rotate_y, _sector_data, _sector_eigh
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -57,10 +57,11 @@ def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _exchange_system(n_spins: int) -> EigenSystem:
     """Eigensystem of the unit xx+yy exchange, which conserves M_z, solved
-    by M_z blocks once per chain size."""
-    pairs = _pair_operators(n_spins)
-    basis_m = _z_diagonals(n_spins).sum(axis=0)
-    _, values, vectors, _ = _sector_eigh(pairs["x"] + pairs["y"], basis_m)
+    by M_z blocks once per chain size: each block is the interaction's
+    without its zz diagonal."""
+    blocks = _interaction_blocks(n_spins)
+    no_zz = ((m, idx, b - np.diag(np.diag(b))) for m, idx, b in blocks)
+    _, values, vectors, _ = _sector_eigh(no_zz)
     order = np.argsort(values, kind="stable")
     return EigenSystem(values=values[order], vectors=vectors[:, order])
 
@@ -126,7 +127,7 @@ def _core_in_y_frame(core: np.ndarray) -> np.ndarray:
 
 
 def _ramp_state(
-    pole: EigenSystem,
+    pole: PoleSystem,
     core_y: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
@@ -145,7 +146,7 @@ def _ramp_state(
     """
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     angles = theta_of_t(protocol, midpoints)
-    m = _sector_data(pole.vectors.shape[0].bit_length() - 1).basis_m
+    m = _sector_data(pole.ground_state.size.bit_length() - 1).basis_m
     ground = _to_y_frame(pole.ground_state)
     if offsets is not None:
         angles = angles[:, None] + offsets
@@ -555,7 +556,6 @@ class SequenceReport:
     effective_propagator: np.ndarray
     target_propagator: np.ndarray
     fidelity: float
-    trotter_order_estimate: float
 
 
 def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarray:
@@ -565,48 +565,22 @@ def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarra
     return np.diag(np.exp(-1j * diag * tau))
 
 
-def _target_propagator(c: CompiledZZ) -> np.ndarray:
-    n = c.base_couplings.shape[0]
-    return zz_target_propagator(n, c.target_j, c.tau)
-
-
 def _zz_fidelity(effective: np.ndarray, target: np.ndarray) -> float:
     """|tr(effective^dagger target)| / dim, 1 for equal propagators up to
     a global phase."""
     return float(abs(np.trace(effective.conj().T @ target)) / target.shape[0])
 
 
-def _scaled(c: CompiledZZ, scale: float) -> CompiledZZ:
-    return replace(
-        c,
-        segment_durations=tuple(t * scale for t in c.segment_durations),
-        tau=c.tau * scale,
-    )
-
-
 def verify_sequence(c: CompiledZZ, m: MoleculeSpec) -> SequenceReport:
     """Simulate the compiled event list against the target zz propagator.
 
     All active terms commute, so a correct compilation is exact, not
-    merely exact on average; any defect signals a compiler bug.  The
-    order estimate compares defects at two overall durations and is
-    reported as inf when both sit at roundoff.
+    merely exact on average; any defect signals a compiler bug.
     """
     effective = simulate_program(to_pulse_program(c), m)
-    target = _target_propagator(c)
-    fidelity = _zz_fidelity(effective, target)
-    half = _scaled(c, 0.5)
-    d_full = 1.0 - fidelity
-    d_half = 1.0 - _zz_fidelity(
-        simulate_program(to_pulse_program(half), m), _target_propagator(half)
-    )
-    if d_full > 1e-12 and d_half > 1e-12:
-        order = math.log2(d_full / d_half)
-    else:
-        order = math.inf
+    target = zz_target_propagator(c.base_couplings.shape[0], c.target_j, c.tau)
     return SequenceReport(
         effective_propagator=effective,
         target_propagator=target,
-        fidelity=fidelity,
-        trotter_order_estimate=float(order),
+        fidelity=_zz_fidelity(effective, target),
     )

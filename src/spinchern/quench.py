@@ -15,15 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateGroundState,
-    OutOfRange,
-    StepCountTooSmall,
-    VelocityOutOfLinearZone,
-)
+from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
 from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
-from .qcore import EigenSystem
-from .spectral import DEGENERACY_RTOL, _each_spin, _rotate_y, pole_system
+from .spectral import PoleSystem, _each_spin, _require_gap, _rotate_y, pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -96,16 +90,12 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
 
 
-def _pole_system(spec: ChainSpec) -> EigenSystem:
-    """Eigensystem of the unit-field pole Hamiltonian that starts every ramp.
-
-    ``pole_system`` enforces the dimension cap before any work.
+def _pole_system(spec: ChainSpec) -> PoleSystem:
+    """Unit-field pole system, with a gapped ground state, that starts
+    every ramp.  ``pole_system`` enforces the dimension cap before any work.
     """
     system = pole_system(spec)
-    if system.ground_gap < DEGENERACY_RTOL:
-        raise DegenerateGroundState(
-            f"initial ground state degenerate (gap={system.ground_gap:.3e})"
-        )
+    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
     return system
 
 
@@ -128,16 +118,14 @@ def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
     return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
 
 
-def _reduced_ramp(pole: EigenSystem, protocol: QuenchProtocol) -> np.ndarray:
+def _reduced_ramp(pole: PoleSystem, protocol: QuenchProtocol) -> np.ndarray:
     """Final state of the exact ramp from the pole ground state."""
-    g = pole.ground_state
-    m_g = total_magnetization(g, "z")
-    phase = np.exp(-1j * (pole.values[0] + m_g) * protocol.total_time)
-    return phase * _each_spin(_free_spin_ramp(protocol), g)
+    phase = np.exp(-1j * (pole.values[0] + pole.sectors[0]) * protocol.total_time)
+    return phase * _each_spin(_free_spin_ramp(protocol), pole.ground_state)
 
 
 def _ramp_result(
-    pole: EigenSystem, psi: np.ndarray, protocol: QuenchProtocol
+    pole: PoleSystem, psi: np.ndarray, protocol: QuenchProtocol
 ) -> QuenchResult:
     """Readout of a ramp's final state.  The adiabatic target is the
     rotated pole ground state, so no eigensolve is needed at the end."""

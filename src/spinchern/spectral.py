@@ -24,8 +24,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGroundState, OutOfRange
-from .model import ChainSpec, FieldPoint, _chain_operators, _check_cap, _z_diagonals
-from .qcore import EigenSystem, eigh
+from .model import (
+    ChainSpec,
+    FieldPoint,
+    _chain_operators,
+    _check_cap,
+    _interaction_blocks,
+    _z_diagonals,
+)
+from .qcore import eigh
 
 # Gap below this fraction of |h| counts as a ground-state degeneracy.
 DEGENERACY_RTOL = 1e-9
@@ -62,6 +69,19 @@ class ChernResult:
 
 
 @dataclass(frozen=True)
+class PoleSystem:
+    """Ascending pole levels, the M_z sector of each, and the ground state."""
+
+    values: np.ndarray
+    sectors: np.ndarray
+    ground_state: np.ndarray
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.values[1] - self.values[0])
+
+
+@dataclass(frozen=True)
 class _Sectors:
     """The interaction diagonalised block by block in M_z.
 
@@ -78,26 +98,27 @@ class _Sectors:
     starts: np.ndarray
 
 
-def _sector_eigh(operator: np.ndarray, basis_m: np.ndarray):
-    """Diagonalise an operator that conserves M_z one M_z block at a time.
+def _sector_eigh(blocks):
+    """Diagonalise an operator that conserves M_z from its M_z blocks.
 
-    ``basis_m`` is the M_z of each basis state.  Returns each column's M
-    and eigenvalue, the eigenvector columns sector after sector in
-    ascending M, and the first column of each sector.
+    ``blocks`` yields (M, basis indices, block) sector by sector in
+    ascending M, as ``model._interaction_blocks`` does.  Returns each
+    column's M and eigenvalue, the eigenvector columns sector after
+    sector, and the first column of each sector.
     """
-    dim = basis_m.size
+    blocks = list(blocks)
+    dim = sum(idx.size for _, idx, _ in blocks)
     vectors = np.zeros((dim, dim), dtype=complex)
     level_m = np.empty(dim)
     values = np.empty(dim)
     starts = []
     col = 0
-    for m in np.unique(basis_m):
-        idx = np.flatnonzero(basis_m == m)
-        block = eigh(operator[np.ix_(idx, idx)])
+    for m, idx, block in blocks:
+        solved = eigh(block)
         cols = slice(col, col + idx.size)
-        vectors[idx, cols] = block.vectors
+        vectors[idx, cols] = solved.vectors
         level_m[cols] = m
-        values[cols] = block.values
+        values[cols] = solved.values
         starts.append(col)
         col += idx.size
     return level_m, values, vectors, np.array(starts)
@@ -106,8 +127,7 @@ def _sector_eigh(operator: np.ndarray, basis_m: np.ndarray):
 @functools.lru_cache(maxsize=None)
 def _sector_data(n_spins: int) -> _Sectors:
     basis_m = _z_diagonals(n_spins).sum(axis=0)
-    _, interaction = _chain_operators(n_spins)
-    level_m, level_x, vectors, starts = _sector_eigh(interaction, basis_m)
+    level_m, level_x, vectors, starts = _sector_eigh(_interaction_blocks(n_spins))
     return _Sectors(basis_m, level_m, level_x, vectors, starts)
 
 
@@ -117,19 +137,28 @@ def _sectors(spec: ChainSpec) -> _Sectors:
     return _sector_data(spec.n_spins)
 
 
-def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> EigenSystem:
-    """Eigensystem of the chain Hamiltonian with the field at the north pole.
-
-    The levels -|h| M - J lambda are sorted ascending; no eigensolve is
-    made once the chain size's sector blocks are cached.  The spectrum
-    is the same at every field point of the same magnitude.
-    """
+def _pole_levels(spec: ChainSpec, magnitude: float):
+    """Sector data, the pole levels -|h| M - J lambda of its columns, and
+    their stable ascending order."""
     sectors = _sectors(spec)
     if not (math.isfinite(magnitude) and magnitude > 0.0):
         raise OutOfRange(f"field magnitude must be positive and finite: {magnitude}")
-    values = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
-    order = np.argsort(values, kind="stable")
-    return EigenSystem(values=values[order], vectors=sectors.vectors[:, order])
+    levels = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
+    return sectors, levels, np.argsort(levels, kind="stable")
+
+
+def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
+    """Levels and ground state of the chain Hamiltonian with the field at
+    the north pole; no eigensolve once the size's sector blocks are cached.
+
+    The spectrum is the same at every field point of the same magnitude.
+    """
+    sectors, levels, order = _pole_levels(spec, magnitude)
+    return PoleSystem(
+        values=levels[order],
+        sectors=sectors.level_m[order],
+        ground_state=sectors.vectors[:, order[0]].copy(),
+    )
 
 
 def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -154,8 +183,7 @@ def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
     return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
 
 
-def _require_gap(system: EigenSystem, p: FieldPoint) -> float:
-    gap = system.ground_gap
+def _require_gap(gap: float, p: FieldPoint) -> float:
     if gap < DEGENERACY_RTOL * p.magnitude:
         raise DegenerateGroundState(
             f"ground state degenerate (gap={gap:.3e}) at "
@@ -177,19 +205,22 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
 
     oriented so a single free spin gives +1/2 at the equator.  The sum
     is taken in the pole frame, where U^dagger dH/dtheta U = -|h| S_x and
-    U^dagger dH/dphi U = -|h| sin(theta) S_y.
+    U^dagger dH/dphi U = -|h| sin(theta) S_y.  The states n are the
+    cached sector eigenvectors, in sector order.
     """
-    system = pole_system(spec, p.magnitude)
-    gap = _require_gap(system, p)
+    sectors, levels, order = _pole_levels(spec, p.magnitude)
+    ground, excited = order[:2]
+    gap = _require_gap(float(levels[excited] - levels[ground]), p)
     totals, _ = _chain_operators(spec.n_spins)
-    ground = system.ground_state
-    bra = system.vectors.conj().T
-    a = -p.magnitude * math.sin(p.theta) * (bra @ (totals["y"] @ ground))
-    b = -p.magnitude * (bra @ (totals["x"] @ ground))
-    denom = (system.values - system.values[0]) ** 2
-    denom[0] = 1.0  # excluded term
-    terms = -2.0 * np.imag(np.conj(a) * b) / denom
-    terms[0] = 0.0
+    g = sectors.vectors[:, ground]
+    # <g|S_y|n> and <g|S_x|n> against every cached sector vector n
+    gy = (totals["y"] @ g).conj() @ sectors.vectors
+    gx = (totals["x"] @ g).conj() @ sectors.vectors
+    denom = (levels - levels[ground]) ** 2
+    denom[ground] = 1.0  # excluded term
+    scale = -2.0 * p.magnitude**2 * math.sin(p.theta)
+    terms = scale * np.imag(gy * gx.conj()) / denom
+    terms[ground] = 0.0
     return CurvatureSample(point=p, f_phitheta=float(terms.sum()), gap=gap)
 
 
@@ -253,7 +284,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     if n_theta < 1 or n_phi < 1:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
     system = pole_system(spec)
-    _require_gap(system, FieldPoint(theta=0.0))
+    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
     rows = np.array([_rotate_y(system.ground_state, t) for t in thetas])

@@ -102,10 +102,15 @@ def test_hamiltonian_matches_kron_oracle(n, j, theta, phi):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_operators_equal_product_construction(n):
-    built = model._pair_operators(n)
+    # The bit-pattern blocks, placed at their sector's basis indices, are
+    # the product construction summed over the three axes.
     products = product_pair_operators(n)
-    for axis in ("x", "y", "z"):
-        assert np.array_equal(built[axis], products[axis])
+    interaction = products["x"] + products["y"] + products["z"]
+    built = np.zeros((2**n, 2**n))
+    for _, idx, block in model._interaction_blocks(n):
+        built[np.ix_(idx, idx)] = block
+    assert np.array_equal(built, interaction)
+    assert np.array_equal(model._chain_operators(n)[1], interaction)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)

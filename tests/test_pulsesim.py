@@ -308,7 +308,6 @@ def test_verify_reports_exact_fidelity_and_propagators(molecule3):
     compiled = compile_zz(molecule3, _target_for(molecule3), TAU)
     report = verify_sequence(compiled, molecule3)
     assert report.fidelity >= 1 - 1e-10
-    assert math.isinf(report.trotter_order_estimate)
     dim = 2**molecule3.n_spins
     assert np.allclose(
         report.effective_propagator @ report.effective_propagator.conj().T,

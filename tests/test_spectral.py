@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinchern.model as model
+import spinchern.pulsesim as pulsesim
 import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
@@ -198,11 +199,16 @@ def test_pole_system_matches_dense_spectrum(n):
     for j in (-1.7, -0.4, 0.0, 0.3, 1.2):
         for magnitude in (0.5, 1.0, 2.5):
             system = pole_system(ChainSpec(n, j), magnitude)
-            dense = np.linalg.eigvalsh(
+            values, vectors = np.linalg.eigh(
                 build_heisenberg(ChainSpec(n, j), FieldPoint(0.0, magnitude=magnitude))
             )
-            assert np.max(np.abs(system.values - dense)) <= 1e-12
-            assert np.allclose(system.vectors.conj().T @ system.vectors, np.eye(2**n))
+            assert np.max(np.abs(system.values - values)) <= 1e-12
+            # A level's sector is the <S_z> of any dense eigenvector of it.
+            dense_m = [total_magnetization(v, "z") for v in vectors.T]
+            assert np.max(np.abs(system.sectors - dense_m)) <= 1e-9
+            if system.ground_gap > 1e-9:
+                overlap = abs(np.vdot(vectors[:, 0], system.ground_state))
+                assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pole_system_rejects_bad_field_magnitude():
@@ -262,7 +268,7 @@ def test_find_crossings_matches_bisection_oracle(n):
     ],
 )
 def test_size_cap_is_checked_before_any_cache_access(call):
-    caches = (spectral._sector_data, model._chain_operators, model._pair_operators)
+    caches = (spectral._sector_data, model._chain_operators, pulsesim._exchange_system)
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(DimensionCap):
         call(ChainSpec(3, 1.0, max_spins=2))
@@ -300,7 +306,7 @@ def test_bad_scan_inputs_raise_before_any_cache_access(call):
     # Unchecked, these raised ZeroDivisionError, a bare ValueError,
     # OverflowError and TypeError.  The two wide intervals raised numpy's
     # "Maximum allowed size exceeded" and OverflowError.
-    caches = (spectral._sector_data, model._chain_operators, model._pair_operators)
+    caches = (spectral._sector_data, model._chain_operators, pulsesim._exchange_system)
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(OutOfRange):
         call(ChainSpec(3, 1.0))
