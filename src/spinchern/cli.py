@@ -197,7 +197,6 @@ def _load_molecule(args) -> MoleculeSpec:
             labels=m.labels,
             shifts_hz=m.shifts_hz,
             couplings_hz=couplings,
-            t2_s=m.t2_s,
         )
     return m
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionCap, OutOfRange
-from .qcore import PAULI, site_operator
 
 _AXES = ("x", "y", "z")
 
@@ -72,7 +71,6 @@ class MoleculeSpec:
     labels: tuple
     shifts_hz: np.ndarray
     couplings_hz: np.ndarray
-    t2_s: np.ndarray | None = None  # accepted from input files, unused
 
     def __post_init__(self):
         shifts = np.asarray(self.shifts_hz, dtype=float)
@@ -97,12 +95,10 @@ class MoleculeSpec:
     def from_json(cls, path) -> "MoleculeSpec":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        t2 = raw.get("t2_s")
         return cls(
             labels=tuple(raw["labels"]),
             shifts_hz=np.asarray(raw["shifts_hz"], dtype=float),
             couplings_hz=np.asarray(raw["couplings_hz"], dtype=float),
-            t2_s=None if t2 is None else np.asarray(t2, dtype=float),
         )
 
 
@@ -143,12 +139,20 @@ def _interaction_blocks(n_spins: int):
 
 @functools.lru_cache(maxsize=None)
 def _chain_operators(n_spins: int):
-    """Total spin per axis and the dense unit-strength interaction."""
-    totals = {
-        axis: sum(site_operator(PAULI[axis], k, n_spins) for k in range(n_spins))
-        for axis in _AXES
-    }
-    interaction = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
+    """Total spin per axis and the dense unit-strength interaction, built
+    from bit patterns: sigma_z is diagonal, and sigma_x and sigma_y of
+    site k take column b to row b ^ (1 << (n-1-k)), with entries 1 and
+    i z_k[b]."""
+    dim = 2**n_spins
+    z = _z_diagonals(n_spins)
+    cols = np.arange(dim)
+    totals = {axis: np.zeros((dim, dim), dtype=complex) for axis in _AXES}
+    totals["z"][cols, cols] = z.sum(axis=0)
+    for k in range(n_spins):
+        rows = cols ^ (1 << (n_spins - 1 - k))
+        totals["x"][rows, cols] = 1.0
+        totals["y"][rows, cols] = 1j * z[k]
+    interaction = np.zeros((dim, dim), dtype=complex)
     for _, idx, block in _interaction_blocks(n_spins):
         interaction[np.ix_(idx, idx)] = block
     return totals, interaction

@@ -33,14 +33,15 @@ from .model import (
     build_heisenberg,
 )
 from .qcore import PAULI, EigenSystem, expm_i, propagator
-from .quench import (
-    QuenchProtocol,
-    QuenchResult,
+from .quench import QuenchProtocol, QuenchResult, _ramp_result, theta_of_t
+from .spectral import (
+    PoleSystem,
+    _each_spin,
     _pole_system,
-    _ramp_result,
-    theta_of_t,
+    _rotate_y,
+    _sector_data,
+    _sector_eigh,
 )
-from .spectral import PoleSystem, _each_spin, _rotate_y, _sector_data, _sector_eigh
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.

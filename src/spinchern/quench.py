@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
 from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
-from .spectral import PoleSystem, _each_spin, _require_gap, _rotate_y, pole_system
+from .spectral import PoleSystem, _each_spin, _pole_system, _rotate_y
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -88,15 +88,6 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # eigenstate (J lambda_g = -(E_g + M_g) at unit field), so the ramp is
 # U g = e^{i J lambda_g T} (u (x) ... (x) u) g with u the 2x2 ramp of one
 # free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
-
-
-def _pole_system(spec: ChainSpec) -> PoleSystem:
-    """Unit-field pole system, with a gapped ground state, that starts
-    every ramp.  ``pole_system`` enforces the dimension cap before any work.
-    """
-    system = pole_system(spec)
-    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
-    return system
 
 
 def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
@@ -175,7 +166,7 @@ def generalized_force(spec: ChainSpec, p: FieldPoint, state: np.ndarray) -> floa
     return float(-np.real(np.vdot(state, param_derivative(spec, p, "phi") @ state)))
 
 
-def extract_curvature(results, *, linear_zone_cap: float = LINEAR_ZONE_CAP) -> float:
+def extract_curvature(results) -> float:
     """Curvature from one or more ramps.
 
     A single result gives the plain ratio m_phi / v; several results are
@@ -186,9 +177,9 @@ def extract_curvature(results, *, linear_zone_cap: float = LINEAR_ZONE_CAP) -> f
     results = list(results)
     if not results:
         raise ValueError("no quench results supplied")
-    if any(r.v_theta > linear_zone_cap for r in results):
+    if any(r.v_theta > LINEAR_ZONE_CAP for r in results):
         warnings.warn(
-            f"ramp rate exceeds the linear response zone cap {linear_zone_cap}",
+            f"ramp rate exceeds the linear response zone cap {LINEAR_ZONE_CAP}",
             VelocityOutOfLinearZone,
         )
     if len(results) == 1:

@@ -46,8 +46,13 @@ DEGENERACY_RTOL = 1e-9
 LATTICE_MIN_OVERLAP = 0.5
 LATTICE_MAX_PHASE = 0.5 * math.pi
 
-# Largest crossing-scan table, grid points times levels: 32 MB of floats.
-_MAX_SCAN_ENTRIES = 2**22
+# Sector-line slopes closer than this, relative to the largest |lambda|,
+# count as equal: every block's largest lambda is N - 1 up to roundoff,
+# and those parallel lines must not meet.
+_SLOPE_RTOL = 1e-12
+
+# A crossing is kept only where the pole gap closes below this.
+_CROSSING_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -192,6 +197,16 @@ def _require_gap(gap: float, p: FieldPoint) -> float:
     return gap
 
 
+def _pole_system(spec: ChainSpec) -> PoleSystem:
+    """Unit-field pole system with a gapped ground state, which starts
+    every ramp and the plaquette grid.  ``pole_system`` enforces the
+    dimension cap before any work.
+    """
+    system = pole_system(spec)
+    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
+    return system
+
+
 def ground_gap(spec: ChainSpec, p: FieldPoint) -> float:
     """Energy difference between the two lowest levels."""
     return pole_system(spec, p.magnitude).ground_gap
@@ -283,8 +298,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} must count whole cells")
     if n_theta < 1 or n_phi < 1:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
-    system = pole_system(spec)
-    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
+    system = _pole_system(spec)
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
     rows = np.array([_rotate_y(system.ground_state, t) for t in thetas])
@@ -316,70 +330,50 @@ def chern_result(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> ChernResu
     )
 
 
-def _sector_ground_energies(sectors: _Sectors, js: np.ndarray) -> np.ndarray:
-    """Lowest pole level of each sector at unit field, one row per J."""
-    levels = -sectors.level_m - js[:, None] * sectors.level_x
-    return np.minimum.reduceat(levels, sectors.starts, axis=1)
-
-
-def _sector_crossings(sectors: _Sectors, a: float, b: float) -> list[float]:
-    """Couplings in [a, b] where the ground sector changes.
-
-    A sector's lowest level is linear in J on either side of J = 0, so
-    the crossing of two sectors within a same-sign bracket is the root
-    of a linear function.  If a third sector lies lowest at that root,
-    the bracket holds two crossings and is split there.
-    """
-    if a < 0.0 < b:
-        return _sector_crossings(sectors, a, 0.0) + _sector_crossings(sectors, 0.0, b)
-    ea, eb = _sector_ground_energies(sectors, np.array([a, b]))
-    sa, sb = np.argmin(ea), np.argmin(eb)
-    if sa == sb:
-        return []
-    da, db = ea[sa] - ea[sb], eb[sa] - eb[sb]  # da <= 0 <= db
-    root = a + (b - a) * da / (da - db)
-    if np.argmin(_sector_ground_energies(sectors, np.array([root]))[0]) in (sa, sb):
-        return [float(root)]
-    return _sector_crossings(sectors, a, root) + _sector_crossings(sectors, root, b)
-
-
-def find_crossings(
-    spec: ChainSpec,
-    j_interval: tuple[float, float],
-    scan_step: float = 0.01,
-    gap_tol: float = 1e-8,
-) -> list[float]:
-    """Coupling values where the two lowest levels cross.
+def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[float]:
+    """Coupling values in ``j_interval`` where the two lowest levels cross.
 
     At the pole the lowest level of each M_z sector is non-degenerate
     for J != 0 (Perron-Frobenius), so the two lowest levels cross
-    exactly where the ground sector changes.  The ground sector is
-    scanned on a grid of ``scan_step``; each grid interval where it
-    changes is solved in closed form, and a root is kept only if the
-    pole gap there is below ``gap_tol``.  A grid whose table of levels
-    would exceed ``_MAX_SCAN_ENTRIES`` raises ``OutOfRange``.
+    exactly where the ground sector changes.  At unit field the lowest
+    level of sector M is the line E_M(J) = -M - J lambda_M on either
+    side of J = 0, with lambda_M the smallest eigenvalue of X_M for
+    J < 0 and the largest for J > 0.  The ground energy is the lower
+    envelope of these lines, a concave function of |J| on each side, so
+    its slope only falls going outward and each sector holds at most one
+    interval on each side.  From the unique ground sector M = N at J = 0
+    the walk steps outward to the nearest intersection with a steeper
+    line, until it passes the end of the interval; no energy is
+    evaluated at either end.  A root is kept only if the pole gap closes
+    there.
     """
     lo, hi = j_interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise OutOfRange(f"j_interval must be finite, got {j_interval}")
     if not lo < hi:
         raise ValueError("j_interval must satisfy lo < hi")
-    if not (math.isfinite(scan_step) and scan_step > 0.0):
-        raise OutOfRange(f"scan_step must be positive and finite, got {scan_step}")
-    # hi - lo overflows to inf on the widest finite intervals.
-    intervals = (hi - lo) / scan_step
-    if not (max(2.0, intervals + 1.0) * spec.dim <= _MAX_SCAN_ENTRIES):
-        raise OutOfRange(
-            f"scan of {j_interval} by {scan_step} at {spec.dim} levels exceeds "
-            f"{_MAX_SCAN_ENTRIES} table entries; use a larger scan_step or a "
-            "narrower j_interval"
-        )
     sectors = _sectors(spec)
-    n_points = max(2, int(round(intervals)) + 1)
-    js = np.linspace(lo, hi, n_points)
-    labels = np.argmin(_sector_ground_energies(sectors, js), axis=1)
+    m = sectors.level_m[sectors.starts]
     roots = []
-    for k in np.flatnonzero(labels[1:] != labels[:-1]):
-        roots += _sector_crossings(sectors, float(js[k]), float(js[k + 1]))
+    for side, reduce, end in ((-1.0, np.minimum, lo), (1.0, np.maximum, hi)):
+        lam = reduce.reduceat(sectors.level_x, sectors.starts)
+        slopes = -side * lam  # dE_M/dt along J = side * t, t >= 0
+        tol = _SLOPE_RTOL * np.abs(lam).max()
+        ground = m.size - 1  # M = N
+        while True:
+            steeper = np.flatnonzero(slopes < slopes[ground] - tol)
+            if not steeper.size:
+                break
+            ts = (m[ground] - m[steeper]) / (slopes[ground] - slopes[steeper])
+            nearest = np.argmin(ts)
+            if ts[nearest] > side * end:
+                break
+            roots.append(float(side * ts[nearest]))
+            ground = steeper[nearest]
     pole = FieldPoint(theta=0.0)
-    return [j for j in roots if ground_gap(replace(spec, coupling_j=j), pole) < gap_tol]
+    return [
+        j
+        for j in sorted(roots)
+        if lo <= j <= hi
+        and ground_gap(replace(spec, coupling_j=j), pole) < _CROSSING_GAP_TOL
+    ]

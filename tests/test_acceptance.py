@@ -237,7 +237,6 @@ def test_criterion_08_refocusing_compiler():
         labels=degenerate.labels,
         shifts_hz=degenerate.shifts_hz,
         couplings_hz=couplings,
-        t2_s=degenerate.t2_s,
     )
     with pytest.raises(DegenerateCouplings):
         compile_zz(degenerate, target_j, tau)

@@ -23,7 +23,14 @@ from spinchern import (
     total_magnetization,
 )
 
-from _oracles import collective_ry, kron_chain_hamiltonian, product_pair_operators
+from spinchern.qcore import PAULI
+
+from _oracles import (
+    _embed,
+    collective_ry,
+    kron_chain_hamiltonian,
+    product_pair_operators,
+)
 
 ANGLES = st.floats(0.05, math.pi - 0.05)
 PHIS = st.floats(0.0, 2 * math.pi - 1e-9)
@@ -110,7 +117,12 @@ def test_pair_operators_equal_product_construction(n):
     for _, idx, block in model._interaction_blocks(n):
         built[np.ix_(idx, idx)] = block
     assert np.array_equal(built, interaction)
-    assert np.array_equal(model._chain_operators(n)[1], interaction)
+    totals, dense_interaction = model._chain_operators(n)
+    assert np.array_equal(dense_interaction, interaction)
+    # The bit-pattern spin totals are the sums of embedded Pauli matrices.
+    for axis in ("x", "y", "z"):
+        embedded = sum(_embed(PAULI[axis], k, n) for k in range(n))
+        assert np.array_equal(totals[axis], embedded)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -212,7 +224,6 @@ def test_molecule_from_json_roundtrip(tmp_path):
     assert m.labels == ("a", "b")
     assert np.allclose(m.shifts_hz, [10.0, -20.0])
     assert np.allclose(m.couplings_hz, [[0.0, 5.0], [5.0, 0.0]])
-    assert np.allclose(m.t2_s, [1.0, 2.0])
 
 
 def test_shipped_molecule_files(molecule2, molecule3, molecule4):

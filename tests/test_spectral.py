@@ -161,7 +161,7 @@ def test_find_crossings_analytic_values():
 
 
 def test_find_crossings_in_first_and_last_scan_interval():
-    # -0.5 lies within one scan step of the interval's end, or on a grid point.
+    # -0.5 lies within 0.003 of either end of the interval, or well inside it.
     for interval in ((-0.503, 2.0), (-2.0, -0.497), (-2.0, 2.0)):
         assert find_crossings(ChainSpec(2, 0.0), interval) == pytest.approx(
             [-0.5], abs=1e-12
@@ -169,11 +169,38 @@ def test_find_crossings_in_first_and_last_scan_interval():
 
 
 def test_find_crossings_resolves_several_crossings_in_one_scan_step():
-    # N = 6 crosses three times in [-2, 2], twice within [-1, 0].
-    fine = find_crossings(ChainSpec(6, 0.0), (-2.0, 2.0))
-    for scan_step in (4.0, 1.0):
-        coarse = find_crossings(ChainSpec(6, 0.0), (-2.0, 2.0), scan_step=scan_step)
-        assert coarse == pytest.approx(fine, abs=1e-12)
+    # N = 6 crosses three times in [-2, 2], twice within [-1, 0].  Every
+    # sub-interval, closed at both ends, keeps exactly the roots inside it.
+    spec = ChainSpec(6, 0.0)
+    roots = find_crossings(spec, (-2.0, 2.0))
+    assert len(roots) == 3
+    mids = [0.5 * (a + b) for a, b in zip(roots, roots[1:])]
+    intervals = [
+        (-2.0, mids[0]),
+        (mids[0], mids[1]),
+        (mids[1], 2.0),
+        (-2.0, roots[1]),
+        (roots[1], 2.0),
+        (roots[0], roots[2]),
+        (mids[0], 0.0),
+        (roots[2] + 1e-9, 2.0),
+        (-0.2, 0.2),
+    ]
+    for lo, hi in intervals:
+        inside = [j for j in roots if lo <= j <= hi]
+        assert find_crossings(spec, (lo, hi)) == inside
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_find_crossings_on_the_widest_finite_intervals(n):
+    # All crossings lie in (-2, 2): past them the ground sector has the
+    # steepest line on its side, and for J > 0 all lines are parallel.
+    spec = ChainSpec(n, 0.0)
+    roots = find_crossings(spec, (-2.0, 2.0))
+    assert all(j < 0.0 for j in roots)
+    assert find_crossings(spec, (-1e300, 1e300)) == roots
+    assert find_crossings(spec, (-1.7e308, 1.7e308)) == roots
+    assert find_crossings(spec, (0.0, 1e300)) == []
 
 
 def test_find_crossings_empty_when_no_crossing():
@@ -279,33 +306,16 @@ def test_size_cap_is_checked_before_any_cache_access(call):
     "call",
     [
         pytest.param(
-            lambda s: find_crossings(s, (-2.0, 2.0), scan_step=0.0),
-            id="scan_step_zero",
-        ),
-        pytest.param(
-            lambda s: find_crossings(s, (-2.0, 2.0), scan_step=math.nan),
-            id="scan_step_nan",
-        ),
-        pytest.param(
             lambda s: find_crossings(s, (-math.inf, 2.0)), id="interval_infinite_lo"
         ),
         pytest.param(
             lambda s: find_crossings(s, (-2.0, math.inf)), id="interval_infinite_hi"
         ),
-        pytest.param(
-            lambda s: find_crossings(s, (-1e300, 1e300)), id="interval_too_wide"
-        ),
-        pytest.param(
-            lambda s: find_crossings(s, (-1.7e308, 1.7e308)),
-            id="interval_width_overflows",
-        ),
         pytest.param(lambda s: chern_lattice(s, (2.5, 3)), id="fractional_grid"),
     ],
 )
 def test_bad_scan_inputs_raise_before_any_cache_access(call):
-    # Unchecked, these raised ZeroDivisionError, a bare ValueError,
-    # OverflowError and TypeError.  The two wide intervals raised numpy's
-    # "Maximum allowed size exceeded" and OverflowError.
+    # Unchecked, the fractional grid raised a TypeError from numpy.
     caches = (spectral._sector_data, model._chain_operators, pulsesim._exchange_system)
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(OutOfRange):
