@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,6 +140,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     workers = _worker_count()
     js = sorted(cfg.j_values)
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which a serial
+        # sweep and a plain import never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_row, itertools.repeat(cfg), js))
     return [_sweep_row(cfg, j) for j in js]

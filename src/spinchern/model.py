@@ -109,6 +109,40 @@ def field_cartesian(p: FieldPoint) -> np.ndarray:
     return p.magnitude * np.array([st * cp, st * sp, ct])
 
 
+# The basis diagonals, total spin operators and the unit-strength
+# interaction are reused heavily by sweeps, so they are cached per chain
+# size and read-only: an in-place write to one raises ValueError.
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _z_diagonals(n_spins: int) -> np.ndarray:
+    """Per-site sigma_z eigenvalue patterns over the computational basis."""
+    z = np.array(
+        [
+            np.tile(np.repeat(np.array([1.0, -1.0]), 2 ** (n_spins - 1 - i)), 2**i)
+            for i in range(n_spins)
+        ]
+    )
+    _read_only(z)
+    return z
+
+
+@functools.lru_cache(maxsize=None)
+def _pole_diagonals(n_spins: int):
+    """Total sigma_z (the M_z label) and adjacent zz sum of each basis
+    state: the field and zz diagonals of the pole Hamiltonian."""
+    z = _z_diagonals(n_spins)
+    basis_m = z.sum(axis=0)
+    zz = (z[:-1] * z[1:]).sum(axis=0)
+    _read_only(basis_m, zz)
+    return basis_m, zz
+
+
 def _interaction_blocks(n_spins: int):
     """Yield (M, basis indices, block) of the unit interaction X for each
     M_z sector in ascending M, built from bit patterns.
@@ -119,8 +153,7 @@ def _interaction_blocks(n_spins: int):
     index, set for sigma_z = -1.
     """
     z = _z_diagonals(n_spins)
-    basis_m = z.sum(axis=0)
-    zz = (z[:-1] * z[1:]).sum(axis=0)
+    basis_m, zz = _pole_diagonals(n_spins)
     rank = np.empty(basis_m.size, dtype=int)  # position within the sector
     for m in range(-n_spins, n_spins + 1, 2):
         idx = np.flatnonzero(basis_m == m)
@@ -130,11 +163,6 @@ def _interaction_blocks(n_spins: int):
             anti = idx[z[k, idx] != z[k + 1, idx]]
             block[rank[anti], rank[anti ^ (3 << (n_spins - 2 - k))]] = 2.0
         yield m, idx, block
-
-
-# Total spin operators and the unit-strength interaction are reused
-# heavily by sweeps, so cache them per chain size.  Callers must not
-# modify the cached arrays.
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,7 +175,7 @@ def _chain_operators(n_spins: int):
     z = _z_diagonals(n_spins)
     cols = np.arange(dim)
     totals = {axis: np.zeros((dim, dim), dtype=complex) for axis in _AXES}
-    totals["z"][cols, cols] = z.sum(axis=0)
+    totals["z"][cols, cols] = _pole_diagonals(n_spins)[0]
     for k in range(n_spins):
         rows = cols ^ (1 << (n_spins - 1 - k))
         totals["x"][rows, cols] = 1.0
@@ -155,6 +183,7 @@ def _chain_operators(n_spins: int):
     interaction = np.zeros((dim, dim), dtype=complex)
     for _, idx, block in _interaction_blocks(n_spins):
         interaction[np.ix_(idx, idx)] = block
+    _read_only(interaction, *totals.values())
     return totals, interaction
 
 
@@ -207,17 +236,7 @@ def total_magnetization(psi: np.ndarray, axis: str) -> float:
     if 2**n_spins != dim:
         raise ValueError("state dimension is not a power of two")
     totals, _ = _chain_operators(n_spins)
-    return float(np.real(np.vdot(psi, totals[axis] @ psi)))
-
-
-def _z_diagonals(n_spins: int) -> np.ndarray:
-    """Per-site sigma_z eigenvalue patterns over the computational basis."""
-    return np.array(
-        [
-            np.tile(np.repeat(np.array([1.0, -1.0]), 2 ** (n_spins - 1 - i)), 2**i)
-            for i in range(n_spins)
-        ]
-    )
+    return float(np.real(np.vdot(psi, totals[axis].dot(psi))))
 
 
 def build_nmr_hamiltonian(m: MoleculeSpec) -> np.ndarray:

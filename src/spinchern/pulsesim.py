@@ -29,6 +29,8 @@ from .model import (
     MoleculeSpec,
     _check_cap,
     _interaction_blocks,
+    _pole_diagonals,
+    _read_only,
     _z_diagonals,
     build_heisenberg,
 )
@@ -50,9 +52,8 @@ _COUPLING_RTOL = 1e-12
 
 def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
     """Field and zz part of the pole Hamiltonian, which is diagonal."""
-    z = _z_diagonals(spec.n_spins)
-    adjacent_zz = (z[:-1] * z[1:]).sum(axis=0)
-    return -magnitude * z.sum(axis=0) - spec.coupling_j * adjacent_zz
+    basis_m, adjacent_zz = _pole_diagonals(spec.n_spins)
+    return -magnitude * basis_m - spec.coupling_j * adjacent_zz
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +65,9 @@ def _exchange_system(n_spins: int) -> EigenSystem:
     no_zz = ((m, idx, b - np.diag(np.diag(b))) for m, idx, b in blocks)
     _, values, vectors, _ = _sector_eigh(no_zz)
     order = np.argsort(values, kind="stable")
-    return EigenSystem(values=values[order], vectors=vectors[:, order])
+    system = EigenSystem(values=values[order], vectors=vectors[:, order])
+    _read_only(system.values, system.vectors)
+    return system
 
 
 def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
@@ -144,6 +147,13 @@ def _ramp_state(
     a_k + offsets[k, t], and returns their states with shape (T, d, 1).
     Each ramp keeps its own mat-vec, so its state has the same bits in
     any stack.
+
+    At these sizes a step costs call dispatch, not flops.  A single ramp
+    takes its mat-vec through ``ndarray.dot``, one zgemv without the
+    dispatch of the ``matmul`` ufunc.  A stack keeps the broadcast
+    ``core_y @ psi``, which is one zgemv per ramp and so gives each ramp
+    the bits of its single run; one (d, T) zgemm over the stack would
+    not.
     """
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     angles = theta_of_t(protocol, midpoints)
@@ -158,8 +168,12 @@ def _ramp_state(
     chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
     for start in range(0, protocol.steps, chunk):
         phases = np.exp(-0.5j * np.multiply.outer(deltas[start : start + chunk], m))
-        for phase in phases:
-            psi = phase * (core_y @ psi)
+        if offsets is None:
+            for phase in phases:
+                psi = phase * core_y.dot(psi)
+        else:
+            for phase in phases:
+                psi = phase * (core_y @ psi)
     return psi
 
 
@@ -561,15 +575,14 @@ class SequenceReport:
 
 def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarray:
     """Propagator of the uniform adjacent zz chain -target_j sum sz sz."""
-    z = _z_diagonals(n_spins)
-    diag = -target_j * (z[:-1] * z[1:]).sum(axis=0)
+    diag = -target_j * _pole_diagonals(n_spins)[1]
     return np.diag(np.exp(-1j * diag * tau))
 
 
 def _zz_fidelity(effective: np.ndarray, target: np.ndarray) -> float:
     """|tr(effective^dagger target)| / dim, 1 for equal propagators up to
-    a global phase."""
-    return float(abs(np.trace(effective.conj().T @ target)) / target.shape[0])
+    a global phase; the trace is sum_ij conj(effective_ij) target_ij."""
+    return float(abs(np.vdot(effective, target)) / target.shape[0])
 
 
 def verify_sequence(c: CompiledZZ, m: MoleculeSpec) -> SequenceReport:

@@ -105,7 +105,7 @@ def expm_i(h: np.ndarray, t: float) -> np.ndarray:
 def propagator(system: EigenSystem, t: float) -> np.ndarray:
     """Unitary exp(-i h t) given the eigensystem of ``h``."""
     phases = np.exp(-1j * system.values * t)
-    return (system.vectors * phases) @ system.vectors.conj().T
+    return (system.vectors * phases).dot(system.vectors.conj().T)
 
 
 def propagate(system: EigenSystem, t: float, psi: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ from .model import (
     _chain_operators,
     _check_cap,
     _interaction_blocks,
-    _z_diagonals,
+    _pole_diagonals,
+    _read_only,
 )
 from .qcore import eigh
 
@@ -131,9 +132,9 @@ def _sector_eigh(blocks):
 
 @functools.lru_cache(maxsize=None)
 def _sector_data(n_spins: int) -> _Sectors:
-    basis_m = _z_diagonals(n_spins).sum(axis=0)
     level_m, level_x, vectors, starts = _sector_eigh(_interaction_blocks(n_spins))
-    return _Sectors(basis_m, level_m, level_x, vectors, starts)
+    _read_only(level_m, level_x, vectors, starts)
+    return _Sectors(_pole_diagonals(n_spins)[0], level_m, level_x, vectors, starts)
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -174,11 +175,13 @@ def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
     so after n of them every spin is transformed and the spins are back
     in order, behind the column index.  A contraction is computed as
     x^T single^T, whose result is laid out for the next reshape, so no
-    contraction copies the array first.
+    contraction copies the array first.  ``ndarray.dot`` skips the
+    dispatch of the ``matmul`` ufunc, about a quarter of a contraction's
+    time at these sizes, with the same bits.
     """
     out = x
     for _ in range(x.shape[0].bit_length() - 1):
-        out = out.reshape(2, -1).T @ single.T
+        out = out.reshape(2, -1).T.dot(single.T)
     return out.reshape(x.shape[::-1]).T
 
 

@@ -1,0 +1,46 @@
+"""One seed-0 pass of each benchmark workload against its stored reference.
+
+The bench harness compares every task's numbers with
+``bench/reference/<workload>.json`` to 1e-10; running the same check here
+makes a kernel change that drifts fail the test suite too.  The workload
+module is only imported and called; nothing under ``bench/`` is written.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SEED = 0
+
+
+def _load_workloads():
+    name = "bench_workloads"
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is processed
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_seed_zero_pass_matches_reference(workload, tmp_path):
+    with open(BENCH_DIR / "reference" / f"{workload}.json", encoding="utf-8") as fh:
+        stored = json.load(fh)
+    assert stored["seed"] == SEED
+    tasks = workloads.generate(workload, SEED)
+    assert len(stored["records"]) == len(tasks)
+    ctx = workloads.PassContext(out_dir=str(tmp_path))
+    oracle = workloads.PoleOracle()
+    for task, reference in zip(tasks, stored["records"]):
+        record = workloads.check(task, workloads.call(task, ctx), ctx, oracle)
+        assert workloads.compare(record, reference), (task.kind, task.n, task.args)

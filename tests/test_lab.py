@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +132,17 @@ def test_worker_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("SPINCHERN_WORKERS", "2")
     parallel = run_sweep(cfg)
     assert parallel == serial
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # The pool's multiprocessing imports are paid only by a parallel sweep.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, spinchern; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 # --- plateau statistics ---------------------------------------------------------

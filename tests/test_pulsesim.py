@@ -317,6 +317,18 @@ def test_verify_reports_exact_fidelity_and_propagators(molecule3):
     assert report.target_propagator.shape == (dim, dim)
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_zz_fidelity_is_the_normalised_trace_overlap(dim):
+    rng = np.random.default_rng(dim)
+    shape = (dim, dim)
+    effective, target = (
+        np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        for _ in range(2)
+    )
+    expected = _fidelity(effective, target)
+    assert pulsesim._zz_fidelity(effective, target) == pytest.approx(expected, abs=1e-14)
+
+
 def test_verify_invariant_under_time_rescaling(molecule3):
     target = _target_for(molecule3)
     assert verify_sequence(compile_zz(molecule3, target, 2 * TAU), molecule3).fidelity >= (

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -321,3 +323,46 @@ def test_bad_scan_inputs_raise_before_any_cache_access(call):
     with pytest.raises(OutOfRange):
         call(ChainSpec(3, 1.0))
     assert [cache.cache_info() for cache in caches] == before
+
+
+def _cached_chain_operators(n):
+    totals, interaction = model._chain_operators(n)
+    return [*totals.values(), interaction]
+
+
+def _fields(cached):
+    return [getattr(cached, f.name) for f in dataclasses.fields(cached)]
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        pytest.param(lambda n: [model._z_diagonals(n)], id="z_diagonals"),
+        pytest.param(lambda n: list(model._pole_diagonals(n)), id="pole_diagonals"),
+        pytest.param(_cached_chain_operators, id="chain_operators"),
+        pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
+        pytest.param(
+            lambda n: _fields(pulsesim._exchange_system(n)), id="exchange_system"
+        ),
+    ],
+)
+def test_cached_arrays_are_read_only(cached):
+    for a in cached(3):
+        before = a.copy()
+        with pytest.raises(ValueError):
+            a *= 2
+        assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_spin_equals_kron_construction(n):
+    rng = np.random.default_rng(n)
+    single = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    single /= np.linalg.norm(single, 2)
+    full = functools.reduce(np.kron, [single] * n)
+    dim = 2**n
+    # a state, and matrices whose columns are transformed one by one
+    for shape in ((dim,), (dim, 3), (dim, dim)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x /= np.linalg.norm(x, axis=0)
+        assert np.abs(spectral._each_spin(single, x) - full @ x).max() <= 1e-14
