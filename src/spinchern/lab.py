@@ -31,6 +31,11 @@ WORKERS_ENV = "SPINCHERN_WORKERS"
 # Half the minimal plateau spacing; robust to ramp-method noise ~0.02.
 JUMP_THRESHOLD = 0.25
 
+# Every row reads the gap at the pole and the spectral curvature at the
+# equator; built once, since a field point checks its angles.
+_POLE = FieldPoint(theta=0.0)
+_EQUATOR = FieldPoint(theta=math.pi / 2)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -51,10 +56,16 @@ class SweepConfig:
         )
         if not self.j_values:
             raise ValueError("j_values must be nonempty")
+        if not all(map(math.isfinite, self.j_values)):
+            raise OutOfRange(f"j_values must be finite, got {self.j_values}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.method in ("dynamical", "trotter") and not self.velocities:
-            raise ValueError("ramp methods need at least one velocity")
+        if self.method in ("dynamical", "trotter"):
+            if not self.velocities:
+                raise ValueError("ramp methods need at least one velocity")
+            # each protocol checks its rate and the step count
+            for v in self.velocities:
+                QuenchProtocol(v_theta=v, steps=self.steps)
 
 
 @dataclass(frozen=True)
@@ -82,10 +93,10 @@ class PlateauStats:
 def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
     spec = replace(cfg.spec, coupling_j=j)
     method = cfg.method
-    gap = ground_gap(spec, FieldPoint(theta=0.0))
+    gap = ground_gap(spec, _POLE)
     try:
         if method == "spectral":
-            f = curvature_spectral(spec, FieldPoint(theta=math.pi / 2)).f_phitheta
+            f = curvature_spectral(spec, _EQUATOR).f_phitheta
             chern = 2.0 * f
         elif method in ("dynamical", "trotter"):
             ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter

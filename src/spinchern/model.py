@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,17 @@ import numpy as np
 from .errors import DimensionCap, OutOfRange
 
 _AXES = ("x", "y", "z")
+
+
+def _is_count(value) -> bool:
+    """True for a whole number (Python or numpy integer) that is not a bool.
+
+    A plain int is tested first: the ABC check costs about a microsecond,
+    and chain specs are built per row and per crossing candidate.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -54,8 +66,14 @@ class ChainSpec:
     max_spins: int = 10
 
     def __post_init__(self):
-        if self.n_spins < 1:
-            raise OutOfRange(f"n_spins must be >= 1, got {self.n_spins}")
+        if not (_is_count(self.n_spins) and self.n_spins >= 1):
+            raise OutOfRange(
+                f"n_spins must be a whole number >= 1, got {self.n_spins!r}"
+            )
+        if not _is_count(self.max_spins):
+            raise OutOfRange(
+                f"max_spins must be a whole number, got {self.max_spins!r}"
+            )
         if not math.isfinite(self.coupling_j):
             raise OutOfRange(f"coupling_j must be finite, got {self.coupling_j}")
 

@@ -29,13 +29,14 @@ from .model import (
     MoleculeSpec,
     _check_cap,
     _interaction_blocks,
+    _is_count,
     _pole_diagonals,
     _read_only,
     _z_diagonals,
     build_heisenberg,
 )
 from .qcore import PAULI, EigenSystem, expm_i, propagator
-from .quench import QuenchProtocol, QuenchResult, _ramp_result, theta_of_t
+from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
 from .spectral import (
     PoleSystem,
     _each_spin,
@@ -155,8 +156,7 @@ def _ramp_state(
     the bits of its single run; one (d, T) zgemm over the stack would
     not.
     """
-    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
-    angles = theta_of_t(protocol, midpoints)
+    angles = _midpoint_angles(protocol)
     m = _sector_data(pole.ground_state.size.bit_length() - 1).basis_m
     ground = _to_y_frame(pole.ground_state)
     if offsets is not None:
@@ -217,8 +217,8 @@ def perturbed_fidelity(
     """
     if not (math.isfinite(angle_error_deg) and angle_error_deg >= 0.0):
         raise OutOfRange("angle_error_deg must be nonnegative and finite")
-    if trials < 1:
-        raise OutOfRange("trials must be at least 1")
+    if not (_is_count(trials) and trials >= 1):
+        raise OutOfRange(f"trials must be a whole number >= 1, got {trials!r}")
     pole = _pole_system(spec)
     core_y = _core_in_y_frame(_trotter_core(spec, 1.0, protocol.step_time))
     bound = math.radians(angle_error_deg)

@@ -8,15 +8,22 @@ the proportionality constant.
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
-from .model import ChainSpec, FieldPoint, param_derivative, total_magnetization
+from .model import (
+    ChainSpec,
+    FieldPoint,
+    _is_count,
+    _read_only,
+    param_derivative,
+    total_magnetization,
+)
 from .spectral import PoleSystem, _each_spin, _pole_system, _rotate_y
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
@@ -43,8 +50,8 @@ class QuenchProtocol:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.v_theta) and self.v_theta > 0.0):
             raise OutOfRange(f"v_theta must be positive and finite, got {self.v_theta}")
-        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
-            raise OutOfRange(f"steps must be a whole number >= 1, got {self.steps}")
+        if not (_is_count(self.steps) and self.steps >= 1):
+            raise OutOfRange(f"steps must be a whole number >= 1, got {self.steps!r}")
 
     @property
     def total_time(self) -> float:
@@ -53,6 +60,11 @@ class QuenchProtocol:
     @property
     def step_time(self) -> float:
         return self.total_time / self.steps
+
+    @property
+    def final_angle(self) -> float:
+        """theta(T), with the arithmetic of ``theta_of_t`` but no window check."""
+        return self.v_theta**2 * self.total_time**2 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -90,15 +102,32 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
 
 
+def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
+    """theta at the midpoint (k + 1/2) dt of each step k."""
+    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
+    return theta_of_t(protocol, midpoints)
+
+
+# Real traffic needs few entries: a sweep uses one protocol per rate,
+# check_convergence adds the doubled-steps one and linear_zone_scan one
+# per rate it maps (the bench's ramp pass uses two, its pulse pass one).
+# 64 holds a scan over dozens of rates, and each entry is one 2x2 array.
+@functools.lru_cache(maxsize=64)
 def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
     """u = prod_k exp(i dt n_k . sigma), latest step leftmost, n_k the field
     direction at the midpoint of step k.
 
     Each step is the SU(2) matrix [[a, -b*], [b, a*]]; neighbouring steps
     are multiplied pairwise, all pairs at once, until one is left.
+
+    u depends only on the protocol, not on the chain or J, and building
+    it is most of an exact ramp at small N.  So it is cached per
+    (v_theta, steps), and every ramp with that protocol shares one
+    read-only u.  The cache keeps the 64 most recently used protocols, so
+    a scan over many rates cannot grow it further.
     """
     dt = protocol.step_time
-    theta = theta_of_t(protocol, (np.arange(protocol.steps) + 0.5) * dt)
+    theta = _midpoint_angles(protocol)
     a = math.cos(dt) + 1j * math.sin(dt) * np.cos(theta)
     b = 1j * math.sin(dt) * np.sin(theta)
     while a.size > 1:
@@ -106,7 +135,9 @@ def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
             a, b = np.append(a, 1.0), np.append(b, 0.0)
         a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
         a, b = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
+    u = np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
+    _read_only(u)
+    return u
 
 
 def _reduced_ramp(pole: PoleSystem, protocol: QuenchProtocol) -> np.ndarray:
@@ -120,7 +151,7 @@ def _ramp_result(
 ) -> QuenchResult:
     """Readout of a ramp's final state.  The adiabatic target is the
     rotated pole ground state, so no eigensolve is needed at the end."""
-    theta_final = theta_of_t(protocol, protocol.total_time)
+    theta_final = protocol.final_angle
     m_phi = math.sin(theta_final) * total_magnetization(psi, "y")
     target = _rotate_y(pole.ground_state, theta_final)
     return QuenchResult(

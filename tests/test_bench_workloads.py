@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+import spinchern.quench as quench
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SEED = 0
 
@@ -32,15 +34,29 @@ def _load_workloads():
 workloads = _load_workloads()
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_seed_zero_pass_matches_reference(workload, tmp_path):
+def _check_pass(workload, out_dir):
+    """Run one seed-0 pass and compare every task with the stored record."""
     with open(BENCH_DIR / "reference" / f"{workload}.json", encoding="utf-8") as fh:
         stored = json.load(fh)
     assert stored["seed"] == SEED
     tasks = workloads.generate(workload, SEED)
     assert len(stored["records"]) == len(tasks)
-    ctx = workloads.PassContext(out_dir=str(tmp_path))
+    ctx = workloads.PassContext(out_dir=str(out_dir))
     oracle = workloads.PoleOracle()
     for task, reference in zip(tasks, stored["records"]):
         record = workloads.check(task, workloads.call(task, ctx), ctx, oracle)
         assert workloads.compare(record, reference), (task.kind, task.n, task.args)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_seed_zero_pass_matches_reference(workload, tmp_path):
+    _check_pass(workload, tmp_path)
+
+
+def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
+    # The bench repeats passes in one process, so all but the first run
+    # every ramp on a cached free-spin product.
+    _check_pass("ramp", tmp_path)
+    warm = quench._free_spin_ramp.cache_info()
+    _check_pass("ramp", tmp_path)
+    assert quench._free_spin_ramp.cache_info().misses == warm.misses

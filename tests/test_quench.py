@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchern.model as model
+import spinchern.pulsesim as pulsesim
+import spinchern.quench as quench
+import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateGroundState,
@@ -16,6 +20,7 @@ from spinchern import (
     OutOfRange,
     QuenchProtocol,
     StepCountTooSmall,
+    SweepConfig,
     VelocityOutOfLinearZone,
     build_heisenberg,
     curvature_spectral,
@@ -24,10 +29,13 @@ from spinchern import (
     extract_curvature,
     generalized_force,
     linear_zone_scan,
+    perturbed_fidelity,
     pole_system,
+    run_sweep,
     simulate_protocol_trotter,
     theta_of_t,
 )
+from spinchern.lab import WORKERS_ENV
 from spinchern.quench import CONVERGENCE_TOL
 
 from _oracles import (
@@ -246,3 +254,109 @@ def test_eight_spin_ramp_matches_dense_oracle():
         assert np.max(np.abs(result.final_state - start * psi)) <= 1e-10
         assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
         assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
+
+
+# --- the free-spin product cache --------------------------------------------
+
+CACHES = (
+    model._z_diagonals,
+    model._pole_diagonals,
+    model._chain_operators,
+    spectral._sector_data,
+    pulsesim._exchange_system,
+    quench._free_spin_ramp,
+)
+
+
+def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
+    # Every row of every chain size shares the protocol, so only the
+    # first ramp misses the cache.  A rate no other test uses.
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    before = quench._free_spin_ramp.cache_info()
+    rows = []
+    for n in (2, 3, 4):
+        cfg = SweepConfig(
+            spec=ChainSpec(n, 0.0),
+            j_values=(-1.7, 0.8, 1.5),
+            method="dynamical",
+            velocities=(0.0937,),
+        )
+        rows += run_sweep(cfg)
+    after = quench._free_spin_ramp.cache_info()
+    assert len(rows) == 9 and all(row.converged for row in rows)
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == len(rows) - 1
+
+
+def test_warm_free_spin_product_is_the_uncached_one():
+    # Protocols that share a rate or a step count are distinct entries.
+    for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
+        quench._free_spin_ramp(proto)
+        warm = quench._free_spin_ramp(proto)
+        cold = quench._free_spin_ramp.__wrapped__(proto)
+        assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(v=st.floats(0.01, 10.0), steps=st.integers(1, 4000))
+def test_final_angle_is_theta_of_t_at_the_end(v, steps):
+    proto = QuenchProtocol(v, steps)
+    assert proto.final_angle == theta_of_t(proto, proto.total_time)
+
+
+def _assert_raises_before_any_cache_access(call):
+    before = [cache.cache_info() for cache in CACHES]
+    with pytest.raises(OutOfRange):
+        call()
+    assert [cache.cache_info() for cache in CACHES] == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: QuenchProtocol(0.1, steps=True), id="steps_bool"),
+        pytest.param(lambda: ChainSpec(2.5, 1.0), id="n_spins_fractional"),
+        pytest.param(lambda: ChainSpec(True, 1.0), id="n_spins_bool"),
+        pytest.param(
+            lambda: ChainSpec(3, 1.0, max_spins=2.5), id="max_spins_fractional"
+        ),
+        pytest.param(lambda: ChainSpec(3, 1.0, max_spins=True), id="max_spins_bool"),
+        pytest.param(
+            lambda: perturbed_fidelity(ChainSpec(3, 1.0), SLOW, 3.0, trials=2.5),
+            id="trials_fractional",
+        ),
+        pytest.param(
+            lambda: perturbed_fidelity(ChainSpec(3, 1.0), SLOW, 3.0, trials=True),
+            id="trials_bool",
+        ),
+        pytest.param(
+            lambda: SweepConfig(spec=ChainSpec(3, 0.0), j_values=(0.5, math.nan)),
+            id="sweep_j_nan",
+        ),
+    ],
+)
+def test_bad_counts_raise_before_any_cache_access(call):
+    # Unchecked, a fractional count failed later with a TypeError, a bool
+    # ran as 1, and a NaN coupling failed inside the first sweep row.
+    _assert_raises_before_any_cache_access(call)
+
+
+@pytest.mark.parametrize("method", ["dynamical", "trotter"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"velocities": (0.1, math.nan)}, id="velocity_nan"),
+        pytest.param({"velocities": (math.inf,)}, id="velocity_inf"),
+        pytest.param({"velocities": (-1.0,)}, id="velocity_negative"),
+        pytest.param({"steps": 0}, id="steps_zero"),
+        pytest.param({"steps": 2.5}, id="steps_fractional"),
+    ],
+)
+def test_bad_ramp_sweep_inputs_raise_before_any_cache_access(method, bad):
+    # Unchecked, these failed inside the first row, after its gap, or
+    # inside a pool worker.
+    _assert_raises_before_any_cache_access(
+        lambda: SweepConfig(
+            spec=ChainSpec(3, 0.0), j_values=(0.5,), method=method, **bad
+        )
+    )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import spinchern.model as model
 import spinchern.pulsesim as pulsesim
+import spinchern.quench as quench
 import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
@@ -343,6 +344,10 @@ def _fields(cached):
         pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
         pytest.param(
             lambda n: _fields(pulsesim._exchange_system(n)), id="exchange_system"
+        ),
+        pytest.param(
+            lambda n: [quench._free_spin_ramp(quench.QuenchProtocol(0.1 * n))],
+            id="free_spin_ramp",
         ),
     ],
 )
