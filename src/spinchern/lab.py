@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
-from .model import ChainSpec, FieldPoint
+from .model import ChainSpec, FieldPoint, _is_count
 from .pulsesim import simulate_protocol_trotter
 from .quench import QuenchProtocol, extract_curvature, evolve_quench
 from .spectral import chern_lattice, curvature_spectral, ground_gap
@@ -60,6 +60,13 @@ class SweepConfig:
             raise OutOfRange(f"j_values must be finite, got {self.j_values}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        grid = self.lattice_grid
+        if self.method == "lattice" and not (
+            len(grid) == 2 and all(_is_count(c) and c >= 1 for c in grid)
+        ):
+            raise OutOfRange(
+                f"lattice_grid must be two whole cell counts >= 1, got {grid!r}"
+            )
         if self.method in ("dynamical", "trotter"):
             if not self.velocities:
                 raise ValueError("ramp methods need at least one velocity")

@@ -102,16 +102,27 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
 
 
-def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
-    """theta at the midpoint (k + 1/2) dt of each step k."""
-    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
-    return theta_of_t(protocol, midpoints)
-
-
-# Real traffic needs few entries: a sweep uses one protocol per rate,
+# Real traffic needs few protocols: a sweep uses one per rate,
 # check_convergence adds the doubled-steps one and linear_zone_scan one
-# per rate it maps (the bench's ramp pass uses two, its pulse pass one).
-# 64 holds a scan over dozens of rates, and each entry is one 2x2 array.
+# per rate it maps (the bench's ramp pass uses two, its pulse pass one),
+# and a Trotter ramp or noisy-trial stack reads its caller's.  64 holds a
+# scan over dozens of rates.  An entry of _midpoint_angles is one float
+# per step (2.4 KB at 300 steps), one of _free_spin_ramp one 2x2 array.
+
+
+@functools.lru_cache(maxsize=64)
+def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
+    """theta at the midpoint (k + 1/2) dt of each step k, read-only.
+
+    Every Trotter ramp and every uncached free-spin product reads them,
+    so they are built once per protocol, like ``_free_spin_ramp``.
+    """
+    midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
+    angles = theta_of_t(protocol, midpoints)
+    _read_only(angles)
+    return angles
+
+
 @functools.lru_cache(maxsize=64)
 def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
     """u = prod_k exp(i dt n_k . sigma), latest step leftmost, n_k the field

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +29,7 @@ from .model import (
     _chain_operators,
     _check_cap,
     _interaction_blocks,
+    _is_count,
     _pole_diagonals,
     _read_only,
 )
@@ -297,7 +297,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     ``LATTICE_MAX_PHASE``, where a coarse grid can return a wrong integer.
     """
     n_theta, n_phi = grid
-    if not all(isinstance(cells, numbers.Integral) for cells in grid):
+    if not all(_is_count(cells) for cells in grid):
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} must count whole cells")
     if n_theta < 1 or n_phi < 1:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")

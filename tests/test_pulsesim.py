@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinchern.pulsesim as pulsesim
+import spinchern.quench as quench
 import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
@@ -189,6 +190,80 @@ def test_single_ramp_equals_its_stacked_run():
     stacked = pulsesim._ramp_state(pole, core_y, proto, np.zeros((proto.steps, 3)))
     assert stacked.shape == (3, 8, 1)
     assert all(np.array_equal(alone, psi[:, 0]) for psi in stacked)
+
+
+# Plateau cases whose ramps take the product path (2^n <= 8).
+PRODUCT_CASES = [case for case in PLATEAU_CASES if case[0] <= 3]
+
+
+@pytest.mark.parametrize("n, j", [(1, 1.0), (2, 0.75), (3, 0.8)])
+def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
+    # An odd step count, so every ramp peels its earliest step.
+    spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 151)
+    pole = pulsesim._pole_system(spec)
+    core_y = pulsesim._ramp_core(spec, proto)
+    offsets = np.random.default_rng(n).uniform(-0.1, 0.1, (proto.steps, 4))
+    offsets[:, 0] = 0.0
+    stacked = pulsesim._ramp_state(pole, core_y, proto, offsets)
+    assert np.array_equal(pulsesim._ramp_state(pole, core_y, proto), stacked[0, :, 0])
+    for t in range(1, 4):
+        alone = pulsesim._ramp_state(pole, core_y, proto, offsets[:, t : t + 1])
+        assert np.array_equal(alone[0], stacked[t])
+    worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=4)
+    singles = [
+        perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1) for k in range(4)
+    ]
+    assert worst == min(singles)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    case=st.sampled_from(PRODUCT_CASES),
+    v=st.sampled_from(RAMP_RATES),
+    steps=st.one_of(
+        st.integers(0, 60).map(lambda k: 2 * k + 1),
+        st.integers(pulsesim._PRODUCT_CHUNK + 1, pulsesim._PRODUCT_CHUNK + 64),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=(3, 0.8), v=0.1, steps=1, seed=0)
+@example(case=(3, -1.2), v=0.29, steps=2 * pulsesim._PRODUCT_CHUNK + 1, seed=1)
+def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
+    # Odd counts peel a step before the first round; past the chunk bound
+    # a ramp multiplies several products, the last of them maybe a
+    # single step.  Column 0 is the ideal ramp, column 1 a noisy one.
+    n, j = case
+    spec, proto = ChainSpec(n, j), QuenchProtocol(v, steps)
+    offsets = np.zeros((steps, 2))
+    offsets[:, 1] = np.random.default_rng(seed).uniform(-0.1, 0.1, steps)
+    pole = pulsesim._pole_system(spec)
+    core_y = pulsesim._ramp_core(spec, proto)
+    states = pulsesim._ramp_state(pole, core_y, proto, offsets)
+    for psi_y, column in zip(states, offsets.T):
+        psi = spectral._each_spin(pulsesim._Y_FRAME, psi_y[:, 0])
+        result = quench._ramp_result(pole, psi, proto)
+        psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True, offsets=column)
+        assert_same_state(result.final_state, psi)
+        assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
+        assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
+
+
+def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
+    # Single ramps and stacks of any width: products up to d = 8, the
+    # step loop from d = 16.
+    dims = []
+    product = pulsesim._step_product
+
+    def counted(core_y, *rest):
+        dims.append(core_y.shape[0])
+        return product(core_y, *rest)
+
+    monkeypatch.setattr(pulsesim, "_step_product", counted)
+    for n in (3, 4):
+        spec, proto = ChainSpec(n, 0.8), QuenchProtocol(0.1, 21)
+        simulate_protocol_trotter(spec, proto)
+        perturbed_fidelity(spec, proto, 5.0, trials=2)
+    assert dims == [8] * 4
 
 
 def test_perturbed_fidelity_validation():

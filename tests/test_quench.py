@@ -265,6 +265,7 @@ CACHES = (
     spectral._sector_data,
     pulsesim._exchange_system,
     quench._free_spin_ramp,
+    quench._midpoint_angles,
 )
 
 
@@ -295,6 +296,29 @@ def test_warm_free_spin_product_is_the_uncached_one():
         warm = quench._free_spin_ramp(proto)
         cold = quench._free_spin_ramp.__wrapped__(proto)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+
+
+def test_warm_midpoint_angles_are_the_uncached_ones():
+    for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
+        quench._midpoint_angles(proto)
+        warm = quench._midpoint_angles(proto)
+        cold = quench._midpoint_angles.__wrapped__(proto)
+        assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+
+
+def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
+    # Every row's ramp reads the angles of the one protocol; a rate no
+    # other test uses.
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    before = quench._midpoint_angles.cache_info()
+    cfg = SweepConfig(
+        spec=ChainSpec(3, 0.0), j_values=(-1.2, 0.8), method="trotter",
+        velocities=(0.0913,), steps=120,
+    )  # fmt: skip
+    assert len(run_sweep(cfg)) == 2
+    after = quench._midpoint_angles.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 1
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -339,6 +363,25 @@ def test_bad_counts_raise_before_any_cache_access(call):
     # Unchecked, a fractional count failed later with a TypeError, a bool
     # ran as 1, and a NaN coupling failed inside the first sweep row.
     _assert_raises_before_any_cache_access(call)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param((2.5, 3), id="fractional"),
+        pytest.param((True, 8), id="bool"),
+        pytest.param((0, 8), id="empty"),
+        pytest.param((24,), id="one_axis"),
+    ],
+)
+def test_bad_lattice_grids_raise_before_any_cache_access(grid):
+    # Unchecked, these failed inside the first row, after its gap, and a
+    # bool ran as one cell.
+    _assert_raises_before_any_cache_access(
+        lambda: SweepConfig(
+            spec=ChainSpec(2, 0.0), j_values=(0.5,), method="lattice", lattice_grid=grid
+        )
+    )
 
 
 @pytest.mark.parametrize("method", ["dynamical", "trotter"])

@@ -315,6 +315,7 @@ def test_size_cap_is_checked_before_any_cache_access(call):
             lambda s: find_crossings(s, (-2.0, math.inf)), id="interval_infinite_hi"
         ),
         pytest.param(lambda s: chern_lattice(s, (2.5, 3)), id="fractional_grid"),
+        pytest.param(lambda s: chern_lattice(s, (True, 8)), id="bool_grid"),
     ],
 )
 def test_bad_scan_inputs_raise_before_any_cache_access(call):
@@ -348,6 +349,10 @@ def _fields(cached):
         pytest.param(
             lambda n: [quench._free_spin_ramp(quench.QuenchProtocol(0.1 * n))],
             id="free_spin_ramp",
+        ),
+        pytest.param(
+            lambda n: [quench._midpoint_angles(quench.QuenchProtocol(0.1 * n))],
+            id="midpoint_angles",
         ),
     ],
 )
