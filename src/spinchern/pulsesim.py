@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateCouplings,
+    DegenerateGroundState,
     OutOfRange,
     UnphysicalDurations,
 )
@@ -120,20 +121,85 @@ _Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 # of the state dimension: this many steps of one ramp, fewer of a stack.
 _PHASE_CHUNK = 64
 
-# Largest state dimension at which a ramp multiplies its step matrices
-# together instead of applying them to the state one by one; the choice
-# depends on nothing else, so a ramp has the same bits alone or in a
-# stack.  Medians of 2000 alternating single 300-step ramps, product
-# against loop, on a 2-vCPU x86-64 VM with OpenBLAS 0.3.31 on one thread:
-# 0.16 vs 0.68 ms at d = 2, 0.20 vs 0.69 ms at d = 4 and 0.33 vs 0.76 ms
-# at d = 8, but 1.58 vs 0.87 ms at d = 16, where the d^3 products cost
-# more than the calls they save.
-_PRODUCT_MAX_DIM = 8
+# Largest mirror-sector dimension at which a ramp multiplies its step
+# matrices together instead of applying them to the state one by one;
+# the choice depends on nothing else, so a ramp has the same bits alone
+# or in a stack.  Medians of 1000 shuffled rounds of single 300-step
+# ramps, product against loop, on a 2-vCPU x86-64 VM with OpenBLAS
+# 0.3.31 on one thread: 0.41 vs 0.96 ms at d = 3, 0.38 vs 0.89 ms at
+# d = 6 and 0.62 vs 0.92 ms at d = 10, but 1.88 vs 1.08 ms at d = 20,
+# where the d^3 products cost more than the calls they save.  The
+# sectors of N <= 7 have no dimension between 10 and 20 but N = 5's odd
+# one, 12.
+_PRODUCT_MAX_DIM = 12
+
+# Consecutive steps multiplied into one group before the pairwise rounds.
+# In the same rounds, groups of 4 / 8 / 16 steps: 0.39 / 0.41 / 0.48 ms
+# at d = 3, 0.39 / 0.38 / 0.44 ms at d = 6, 0.78 / 0.62 / 0.60 ms at
+# d = 10.
+_GROUP_STEPS = 8
 
 # Steps whose matrices are built at once on the product path, whatever
-# the stack: at the peak 1.5 matrices of 16 d^2 bytes per step, 0.8 MB at
-# d = 8, and the default 300 steps are one chunk.
+# the stack: per step 16 d bytes of phases and 32 d^2 / L of group
+# products with their scaled copy, 0.4 MB at d = 12; the default 300
+# steps are one chunk.
 _PRODUCT_CHUNK = 512
+
+# --- mirror sectors ----------------------------------------------------------
+#
+# Mirror reflection of the open chain, site i <-> N-1-i, reverses the n
+# bits of a basis index.  The uniform chain's Hamiltonian commutes with
+# it, and so does the y frame, which has one factor per site; the split
+# step core, the M_z labels and so every step's phase are mirror
+# symmetric.  The gapped pole ground state is nondegenerate and has a
+# definite parity sigma = +-1, and a ramp never leaves that sector.
+#
+# A state of parity sigma is held by its entries x on the representatives
+# r = {b <= rev(b)}, palindromes dropped when sigma = -1; the full state is
+# full[r] = x, full[rev r] = sigma x.  On x the core acts as
+# C[r, r] + sigma C[r, rev r], the second term left out on palindromic
+# columns, whose partner is the column itself.
+
+# The ground state's parity is checked at run time to this norm.
+_PARITY_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_reversal(n_spins: int) -> np.ndarray:
+    """The basis index of each basis state's mirror image, read-only."""
+    index = np.arange(2**n_spins)
+    mirror = np.zeros_like(index)
+    for k in range(n_spins):
+        mirror |= ((index >> k) & 1) << (n_spins - 1 - k)
+    _read_only(mirror)
+    return mirror
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_sector(n_spins: int, parity: float):
+    """Representatives r of the sector of ``parity``, their mirror images
+    rev r, and the weight of each partner column in the sector core:
+    ``parity``, or 0 on palindromes.  All read-only."""
+    mirror = _bit_reversal(n_spins)
+    index = np.arange(mirror.size)
+    reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
+    partners = mirror[reps]
+    weights = np.where(partners == reps, 0.0, parity)
+    _read_only(reps, partners, weights)
+    return reps, partners, weights
+
+
+def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
+    """sigma of a state with state[rev b] = sigma state[b] for every b."""
+    mirrored = state[_bit_reversal(n_spins)]
+    parity = 1.0 if np.vdot(state, mirrored).real >= 0.0 else -1.0
+    defect = float(np.linalg.norm(mirrored - parity * state))
+    if not defect <= _PARITY_TOL:
+        raise DegenerateGroundState(
+            f"pole ground state has no definite mirror parity "
+            f"(defect {defect:.3e}), so it is degenerate"
+        )
+    return parity
 
 
 def _to_y_frame(x: np.ndarray) -> np.ndarray:
@@ -158,30 +224,36 @@ def _step_product(
     """The state psi after the steps P_k core_y, k in order, with P_k the
     diagonal phase exp(-i deltas[k] m / 2).
 
-    The step matrices are multiplied pairwise, later step on the left,
-    one batched matmul per round, until one is left; a round with an odd
-    count first applies its earliest matrix to psi.  The first round's
-    pairs P_{2i+1} C P_{2i} C share their right factor C = core_y, so
-    that round is one product of all the C P_{2i}, stacked, with C, and
-    one row scaling by P_{2i+1}.
+    Per chunk the earliest S mod L steps of its S are applied to psi one
+    by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
+    consecutive steps, all built at once from the left: G = P_last C,
+    then G <- (G P_k) C down to the group's earliest step, one stacked
+    (groups d, d) product with C = core_y per step.  The group products
+    are multiplied pairwise, later group on the left, one batched matmul
+    per round, until one is left; a round with an odd count first
+    applies its earliest product to psi.
     """
     d = m.size
     for start in range(0, deltas.size, _PRODUCT_CHUNK):
         phases = np.exp(
             -0.5j * np.multiply.outer(deltas[start : start + _PRODUCT_CHUNK], m)
         )
-        if len(phases) % 2:
-            psi = phases[0] * core_y.dot(psi)
-            phases = phases[1:]
-        left = core_y * phases[0::2, None, :]
-        mats = phases[1::2, :, None] * left.reshape(-1, d).dot(core_y).reshape(-1, d, d)
+        peel = len(phases) % _GROUP_STEPS
+        for phase in phases[:peel]:
+            psi = phase * core_y.dot(psi)
+        if peel == len(phases):
+            continue
+        groups = phases[peel:].reshape(-1, _GROUP_STEPS, d)
+        mats = groups[:, -1, :, None] * core_y
+        for k in range(_GROUP_STEPS - 2, -1, -1):
+            scaled = mats * groups[:, k, None, :]
+            mats = scaled.reshape(-1, d).dot(core_y).reshape(-1, d, d)
         while len(mats) > 1:
             if len(mats) % 2:
                 psi = mats[0].dot(psi)
                 mats = mats[1:]
             mats = mats[1::2] @ mats[0::2]
-        for product in mats:  # none left if the chunk was a single step
-            psi = product.dot(psi)
+        psi = mats[0].dot(psi)
     return psi
 
 
@@ -203,41 +275,61 @@ def _ramp_state(
     Each ramp keeps its own arithmetic, so its state has the same bits
     in any stack.
 
-    At these sizes a step costs call dispatch, not flops.  Up to
-    ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies its step matrices
-    together (``_step_product``), each ramp of a stack on its own, and
-    applies the product by one mat-vec.  Above it every step is one
-    mat-vec and one phase.  A single ramp takes its mat-vec through
-    ``ndarray.dot``, one zgemv without the dispatch of the ``matmul``
-    ufunc.  A stack keeps the broadcast ``core_y @ psi``, which is one
-    zgemv per ramp and so gives each ramp the bits of its single run;
-    one (d, T) zgemm over the stack would not.
+    The ramp runs on the representatives of the pole ground state's
+    mirror sector, about half the basis, and the full state is unfolded
+    from them at the end.  A ground state without a definite parity is
+    degenerate and raises ``DegenerateGroundState``.
+
+    At these sizes a step costs call dispatch, not flops.  Up to a
+    sector dimension of ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies
+    its step matrices together (``_step_product``), each ramp of a stack
+    on its own, and applies the product by one mat-vec.  Above it every
+    step is one mat-vec and one phase.  A single ramp takes its mat-vec
+    through ``ndarray.dot``, one zgemv without the dispatch of the
+    ``matmul`` ufunc.  A stack keeps the broadcast ``core_y @ psi``,
+    which is one zgemv per ramp and so gives each ramp the bits of its
+    single run; one (d, T) zgemm over the stack would not.
     """
     angles = _midpoint_angles(protocol)
-    m = _sector_data(pole.ground_state.size.bit_length() - 1).basis_m
+    n_spins = pole.ground_state.size.bit_length() - 1
     ground = _to_y_frame(pole.ground_state)
+    parity = _mirror_parity(ground, n_spins)
+    reps, partners, weights = _mirror_sector(n_spins, parity)
+    rows = core_y[reps]
+    core_y = rows[:, reps] + rows[:, partners] * weights
+    m = _sector_data(n_spins).basis_m[reps]
+    ground = ground[reps]
     if offsets is not None:
         angles = angles[:, None] + offsets
         m, ground = m[:, None], ground[:, None]
     psi = np.exp(0.5j * np.multiply.outer(angles[0], m)) * ground
     deltas = angles.copy()
     deltas[:-1] -= angles[1:]
-    if core_y.shape[0] <= _PRODUCT_MAX_DIM:
+    if reps.size <= _PRODUCT_MAX_DIM:
         if offsets is None:
-            return _step_product(core_y, m, deltas, psi)
-        for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-            ramp[:] = _step_product(core_y, m[:, 0], ramp_deltas, ramp)
-        return psi
-    chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
-    for start in range(0, protocol.steps, chunk):
-        phases = np.exp(-0.5j * np.multiply.outer(deltas[start : start + chunk], m))
-        if offsets is None:
-            for phase in phases:
-                psi = phase * core_y.dot(psi)
+            psi = _step_product(core_y, m, deltas, psi)
         else:
-            for phase in phases:
-                psi = phase * (core_y @ psi)
-    return psi
+            for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
+                ramp[:] = _step_product(core_y, m[:, 0], ramp_deltas, ramp)
+    else:
+        chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
+        for start in range(0, protocol.steps, chunk):
+            phases = np.exp(
+                -0.5j * np.multiply.outer(deltas[start : start + chunk], m)
+            )
+            if offsets is None:
+                for phase in phases:
+                    psi = phase * core_y.dot(psi)
+            else:
+                for phase in phases:
+                    psi = phase * (core_y @ psi)
+    # full[r] = x and full[rev r] = sigma x, one row per ramp; palindromes
+    # are zero when sigma = -1
+    sector = psi.reshape(-1, reps.size)
+    full = np.zeros((len(sector), 2**n_spins), dtype=complex)
+    full[:, partners] = parity * sector
+    full[:, reps] = sector
+    return full[0] if offsets is None else full[:, :, None]
 
 
 def simulate_protocol_trotter(

@@ -14,6 +14,7 @@ import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateCouplings,
+    DegenerateGroundState,
     DimensionCap,
     Delay,
     FieldPoint,
@@ -28,6 +29,7 @@ from spinchern import (
     effective_uniform_coupling,
     evolve_quench,
     expm_i,
+    find_crossings,
     perturbed_fidelity,
     program_from_json,
     program_to_json,
@@ -136,8 +138,6 @@ def test_trotter_protocol_step_doubling_drift():
 
 
 def test_trotter_protocol_degenerate_start():
-    from spinchern import DegenerateGroundState
-
     with pytest.raises(DegenerateGroundState):
         simulate_protocol_trotter(ChainSpec(2, -0.5), PROTO)
 
@@ -192,13 +192,18 @@ def test_single_ramp_equals_its_stacked_run():
     assert all(np.array_equal(alone, psi[:, 0]) for psi in stacked)
 
 
-# Plateau cases whose ramps take the product path (2^n <= 8).
-PRODUCT_CASES = [case for case in PLATEAU_CASES if case[0] <= 3]
+# Plateau cases at N <= 5.  Their ramps take the product path up to N = 4
+# and the step loop at N = 5; (2, -1.25) and (4, -0.5) start in the odd
+# mirror sector, the rest in the even one.
+PRODUCT_CASES = [case for case in PLATEAU_CASES if case[0] <= 5]
 
 
-@pytest.mark.parametrize("n, j", [(1, 1.0), (2, 0.75), (3, 0.8)])
+@pytest.mark.parametrize(
+    "n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (4, -0.5), (5, 0.86)]
+)
 def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
-    # An odd step count, so every ramp peels its earliest step.
+    # 151 steps are no multiple of the group length, so every product
+    # ramp first applies its earliest steps one by one.
     spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 151)
     pole = pulsesim._pole_system(spec)
     core_y = pulsesim._ramp_core(spec, proto)
@@ -216,22 +221,29 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
     assert worst == min(singles)
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=16, derandomize=True, deadline=None)
 @given(
     case=st.sampled_from(PRODUCT_CASES),
     v=st.sampled_from(RAMP_RATES),
     steps=st.one_of(
-        st.integers(0, 60).map(lambda k: 2 * k + 1),
+        st.integers(1, 121),
         st.integers(pulsesim._PRODUCT_CHUNK + 1, pulsesim._PRODUCT_CHUNK + 64),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(case=(3, 0.8), v=0.1, steps=1, seed=0)
+@example(case=(4, -0.5), v=0.1, steps=pulsesim._GROUP_STEPS + 3, seed=2)
+@example(case=(2, -1.25), v=2.0, steps=3 * pulsesim._GROUP_STEPS, seed=3)
 @example(case=(3, -1.2), v=0.29, steps=2 * pulsesim._PRODUCT_CHUNK + 1, seed=1)
+@example(case=(4, 0.85), v=0.05, steps=pulsesim._PRODUCT_CHUNK + 5, seed=4)
+@example(case=(5, -0.36), v=0.1, steps=pulsesim._PRODUCT_CHUNK + 3, seed=5)
 def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
-    # Odd counts peel a step before the first round; past the chunk bound
-    # a ramp multiplies several products, the last of them maybe a
-    # single step.  Column 0 is the ideal ramp, column 1 a noisy one.
+    # The oracle runs in the full 2^n space, so it checks the restriction
+    # to the mirror sector too.  A count that is no multiple of the group
+    # length applies its earliest steps one by one, and one shorter than
+    # a group has no product at all; past the chunk bound a ramp
+    # multiplies several products.  Column 0 is the ideal ramp, column 1
+    # a noisy one.
     n, j = case
     spec, proto = ChainSpec(n, j), QuenchProtocol(v, steps)
     offsets = np.zeros((steps, 2))
@@ -249,8 +261,9 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
 
 
 def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
-    # Single ramps and stacks of any width: products up to d = 8, the
-    # step loop from d = 16.
+    # Single ramps and stacks of any width, by the dimension of the
+    # ground state's mirror sector: products up to 12, the step loop at
+    # N = 5's even sector of 20.
     dims = []
     product = pulsesim._step_product
 
@@ -259,11 +272,46 @@ def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
         return product(core_y, *rest)
 
     monkeypatch.setattr(pulsesim, "_step_product", counted)
-    for n in (3, 4):
-        spec, proto = ChainSpec(n, 0.8), QuenchProtocol(0.1, 21)
+    for n, j in [(2, -1.25), (3, 0.8), (4, -0.5), (4, 0.85), (5, 0.86)]:
+        spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 21)
         simulate_protocol_trotter(spec, proto)
         perturbed_fidelity(spec, proto, 5.0, trials=2)
-    assert dims == [8] * 4
+    assert dims == [1] * 4 + [6] * 4 + [6] * 4 + [10] * 4
+
+
+def test_mixed_mirror_parity_start_is_degenerate():
+    # A pole ground state with no definite mirror parity can only come
+    # from a degenerate level; the ramp refuses it before any step.
+    spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 21)
+    pole = pulsesim._pole_system(spec)
+    core_y = pulsesim._ramp_core(spec, proto)
+    kick = np.zeros(8, dtype=complex)
+    kick[0b001], kick[0b100] = 1e-6, -1e-6  # odd, the ground state is even
+    mixed = pole.ground_state + kick
+    mixed /= np.linalg.norm(mixed)
+    bad = spectral.PoleSystem(pole.values, pole.sectors, mixed)
+    with pytest.raises(DegenerateGroundState):
+        pulsesim._ramp_state(bad, core_y, proto)
+    with pytest.raises(DegenerateGroundState):
+        pulsesim._ramp_state(bad, core_y, proto, np.zeros((proto.steps, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_mirror_sectors_split_the_basis(n):
+    # 2^ceil(n/2) palindromes; the even sector holds them and one of each
+    # mirror pair, the odd sector one of each pair.
+    pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
+    mirror = pulsesim._bit_reversal(n)
+    assert np.array_equal(mirror[mirror], np.arange(2**n))
+    even, even_partners, even_weights = pulsesim._mirror_sector(n, 1.0)
+    odd, odd_partners, odd_weights = pulsesim._mirror_sector(n, -1.0)
+    assert even.size == 2 ** ((n + 1) // 2) + pairs and odd.size == pairs
+    assert np.array_equal(np.union1d(even, even_partners), np.arange(2**n))
+    assert np.array_equal(
+        np.union1d(odd, odd_partners), np.flatnonzero(mirror != np.arange(2**n))
+    )
+    assert np.array_equal(even_weights, (even != even_partners).astype(float))
+    assert np.all(odd_weights == -1.0)
 
 
 def test_perturbed_fidelity_validation():
@@ -610,6 +658,44 @@ def test_y_frame_diagonalises_rotations_and_keeps_the_exchange(n, delta):
     m = spectral._sector_data(n).basis_m
     rotated = frame.conj().T @ collective_ry(n, delta) @ frame
     assert np.max(np.abs(rotated - np.diag(np.exp(-0.5j * delta * m)))) <= 1e-12
+
+
+@st.composite
+def plateau_chains(draw):
+    """A chain of 1-7 spins with J inside any plateau of its pole ground
+    sector in [-2, 2], kept a tenth of the plateau from its crossings."""
+    n = draw(st.integers(1, 7))
+    edges = [-2.0, *find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0)), 2.0]
+    k = draw(st.integers(0, len(edges) - 2))
+    t = draw(st.floats(0.1, 0.9))
+    return ChainSpec(n, edges[k] + t * (edges[k + 1] - edges[k]))
+
+
+# The mirror sector restriction of ``_ramp_state`` rests on these three
+# facts about bit reversal, the mirror reflection of the open chain.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=plateau_chains(), v=st.sampled_from(RAMP_RATES))
+def test_bit_reversal_commutes_with_the_y_frame_core(spec, v):
+    mirror = pulsesim._bit_reversal(spec.n_spins)
+    core_y = pulsesim._ramp_core(spec, QuenchProtocol(v, ORACLE_STEPS))
+    assert np.max(np.abs(core_y[np.ix_(mirror, mirror)] - core_y)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bit_reversal_keeps_the_m_labels(n):
+    basis_m = spectral._sector_data(n).basis_m
+    assert np.array_equal(basis_m[pulsesim._bit_reversal(n)], basis_m)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=plateau_chains())
+def test_pole_ground_state_has_a_mirror_parity(spec):
+    mirror = pulsesim._bit_reversal(spec.n_spins)
+    ground = pulsesim._pole_system(spec).ground_state
+    for state in (ground, pulsesim._to_y_frame(ground)):
+        parity = np.vdot(state, state[mirror]).real
+        assert abs(abs(parity) - 1.0) <= 1e-12
+        assert np.max(np.abs(state[mirror] - np.sign(parity) * state)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, j", PLATEAU_CASES)

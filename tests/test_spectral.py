@@ -354,6 +354,14 @@ def _fields(cached):
             lambda n: [quench._midpoint_angles(quench.QuenchProtocol(0.1 * n))],
             id="midpoint_angles",
         ),
+        pytest.param(lambda n: [pulsesim._bit_reversal(n)], id="bit_reversal"),
+        pytest.param(
+            lambda n: [
+                *pulsesim._mirror_sector(n, 1.0),
+                *pulsesim._mirror_sector(n, -1.0),
+            ],
+            id="mirror_sector",
+        ),
     ],
 )
 def test_cached_arrays_are_read_only(cached):
