@@ -26,21 +26,16 @@ from .model import (
     FieldPoint,
     MoleculeSpec,
     build_heisenberg,
-    build_nmr_hamiltonian,
     field_cartesian,
     param_derivative,
     total_magnetization,
 )
-from .qcore import EigenSystem, eigh, expm_i, kron_all, propagate, site_operator
+from .qcore import EigenSystem, eigh, expm_i
 from .spectral import (
-    ChernResult,
     CurvatureSample,
     PoleSystem,
     chern_integral,
     chern_lattice,
-    chern_meridian,
-    chern_result,
-    curvature_profile,
     curvature_spectral,
     find_crossings,
     ground_gap,
@@ -51,7 +46,6 @@ from .quench import (
     QuenchResult,
     evolve_quench,
     extract_curvature,
-    generalized_force,
     linear_zone_scan,
     theta_of_t,
 )
@@ -106,28 +100,20 @@ __all__ = [
     "EigenSystem",
     "eigh",
     "expm_i",
-    "kron_all",
-    "propagate",
-    "site_operator",
     # model
     "ChainSpec",
     "FieldPoint",
     "MoleculeSpec",
     "build_heisenberg",
-    "build_nmr_hamiltonian",
     "field_cartesian",
     "param_derivative",
     "total_magnetization",
     # spectral topology
     "CurvatureSample",
-    "ChernResult",
     "PoleSystem",
     "curvature_spectral",
-    "curvature_profile",
     "chern_integral",
-    "chern_meridian",
     "chern_lattice",
-    "chern_result",
     "find_crossings",
     "ground_gap",
     "pole_system",
@@ -136,7 +122,6 @@ __all__ = [
     "QuenchResult",
     "evolve_quench",
     "extract_curvature",
-    "generalized_force",
     "linear_zone_scan",
     "theta_of_t",
     # pulse realization

@@ -19,9 +19,9 @@ import numpy as np
 from ._version import __version__
 from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
 from .model import ChainSpec, FieldPoint, _is_count
-from .pulsesim import simulate_protocol_trotter
-from .quench import QuenchProtocol, extract_curvature, evolve_quench
-from .spectral import chern_lattice, curvature_spectral, ground_gap
+from .pulsesim import _simulate_protocol_trotter
+from .quench import QuenchProtocol, _evolve_quench, extract_curvature
+from .spectral import _chern_lattice, _require_gap, curvature_spectral, pole_system
 
 METHODS = ("dynamical", "spectral", "lattice", "trotter")
 
@@ -31,7 +31,7 @@ WORKERS_ENV = "SPINCHERN_WORKERS"
 # Half the minimal plateau spacing; robust to ramp-method noise ~0.02.
 JUMP_THRESHOLD = 0.25
 
-# Every row reads the gap at the pole and the spectral curvature at the
+# A row checks the gap at the pole or reads the spectral curvature at the
 # equator; built once, since a field point checks its angles.
 _POLE = FieldPoint(theta=0.0)
 _EQUATOR = FieldPoint(theta=math.pi / 2)
@@ -100,39 +100,33 @@ class PlateauStats:
 def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
     spec = replace(cfg.spec, coupling_j=j)
     method = cfg.method
-    gap = ground_gap(spec, _POLE)
+    # The row's one pole system gives the gap and starts its ramps or grid.
+    pole = pole_system(spec)
+    converged = True
     try:
         if method == "spectral":
             f = curvature_spectral(spec, _EQUATOR).f_phitheta
-            chern = 2.0 * f
-        elif method in ("dynamical", "trotter"):
-            ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
-            results = [
-                ramp(spec, QuenchProtocol(v_theta=v, steps=cfg.steps))
-                for v in cfg.velocities
-            ]
-            f = extract_curvature(results)
-            chern = 2.0 * f
         else:
-            integer = chern_lattice(spec, cfg.lattice_grid)
-            chern = float(integer)
-            f = 0.5 * chern
+            _require_gap(pole.ground_gap, _POLE)
+            if method == "lattice":
+                f = 0.5 * _chern_lattice(spec, pole, cfg.lattice_grid)
+            else:
+                protocols = [QuenchProtocol(v, cfg.steps) for v in cfg.velocities]
+                if method == "dynamical":
+                    results = [_evolve_quench(pole, p) for p in protocols]
+                else:
+                    trotter = _simulate_protocol_trotter
+                    results = [trotter(spec, pole, p) for p in protocols]
+                f = extract_curvature(results)
     except DegenerateGroundState:
-        return SweepRow(
-            j=j,
-            f_phitheta=math.nan,
-            chern=math.nan,
-            gap_at_pole=gap,
-            method=method,
-            converged=False,
-        )
+        f, converged = math.nan, False
     return SweepRow(
         j=j,
         f_phitheta=float(f),
-        chern=float(chern),
-        gap_at_pole=gap,
+        chern=2.0 * float(f),
+        gap_at_pole=pole.ground_gap,
         method=method,
-        converged=True,
+        converged=converged,
     )
 
 
@@ -307,5 +301,9 @@ def import_results(path) -> list[SweepRow]:
 
 def default_j_grid(step: float = 0.05, lo: float = -2.0, hi: float = 2.0) -> tuple:
     """The standard coupling grid bracketing every crossing for N <= 4."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise OutOfRange(f"grid step must be positive and finite, got {step}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise OutOfRange(f"grid ends must be finite with lo <= hi, got [{lo}, {hi}]")
     count = int(round((hi - lo) / step)) + 1
     return tuple(float(j) for j in np.linspace(lo, hi, count))

@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,19 +256,3 @@ def total_magnetization(psi: np.ndarray, axis: str) -> float:
     totals, _ = _chain_operators(n_spins)
     return float(np.real(np.vdot(psi, totals[axis].dot(psi))))
 
-
-def build_nmr_hamiltonian(m: MoleculeSpec) -> np.ndarray:
-    """Natural NMR Hamiltonian: shift and weak-coupling zz terms.
-
-    H = sum_i (w_i/2) sigma_z^i + sum_{i<j} (pi J_ij/2) sigma_z^i sigma_z^j,
-    diagonal in the computational basis.  Coefficients are taken
-    exactly as supplied (shifts and couplings in Hz).
-    """
-    n = m.n_spins
-    z = _z_diagonals(n)
-    diag = np.zeros(2**n)
-    for i in range(n):
-        diag += 0.5 * m.shifts_hz[i] * z[i]
-        for j in range(i + 1, n):
-            diag += 0.5 * math.pi * m.couplings_hz[i, j] * z[i] * z[j]
-    return np.diag(diag.astype(complex))

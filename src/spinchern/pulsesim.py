@@ -337,7 +337,14 @@ def simulate_protocol_trotter(
 ) -> QuenchResult:
     """Trotterized counterpart of the exact ramp: the same pole system and
     readout, with rotations around the split step core."""
-    pole = _pole_system(spec)
+    return _simulate_protocol_trotter(spec, _pole_system(spec), protocol)
+
+
+def _simulate_protocol_trotter(
+    spec: ChainSpec, pole: PoleSystem, protocol: QuenchProtocol
+) -> QuenchResult:
+    """``simulate_protocol_trotter`` from the gapped unit-field pole
+    system of ``spec``."""
     psi = _each_spin(_Y_FRAME, _ramp_state(pole, _ramp_core(spec, protocol), protocol))
     return _ramp_result(pole, psi, protocol)
 

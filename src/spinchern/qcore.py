@@ -1,8 +1,8 @@
 """Dense complex linear algebra substrate.
 
-Pauli operators, tensor products, Hermitian eigendecomposition and
-unitary matrix exponentials.  All matrices are plain ``numpy.ndarray``
-of dtype complex128; states are one-dimensional complex arrays.
+Pauli operators, Hermitian eigendecomposition and unitary matrix
+exponentials.  All matrices are plain ``numpy.ndarray`` of dtype
+complex128; states are one-dimensional complex arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import NotHermitian
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
@@ -39,28 +38,6 @@ class EigenSystem:
     @property
     def ground_gap(self) -> float:
         return float(self.values[1] - self.values[0])
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two square operators."""
-    return np.kron(a, b)
-
-
-def kron_all(ops) -> np.ndarray:
-    """Tensor product of a sequence of operators, left to right."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def site_operator(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
-    """Embed a single-spin operator at ``site`` of an ``n_spins`` register."""
-    if not 0 <= site < n_spins:
-        raise ValueError(f"site {site} outside register of {n_spins} spins")
-    ops = [IDENTITY_2] * n_spins
-    ops[site] = op
-    return kron_all(ops)
 
 
 def _symmetrized(h: np.ndarray) -> np.ndarray:
@@ -106,9 +83,3 @@ def propagator(system: EigenSystem, t: float) -> np.ndarray:
     """Unitary exp(-i h t) given the eigensystem of ``h``."""
     phases = np.exp(-1j * system.values * t)
     return (system.vectors * phases).dot(system.vectors.conj().T)
-
-
-def propagate(system: EigenSystem, t: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i h t) to a state given the eigensystem of ``h``."""
-    amplitudes = system.vectors.conj().T @ psi
-    return system.vectors @ (np.exp(-1j * system.values * t) * amplitudes)

@@ -16,14 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
-from .model import (
-    ChainSpec,
-    FieldPoint,
-    _is_count,
-    _read_only,
-    param_derivative,
-    total_magnetization,
-)
+from .model import ChainSpec, _is_count, _read_only, total_magnetization
 from .spectral import PoleSystem, _each_spin, _pole_system, _rotate_y
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
@@ -188,9 +181,14 @@ def evolve_quench(
     rejected if the transverse magnetization moves by more than
     ``CONVERGENCE_TOL``.
     """
-    pole = _pole_system(spec)
-    result = _ramp_result(pole, _reduced_ramp(pole, protocol), protocol)
+    return _evolve_quench(_pole_system(spec), protocol, check_convergence)
 
+
+def _evolve_quench(
+    pole: PoleSystem, protocol: QuenchProtocol, check_convergence: bool = False
+) -> QuenchResult:
+    """``evolve_quench`` from the chain's gapped unit-field pole system."""
+    result = _ramp_result(pole, _reduced_ramp(pole, protocol), protocol)
     if check_convergence:
         fine = replace(protocol, steps=2 * protocol.steps)
         fine_m_phi = _ramp_result(pole, _reduced_ramp(pole, fine), fine).m_phi
@@ -201,11 +199,6 @@ def evolve_quench(
                 f"increase steps beyond {protocol.steps}"
             )
     return result
-
-
-def generalized_force(spec: ChainSpec, p: FieldPoint, state: np.ndarray) -> float:
-    """Expectation of -dH/dphi, the observable conjugate to the azimuth."""
-    return float(-np.real(np.vdot(state, param_derivative(spec, p, "phi") @ state)))
 
 
 def extract_curvature(results) -> float:

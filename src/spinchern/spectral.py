@@ -66,15 +66,6 @@ class CurvatureSample:
 
 
 @dataclass(frozen=True)
-class ChernResult:
-    """First Chern number computed three ways for cross-validation."""
-
-    integral_value: float
-    lattice_integer: int
-    reduced_value: float
-
-
-@dataclass(frozen=True)
 class PoleSystem:
     """Ascending pole levels, the M_z sector of each, and the ground state."""
 
@@ -242,16 +233,6 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
     return CurvatureSample(point=p, f_phitheta=float(terms.sum()), gap=gap)
 
 
-def curvature_profile(spec: ChainSpec, thetas) -> list[CurvatureSample]:
-    """Curvature samples along the phi=0 meridian."""
-    return [curvature_spectral(spec, FieldPoint(theta=t)) for t in thetas]
-
-
-def _gauss_theta_nodes(n_theta: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
-
-
 def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
     """First Chern number as the curvature integral over the field sphere.
 
@@ -260,7 +241,9 @@ def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
     modest grids reach quadrature-exact results.
     """
     n_theta, n_phi = grid
-    thetas, weights = _gauss_theta_nodes(n_theta)
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    thetas = 0.5 * math.pi * (nodes + 1.0)
+    weights = 0.5 * math.pi * weights
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     total = 0.0
     for theta, w in zip(thetas, weights):
@@ -270,19 +253,6 @@ def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
         )
         total += w * row * (2.0 * math.pi / n_phi)
     return total / (2.0 * math.pi)
-
-
-def chern_meridian(spec: ChainSpec, n_theta: int = 64) -> float:
-    """Chern number via the rotational-invariance shortcut.
-
-    The isotropic interaction makes the curvature phi-independent, so
-    the sphere integral collapses to a single meridian integral.
-    """
-    thetas, weights = _gauss_theta_nodes(n_theta)
-    values = [
-        curvature_spectral(spec, FieldPoint(theta=t)).f_phitheta for t in thetas
-    ]
-    return float(np.dot(weights, values))
 
 
 def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
@@ -301,10 +271,16 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} must count whole cells")
     if n_theta < 1 or n_phi < 1:
         raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
-    system = _pole_system(spec)
+    return _chern_lattice(spec, _pole_system(spec), grid)
+
+
+def _chern_lattice(spec: ChainSpec, pole: PoleSystem, grid: tuple[int, int]) -> int:
+    """``chern_lattice`` on a checked grid, from the gapped unit-field
+    pole system of ``spec``."""
+    n_theta, n_phi = grid
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
-    rows = np.array([_rotate_y(system.ground_state, t) for t in thetas])
+    rows = np.array([_rotate_y(pole.ground_state, t) for t in thetas])
     phases = np.exp(-0.5j * np.outer(phis, _sectors(spec).basis_m))
     states = rows[:, None, :] * phases[None, :, :]  # [theta, phi, basis]
     # <(i,k)|(i+1,k)> and <(i,k)|(i,k+1)>
@@ -321,16 +297,6 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
             f"phase {phase:.3g} (needs <= {LATTICE_MAX_PHASE:.3g})"
         )
     return int(round(angles.sum() / (2.0 * math.pi)))
-
-
-def chern_result(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> ChernResult:
-    """All three Chern estimates bundled for cross-validation."""
-    equator = curvature_spectral(spec, FieldPoint(theta=math.pi / 2))
-    return ChernResult(
-        integral_value=chern_integral(spec),
-        lattice_integer=chern_lattice(spec, grid),
-        reduced_value=2.0 * equator.f_phitheta,
-    )
 
 
 def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[float]:

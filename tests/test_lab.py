@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spinchern import (
     ChainSpec,
     LengthMismatch,
+    OutOfRange,
     PlateauStats,
     SpinChernError,
     SweepConfig,
@@ -390,6 +391,29 @@ def test_cli_spectrum_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "j,e0,e1,e2,e3"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "step, lo, hi",
+    [
+        (0.0, -2.0, 2.0),
+        (-0.1, -2.0, 2.0),
+        (math.nan, -2.0, 2.0),
+        (math.inf, -2.0, 2.0),
+        (0.05, math.inf, 2.0),
+        (0.05, -2.0, math.nan),
+        (0.05, 1.0, -1.0),
+    ],
+)
+def test_bad_j_grid_is_rejected_before_any_work(step, lo, hi, capsys):
+    with pytest.raises(OutOfRange):
+        default_j_grid(step=step, lo=lo, hi=hi)
+    flags = [f"--j-step={step}", f"--j-min={lo}", f"--j-max={hi}"]
+    for command in ("spectrum", "sweep"):
+        assert cli_main([command, "--n", "2", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ")
 
 
 def test_cli_pulse_compile_and_verify(tmp_path, capsys):

@@ -16,7 +16,6 @@ from spinchern import (
     MoleculeSpec,
     OutOfRange,
     build_heisenberg,
-    build_nmr_hamiltonian,
     eigh,
     field_cartesian,
     param_derivative,
@@ -233,17 +232,3 @@ def test_shipped_molecule_files(molecule2, molecule3, molecule4):
     assert molecule3.couplings_hz[0, 1] == 100.0
     assert molecule3.couplings_hz[1, 2] == -50.0
 
-
-def test_nmr_hamiltonian_two_spins():
-    m = MoleculeSpec(
-        labels=("a", "b"),
-        shifts_hz=np.array([10.0, -4.0]),
-        couplings_hz=np.array([[0.0, 8.0], [8.0, 0.0]]),
-    )
-    h = build_nmr_hamiltonian(m)
-    w1, w2, pj2 = 5.0, -2.0, math.pi * 4.0
-    expected = np.diag(
-        [w1 + w2 + pj2, w1 - w2 - pj2, -w1 + w2 - pj2, -w1 - w2 + pj2]
-    ).astype(complex)
-    assert np.allclose(h, expected)
-    assert np.allclose(h, np.diag(np.diag(h)))

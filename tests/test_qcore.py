@@ -12,12 +12,9 @@ from spinchern import (
     NotHermitian,
     eigh,
     expm_i,
-    kron_all,
-    propagate,
-    site_operator,
     build_heisenberg,
 )
-from spinchern.qcore import IDENTITY_2, PAULI, kron
+from spinchern.qcore import PAULI
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
@@ -28,26 +25,11 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 
 def test_pauli_algebra():
     for axis, mat in PAULI.items():
-        assert np.allclose(mat @ mat, IDENTITY_2)
+        assert np.allclose(mat @ mat, np.eye(2))
         assert np.allclose(mat, mat.conj().T)
     assert np.allclose(
         PAULI["x"] @ PAULI["y"] - PAULI["y"] @ PAULI["x"], 2j * PAULI["z"]
     )
-
-
-def test_kron_agrees_with_numpy():
-    a, b = PAULI["x"], PAULI["z"]
-    assert np.allclose(kron(a, b), np.kron(a, b))
-    assert np.allclose(kron_all([a, b, IDENTITY_2]), np.kron(np.kron(a, b), np.eye(2)))
-
-
-def test_site_operator_embedding():
-    on_first = site_operator(PAULI["z"], 0, 2)
-    on_second = site_operator(PAULI["z"], 1, 2)
-    assert np.allclose(on_first, np.kron(PAULI["z"], np.eye(2)))
-    assert np.allclose(on_second, np.kron(np.eye(2), PAULI["z"]))
-    with pytest.raises(ValueError):
-        site_operator(PAULI["z"], 2, 2)
 
 
 def test_eigh_sorted_and_phase_fixed():
@@ -130,15 +112,6 @@ def test_expm_i_unitary_and_group_law(seed, t):
 
 def test_expm_i_zero_time_is_identity():
     assert np.allclose(expm_i(random_hermitian(4, seed=7), 0.0), np.eye(4))
-
-
-def test_propagate_eigenvector_picks_up_phase_only():
-    system = eigh(random_hermitian(6, seed=11))
-    psi = system.vectors[:, 2]
-    out = propagate(system, 1.3, psi)
-    expected = np.exp(-1j * system.values[2] * 1.3) * psi
-    assert np.allclose(out, expected, atol=1e-12)
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigensystem_is_frozen():

@@ -22,9 +22,6 @@ from spinchern import (
     build_heisenberg,
     chern_integral,
     chern_lattice,
-    chern_meridian,
-    chern_result,
-    curvature_profile,
     curvature_spectral,
     eigh,
     find_crossings,
@@ -76,13 +73,6 @@ def test_ground_gap_at_crossing_and_plateau():
     assert ground_gap(ChainSpec(2, 1.0), FieldPoint(theta=0.0)) > 0.5
 
 
-def test_curvature_profile_runs_the_meridian():
-    thetas = [0.2, 0.9, 1.7]
-    samples = curvature_profile(ChainSpec(2, 1.0), thetas)
-    assert [s.point.theta for s in samples] == thetas
-    assert all(s.point.phi == 0.0 for s in samples)
-
-
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     n=st.sampled_from([1, 2, 3]),
@@ -114,12 +104,7 @@ def test_chern_integral_quantized_on_plateaus():
     assert chern_integral(ChainSpec(1, 0.0)) == pytest.approx(1.0, abs=1e-6)
     assert chern_integral(ChainSpec(2, 1.0)) == pytest.approx(2.0, abs=1e-6)
     assert chern_integral(ChainSpec(3, 1.0)) == pytest.approx(3.0, abs=1e-6)
-
-
-def test_chern_integral_matches_meridian_shortcut():
-    for j in (1.0, -1.0):
-        spec = ChainSpec(2, j)
-        assert chern_integral(spec) == pytest.approx(chern_meridian(spec), abs=1e-9)
+    assert chern_integral(ChainSpec(2, -1.0)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_chern_lattice_exact_integers():
@@ -141,13 +126,6 @@ def test_chern_lattice_rejects_coarse_grids():
 def test_chern_lattice_raises_on_crossing():
     with pytest.raises(DegenerateGroundState):
         chern_lattice(ChainSpec(2, -0.5))
-
-
-def test_chern_result_cross_validates():
-    result = chern_result(ChainSpec(2, 1.0))
-    assert result.integral_value == pytest.approx(2.0, abs=1e-6)
-    assert result.lattice_integer == 2
-    assert result.reduced_value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_find_crossings_analytic_values():
