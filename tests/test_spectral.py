@@ -107,6 +107,21 @@ def test_chern_integral_quantized_on_plateaus():
     assert chern_integral(ChainSpec(2, -1.0)) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_chern_integral_matches_meridian_shortcut():
+    # The isotropic coupling makes the curvature phi-independent, so the
+    # sphere integral collapses to one Gauss-Legendre meridian integral.
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    thetas = 0.5 * math.pi * (nodes + 1.0)
+    weights = 0.5 * math.pi * weights
+    for j in (1.0, -1.0):
+        spec = ChainSpec(2, j)
+        values = [
+            curvature_spectral(spec, FieldPoint(theta=t)).f_phitheta for t in thetas
+        ]
+        meridian = float(np.dot(weights, values))
+        assert chern_integral(spec) == pytest.approx(meridian, abs=1e-9)
+
+
 def test_chern_lattice_exact_integers():
     assert [chern_lattice(ChainSpec(n, 1.0)) for n in (1, 2, 3, 4)] == [1, 2, 3, 4]
     assert chern_lattice(ChainSpec(2, -1.0)) == 0
