@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from ._version import __version__
 from .errors import SpinChernError, TooFewRows
 from .lab import (
@@ -42,12 +40,11 @@ from .quench import QuenchProtocol, evolve_quench, linear_zone_scan
 from .spectral import chern_lattice, curvature_spectral, find_crossings, pole_system
 
 
-def _print_table(headers, rows, widths=None):
-    if widths is None:
-        widths = [
-            max(len(str(h)), *(len(str(r[k])) for r in rows)) if rows else len(str(h))
-            for k, h in enumerate(headers)
-        ]
+def _print_table(headers, rows):
+    widths = [
+        max(len(str(h)), *(len(str(r[k])) for r in rows)) if rows else len(str(h))
+        for k, h in enumerate(headers)
+    ]
     line = "  ".join(str(h).rjust(w) for h, w in zip(headers, widths))
     print(line)
     print("-" * len(line))
@@ -188,15 +185,6 @@ def _load_molecule(args) -> MoleculeSpec:
     if args.n is not None and m.n_spins != args.n:
         raise ValueError(
             f"molecule has {m.n_spins} spins, --n asked for {args.n}"
-        )
-    if getattr(args, "equal_couplings", False):
-        couplings = np.array(m.couplings_hz)
-        for i in range(m.n_spins - 1):
-            couplings[i, i + 1] = couplings[i + 1, i] = couplings[0, 1]
-        m = MoleculeSpec(
-            labels=m.labels,
-            shifts_hz=m.shifts_hz,
-            couplings_hz=couplings,
         )
     return m
 
@@ -344,11 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--target-j", type=float, default=None, help="rad/s")
     p.add_argument("--tau", type=float, default=1e-3, help="seconds")
-    p.add_argument(
-        "--equal-couplings",
-        action="store_true",
-        help="force all adjacent couplings equal (degeneracy test hook)",
-    )
     p.add_argument("--output", default=None, help="write event-list JSON here")
     p.set_defaults(func=_cmd_pulse_compile)
 

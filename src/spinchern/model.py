@@ -40,6 +40,14 @@ def _is_count(value) -> bool:
     )
 
 
+def _json_field(record, key: str, where: str):
+    """record[key] of a JSON object read from a file, or ``OutOfRange``
+    naming the key that ``where`` lacks."""
+    if not isinstance(record, dict) or key not in record:
+        raise OutOfRange(f"{where} has no {key!r}")
+    return record[key]
+
+
 @dataclass(frozen=True)
 class FieldPoint:
     """Spherical coordinates of the external field."""
@@ -113,10 +121,13 @@ class MoleculeSpec:
     def from_json(cls, path) -> "MoleculeSpec":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        labels, shifts, couplings = (
+            _json_field(raw, key, path) for key in ("labels", "shifts_hz", "couplings_hz")
+        )
         return cls(
-            labels=tuple(raw["labels"]),
-            shifts_hz=np.asarray(raw["shifts_hz"], dtype=float),
-            couplings_hz=np.asarray(raw["couplings_hz"], dtype=float),
+            labels=tuple(labels),
+            shifts_hz=np.asarray(shifts, dtype=float),
+            couplings_hz=np.asarray(couplings, dtype=float),
         )
 
 

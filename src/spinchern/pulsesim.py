@@ -25,12 +25,14 @@ from .errors import (
     UnphysicalDurations,
 )
 from .model import (
+    _AXES,
     ChainSpec,
     FieldPoint,
     MoleculeSpec,
     _check_cap,
     _interaction_blocks,
     _is_count,
+    _json_field,
     _pole_diagonals,
     _read_only,
     _z_diagonals,
@@ -154,11 +156,13 @@ _PRODUCT_CHUNK = 512
 # symmetric.  The gapped pole ground state is nondegenerate and has a
 # definite parity sigma = +-1, and a ramp never leaves that sector.
 #
-# A state of parity sigma is held by its entries x on the representatives
-# r = {b <= rev(b)}, palindromes dropped when sigma = -1; the full state is
-# full[r] = x, full[rev r] = sigma x.  On x the core acts as
-# C[r, r] + sigma C[r, rev r], the second term left out on palindromic
-# columns, whose partner is the column itself.
+# A y-frame state of parity sigma is held by its entries x on the
+# representatives r = {b <= rev(b)}, palindromes dropped when sigma = -1;
+# the full y-frame state is y[r] = x, y[rev r] = sigma x.  The sector's
+# frame takes a z-frame state to x and back in one product each:
+# x = left^dagger psi with left = W[:, r], and psi = right x with
+# right = left + w W[:, rev r], w = sigma or 0 on palindromes, whose
+# partner is the column itself.  On x the core acts as left^dagger C right.
 
 # The ground state's parity is checked at run time to this norm.
 _PARITY_TOL = 1e-12
@@ -177,16 +181,19 @@ def _bit_reversal(n_spins: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _mirror_sector(n_spins: int, parity: float):
-    """Representatives r of the sector of ``parity``, their mirror images
-    rev r, and the weight of each partner column in the sector core:
-    ``parity``, or 0 on palindromes.  All read-only."""
+    """The frame of the sector of ``parity``, read-only: left = W[:, r],
+    right = left + w W[:, rev r] and the M_z labels m[r] of the
+    representatives r."""
     mirror = _bit_reversal(n_spins)
     index = np.arange(mirror.size)
     reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
-    partners = mirror[reps]
-    weights = np.where(partners == reps, 0.0, parity)
-    _read_only(reps, partners, weights)
-    return reps, partners, weights
+    weights = np.where(mirror[reps] == reps, 0.0, parity)
+    left = _each_spin(_Y_FRAME, np.eye(mirror.size, dtype=complex)[:, reps])
+    # W commutes with the reflection, so W[:, rev r] = W[rev, r]
+    right = left + weights * left[mirror]
+    m = _sector_data(n_spins).basis_m[reps]
+    _read_only(left, right, m)
+    return left, right, m
 
 
 def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
@@ -202,33 +209,17 @@ def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
     return parity
 
 
-def _to_y_frame(x: np.ndarray) -> np.ndarray:
-    """W^dagger x for a state, or for each column of a matrix."""
-    return _each_spin(_Y_FRAME.conj().T, x)
-
-
-def _core_in_y_frame(core: np.ndarray) -> np.ndarray:
-    """W^dagger core W = (W^T (W^dagger core)^T)^T."""
-    return _each_spin(_Y_FRAME.T, _to_y_frame(core).T).T
-
-
-def _ramp_core(spec: ChainSpec, protocol: QuenchProtocol) -> np.ndarray:
-    """The split step core at unit field over one step of ``protocol``,
-    in the y frame."""
-    return _core_in_y_frame(_trotter_core(spec, 1.0, protocol.step_time))
-
-
 def _step_product(
-    core_y: np.ndarray, m: np.ndarray, deltas: np.ndarray, psi: np.ndarray
+    core: np.ndarray, m: np.ndarray, deltas: np.ndarray, psi: np.ndarray
 ) -> np.ndarray:
-    """The state psi after the steps P_k core_y, k in order, with P_k the
+    """The state psi after the steps P_k core, k in order, with P_k the
     diagonal phase exp(-i deltas[k] m / 2).
 
     Per chunk the earliest S mod L steps of its S are applied to psi one
     by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
     consecutive steps, all built at once from the left: G = P_last C,
     then G <- (G P_k) C down to the group's earliest step, one stacked
-    (groups d, d) product with C = core_y per step.  The group products
+    (groups d, d) product with C = core per step.  The group products
     are multiplied pairwise, later group on the left, one batched matmul
     per round, until one is left; a round with an odd count first
     applies its earliest product to psi.
@@ -240,14 +231,14 @@ def _step_product(
         )
         peel = len(phases) % _GROUP_STEPS
         for phase in phases[:peel]:
-            psi = phase * core_y.dot(psi)
+            psi = phase * core.dot(psi)
         if peel == len(phases):
             continue
         groups = phases[peel:].reshape(-1, _GROUP_STEPS, d)
-        mats = groups[:, -1, :, None] * core_y
+        mats = groups[:, -1, :, None] * core
         for k in range(_GROUP_STEPS - 2, -1, -1):
             scaled = mats * groups[:, k, None, :]
-            mats = scaled.reshape(-1, d).dot(core_y).reshape(-1, d, d)
+            mats = scaled.reshape(-1, d).dot(core).reshape(-1, d, d)
         while len(mats) > 1:
             if len(mats) % 2:
                 psi = mats[0].dot(psi)
@@ -259,25 +250,25 @@ def _step_product(
 
 def _ramp_state(
     pole: PoleSystem,
-    core_y: np.ndarray,
+    core: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final state, in the y frame, of the ramp that applies
-    R(a_k) core R(a_k)^T at step k, given ``core_y`` = W^dagger core W.
+    """Final state of the ramp that applies R(a_k) core R(a_k)^T at step
+    k, given the split step ``core`` of ``_trotter_core``.
 
     a_k is the midpoint angle of step k.  Consecutive rotations fuse,
     R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame step k is
-    the matrix P_k core_y, P_k a diagonal phase.
+    the matrix P_k W^dagger core W, P_k a diagonal phase.
 
     ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
-    a_k + offsets[k, t], and returns their states with shape (T, d, 1).
+    a_k + offsets[k, t], and returns their states with shape (T, 2^n, 1).
     Each ramp keeps its own arithmetic, so its state has the same bits
     in any stack.
 
-    The ramp runs on the representatives of the pole ground state's
-    mirror sector, about half the basis, and the full state is unfolded
-    from them at the end.  A ground state without a definite parity is
+    The ramp runs in the y frame of the pole ground state's mirror
+    sector, about half the basis, entered and left through the sector's
+    cached frame.  A ground state without a definite parity is
     degenerate and raises ``DegenerateGroundState``.
 
     At these sizes a step costs call dispatch, not flops.  Up to a
@@ -286,31 +277,29 @@ def _ramp_state(
     on its own, and applies the product by one mat-vec.  Above it every
     step is one mat-vec and one phase.  A single ramp takes its mat-vec
     through ``ndarray.dot``, one zgemv without the dispatch of the
-    ``matmul`` ufunc.  A stack keeps the broadcast ``core_y @ psi``,
+    ``matmul`` ufunc.  A stack keeps the broadcast ``core @ psi``,
     which is one zgemv per ramp and so gives each ramp the bits of its
     single run; one (d, T) zgemm over the stack would not.
     """
     angles = _midpoint_angles(protocol)
     n_spins = pole.ground_state.size.bit_length() - 1
-    ground = _to_y_frame(pole.ground_state)
-    parity = _mirror_parity(ground, n_spins)
-    reps, partners, weights = _mirror_sector(n_spins, parity)
-    rows = core_y[reps]
-    core_y = rows[:, reps] + rows[:, partners] * weights
-    m = _sector_data(n_spins).basis_m[reps]
-    ground = ground[reps]
+    parity = _mirror_parity(pole.ground_state, n_spins)
+    left, right, m = _mirror_sector(n_spins, parity)
+    enter = left.conj().T
+    core = enter.dot(core).dot(right)
+    ground = enter.dot(pole.ground_state)
     if offsets is not None:
         angles = angles[:, None] + offsets
         m, ground = m[:, None], ground[:, None]
     psi = np.exp(0.5j * np.multiply.outer(angles[0], m)) * ground
     deltas = angles.copy()
     deltas[:-1] -= angles[1:]
-    if reps.size <= _PRODUCT_MAX_DIM:
+    if m.size <= _PRODUCT_MAX_DIM:
         if offsets is None:
-            psi = _step_product(core_y, m, deltas, psi)
+            psi = _step_product(core, m, deltas, psi)
         else:
             for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-                ramp[:] = _step_product(core_y, m[:, 0], ramp_deltas, ramp)
+                ramp[:] = _step_product(core, m[:, 0], ramp_deltas, ramp)
     else:
         chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
         for start in range(0, protocol.steps, chunk):
@@ -319,17 +308,11 @@ def _ramp_state(
             )
             if offsets is None:
                 for phase in phases:
-                    psi = phase * core_y.dot(psi)
+                    psi = phase * core.dot(psi)
             else:
                 for phase in phases:
-                    psi = phase * (core_y @ psi)
-    # full[r] = x and full[rev r] = sigma x, one row per ramp; palindromes
-    # are zero when sigma = -1
-    sector = psi.reshape(-1, reps.size)
-    full = np.zeros((len(sector), 2**n_spins), dtype=complex)
-    full[:, partners] = parity * sector
-    full[:, reps] = sector
-    return full[0] if offsets is None else full[:, :, None]
+                    psi = phase * (core @ psi)
+    return right.dot(psi) if offsets is None else right @ psi
 
 
 def simulate_protocol_trotter(
@@ -345,15 +328,15 @@ def _simulate_protocol_trotter(
 ) -> QuenchResult:
     """``simulate_protocol_trotter`` from the gapped unit-field pole
     system of ``spec``."""
-    psi = _each_spin(_Y_FRAME, _ramp_state(pole, _ramp_core(spec, protocol), protocol))
-    return _ramp_result(pole, psi, protocol)
+    core = _trotter_core(spec, 1.0, protocol.step_time)
+    return _ramp_result(pole, _ramp_state(pole, core, protocol), protocol)
 
 
 def trotter_order(spec: ChainSpec, p: FieldPoint, taus) -> float:
     """Log-log slope of the local step error against the step length."""
     taus = sorted(float(t) for t in taus)
-    if len(taus) < 2 or taus[0] <= 0.0:
-        raise ValueError("need at least two positive step lengths")
+    if len(taus) < 2 or not all(math.isfinite(t) and t > 0.0 for t in taus):
+        raise OutOfRange(f"need two or more positive, finite step lengths, got {taus}")
     h = build_heisenberg(spec, p)
     errors = [
         np.linalg.norm(trotter_step(spec, p, t) - expm_i(h, t), 2) for t in taus
@@ -380,16 +363,17 @@ def perturbed_fidelity(
         raise OutOfRange("angle_error_deg must be nonnegative and finite")
     if not (_is_count(trials) and trials >= 1):
         raise OutOfRange(f"trials must be a whole number >= 1, got {trials!r}")
+    if not (_is_count(seed) and seed >= 0):
+        raise OutOfRange(f"seed must be a whole number >= 0, got {seed!r}")
     pole = _pole_system(spec)
-    core_y = _ramp_core(spec, protocol)
+    core = _trotter_core(spec, 1.0, protocol.step_time)
     bound = math.radians(angle_error_deg)
-    # Column 0 is the ideal ramp; every state stays in the kernel's frame,
-    # where the overlaps are the same.
+    # Column 0 is the ideal ramp.
     offsets = np.zeros((protocol.steps, trials + 1))
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         offsets[:, trial + 1] = rng.uniform(-bound, bound, protocol.steps)
-    ideal, *noisy = _ramp_state(pole, core_y, protocol, offsets)
+    ideal, *noisy = _ramp_state(pole, core, protocol, offsets)
     worst = 1.0
     for psi in noisy:
         worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
@@ -449,15 +433,26 @@ class PulseProgram:
     def __post_init__(self):
         for ev in self.events:
             if isinstance(ev, Delay):
-                if ev.duration < 0.0:
-                    raise ValueError("delay durations must be nonnegative")
+                if not (math.isfinite(ev.duration) and ev.duration >= 0.0):
+                    raise OutOfRange(
+                        f"delay durations must be nonnegative and finite, "
+                        f"got {ev.duration}"
+                    )
                 if len(ev.frame_offsets) != self.n_spins:
-                    raise ValueError("frame offsets must list every spin")
+                    raise OutOfRange("frame offsets must list every spin")
+                if not all(math.isfinite(x) for x in ev.frame_offsets):
+                    raise OutOfRange(
+                        f"frame offsets must be finite, got {ev.frame_offsets}"
+                    )
             elif isinstance(ev, Rotation):
+                if ev.axis not in _AXES:
+                    raise OutOfRange(
+                        f"rotation axis must be x, y or z, got {ev.axis!r}"
+                    )
                 if not math.isfinite(ev.angle):
-                    raise ValueError("rotation angles must be finite")
+                    raise OutOfRange("rotation angles must be finite")
                 if any(not 0 <= s < self.n_spins for s in ev.spins):
-                    raise ValueError("rotation spin index out of range")
+                    raise OutOfRange("rotation spin index out of range")
             else:
                 raise TypeError(f"unknown event type {type(ev).__name__}")
 
@@ -468,25 +463,27 @@ def _adjacent_couplings(m: MoleculeSpec) -> np.ndarray:
     )
 
 
-def _check_compilable(m: MoleculeSpec) -> None:
+def _check_compilable(m: MoleculeSpec) -> np.ndarray:
+    """Check that the compiler accepts ``m`` and return the couplings that
+    fix its segment timings: the inner adjacent pair J[n-3, n-2],
+    J[n-2, n-1], which must differ, or the one coupling of two spins.
+    The table must have 2 to 4 spins and no vanishing adjacent coupling."""
+    if not 2 <= m.n_spins <= 4:
+        raise OutOfRange("refocusing compiler supports 2 to 4 spins")
     adj = _adjacent_couplings(m)
     scale = float(np.max(np.abs(m.couplings_hz)))
     if scale == 0.0 or np.any(np.abs(adj) <= _COUPLING_RTOL * scale):
         raise DegenerateCouplings(
             f"adjacent couplings must be nonzero, got {adj.tolist()} Hz"
         )
-    if m.n_spins == 3:
-        pairs = [(0, 1)]
-    elif m.n_spins == 4:
-        pairs = [(1, 2)]
-    else:
-        pairs = []
-    for a, b in pairs:
-        if abs(adj[a] - adj[b]) <= _COUPLING_RTOL * scale:
-            raise DegenerateCouplings(
-                f"couplings J[{a}{a + 1}]={adj[a]} Hz and "
-                f"J[{b}{b + 1}]={adj[b]} Hz coincide; segment timings degenerate"
-            )
+    pair = adj[-2:]
+    if pair.size == 2 and abs(pair[0] - pair[1]) <= _COUPLING_RTOL * scale:
+        a = m.n_spins - 3
+        raise DegenerateCouplings(
+            f"couplings J[{a}{a + 1}]={pair[0]} Hz and "
+            f"J[{a + 1}{a + 2}]={pair[1]} Hz coincide; segment timings degenerate"
+        )
+    return pair
 
 
 def _sign_patterns(n_spins: int):
@@ -503,15 +500,11 @@ def effective_uniform_coupling(m: MoleculeSpec) -> float:
     Two spins use the native coupling directly; longer chains are fixed
     by the inner adjacent pair a, b through J_a J_b / (J_a - J_b).
     """
-    if not 2 <= m.n_spins <= 4:
-        raise OutOfRange("refocusing compiler supports 2 to 4 spins")
-    _check_compilable(m)
-    adj = _adjacent_couplings(m)
-    if m.n_spins == 2:
-        return float(adj[0])
-    if m.n_spins == 3:
-        return float(adj[0] * adj[1] / (adj[0] - adj[1]))
-    return float(adj[1] * adj[2] / (adj[1] - adj[2]))
+    pair = _check_compilable(m)
+    if pair.size == 1:
+        return float(pair[0])
+    j_a, j_b = pair
+    return float(j_a * j_b / (j_a - j_b))
 
 
 def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
@@ -535,8 +528,6 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     determinant, the zero pivot on which a single solve raises, are
     dropped first.
     """
-    if not 2 <= m.n_spins <= 4:
-        raise OutOfRange("refocusing compiler supports 2 to 4 spins")
     if not (math.isfinite(tau) and tau > 0.0):
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
     if not math.isfinite(target_j):
@@ -673,19 +664,22 @@ def program_from_json(path) -> PulseProgram:
         payload = json.load(fh)
     events = []
     n_spins = 0
-    for item in payload:
-        if item["type"] == "delay":
-            frame = tuple(float(x) for x in item["frame"])
+    for k, item in enumerate(payload):
+        where = f"{path} event {k}"
+        kind = _json_field(item, "type", where)
+        if kind == "delay":
+            frame = tuple(float(x) for x in _json_field(item, "frame", where))
+            duration = float(_json_field(item, "t_s", where))
             n_spins = max(n_spins, len(frame))
-            events.append(Delay(duration=float(item["t_s"]), frame_offsets=frame))
-        elif item["type"] == "pulse":
-            spins = tuple(int(s) for s in item["spins"])
+            events.append(Delay(duration=duration, frame_offsets=frame))
+        elif kind == "pulse":
+            spins = tuple(int(s) for s in _json_field(item, "spins", where))
+            axis = _json_field(item, "axis", where)
+            angle = float(_json_field(item, "angle_rad", where))
             n_spins = max(n_spins, max(spins) + 1)
-            events.append(
-                Rotation(spins=spins, axis=item["axis"], angle=float(item["angle_rad"]))
-            )
+            events.append(Rotation(spins=spins, axis=axis, angle=angle))
         else:
-            raise ValueError(f"unknown event type {item['type']!r}")
+            raise OutOfRange(f"unknown event type {kind!r}")
     return PulseProgram(n_spins=n_spins, events=tuple(events))
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spinchern import (
     ChainSpec,
     LengthMismatch,
+    MoleculeSpec,
     OutOfRange,
     PlateauStats,
     SpinChernError,
@@ -26,6 +27,7 @@ from spinchern import (
     deviation_report,
     export_results,
     import_results,
+    program_from_json,
     run_sweep,
 )
 from spinchern.quench import LINEAR_ZONE_CAP
@@ -444,20 +446,68 @@ def test_cli_pulse_compile_and_verify(tmp_path, capsys):
     assert "fidelity: 1.0000" in capsys.readouterr().out
 
 
-def test_cli_pulse_compile_equal_couplings_exits_one(capsys):
-    code = cli_main(
-        [
-            "pulse",
-            "compile",
-            "--molecule",
-            str(DATA_DIR / "three_spin.json"),
-            "--n",
-            "3",
-            "--equal-couplings",
-        ]
-    )
+def test_cli_pulse_compile_equal_couplings_exits_one(tmp_path, capsys):
+    molecule = json.loads((DATA_DIR / "three_spin.json").read_text())
+    j = molecule["couplings_hz"][0][1]
+    molecule["couplings_hz"][1][2] = molecule["couplings_hz"][2][1] = j
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps(molecule))
+    code = cli_main(["pulse", "compile", "--molecule", str(path), "--n", "3"])
     assert code == 1
     assert "DegenerateCouplings" in capsys.readouterr().err
+
+
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+_DELAY = {"type": "delay", "t_s": 1e-3, "frame": [0.0, 0.0, 0.0]}
+_PULSE = {"type": "pulse", "spins": [0, 2], "axis": "x", "angle_rad": math.pi}
+_MOLECULE = json.loads((DATA_DIR / "three_spin.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "kind, payload, message",
+    [
+        pytest.param("sequence", [_DELAY, dict(_PULSE, axis="w")], "axis", id="axis-w"),
+        pytest.param("sequence", [dict(_DELAY, t_s=math.nan)], "delay", id="t-nan"),
+        pytest.param("sequence", [dict(_DELAY, t_s=math.inf)], "delay", id="t-inf"),
+        pytest.param("sequence", [dict(_DELAY, t_s=-1e-3)], "delay", id="t-negative"),
+        pytest.param(
+            "sequence", [dict(_DELAY, frame=[0.0, math.inf, 0.0])], "frame", id="frame-inf"
+        ),
+        pytest.param("sequence", [_without(_DELAY, "t_s")], "'t_s'", id="no-t_s"),
+        pytest.param("sequence", [_without(_PULSE, "axis")], "'axis'", id="no-axis"),
+        pytest.param("sequence", [_without(_PULSE, "type")], "'type'", id="no-type"),
+        pytest.param("molecule", _without(_MOLECULE, "labels"), "'labels'", id="no-labels"),
+        pytest.param(
+            "molecule", _without(_MOLECULE, "couplings_hz"), "'couplings_hz'",
+            id="no-couplings",
+        ),
+    ],
+)
+def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
+    # The reader raises OutOfRange before any simulation, and the CLI
+    # prints it and exits 1 with no traceback.
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    reader = program_from_json if kind == "sequence" else MoleculeSpec.from_json
+    with pytest.raises(OutOfRange, match=message):
+        reader(path)
+    files = {"molecule": DATA_DIR / "three_spin.json", "sequence": tmp_path / "ok.json"}
+    files["sequence"].write_text(json.dumps([_DELAY, _PULSE]))
+    files[kind] = path
+    commands = [
+        ["pulse", "verify", "--molecule", str(files["molecule"]),
+         "--sequence", str(files["sequence"]), "--target-j", "1", "--tau", "1e-3"],
+    ]  # fmt: skip
+    if kind == "molecule":
+        commands.append(["pulse", "compile", "--molecule", str(path)])
+    for argv in commands:
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: OutOfRange: ") and message in err
 
 
 def test_cli_pulse_compile_rejects_wrong_size(capsys):
@@ -483,6 +533,13 @@ def test_cli_robustness(capsys):
     )
     assert code == 0
     assert "min fidelity" in capsys.readouterr().out
+
+
+def test_cli_robustness_rejects_a_negative_seed(capsys):
+    assert cli_main(["robustness", "--n", "2", "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: OutOfRange: seed")
 
 
 def test_cli_usage_errors_exit_two(capsys):

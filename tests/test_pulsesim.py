@@ -183,11 +183,9 @@ def test_stacked_trials_equal_single_trials_bit_for_bit(n, j):
 def test_single_ramp_equals_its_stacked_run():
     spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 150)
     pole = pulsesim._pole_system(spec)
-    core_y = pulsesim._core_in_y_frame(
-        pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    )
-    alone = pulsesim._ramp_state(pole, core_y, proto)
-    stacked = pulsesim._ramp_state(pole, core_y, proto, np.zeros((proto.steps, 3)))
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
+    alone = pulsesim._ramp_state(pole, core, proto)
+    stacked = pulsesim._ramp_state(pole, core, proto, np.zeros((proto.steps, 3)))
     assert stacked.shape == (3, 8, 1)
     assert all(np.array_equal(alone, psi[:, 0]) for psi in stacked)
 
@@ -206,13 +204,13 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
     # ramp first applies its earliest steps one by one.
     spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 151)
     pole = pulsesim._pole_system(spec)
-    core_y = pulsesim._ramp_core(spec, proto)
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
     offsets = np.random.default_rng(n).uniform(-0.1, 0.1, (proto.steps, 4))
     offsets[:, 0] = 0.0
-    stacked = pulsesim._ramp_state(pole, core_y, proto, offsets)
-    assert np.array_equal(pulsesim._ramp_state(pole, core_y, proto), stacked[0, :, 0])
+    stacked = pulsesim._ramp_state(pole, core, proto, offsets)
+    assert np.array_equal(pulsesim._ramp_state(pole, core, proto), stacked[0, :, 0])
     for t in range(1, 4):
-        alone = pulsesim._ramp_state(pole, core_y, proto, offsets[:, t : t + 1])
+        alone = pulsesim._ramp_state(pole, core, proto, offsets[:, t : t + 1])
         assert np.array_equal(alone[0], stacked[t])
     worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=4)
     singles = [
@@ -249,11 +247,10 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     offsets = np.zeros((steps, 2))
     offsets[:, 1] = np.random.default_rng(seed).uniform(-0.1, 0.1, steps)
     pole = pulsesim._pole_system(spec)
-    core_y = pulsesim._ramp_core(spec, proto)
-    states = pulsesim._ramp_state(pole, core_y, proto, offsets)
-    for psi_y, column in zip(states, offsets.T):
-        psi = spectral._each_spin(pulsesim._Y_FRAME, psi_y[:, 0])
-        result = quench._ramp_result(pole, psi, proto)
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
+    states = pulsesim._ramp_state(pole, core, proto, offsets)
+    for state, column in zip(states, offsets.T):
+        result = quench._ramp_result(pole, state[:, 0], proto)
         psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True, offsets=column)
         assert_same_state(result.final_state, psi)
         assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
@@ -267,9 +264,9 @@ def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
     dims = []
     product = pulsesim._step_product
 
-    def counted(core_y, *rest):
-        dims.append(core_y.shape[0])
-        return product(core_y, *rest)
+    def counted(core, *rest):
+        dims.append(core.shape[0])
+        return product(core, *rest)
 
     monkeypatch.setattr(pulsesim, "_step_product", counted)
     for n, j in [(2, -1.25), (3, 0.8), (4, -0.5), (4, 0.85), (5, 0.86)]:
@@ -284,34 +281,50 @@ def test_mixed_mirror_parity_start_is_degenerate():
     # from a degenerate level; the ramp refuses it before any step.
     spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 21)
     pole = pulsesim._pole_system(spec)
-    core_y = pulsesim._ramp_core(spec, proto)
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
     kick = np.zeros(8, dtype=complex)
     kick[0b001], kick[0b100] = 1e-6, -1e-6  # odd, the ground state is even
     mixed = pole.ground_state + kick
     mixed /= np.linalg.norm(mixed)
     bad = spectral.PoleSystem(pole.values, pole.sectors, mixed)
     with pytest.raises(DegenerateGroundState):
-        pulsesim._ramp_state(bad, core_y, proto)
+        pulsesim._ramp_state(bad, core, proto)
     with pytest.raises(DegenerateGroundState):
-        pulsesim._ramp_state(bad, core_y, proto, np.zeros((proto.steps, 2)))
+        pulsesim._ramp_state(bad, core, proto, np.zeros((proto.steps, 2)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_mirror_sectors_split_the_basis(n):
     # 2^ceil(n/2) palindromes; the even sector holds them and one of each
-    # mirror pair, the odd sector one of each pair.
+    # mirror pair, the odd sector one of each pair.  Each sector's frame
+    # is checked against W from np.kron: left = W[:, r] has orthonormal
+    # columns, right = W P_w unfolds a sector state into the full space,
+    # and the sector core is the gather C_y[r, r] + w C_y[r, rev r].
     pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
     mirror = pulsesim._bit_reversal(n)
     assert np.array_equal(mirror[mirror], np.arange(2**n))
-    even, even_partners, even_weights = pulsesim._mirror_sector(n, 1.0)
-    odd, odd_partners, odd_weights = pulsesim._mirror_sector(n, -1.0)
-    assert even.size == 2 ** ((n + 1) // 2) + pairs and odd.size == pairs
-    assert np.array_equal(np.union1d(even, even_partners), np.arange(2**n))
-    assert np.array_equal(
-        np.union1d(odd, odd_partners), np.flatnonzero(mirror != np.arange(2**n))
-    )
-    assert np.array_equal(even_weights, (even != even_partners).astype(float))
-    assert np.all(odd_weights == -1.0)
+    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * n)
+    core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3)
+    core_y = frame.conj().T @ core @ frame
+    index = np.arange(2**n)
+    for parity, size in ((1.0, 2 ** ((n + 1) // 2) + pairs), (-1.0, pairs)):
+        reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
+        partners = mirror[reps]
+        weights = np.where(partners == reps, 0.0, parity)
+        # P_w: column c holds 1 at reps[c] and w at partners[c]
+        unfold = np.zeros((2**n, reps.size))
+        unfold[reps, np.arange(reps.size)] = 1.0
+        unfold[partners, np.arange(reps.size)] += weights
+        gathered = core_y[np.ix_(reps, reps)] + core_y[np.ix_(reps, partners)] * weights
+        left, right, m = pulsesim._mirror_sector(n, parity)
+        assert left.shape == right.shape == (2**n, size) and reps.size == size
+        for got, want, tol in (
+            (left.conj().T @ left, np.eye(size), 1e-14),
+            (right, frame @ unfold, 1e-14),
+            (left.conj().T @ core @ right, gathered, 1e-13),
+        ):
+            assert np.abs(got - want).max(initial=0.0) <= tol
+        assert np.array_equal(m, spectral._sector_data(n).basis_m[reps])
 
 
 def test_perturbed_fidelity_validation():
@@ -364,6 +377,25 @@ def test_four_spin_timings_contain_closed_forms(molecule4):
         assert any(d == pytest.approx(closed_form, rel=1e-9) for d in durations)
     assert compiled.wall_time == pytest.approx(TAU, rel=1e-12)
     assert verify_sequence(compiled, molecule4).fidelity >= 1 - 1e-10
+
+
+# ChainSpec(2, -0.5) has a degenerate pole ground state and a chain over
+# the cap makes build_heisenberg raise, so only a check made before any
+# work raises OutOfRange here.
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_bad_seed_is_rejected_before_any_work(seed):
+    with pytest.raises(OutOfRange, match="seed"):
+        perturbed_fidelity(ChainSpec(2, -0.5), PROTO, 5.0, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "taus",
+    [[0.1], [0.1, 0.0], [-0.1, 0.1], [0.1, math.nan], [math.inf, 0.1]],
+    ids=["one", "zero", "negative", "nan", "inf"],
+)
+def test_bad_step_lengths_are_rejected_before_any_work(taus):
+    with pytest.raises(OutOfRange, match="step lengths"):
+        trotter_order(ChainSpec(3, 1.0, max_spins=2), POINT, taus)
 
 
 def test_compile_rejects_degenerate_couplings(molecule3, molecule4):
@@ -501,6 +533,14 @@ def test_program_validation():
         PulseProgram(n_spins=2, events=(Rotation(spins=(2,), axis="x", angle=1.0),))
     with pytest.raises(TypeError):
         PulseProgram(n_spins=2, events=("delay",))
+    for event in (
+        Delay(duration=math.nan, frame_offsets=(0.0, math.inf)),
+        Delay(duration=math.inf, frame_offsets=(0.0, 0.0)),
+        Delay(duration=1e-3, frame_offsets=(0.0, math.nan)),
+        Rotation(spins=(0,), axis="q", angle=1.0),
+    ):
+        with pytest.raises(OutOfRange):
+            PulseProgram(n_spins=2, events=(event,))
 
 
 def test_simulate_program_applies_frame_offsets(molecule2):
@@ -675,10 +715,11 @@ def plateau_chains(draw):
 # facts about bit reversal, the mirror reflection of the open chain.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(spec=plateau_chains(), v=st.sampled_from(RAMP_RATES))
-def test_bit_reversal_commutes_with_the_y_frame_core(spec, v):
+def test_bit_reversal_commutes_with_the_split_step_core(spec, v):
     mirror = pulsesim._bit_reversal(spec.n_spins)
-    core_y = pulsesim._ramp_core(spec, QuenchProtocol(v, ORACLE_STEPS))
-    assert np.max(np.abs(core_y[np.ix_(mirror, mirror)] - core_y)) <= 1e-13
+    step_time = QuenchProtocol(v, ORACLE_STEPS).step_time
+    core = pulsesim._trotter_core(spec, 1.0, step_time)
+    assert np.max(np.abs(core[np.ix_(mirror, mirror)] - core)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -692,7 +733,8 @@ def test_bit_reversal_keeps_the_m_labels(n):
 def test_pole_ground_state_has_a_mirror_parity(spec):
     mirror = pulsesim._bit_reversal(spec.n_spins)
     ground = pulsesim._pole_system(spec).ground_state
-    for state in (ground, pulsesim._to_y_frame(ground)):
+    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * spec.n_spins)
+    for state in (ground, frame.conj().T @ ground):
         parity = np.vdot(state, state[mirror]).real
         assert abs(abs(parity) - 1.0) <= 1e-12
         assert np.max(np.abs(state[mirror] - np.sign(parity) * state)) <= 1e-12
