@@ -18,10 +18,10 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
-from .model import ChainSpec, FieldPoint, _is_count
-from .pulsesim import _simulate_protocol_trotter
-from .quench import QuenchProtocol, _evolve_quench, extract_curvature
-from .spectral import _chern_lattice, _require_gap, curvature_spectral, pole_system
+from .model import ChainSpec, FieldPoint, _check_grid
+from .pulsesim import simulate_protocol_trotter
+from .quench import QuenchProtocol, evolve_quench, extract_curvature
+from .spectral import chern_lattice, curvature_spectral, ground_gap
 
 METHODS = ("dynamical", "spectral", "lattice", "trotter")
 
@@ -31,7 +31,7 @@ WORKERS_ENV = "SPINCHERN_WORKERS"
 # Half the minimal plateau spacing; robust to ramp-method noise ~0.02.
 JUMP_THRESHOLD = 0.25
 
-# A row checks the gap at the pole or reads the spectral curvature at the
+# A row reads the gap at the pole or the spectral curvature at the
 # equator; built once, since a field point checks its angles.
 _POLE = FieldPoint(theta=0.0)
 _EQUATOR = FieldPoint(theta=math.pi / 2)
@@ -60,13 +60,8 @@ class SweepConfig:
             raise OutOfRange(f"j_values must be finite, got {self.j_values}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        grid = self.lattice_grid
-        if self.method == "lattice" and not (
-            len(grid) == 2 and all(_is_count(c) and c >= 1 for c in grid)
-        ):
-            raise OutOfRange(
-                f"lattice_grid must be two whole cell counts >= 1, got {grid!r}"
-            )
+        if self.method == "lattice":
+            _check_grid(self.lattice_grid)
         if self.method in ("dynamical", "trotter"):
             if not self.velocities:
                 raise ValueError("ramp methods need at least one velocity")
@@ -98,33 +93,28 @@ class PlateauStats:
 
 
 def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
+    """One public call per rate, and the pole gap from its result."""
     spec = replace(cfg.spec, coupling_j=j)
     method = cfg.method
-    # The row's one pole system gives the gap and starts its ramps or grid.
-    pole = pole_system(spec)
     converged = True
     try:
         if method == "spectral":
-            f = curvature_spectral(spec, _EQUATOR).f_phitheta
+            sample = curvature_spectral(spec, _EQUATOR)
+            f, gap = sample.f_phitheta, sample.gap
+        elif method == "lattice":
+            f = 0.5 * chern_lattice(spec, cfg.lattice_grid)
+            gap = ground_gap(spec, _POLE)
         else:
-            _require_gap(pole.ground_gap, _POLE)
-            if method == "lattice":
-                f = 0.5 * _chern_lattice(spec, pole, cfg.lattice_grid)
-            else:
-                protocols = [QuenchProtocol(v, cfg.steps) for v in cfg.velocities]
-                if method == "dynamical":
-                    results = [_evolve_quench(pole, p) for p in protocols]
-                else:
-                    trotter = _simulate_protocol_trotter
-                    results = [trotter(spec, pole, p) for p in protocols]
-                f = extract_curvature(results)
+            ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
+            results = [ramp(spec, QuenchProtocol(v, cfg.steps)) for v in cfg.velocities]
+            f, gap = extract_curvature(results), results[0].gap
     except DegenerateGroundState:
-        f, converged = math.nan, False
+        f, gap, converged = math.nan, ground_gap(spec, _POLE), False
     return SweepRow(
         j=j,
         f_phitheta=float(f),
         chern=2.0 * float(f),
-        gap_at_pole=pole.ground_gap,
+        gap_at_pole=gap,
         method=method,
         converged=converged,
     )

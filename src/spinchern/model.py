@@ -40,12 +40,30 @@ def _is_count(value) -> bool:
     )
 
 
-def _json_field(record, key: str, where: str):
+def _check_grid(grid) -> tuple[int, int]:
+    """The two counts of a quadrature or plaquette grid, or ``OutOfRange``
+    unless they are two whole numbers (not bools) of at least 1."""
+    try:
+        counts = tuple(grid)
+    except TypeError:
+        counts = ()
+    if len(counts) != 2 or not all(_is_count(c) for c in counts):
+        raise OutOfRange(f"grid {grid!r} must be two whole counts >= 1")
+    if min(counts) < 1:
+        raise OutOfRange(f"grid {grid!r} has no cells")
+    return counts
+
+
+def _json_field(record, key: str, where: str, valid=None, expected: str = ""):
     """record[key] of a JSON object read from a file, or ``OutOfRange``
-    naming the key that ``where`` lacks."""
+    naming the key that ``where`` lacks, or whose value fails ``valid``
+    (a predicate; ``expected`` says what it accepts)."""
     if not isinstance(record, dict) or key not in record:
         raise OutOfRange(f"{where} has no {key!r}")
-    return record[key]
+    value = record[key]
+    if valid is not None and not valid(value):
+        raise OutOfRange(f"{where} field {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,6 +130,12 @@ class MoleculeSpec:
             raise ValueError("couplings table must be symmetric")
         if not (np.isfinite(shifts).all() and np.isfinite(couplings).all()):
             raise ValueError("molecule parameters must be finite")
+        labels = self.labels
+        if len(labels) != n or not all(isinstance(s, str) for s in labels):
+            raise OutOfRange(
+                f"'labels' must hold one string per spin, got {labels!r} "
+                f"for {n} spins"
+            )
 
     @property
     def n_spins(self) -> int:
@@ -121,14 +145,20 @@ class MoleculeSpec:
     def from_json(cls, path) -> "MoleculeSpec":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        labels, shifts, couplings = (
-            _json_field(raw, key, path) for key in ("labels", "shifts_hz", "couplings_hz")
+        labels = _json_field(
+            raw, "labels", path, lambda v: isinstance(v, list), "a list"
         )
-        return cls(
-            labels=tuple(labels),
-            shifts_hz=np.asarray(shifts, dtype=float),
-            couplings_hz=np.asarray(couplings, dtype=float),
+        shifts, couplings = (
+            _json_field(raw, key, path) for key in ("shifts_hz", "couplings_hz")
         )
+        try:
+            return cls(
+                labels=tuple(labels),
+                shifts_hz=np.asarray(shifts, dtype=float),
+                couplings_hz=np.asarray(couplings, dtype=float),
+            )
+        except (TypeError, ValueError) as exc:
+            raise OutOfRange(f"{path}: {exc}") from None
 
 
 def field_cartesian(p: FieldPoint) -> np.ndarray:

@@ -320,14 +320,7 @@ def simulate_protocol_trotter(
 ) -> QuenchResult:
     """Trotterized counterpart of the exact ramp: the same pole system and
     readout, with rotations around the split step core."""
-    return _simulate_protocol_trotter(spec, _pole_system(spec), protocol)
-
-
-def _simulate_protocol_trotter(
-    spec: ChainSpec, pole: PoleSystem, protocol: QuenchProtocol
-) -> QuenchResult:
-    """``simulate_protocol_trotter`` from the gapped unit-field pole
-    system of ``spec``."""
+    pole = _pole_system(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
     return _ramp_result(pole, _ramp_state(pole, core, protocol), protocol)
 
@@ -658,6 +651,23 @@ def program_to_json(program: PulseProgram, path) -> None:
         fh.write("\n")
 
 
+def _is_real(value) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_real_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_real, value))
+
+
+def _is_spin_list(value) -> bool:
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(_is_count(s) and s >= 0 for s in value)
+    )
+
+
 def program_from_json(path) -> PulseProgram:
     """Read an event list; chain size is taken from the frame vectors."""
     with open(path, encoding="utf-8") as fh:
@@ -668,18 +678,22 @@ def program_from_json(path) -> PulseProgram:
         where = f"{path} event {k}"
         kind = _json_field(item, "type", where)
         if kind == "delay":
-            frame = tuple(float(x) for x in _json_field(item, "frame", where))
-            duration = float(_json_field(item, "t_s", where))
+            frame = _json_field(
+                item, "frame", where, _is_real_list, "a list of numbers"
+            )
+            duration = _json_field(item, "t_s", where, _is_real, "a number")
             n_spins = max(n_spins, len(frame))
-            events.append(Delay(duration=duration, frame_offsets=frame))
+            events.append(Delay(float(duration), tuple(map(float, frame))))
         elif kind == "pulse":
-            spins = tuple(int(s) for s in _json_field(item, "spins", where))
-            axis = _json_field(item, "axis", where)
-            angle = float(_json_field(item, "angle_rad", where))
+            spins = _json_field(
+                item, "spins", where, _is_spin_list, "a nonempty list of indices >= 0"
+            )
+            axis = _json_field(item, "axis", where, _AXES.__contains__, "x, y or z")
+            angle = _json_field(item, "angle_rad", where, _is_real, "a number")
             n_spins = max(n_spins, max(spins) + 1)
-            events.append(Rotation(spins=spins, axis=axis, angle=angle))
+            events.append(Rotation(tuple(spins), axis, float(angle)))
         else:
-            raise OutOfRange(f"unknown event type {kind!r}")
+            raise OutOfRange(f"{where} has unknown event type {kind!r}")
     return PulseProgram(n_spins=n_spins, events=tuple(events))
 
 

@@ -62,13 +62,18 @@ class QuenchProtocol:
 
 @dataclass(frozen=True)
 class QuenchResult:
-    """Final state and the curvature read off one ramp."""
+    """Final state and the curvature read off one ramp.
+
+    ``gap`` is the pole gap of the chain at unit field, which rotation
+    covariance keeps the same all along the ramp.
+    """
 
     final_state: np.ndarray
     m_phi: float
     f_extracted: float
     v_theta: float
     adiabatic_overlap: float
+    gap: float
 
 
 def theta_of_t(protocol: QuenchProtocol, t):
@@ -164,6 +169,7 @@ def _ramp_result(
         f_extracted=m_phi / protocol.v_theta,
         v_theta=protocol.v_theta,
         adiabatic_overlap=float(abs(np.vdot(target, psi)) ** 2),
+        gap=pole.ground_gap,
     )
 
 
@@ -181,13 +187,7 @@ def evolve_quench(
     rejected if the transverse magnetization moves by more than
     ``CONVERGENCE_TOL``.
     """
-    return _evolve_quench(_pole_system(spec), protocol, check_convergence)
-
-
-def _evolve_quench(
-    pole: PoleSystem, protocol: QuenchProtocol, check_convergence: bool = False
-) -> QuenchResult:
-    """``evolve_quench`` from the chain's gapped unit-field pole system."""
+    pole = _pole_system(spec)
     result = _ramp_result(pole, _reduced_ramp(pole, protocol), protocol)
     if check_convergence:
         fine = replace(protocol, steps=2 * protocol.steps)

@@ -28,8 +28,8 @@ from .model import (
     FieldPoint,
     _chain_operators,
     _check_cap,
+    _check_grid,
     _interaction_blocks,
-    _is_count,
     _pole_diagonals,
     _read_only,
 )
@@ -54,6 +54,10 @@ _SLOPE_RTOL = 1e-12
 
 # A crossing is kept only where the pole gap closes below this.
 _CROSSING_GAP_TOL = 1e-8
+
+# The unit-field north pole, where ramps and plaquette grids start and
+# crossings are checked; built once, since a field point checks its angles.
+_POLE = FieldPoint(theta=0.0)
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def _pole_system(spec: ChainSpec) -> PoleSystem:
     dimension cap before any work.
     """
     system = pole_system(spec)
-    _require_gap(system.ground_gap, FieldPoint(theta=0.0))
+    _require_gap(system.ground_gap, _POLE)
     return system
 
 
@@ -240,7 +244,7 @@ def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
     rule in phi; both converge spectrally for the smooth integrand, so
     modest grids reach quadrature-exact results.
     """
-    n_theta, n_phi = grid
+    n_theta, n_phi = _check_grid(grid)
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     thetas = 0.5 * math.pi * (nodes + 1.0)
     weights = 0.5 * math.pi * weights
@@ -258,36 +262,36 @@ def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
 def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     """First Chern number from plaquette link phases on a closed grid.
 
-    The Berry connection is discretized into overlap link variables;
-    the summed plaquette phase winding is an exact integer for any grid
-    fine enough that no plaquette phase wraps past pi.  The grid state
-    at (theta, phi) is the rotated pole ground state R_z(phi) R_y(theta)
-    g.  Raises ``OutOfRange`` when a link overlap falls below
-    ``LATTICE_MIN_OVERLAP`` or a plaquette phase exceeds
-    ``LATTICE_MAX_PHASE``, where a coarse grid can return a wrong integer.
+    The Berry connection is discretized into overlap link variables; the
+    summed plaquette phase winding is an exact integer for any grid fine
+    enough that no plaquette phase wraps past pi (Fukui, Hatsugai and
+    Suzuki, J. Phys. Soc. Jpn. 74, 1674 (2005)).  The grid state at
+    (theta, phi) is the rotated pole ground state R_z(phi) r(theta), with
+    r(theta) = R_y(theta) g, and R_z(phi) is the diagonal phase
+    exp(-i phi m / 2) in the M_z labels m.  So a link down a meridian,
+    <r_i|r_{i+1}>, is the same at every phi and enters its plaquette
+    once plain and once conjugated: as |down|^2, which leaves the phase
+    alone.  A link along a row reads only that row's weights |r_i(b)|^2,
+    right = sum_b |r_i(b)|^2 exp(-i dphi m_b / 2).
+
+    On these rotated states the winding of each column telescopes to the
+    change of the right-link phase between the poles, where r has M_z =
+    M_g and -M_g, so the sum reads the pole ground sector M_g.  What the
+    route adds is the admissibility margin: it raises ``OutOfRange``
+    when a link overlap falls below ``LATTICE_MIN_OVERLAP`` or a
+    plaquette phase exceeds ``LATTICE_MAX_PHASE``, where a coarse grid
+    can return a wrong integer.
     """
-    n_theta, n_phi = grid
-    if not all(_is_count(cells) for cells in grid):
-        raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} must count whole cells")
-    if n_theta < 1 or n_phi < 1:
-        raise OutOfRange(f"plaquette grid {n_theta}x{n_phi} has no cells")
-    return _chern_lattice(spec, _pole_system(spec), grid)
-
-
-def _chern_lattice(spec: ChainSpec, pole: PoleSystem, grid: tuple[int, int]) -> int:
-    """``chern_lattice`` on a checked grid, from the gapped unit-field
-    pole system of ``spec``."""
-    n_theta, n_phi = grid
+    n_theta, n_phi = _check_grid(grid)
+    pole = _pole_system(spec)
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi + 1)
+    dphi = np.diff(np.linspace(0.0, 2.0 * math.pi, n_phi + 1))
     rows = np.array([_rotate_y(pole.ground_state, t) for t in thetas])
-    phases = np.exp(-0.5j * np.outer(phis, _sectors(spec).basis_m))
-    states = rows[:, None, :] * phases[None, :, :]  # [theta, phi, basis]
-    # <(i,k)|(i+1,k)> and <(i,k)|(i,k+1)>
-    down = np.einsum("ikb,ikb->ik", states[:-1].conj(), states[1:])
-    right = np.einsum("ikb,ikb->ik", states[:, :-1].conj(), states[:, 1:])
-    plaquettes = down[:, :-1] * right[1:] * down[:, 1:].conj() * right[:-1].conj()
-    angles = np.angle(plaquettes)
+    # <r_i|r_{i+1}> per row pair, and right[i, k] from row i's weights
+    down = np.einsum("ib,ib->i", rows[:-1].conj(), rows[1:])
+    hops = np.exp(-0.5j * np.outer(_sectors(spec).basis_m, dphi))
+    right = np.abs(rows) ** 2 @ hops
+    angles = np.angle(right[1:] * right[:-1].conj())
     overlap = min(np.abs(down).min(), np.abs(right).min())
     phase = np.abs(angles).max()
     if overlap < LATTICE_MIN_OVERLAP or phase > LATTICE_MAX_PHASE:
@@ -339,10 +343,9 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
                 break
             roots.append(float(side * ts[nearest]))
             ground = steeper[nearest]
-    pole = FieldPoint(theta=0.0)
     return [
         j
         for j in sorted(roots)
         if lo <= j <= hi
-        and ground_gap(replace(spec, coupling_j=j), pole) < _CROSSING_GAP_TOL
+        and ground_gap(replace(spec, coupling_j=j), _POLE) < _CROSSING_GAP_TOL
     ]

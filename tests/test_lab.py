@@ -13,23 +13,32 @@ from hypothesis import strategies as st
 
 from spinchern import (
     ChainSpec,
+    FieldPoint,
     LengthMismatch,
     MoleculeSpec,
     OutOfRange,
     PlateauStats,
+    QuenchProtocol,
     SpinChernError,
     SweepConfig,
     SweepRow,
     TooFewRows,
+    chern_lattice,
     cli_main,
+    curvature_spectral,
     default_j_grid,
     detect_plateaus,
     deviation_report,
+    evolve_quench,
     export_results,
+    extract_curvature,
     import_results,
+    pole_system,
     program_from_json,
     run_sweep,
+    simulate_protocol_trotter,
 )
+from spinchern import lab
 from spinchern.quench import LINEAR_ZONE_CAP
 
 from _oracles import DATA_DIR
@@ -117,6 +126,71 @@ def test_trotter_sweep_matches_dynamical():
     for d, t in zip(dyn, trot):
         assert t.f_phitheta == pytest.approx(d.f_phitheta, abs=1e-6)
         assert t.method == "trotter"
+
+
+# The public route a sweep row of each method calls once per rate.
+ROUTES = {
+    "spectral": "curvature_spectral",
+    "lattice": "chern_lattice",
+    "dynamical": "evolve_quench",
+    "trotter": "simulate_protocol_trotter",
+}
+
+
+@pytest.mark.parametrize("method", lab.METHODS)
+def test_sweep_rows_make_one_public_call_per_rate(method, monkeypatch):
+    # Counters wrap lab's bindings of the routes, as the bench tracer's
+    # spans do, so a row that reached a private twin would count nothing.
+    calls = dict.fromkeys(ROUTES.values(), 0)
+
+    def counted(name, fn):
+        def route(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return route
+
+    for name in calls:
+        monkeypatch.setattr(lab, name, counted(name, getattr(lab, name)))
+    velocities = (0.1, 0.2, 0.25)
+    js = (-1.0, -0.5, 0.4, 1.0)  # -0.5 is the N = 2 crossing
+    rows = run_sweep(
+        SweepConfig(
+            spec=ChainSpec(2, 0.0), j_values=js, method=method, velocities=velocities
+        )
+    )
+    assert [r.converged for r in rows] == [True, False, True, True]
+    per_row = len(velocities) if method in ("dynamical", "trotter") else 1
+    expected = dict.fromkeys(ROUTES.values(), 0)
+    # The crossing row stops at its first call, which raises.
+    expected[ROUTES[method]] = 3 * per_row + 1
+    assert calls == expected
+
+
+@pytest.mark.parametrize("method", lab.METHODS)
+@pytest.mark.parametrize(
+    "n, j",
+    [pytest.param(3, 0.7, id="N3"), pytest.param(4, -0.35, id="N4"),
+     pytest.param(2, -0.5, id="crossing")],
+)  # fmt: skip
+def test_sweep_rows_keep_the_bits_of_their_route(method, n, j):
+    spec = ChainSpec(n, j)
+    (row,) = run_sweep(
+        SweepConfig(spec=ChainSpec(n, 0.0), j_values=(j,), method=method)
+    )
+    assert row.gap_at_pole == pole_system(spec).ground_gap
+    if not row.converged:
+        assert math.isnan(row.f_phitheta)
+        return
+    if method == "spectral":
+        direct = curvature_spectral(spec, FieldPoint(theta=math.pi / 2)).f_phitheta
+    elif method == "lattice":
+        direct = 0.5 * chern_lattice(spec)
+    else:
+        ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
+        direct = extract_curvature([ramp(spec, QuenchProtocol(0.1, 300))])
+    assert row.f_phitheta == direct
+    assert row.chern == 2.0 * direct
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
@@ -508,6 +582,48 @@ def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: OutOfRange: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "kind, payload, where, field",
+    [
+        pytest.param("molecule", dict(_MOLECULE, labels=5), "", "'labels'",
+                     id="labels-int"),
+        pytest.param("molecule", dict(_MOLECULE, labels=["A"]), "", "'labels'",
+                     id="labels-short"),
+        pytest.param("sequence", [_DELAY, dict(_PULSE, spins=[])], " event 1",
+                     "'spins'", id="spins-empty"),
+        pytest.param("sequence", [dict(_PULSE, spins=[1.7])], " event 0", "'spins'",
+                     id="spins-fractional"),
+        pytest.param("sequence", [dict(_DELAY, t_s="1")], " event 0", "'t_s'",
+                     id="t-string"),
+        pytest.param("sequence", [_DELAY, dict(_PULSE, axis="w")], " event 1",
+                     "'axis'", id="axis-w"),
+    ],
+)  # fmt: skip
+def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_path,
+                                            capsys):  # fmt: skip
+    # Unchecked, labels=5 died with a TypeError traceback, an empty spin
+    # list with a bare ValueError from max(), spin 1.7 ran as spin 1 and
+    # one label passed for three spins.  Every message names the file,
+    # the event and the field.
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    molecule = path if kind == "molecule" else DATA_DIR / "three_spin.json"
+    sequence = path if kind == "sequence" else tmp_path / "ok.json"
+    sequence.write_text(json.dumps(payload if kind == "sequence" else [_DELAY]))
+    commands = [
+        ["pulse", "verify", "--molecule", str(molecule), "--sequence", str(sequence),
+         "--target-j", "1", "--tau", "1e-3"],
+    ]  # fmt: skip
+    if kind == "molecule":
+        commands.append(["pulse", "compile", "--molecule", str(path)])
+    for argv in commands:
+        assert cli_main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: OutOfRange: {path}{where}")
+        assert field in err and "Traceback" not in err
 
 
 def test_cli_pulse_compile_rejects_wrong_size(capsys):

@@ -19,6 +19,7 @@ from spinchern import (
     DimensionCap,
     FieldPoint,
     OutOfRange,
+    SweepConfig,
     build_heisenberg,
     chern_integral,
     chern_lattice,
@@ -136,6 +137,37 @@ def test_chern_lattice_rejects_coarse_grids():
     for grid in ((0, 4), (4, 0)):
         with pytest.raises(OutOfRange, match="no cells"):
             chern_lattice(ChainSpec(2, 1.0), grid)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        pytest.param(lambda grid: chern_integral(ChainSpec(2, 1.0), grid), id="integral"),
+        pytest.param(lambda grid: chern_lattice(ChainSpec(2, 1.0), grid), id="lattice"),
+        pytest.param(
+            lambda grid: SweepConfig(
+                spec=ChainSpec(2, 0.0), j_values=(1.0,), method="lattice",
+                lattice_grid=grid,
+            ),
+            id="sweep",
+        ),
+    ],
+)  # fmt: skip
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param((8, 0), id="empty"),
+        pytest.param((2.5, 4), id="fractional"),
+        pytest.param((True, 4), id="bool"),
+        pytest.param((8,), id="one_axis"),
+        pytest.param(8, id="scalar"),
+    ],
+)
+def test_every_grid_is_two_whole_counts(route, grid):
+    # Unchecked, chern_integral raised ZeroDivisionError on (8, 0) and a
+    # numpy TypeError on (2.5, 4), and returned pi on (True, 4).
+    with pytest.raises(OutOfRange, match="grid"):
+        route(grid)
 
 
 def test_chern_lattice_raises_on_crossing():
