@@ -204,6 +204,10 @@ def deviation_report(observed, theory) -> float:
     return float(np.sqrt(np.mean(diffs**2)))
 
 
+# The header row export_results writes and import_results requires.
+_CSV_HEADER = ["j", "f_phitheta", "chern", "gap_at_pole", "method", "converged"]
+
+
 def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -225,7 +229,7 @@ def export_results(
     path = os.fspath(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["j", "f_phitheta", "chern", "gap_at_pole", "method", "converged"])
+        writer.writerow(_CSV_HEADER)
         for r in rows:
             writer.writerow(
                 [
@@ -272,19 +276,38 @@ def export_results(
 
 
 def import_results(path) -> list[SweepRow]:
-    """Read back a CSV written by export_results."""
+    """Read back a CSV written by export_results.
+
+    Raises ``OutOfRange`` naming the file and line on any other header
+    row, a row with too few or too many fields, a value that is not a
+    number, or a ``converged`` that is not ``true`` or ``false``.
+    """
+    path = os.fspath(path)
     rows = []
-    with open(os.fspath(path), newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                SweepRow(
-                    j=float(record["j"]),
-                    f_phitheta=float(record["f_phitheta"]),
-                    chern=float(record["chern"]),
-                    gap_at_pole=float(record["gap_at_pole"]),
-                    method=record["method"],
-                    converged=record["converged"] == "true",
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise OutOfRange(
+                f"{path} line 1: header must be {','.join(_CSV_HEADER)}, got {header!r}"
+            )
+        for record in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(record) != len(_CSV_HEADER):
+                raise OutOfRange(
+                    f"{where}: {len(record)} fields, expected {len(_CSV_HEADER)}"
                 )
+            *numbers, method, converged = record
+            try:
+                j, f_phitheta, chern, gap = map(float, numbers)
+            except ValueError:
+                raise OutOfRange(f"{where}: not a number in {numbers!r}") from None
+            if converged not in ("true", "false"):
+                raise OutOfRange(
+                    f"{where}: converged must be true or false, got {converged!r}"
+                )
+            rows.append(
+                SweepRow(j, f_phitheta, chern, gap, method, converged == "true")
             )
     return rows
 

@@ -424,30 +424,34 @@ class PulseProgram:
     events: tuple
 
     def __post_init__(self):
-        for ev in self.events:
+        for k, ev in enumerate(self.events):
             if isinstance(ev, Delay):
                 if not (math.isfinite(ev.duration) and ev.duration >= 0.0):
                     raise OutOfRange(
-                        f"delay durations must be nonnegative and finite, "
-                        f"got {ev.duration}"
+                        f"event {k}: delay durations must be nonnegative and "
+                        f"finite, got {ev.duration}"
                     )
                 if len(ev.frame_offsets) != self.n_spins:
-                    raise OutOfRange("frame offsets must list every spin")
+                    raise OutOfRange(
+                        f"event {k}: frame offsets must list every spin, got "
+                        f"{len(ev.frame_offsets)} for {self.n_spins} spins"
+                    )
                 if not all(math.isfinite(x) for x in ev.frame_offsets):
                     raise OutOfRange(
-                        f"frame offsets must be finite, got {ev.frame_offsets}"
+                        f"event {k}: frame offsets must be finite, "
+                        f"got {ev.frame_offsets}"
                     )
             elif isinstance(ev, Rotation):
                 if ev.axis not in _AXES:
                     raise OutOfRange(
-                        f"rotation axis must be x, y or z, got {ev.axis!r}"
+                        f"event {k}: rotation axis must be x, y or z, got {ev.axis!r}"
                     )
                 if not math.isfinite(ev.angle):
-                    raise OutOfRange("rotation angles must be finite")
+                    raise OutOfRange(f"event {k}: rotation angles must be finite")
                 if any(not 0 <= s < self.n_spins for s in ev.spins):
-                    raise OutOfRange("rotation spin index out of range")
+                    raise OutOfRange(f"event {k}: rotation spin index out of range")
             else:
-                raise TypeError(f"unknown event type {type(ev).__name__}")
+                raise TypeError(f"event {k}: unknown event type {type(ev).__name__}")
 
 
 def _adjacent_couplings(m: MoleculeSpec) -> np.ndarray:
@@ -694,7 +698,10 @@ def program_from_json(path) -> PulseProgram:
             events.append(Rotation(tuple(spins), axis, float(angle)))
         else:
             raise OutOfRange(f"{where} has unknown event type {kind!r}")
-    return PulseProgram(n_spins=n_spins, events=tuple(events))
+    try:
+        return PulseProgram(n_spins=n_spins, events=tuple(events))
+    except OutOfRange as exc:
+        raise OutOfRange(f"{path}: {exc}") from None
 
 
 def _pauli_rotation(axis: str, angle: float) -> np.ndarray:

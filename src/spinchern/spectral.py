@@ -26,7 +26,6 @@ from .errors import DegenerateGroundState, OutOfRange
 from .model import (
     ChainSpec,
     FieldPoint,
-    _chain_operators,
     _check_cap,
     _check_grid,
     _interaction_blocks,
@@ -132,6 +131,59 @@ def _sector_data(n_spins: int) -> _Sectors:
     return _Sectors(_pole_diagonals(n_spins)[0], level_m, level_x, vectors, starts)
 
 
+@dataclass(frozen=True)
+class _Response:
+    """Signed squared S_x elements between neighbouring M_z sectors.
+
+    S_x takes sector M only to M - 2 and M + 2, and on M -> M +- 2 the
+    S_y block is -+i times the S_x block, so for a sector vector i,
+    Im(<i|S_y|n><n|S_x|i>) = +-|<n|S_x|i>|^2, with + toward M + 2.  For
+    sector s, ``columns[s]`` holds the sector-vector columns of both
+    neighbours and ``table[s][r, k]`` that signed square for the
+    sector's r-th vector and neighbour column ``columns[s][k]``.
+    """
+
+    columns: tuple
+    table: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_response(n_spins: int) -> _Response:
+    """The sector table of every chain of ``n_spins``, for every J and |h|.
+
+    The S_x block from sector M + 2 down to M is V_M^dagger F V_{M+2},
+    with F the 0/1 flips of one up spin: sigma_x of site k takes basis
+    state b to b ^ (1 << (n-1-k)), and the set bit is sigma_z = -1.  No
+    2^n x 2^n array is built.
+    """
+    sectors = _sector_data(n_spins)
+    bounds = [*sectors.starts, sectors.basis_m.size]
+    cols = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
+    idx = [np.flatnonzero(sectors.basis_m == m) for m in sectors.level_m[bounds[:-1]]]
+    vecs = [sectors.vectors[i, c] for i, c in zip(idx, map(slice, bounds, bounds[1:]))]
+    rank = np.empty(sectors.basis_m.size, dtype=int)  # position within the sector
+    for i in idx:
+        rank[i] = np.arange(i.size)
+    # down[s][r, k] = |<k|S_x|r>|^2 from vector r of sector s + 1 to k of s
+    down = []
+    for s in range(n_spins):
+        flips = np.zeros((idx[s].size, idx[s + 1].size))
+        for k in range(n_spins):
+            bit = 1 << (n_spins - 1 - k)
+            up = idx[s + 1][(idx[s + 1] & bit) == 0]
+            flips[rank[up ^ bit], rank[up]] = 1.0
+        down.append(np.abs(vecs[s + 1].T @ flips.T @ vecs[s].conj()) ** 2)
+    columns, table = [], []
+    for s in range(n_spins + 1):
+        near = [(cols[s - 1], -down[s - 1])] if s > 0 else []
+        if s < n_spins:
+            near.append((cols[s + 1], down[s].T))
+        columns.append(np.concatenate([c for c, _ in near]))
+        table.append(np.concatenate([t for _, t in near], axis=1))
+    _read_only(*columns, *table)
+    return _Response(tuple(columns), tuple(table))
+
+
 def _sectors(spec: ChainSpec) -> _Sectors:
     """Sector data of the chain size; the dimension cap is checked first."""
     _check_cap(spec)
@@ -186,6 +238,21 @@ def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
     return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
 
 
+def _rotate_rows(psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rows R_y(angle) psi for every angle, as one batched 2x2 contraction
+    per spin over the whole stack of angles.
+
+    As in ``_each_spin``, each contraction acts on the leading spin of
+    every row and moves it to the back, computed as x^T single^T.
+    """
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    singles_t = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)
+    out = np.broadcast_to(psi, (angles.size, psi.size))
+    for _ in range(psi.size.bit_length() - 1):
+        out = out.reshape(angles.size, 2, -1).transpose(0, 2, 1) @ singles_t
+    return out.reshape(angles.size, psi.size)
+
+
 def _require_gap(gap: float, p: FieldPoint) -> float:
     if gap < DEGENERACY_RTOL * p.magnitude:
         raise DegenerateGroundState(
@@ -218,23 +285,21 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
 
     oriented so a single free spin gives +1/2 at the equator.  The sum
     is taken in the pole frame, where U^dagger dH/dtheta U = -|h| S_x and
-    U^dagger dH/dphi U = -|h| sin(theta) S_y.  The states n are the
-    cached sector eigenvectors, in sector order.
+    U^dagger dH/dphi U = -|h| sin(theta) S_y.  There S_x and S_y reach
+    only the sectors M_g +- 2 of the ground state, so the states n are
+    the cached sector eigenvectors of those two sectors, and each term's
+    numerator is read from the size's ``_sector_response`` table.
     """
     sectors, levels, order = _pole_levels(spec, p.magnitude)
     ground, excited = order[:2]
     gap = _require_gap(float(levels[excited] - levels[ground]), p)
-    totals, _ = _chain_operators(spec.n_spins)
-    g = sectors.vectors[:, ground]
-    # <g|S_y|n> and <g|S_x|n> against every cached sector vector n
-    gy = (totals["y"] @ g).conj() @ sectors.vectors
-    gx = (totals["x"] @ g).conj() @ sectors.vectors
-    denom = (levels - levels[ground]) ** 2
-    denom[ground] = 1.0  # excluded term
+    response = _sector_response(spec.n_spins)
+    s = int(sectors.level_m[ground] + spec.n_spins) // 2
+    near = response.columns[s]
+    signed = response.table[s][ground - sectors.starts[s]]
     scale = -2.0 * p.magnitude**2 * math.sin(p.theta)
-    terms = scale * np.imag(gy * gx.conj()) / denom
-    terms[ground] = 0.0
-    return CurvatureSample(point=p, f_phitheta=float(terms.sum()), gap=gap)
+    f = scale * np.dot(signed, (levels[near] - levels[ground]) ** -2.0)
+    return CurvatureSample(point=p, f_phitheta=float(f), gap=gap)
 
 
 def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
@@ -286,7 +351,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     pole = _pole_system(spec)
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     dphi = np.diff(np.linspace(0.0, 2.0 * math.pi, n_phi + 1))
-    rows = np.array([_rotate_y(pole.ground_state, t) for t in thetas])
+    rows = _rotate_rows(pole.ground_state, thetas)
     # <r_i|r_{i+1}> per row pair, and right[i, k] from row i's weights
     down = np.einsum("ib,ib->i", rows[:-1].conj(), rows[1:])
     hops = np.exp(-0.5j * np.outer(_sectors(spec).basis_m, dphi))

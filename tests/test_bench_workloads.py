@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import spinchern.quench as quench
+import spinchern.spectral as spectral
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SEED = 0
@@ -60,3 +61,12 @@ def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
     warm = quench._free_spin_ramp.cache_info()
     _check_pass("ramp", tmp_path)
     assert quench._free_spin_ramp.cache_info().misses == warm.misses
+
+
+def test_staircase_pass_on_a_warm_sector_cache_matches_reference(tmp_path):
+    # Every staircase pass after the first reads the curvature of each
+    # size from its cached neighbour-sector table.
+    _check_pass("staircase", tmp_path)
+    warm = spectral._sector_response.cache_info()
+    _check_pass("staircase", tmp_path)
+    assert spectral._sector_response.cache_info().misses == warm.misses

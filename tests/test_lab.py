@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +380,35 @@ def test_export_empty_rows(tmp_path):
     assert import_results(path) == []
 
 
+_CSV_HEADER = "j,f_phitheta,chern,gap_at_pole,method,converged"
+_CSV_ROW = "0.5,1,1,0.25,spectral,true"
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        pytest.param(["j,f,chern,gap,method,converged", _CSV_ROW], 1, "header",
+                     id="header"),
+        pytest.param([], 1, "header", id="no-header"),
+        pytest.param([_CSV_HEADER, _CSV_ROW, "0.5,1,1,0.25,spectral"], 3, "5 fields",
+                     id="short-row"),
+        pytest.param([_CSV_HEADER, _CSV_ROW + ",extra"], 2, "7 fields", id="long-row"),
+        pytest.param([_CSV_HEADER, "0.5,one,1,0.25,spectral,true"], 2, "not a number",
+                     id="not-a-number"),
+        pytest.param([_CSV_HEADER, "0.5,1,1,0.25,spectral,yes"], 2, "converged",
+                     id="converged-yes"),
+    ],
+)  # fmt: skip
+def test_import_rejects_malformed_files(lines, line, message, tmp_path):
+    # DictReader raised KeyError on a wrong header, a TypeError on a short
+    # row, and read converged=yes as False.
+    path = tmp_path / "rows.csv"
+    path.write_text("".join(f"{x}\r\n" for x in lines))
+    where = f"{re.escape(str(path))} line {line}: "
+    with pytest.raises(OutOfRange, match=where + f".*{message}"):
+        import_results(path)
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     values=st.lists(
@@ -599,14 +629,21 @@ def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
                      id="t-string"),
         pytest.param("sequence", [_DELAY, dict(_PULSE, axis="w")], " event 1",
                      "'axis'", id="axis-w"),
+        pytest.param("sequence", [_PULSE, dict(_DELAY, t_s=-1e-3)], ": event 1",
+                     "delay", id="t-negative"),
+        pytest.param("sequence", [dict(_DELAY, frame=[0.0, math.nan, 0.0])],
+                     ": event 0", "frame", id="frame-nan"),
+        pytest.param("sequence", [_DELAY, dict(_PULSE, spins=[0, 3])], ": event 0",
+                     "frame", id="spin-past-frame"),
     ],
 )  # fmt: skip
 def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_path,
                                             capsys):  # fmt: skip
     # Unchecked, labels=5 died with a TypeError traceback, an empty spin
     # list with a bare ValueError from max(), spin 1.7 ran as spin 1 and
-    # one label passed for three spins.  Every message names the file,
-    # the event and the field.
+    # one label passed for three spins.  A negative delay, a NaN frame
+    # offset and a spin past the frame length named neither the file nor
+    # the event.  Every message names the file, the event and the field.
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     molecule = path if kind == "molecule" else DATA_DIR / "three_spin.json"

@@ -288,6 +288,37 @@ def test_curvature_matches_dense_oracle(n, j, theta, phi, magnitude):
     assert fast == pytest.approx(dense_curvature(spec, p), abs=1e-10)
 
 
+def _plateau_couplings(n):
+    """One coupling inside each plateau of the unit-field pole ground state."""
+    roots = find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0))
+    mids = [0.5 * (a + b) for a, b in zip(roots, roots[1:])]
+    return [roots[0] - 0.5, *mids, 1.0]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_curvature_matches_dense_oracle_on_every_plateau_of_larger_chains(n):
+    # The sector table holds only the neighbour sectors M_g +- 2; the
+    # dense oracle sums over every level of a fresh eigensolve.
+    for j in _plateau_couplings(n):
+        for magnitude in (0.7, 1.9):
+            spec = ChainSpec(n, j * magnitude)
+            for theta in (0.4, math.pi / 2, 2.5):
+                p = FieldPoint(theta=theta, magnitude=magnitude)
+                fast = curvature_spectral(spec, p).f_phitheta
+                assert fast == pytest.approx(dense_curvature(spec, p), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_equator_curvature_is_half_the_pole_sector_up_to_the_cap(n):
+    for j in np.linspace(-2.0, 2.0, 41):
+        spec = ChainSpec(n, float(j))
+        pole = pole_system(spec)
+        if pole.ground_gap < 1e-3:
+            continue
+        two_f = 2.0 * curvature_spectral(spec, EQUATOR).f_phitheta
+        assert two_f == pytest.approx(pole.sectors[0], abs=1e-9)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(n=st.integers(1, 6), j=st.floats(-2.0, 2.0))
 def test_equator_curvature_is_half_the_pole_magnetization(n, j):
@@ -323,7 +354,12 @@ def test_find_crossings_matches_bisection_oracle(n):
     ],
 )
 def test_size_cap_is_checked_before_any_cache_access(call):
-    caches = (spectral._sector_data, model._chain_operators, pulsesim._exchange_system)
+    caches = (
+        spectral._sector_data,
+        spectral._sector_response,
+        model._chain_operators,
+        pulsesim._exchange_system,
+    )
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(DimensionCap):
         call(ChainSpec(3, 1.0, max_spins=2))
@@ -345,7 +381,12 @@ def test_size_cap_is_checked_before_any_cache_access(call):
 )
 def test_bad_scan_inputs_raise_before_any_cache_access(call):
     # Unchecked, the fractional grid raised a TypeError from numpy.
-    caches = (spectral._sector_data, model._chain_operators, pulsesim._exchange_system)
+    caches = (
+        spectral._sector_data,
+        spectral._sector_response,
+        model._chain_operators,
+        pulsesim._exchange_system,
+    )
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(OutOfRange):
         call(ChainSpec(3, 1.0))
@@ -368,6 +409,13 @@ def _fields(cached):
         pytest.param(lambda n: list(model._pole_diagonals(n)), id="pole_diagonals"),
         pytest.param(_cached_chain_operators, id="chain_operators"),
         pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
+        pytest.param(
+            lambda n: [
+                *spectral._sector_response(n).columns,
+                *spectral._sector_response(n).table,
+            ],
+            id="sector_response",
+        ),
         pytest.param(
             lambda n: _fields(pulsesim._exchange_system(n)), id="exchange_system"
         ),
@@ -409,3 +457,25 @@ def test_each_spin_equals_kron_construction(n):
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         x /= np.linalg.norm(x, axis=0)
         assert np.abs(spectral._each_spin(single, x) - full @ x).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_rows_equal_single_rotations(n):
+    rng = np.random.default_rng(n)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    angles = np.concatenate([np.linspace(0.0, math.pi, 25), rng.uniform(-4, 4, 5)])
+    rows = spectral._rotate_rows(psi, angles)
+    assert rows.shape == (angles.size, psi.size)
+    for row, angle in zip(rows, angles):
+        assert np.abs(row - spectral._rotate_y(psi, angle)).max() <= 1e-14
+
+
+def test_static_routes_build_no_dense_operator():
+    model._chain_operators.cache_clear()
+    spec = ChainSpec(9, 1.0)
+    curvature_spectral(spec, EQUATOR)
+    chern_lattice(spec)
+    ground_gap(spec, FieldPoint(theta=0.0))
+    find_crossings(spec, (-2.0, 2.0))
+    assert model._chain_operators.cache_info().currsize == 0
