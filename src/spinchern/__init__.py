@@ -13,7 +13,6 @@ from .errors import (
     DegenerateGroundState,
     DimensionCap,
     LengthMismatch,
-    NotHermitian,
     OutOfRange,
     SpinChernError,
     StepCountTooSmall,
@@ -26,11 +25,8 @@ from .model import (
     FieldPoint,
     MoleculeSpec,
     build_heisenberg,
-    field_cartesian,
-    param_derivative,
     total_magnetization,
 )
-from .qcore import EigenSystem, eigh, expm_i
 from .spectral import (
     CurvatureSample,
     PoleSystem,
@@ -64,7 +60,6 @@ from .pulsesim import (
     simulate_protocol_trotter,
     to_pulse_program,
     toggled_zz_coefficients,
-    trotter_order,
     trotter_step,
     verify_sequence,
     zz_target_propagator,
@@ -86,7 +81,6 @@ __all__ = [
     "__version__",
     # errors
     "SpinChernError",
-    "NotHermitian",
     "DimensionCap",
     "DegenerateGroundState",
     "OutOfRange",
@@ -96,17 +90,11 @@ __all__ = [
     "TooFewRows",
     "LengthMismatch",
     "VelocityOutOfLinearZone",
-    # core linear algebra
-    "EigenSystem",
-    "eigh",
-    "expm_i",
     # model
     "ChainSpec",
     "FieldPoint",
     "MoleculeSpec",
     "build_heisenberg",
-    "field_cartesian",
-    "param_derivative",
     "total_magnetization",
     # spectral topology
     "CurvatureSample",
@@ -131,7 +119,6 @@ __all__ = [
     "Delay",
     "SequenceReport",
     "trotter_step",
-    "trotter_order",
     "simulate_protocol_trotter",
     "perturbed_fidelity",
     "compile_zz",

@@ -7,10 +7,6 @@ class SpinChernError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NotHermitian(SpinChernError):
-    """Matrix deviates from Hermiticity beyond the accepted tolerance."""
-
-
 class DimensionCap(SpinChernError):
     """Requested Hilbert-space dimension exceeds the configured cap."""
 

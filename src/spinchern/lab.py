@@ -280,7 +280,8 @@ def import_results(path) -> list[SweepRow]:
 
     Raises ``OutOfRange`` naming the file and line on any other header
     row, a row with too few or too many fields, a value that is not a
-    number, or a ``converged`` that is not ``true`` or ``false``.
+    number, a ``method`` outside ``METHODS``, or a ``converged`` that is
+    not ``true`` or ``false``.
     """
     path = os.fspath(path)
     rows = []
@@ -302,6 +303,10 @@ def import_results(path) -> list[SweepRow]:
                 j, f_phitheta, chern, gap = map(float, numbers)
             except ValueError:
                 raise OutOfRange(f"{where}: not a number in {numbers!r}") from None
+            if method not in METHODS:
+                raise OutOfRange(
+                    f"{where}: method must be one of {METHODS}, got {method!r}"
+                )
             if converged not in ("true", "false"):
                 raise OutOfRange(
                     f"{where}: converged must be true or false, got {converged!r}"

@@ -1,4 +1,4 @@
-"""Spin-chain and NMR Hamiltonians with their parameter derivatives.
+"""Spin-chain configurations, their M_z blocks and the dense Hamiltonian.
 
 The chain Hamiltonian is
 
@@ -11,7 +11,9 @@ parameterized on a sphere as
     h_vec = |h| (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)),
 
 the convention under which the phi-derivative of H at the equator is
-minus the total y-magnetization.
+minus the total y-magnetization.  Every solver reads the chain through
+the bit-pattern M_z blocks of its interaction; ``build_heisenberg``
+assembles the dense matrix at one field point.
 """
 
 from __future__ import annotations
@@ -161,13 +163,6 @@ class MoleculeSpec:
             raise OutOfRange(f"{path}: {exc}") from None
 
 
-def field_cartesian(p: FieldPoint) -> np.ndarray:
-    """Cartesian components of the field vector."""
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    sp, cp = math.sin(p.phi), math.cos(p.phi)
-    return p.magnitude * np.array([st * cp, st * sp, ct])
-
-
 # The basis diagonals, total spin operators and the unit-strength
 # interaction are reused heavily by sweeps, so they are cached per chain
 # size and read-only: an in-place write to one raises ValueError.
@@ -257,33 +252,15 @@ def build_heisenberg(spec: ChainSpec, p: FieldPoint) -> np.ndarray:
     """Chain Hamiltonian at a field point."""
     _check_cap(spec)
     totals, interaction = _chain_operators(spec.n_spins)
-    hx, hy, hz = field_cartesian(p)
+    st, ct = math.sin(p.theta), math.cos(p.theta)
+    sp, cp = math.sin(p.phi), math.cos(p.phi)
+    hx, hy, hz = (p.magnitude * c for c in (st * cp, st * sp, ct))
     return (
         -hx * totals["x"]
         - hy * totals["y"]
         - hz * totals["z"]
         - spec.coupling_j * interaction
     )
-
-
-def param_derivative(spec: ChainSpec, p: FieldPoint, which: str) -> np.ndarray:
-    """Analytic derivative of the Hamiltonian in ``theta`` or ``phi``.
-
-    Only the field term depends on the angles, so the result is the
-    (negated) total spin contracted with the derivative of the field
-    direction.
-    """
-    _check_cap(spec)
-    totals, _ = _chain_operators(spec.n_spins)
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    sp, cp = math.sin(p.phi), math.cos(p.phi)
-    if which == "theta":
-        d = (ct * cp, ct * sp, -st)
-    elif which == "phi":
-        d = (-st * sp, st * cp, 0.0)
-    else:
-        raise ValueError("which must be 'theta' or 'phi'")
-    return -p.magnitude * (d[0] * totals["x"] + d[1] * totals["y"] + d[2] * totals["z"])
 
 
 def total_magnetization(psi: np.ndarray, axis: str) -> float:

@@ -36,9 +36,8 @@ from .model import (
     _pole_diagonals,
     _read_only,
     _z_diagonals,
-    build_heisenberg,
 )
-from .qcore import PAULI, EigenSystem, expm_i, propagator
+from .qcore import PAULI, propagator, sector_eigh
 from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
 from .spectral import (
     PoleSystem,
@@ -46,7 +45,6 @@ from .spectral import (
     _pole_system,
     _rotate_y,
     _sector_data,
-    _sector_eigh,
 )
 
 # Adjacent couplings closer than this (relative) cannot be told apart
@@ -61,17 +59,15 @@ def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _exchange_system(n_spins: int) -> EigenSystem:
-    """Eigensystem of the unit xx+yy exchange, which conserves M_z, solved
-    by M_z blocks once per chain size: each block is the interaction's
-    without its zz diagonal."""
+def _exchange_system(n_spins: int):
+    """Levels and real eigenvector columns of the unit xx+yy exchange,
+    which conserves M_z, solved by M_z blocks once per chain size: each
+    block is the interaction's without its zz diagonal."""
     blocks = _interaction_blocks(n_spins)
     no_zz = ((m, idx, b - np.diag(np.diag(b))) for m, idx, b in blocks)
-    _, values, vectors, _ = _sector_eigh(no_zz)
-    order = np.argsort(values, kind="stable")
-    system = EigenSystem(values=values[order], vectors=vectors[:, order])
-    _read_only(system.values, system.vectors)
-    return system
+    _, values, vectors, _ = sector_eigh(no_zz)
+    _read_only(values, vectors)
+    return values, vectors
 
 
 def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
@@ -82,7 +78,7 @@ def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
     """
     _check_cap(spec)
     half = np.exp(-0.5j * _diagonal_part(spec, magnitude) * tau)
-    exchange = propagator(_exchange_system(spec.n_spins), -spec.coupling_j * tau)
+    exchange = propagator(*_exchange_system(spec.n_spins), -spec.coupling_j * tau)
     return (half[:, None] * exchange) * half[None, :]
 
 
@@ -325,18 +321,6 @@ def simulate_protocol_trotter(
     return _ramp_result(pole, _ramp_state(pole, core, protocol), protocol)
 
 
-def trotter_order(spec: ChainSpec, p: FieldPoint, taus) -> float:
-    """Log-log slope of the local step error against the step length."""
-    taus = sorted(float(t) for t in taus)
-    if len(taus) < 2 or not all(math.isfinite(t) and t > 0.0 for t in taus):
-        raise OutOfRange(f"need two or more positive, finite step lengths, got {taus}")
-    h = build_heisenberg(spec, p)
-    errors = [
-        np.linalg.norm(trotter_step(spec, p, t) - expm_i(h, t), 2) for t in taus
-    ]
-    return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
-
-
 def perturbed_fidelity(
     spec: ChainSpec,
     protocol: QuenchProtocol,
@@ -448,8 +432,12 @@ class PulseProgram:
                     )
                 if not math.isfinite(ev.angle):
                     raise OutOfRange(f"event {k}: rotation angles must be finite")
-                if any(not 0 <= s < self.n_spins for s in ev.spins):
-                    raise OutOfRange(f"event {k}: rotation spin index out of range")
+                outside = [s for s in ev.spins if not 0 <= s < self.n_spins]
+                if outside:
+                    raise OutOfRange(
+                        f"event {k}: rotation spin {outside[0]} is outside the "
+                        f"{self.n_spins}-spin frame"
+                    )
             else:
                 raise TypeError(f"event {k}: unknown event type {type(ev).__name__}")
 
@@ -673,11 +661,13 @@ def _is_spin_list(value) -> bool:
 
 
 def program_from_json(path) -> PulseProgram:
-    """Read an event list; chain size is taken from the frame vectors."""
+    """Read an event list.  The chain size is taken from the delays' frame
+    vectors, or from the highest pulsed spin if there is no delay, so a
+    pulse on a spin past the frame is reported at the pulse."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     events = []
-    n_spins = 0
+    frames, pulsed_spins = [], 0
     for k, item in enumerate(payload):
         where = f"{path} event {k}"
         kind = _json_field(item, "type", where)
@@ -686,7 +676,7 @@ def program_from_json(path) -> PulseProgram:
                 item, "frame", where, _is_real_list, "a list of numbers"
             )
             duration = _json_field(item, "t_s", where, _is_real, "a number")
-            n_spins = max(n_spins, len(frame))
+            frames.append(len(frame))
             events.append(Delay(float(duration), tuple(map(float, frame))))
         elif kind == "pulse":
             spins = _json_field(
@@ -694,10 +684,11 @@ def program_from_json(path) -> PulseProgram:
             )
             axis = _json_field(item, "axis", where, _AXES.__contains__, "x, y or z")
             angle = _json_field(item, "angle_rad", where, _is_real, "a number")
-            n_spins = max(n_spins, max(spins) + 1)
+            pulsed_spins = max(pulsed_spins, max(spins) + 1)
             events.append(Rotation(tuple(spins), axis, float(angle)))
         else:
             raise OutOfRange(f"{where} has unknown event type {kind!r}")
+    n_spins = max(frames) if frames else pulsed_spins
     try:
         return PulseProgram(n_spins=n_spins, events=tuple(events))
     except OutOfRange as exc:

@@ -1,17 +1,14 @@
-"""Dense complex linear algebra substrate.
+"""The package's one eigensolver and the propagator built on it.
 
-Pauli operators, Hermitian eigendecomposition and unitary matrix
-exponentials.  All matrices are plain ``numpy.ndarray`` of dtype
-complex128; states are one-dimensional complex arrays.
+Every operator the package diagonalises conserves the total M_z and is
+real symmetric in the computational basis, so it is solved block by
+block: one real ``np.linalg.eigh`` per M_z sector.  This module also
+holds the Pauli matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import NotHermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -19,67 +16,41 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
-# Relative Frobenius tolerance accepted before declaring a matrix
-# non-Hermitian; inputs within it are symmetrized to absorb roundoff.
-HERMITICITY_RTOL = 1e-10
 
+def sector_eigh(blocks):
+    """Diagonalise a real symmetric operator that conserves M_z from its
+    M_z blocks.
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def ground_state(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
-    @property
-    def ground_gap(self) -> float:
-        return float(self.values[1] - self.values[0])
-
-
-def _symmetrized(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    scale = np.linalg.norm(h)
-    if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
-        raise NotHermitian(
-            f"matrix asymmetry exceeds {HERMITICITY_RTOL:g} relative tolerance"
-        )
-    return (h + h.conj().T) / 2
-
-
-def eigh(h: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Input is symmetrized before solving.  Each eigenvector's phase is
-    fixed by making its largest-magnitude component real positive, so
-    results are deterministic for regression purposes.
+    ``blocks`` yields (M, basis indices, real symmetric block) sector by
+    sector in ascending M, as ``model._interaction_blocks`` does.  Each
+    block is solved by one real ``np.linalg.eigh``, and each eigenvector
+    is signed so that its largest-magnitude entry is positive, which
+    makes the result deterministic.  Returns each column's M and
+    eigenvalue, the real eigenvector columns sector after sector (each
+    column zero outside its sector's basis indices; within a sector in
+    ascending eigenvalue) and the first column of each sector.
     """
-    values, vectors = np.linalg.eigh(_symmetrized(h))
-    columns = np.arange(vectors.shape[1])
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), columns]
-    # hypot, as the scalar abs() does; numpy's vectorised complex abs can
-    # differ from it in the last bit.
-    scale = np.hypot(pivots.real, pivots.imag)
-    nonzero = scale > 0
-    phases = np.ones_like(pivots)
-    phases[nonzero] = np.conj(pivots[nonzero]) / scale[nonzero]
-    vectors *= phases
-    return EigenSystem(values=values, vectors=vectors)
+    blocks = list(blocks)
+    dim = sum(idx.size for _, idx, _ in blocks)
+    vectors = np.zeros((dim, dim))
+    level_m = np.empty(dim)
+    values = np.empty(dim)
+    starts = []
+    col = 0
+    for m, idx, block in blocks:
+        block_values, block_vectors = np.linalg.eigh(block)
+        pivots = block_vectors[
+            np.argmax(np.abs(block_vectors), axis=0), np.arange(idx.size)
+        ]
+        cols = slice(col, col + idx.size)
+        vectors[idx, cols] = block_vectors * np.copysign(1.0, pivots)
+        level_m[cols] = m
+        values[cols] = block_values
+        starts.append(col)
+        col += idx.size
+    return level_m, values, vectors, np.array(starts)
 
 
-def expm_i(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary propagator exp(-i h t) for Hermitian ``h``.
-
-    Computed through the eigendecomposition, which is exact for
-    Hermitian inputs at these dimensions.
-    """
-    return propagator(eigh(h), t)
-
-
-def propagator(system: EigenSystem, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) given the eigensystem of ``h``."""
-    phases = np.exp(-1j * system.values * t)
-    return (system.vectors * phases).dot(system.vectors.conj().T)
+def propagator(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for h = V diag(values) V^T with real orthonormal V."""
+    return (vectors * np.exp(-1j * values * t)).dot(vectors.T)

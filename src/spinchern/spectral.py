@@ -32,7 +32,7 @@ from .model import (
     _pole_diagonals,
     _read_only,
 )
-from .qcore import eigh
+from .qcore import sector_eigh
 
 # Gap below this fraction of |h| counts as a ground-state degeneracy.
 DEGENERACY_RTOL = 1e-9
@@ -70,7 +70,11 @@ class CurvatureSample:
 
 @dataclass(frozen=True)
 class PoleSystem:
-    """Ascending pole levels, the M_z sector of each, and the ground state."""
+    """Ascending pole levels, the M_z sector of each, and the ground state.
+
+    The ground state is a real sector vector held as a complex array,
+    the dtype of every state a ramp evolves from it.
+    """
 
     values: np.ndarray
     sectors: np.ndarray
@@ -85,7 +89,7 @@ class PoleSystem:
 class _Sectors:
     """The interaction diagonalised block by block in M_z.
 
-    Columns of ``vectors`` are the block eigenvectors, sector after
+    Columns of ``vectors`` are the real block eigenvectors, sector after
     sector in ascending M; ``level_m`` and ``level_x`` hold each
     column's M and interaction eigenvalue, and ``starts`` the first
     column of each sector.  ``basis_m`` is the M_z of each basis state.
@@ -98,35 +102,9 @@ class _Sectors:
     starts: np.ndarray
 
 
-def _sector_eigh(blocks):
-    """Diagonalise an operator that conserves M_z from its M_z blocks.
-
-    ``blocks`` yields (M, basis indices, block) sector by sector in
-    ascending M, as ``model._interaction_blocks`` does.  Returns each
-    column's M and eigenvalue, the eigenvector columns sector after
-    sector, and the first column of each sector.
-    """
-    blocks = list(blocks)
-    dim = sum(idx.size for _, idx, _ in blocks)
-    vectors = np.zeros((dim, dim), dtype=complex)
-    level_m = np.empty(dim)
-    values = np.empty(dim)
-    starts = []
-    col = 0
-    for m, idx, block in blocks:
-        solved = eigh(block)
-        cols = slice(col, col + idx.size)
-        vectors[idx, cols] = solved.vectors
-        level_m[cols] = m
-        values[cols] = solved.values
-        starts.append(col)
-        col += idx.size
-    return level_m, values, vectors, np.array(starts)
-
-
 @functools.lru_cache(maxsize=None)
 def _sector_data(n_spins: int) -> _Sectors:
-    level_m, level_x, vectors, starts = _sector_eigh(_interaction_blocks(n_spins))
+    level_m, level_x, vectors, starts = sector_eigh(_interaction_blocks(n_spins))
     _read_only(level_m, level_x, vectors, starts)
     return _Sectors(_pole_diagonals(n_spins)[0], level_m, level_x, vectors, starts)
 
@@ -151,7 +129,7 @@ class _Response:
 def _sector_response(n_spins: int) -> _Response:
     """The sector table of every chain of ``n_spins``, for every J and |h|.
 
-    The S_x block from sector M + 2 down to M is V_M^dagger F V_{M+2},
+    The S_x block from sector M + 2 down to M is V_M^T F V_{M+2},
     with F the 0/1 flips of one up spin: sigma_x of site k takes basis
     state b to b ^ (1 << (n-1-k)), and the set bit is sigma_z = -1.  No
     2^n x 2^n array is built.
@@ -172,7 +150,7 @@ def _sector_response(n_spins: int) -> _Response:
             bit = 1 << (n_spins - 1 - k)
             up = idx[s + 1][(idx[s + 1] & bit) == 0]
             flips[rank[up ^ bit], rank[up]] = 1.0
-        down.append(np.abs(vecs[s + 1].T @ flips.T @ vecs[s].conj()) ** 2)
+        down.append((vecs[s + 1].T @ flips.T @ vecs[s]) ** 2)
     columns, table = [], []
     for s in range(n_spins + 1):
         near = [(cols[s - 1], -down[s - 1])] if s > 0 else []
@@ -210,7 +188,7 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
     return PoleSystem(
         values=levels[order],
         sectors=sectors.level_m[order],
-        ground_state=sectors.vectors[:, order[0]].copy(),
+        ground_state=sectors.vectors[:, order[0]].astype(complex),
     )
 
 

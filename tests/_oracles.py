@@ -3,14 +3,18 @@
 Everything here is deliberately implemented against the public API and
 from first principles (finite differences, gauge-invariant plaquettes,
 explicit Kronecker constructions) so the library under test never
-validates itself against its own internals.
+validates itself against its own internals.  The oracles have their own
+dense Hermitian eigensolver (``eigh``) and matrix exponential
+(``expm_i``), and import no eigensolver or exact propagator from the
+package; ``trotter_order`` measures the package's ``trotter_step``
+against the oracle ``expm_i``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +24,13 @@ from spinchern import (
     Delay,
     FieldPoint,
     MoleculeSpec,
+    OutOfRange,
     PulseProgram,
     QuenchProtocol,
+    SpinChernError,
     build_heisenberg,
-    eigh,
-    expm_i,
     theta_of_t,
+    trotter_step,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "scripts" / "data"
@@ -47,6 +52,117 @@ PLATEAU_CASES = [
 ]  # fmt: skip
 RAMP_RATES = (0.05, 0.1, 0.29, 2.0)
 ORACLE_STEPS = 40
+
+
+# --- dense Hermitian layer ---------------------------------------------------
+#
+# A per-point eigensolver on full 2^n x 2^n complex matrices.  The
+# package solves only real M_z blocks; these routes solve whatever they
+# are given, so they check the package's solver rather than share it.
+
+
+class NotHermitian(SpinChernError):
+    """Matrix deviates from Hermiticity beyond the accepted tolerance."""
+
+
+# Relative Frobenius tolerance accepted before declaring a matrix
+# non-Hermitian; inputs within it are symmetrized to absorb roundoff.
+HERMITICITY_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class EigenSystem:
+    """Ascending eigenvalues with orthonormal eigenvector columns."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def ground_state(self) -> np.ndarray:
+        return self.vectors[:, 0]
+
+    @property
+    def ground_gap(self) -> float:
+        return float(self.values[1] - self.values[0])
+
+
+def _symmetrized(h: np.ndarray) -> np.ndarray:
+    h = np.asarray(h, dtype=complex)
+    scale = np.linalg.norm(h)
+    if scale > 0 and np.linalg.norm(h - h.conj().T) > HERMITICITY_RTOL * scale:
+        raise NotHermitian(
+            f"matrix asymmetry exceeds {HERMITICITY_RTOL:g} relative tolerance"
+        )
+    return (h + h.conj().T) / 2
+
+
+def eigh(h: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Input is symmetrized before solving.  Each eigenvector's phase is
+    fixed by making its largest-magnitude component real positive, so
+    results are deterministic for regression purposes.
+    """
+    values, vectors = np.linalg.eigh(_symmetrized(h))
+    columns = np.arange(vectors.shape[1])
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), columns]
+    # hypot, as the scalar abs() does; numpy's vectorised complex abs can
+    # differ from it in the last bit.
+    scale = np.hypot(pivots.real, pivots.imag)
+    nonzero = scale > 0
+    phases = np.ones_like(pivots)
+    phases[nonzero] = np.conj(pivots[nonzero]) / scale[nonzero]
+    vectors *= phases
+    return EigenSystem(values=values, vectors=vectors)
+
+
+def expm_i(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary propagator exp(-i h t) for Hermitian ``h``, through its
+    eigendecomposition."""
+    system = eigh(h)
+    phases = np.exp(-1j * system.values * t)
+    return (system.vectors * phases).dot(system.vectors.conj().T)
+
+
+def field_cartesian(p: FieldPoint) -> np.ndarray:
+    """Cartesian components of the field vector."""
+    st, ct = math.sin(p.theta), math.cos(p.theta)
+    sp, cp = math.sin(p.phi), math.cos(p.phi)
+    return p.magnitude * np.array([st * cp, st * sp, ct])
+
+
+def param_derivative(spec: ChainSpec, p: FieldPoint, which: str) -> np.ndarray:
+    """dH/dtheta or dH/dphi from total spins read off build_heisenberg.
+
+    With J = 0 and a unit field along axis a the Hamiltonian is -S_a,
+    and only the field term depends on the angles.
+    """
+    if which not in ("theta", "phi"):
+        raise ValueError("which must be 'theta' or 'phi'")
+    free = replace(spec, coupling_j=0.0)
+    s_x = -build_heisenberg(free, FieldPoint(theta=math.pi / 2))
+    s_y = -build_heisenberg(free, FieldPoint(theta=math.pi / 2, phi=math.pi / 2))
+    s_z = -build_heisenberg(free, FieldPoint(theta=0.0))
+    st, ct = math.sin(p.theta), math.cos(p.theta)
+    sp, cp = math.sin(p.phi), math.cos(p.phi)
+    if which == "theta":
+        direction = ct * cp * s_x + ct * sp * s_y - st * s_z
+    else:
+        direction = -st * sp * s_x + st * cp * s_y
+    return -p.magnitude * direction
+
+
+def trotter_order(spec: ChainSpec, p: FieldPoint, taus) -> float:
+    """Log-log slope of the local error of the package's ``trotter_step``
+    against the dense exact step, over the step lengths ``taus``."""
+    taus = sorted(float(t) for t in taus)
+    if len(taus) < 2 or not all(math.isfinite(t) and t > 0.0 for t in taus):
+        raise OutOfRange(f"need two or more positive, finite step lengths, got {taus}")
+    h = build_heisenberg(spec, p)
+    errors = [
+        np.linalg.norm(trotter_step(spec, p, t) - expm_i(h, t), 2) for t in taus
+    ]
+    return float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
 
 
 def plaquette_curvature(
@@ -76,32 +192,13 @@ def plaquette_curvature(
     return float(-np.angle(product) / d**2)
 
 
-def _field_derivative(spec: ChainSpec, p: FieldPoint, which: str) -> np.ndarray:
-    """dH/dtheta or dH/dphi from total spins read off build_heisenberg.
-
-    With J = 0 and a unit field along axis a the Hamiltonian is -S_a,
-    and only the field term depends on the angles.
-    """
-    free = replace(spec, coupling_j=0.0)
-    s_x = -build_heisenberg(free, FieldPoint(theta=math.pi / 2))
-    s_y = -build_heisenberg(free, FieldPoint(theta=math.pi / 2, phi=math.pi / 2))
-    s_z = -build_heisenberg(free, FieldPoint(theta=0.0))
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    sp, cp = math.sin(p.phi), math.cos(p.phi)
-    if which == "theta":
-        direction = ct * cp * s_x + ct * sp * s_y - st * s_z
-    else:
-        direction = -st * sp * s_x + st * cp * s_y
-    return -p.magnitude * direction
-
-
 def dense_curvature(spec: ChainSpec, p: FieldPoint) -> float:
     """F_phitheta by the sum over states of a dense eigensolve at ``p``."""
     system = eigh(build_heisenberg(spec, p))
     ground = system.ground_state
     bra = system.vectors.conj().T
-    a = bra @ (_field_derivative(spec, p, "phi") @ ground)
-    b = bra @ (_field_derivative(spec, p, "theta") @ ground)
+    a = bra @ (param_derivative(spec, p, "phi") @ ground)
+    b = bra @ (param_derivative(spec, p, "theta") @ ground)
     gaps = system.values[1:] - system.values[0]
     return float(np.sum(-2.0 * np.imag(np.conj(a[1:]) * b[1:]) / gaps**2))
 

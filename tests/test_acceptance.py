@@ -44,12 +44,16 @@ from spinchern import (
     perturbed_fidelity,
     run_sweep,
     simulate_protocol_trotter,
-    trotter_order,
     verify_sequence,
 )
 from spinchern.quench import LINEAR_ZONE_CAP
 
-from _oracles import DATA_DIR, angle_noise_infidelity, plaquette_curvature
+from _oracles import (
+    DATA_DIR,
+    angle_noise_infidelity,
+    plaquette_curvature,
+    trotter_order,
+)
 
 EQUATOR = FieldPoint(theta=math.pi / 2)
 

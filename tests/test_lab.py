@@ -397,11 +397,13 @@ _CSV_ROW = "0.5,1,1,0.25,spectral,true"
                      id="not-a-number"),
         pytest.param([_CSV_HEADER, "0.5,1,1,0.25,spectral,yes"], 2, "converged",
                      id="converged-yes"),
+        pytest.param([_CSV_HEADER, _CSV_ROW, "0.5,1,1,0.25,bogus,true"], 3, "method",
+                     id="method-bogus"),
     ],
 )  # fmt: skip
 def test_import_rejects_malformed_files(lines, line, message, tmp_path):
     # DictReader raised KeyError on a wrong header, a TypeError on a short
-    # row, and read converged=yes as False.
+    # row, and read converged=yes as False and a method of bogus as a row.
     path = tmp_path / "rows.csv"
     path.write_text("".join(f"{x}\r\n" for x in lines))
     where = f"{re.escape(str(path))} line {line}: "
@@ -633,8 +635,8 @@ def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
                      "delay", id="t-negative"),
         pytest.param("sequence", [dict(_DELAY, frame=[0.0, math.nan, 0.0])],
                      ": event 0", "frame", id="frame-nan"),
-        pytest.param("sequence", [_DELAY, dict(_PULSE, spins=[0, 3])], ": event 0",
-                     "frame", id="spin-past-frame"),
+        pytest.param("sequence", [_DELAY, dict(_PULSE, spins=[0, 3])], ": event 1",
+                     "spin 3 is outside the 3-spin frame", id="spin-past-frame"),
     ],
 )  # fmt: skip
 def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_path,
@@ -643,7 +645,8 @@ def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_pat
     # list with a bare ValueError from max(), spin 1.7 ran as spin 1 and
     # one label passed for three spins.  A negative delay, a NaN frame
     # offset and a spin past the frame length named neither the file nor
-    # the event.  Every message names the file, the event and the field.
+    # the event, and then the spin past the frame was blamed on the delay
+    # before it.  Every message names the file, the event and the field.
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     molecule = path if kind == "molecule" else DATA_DIR / "three_spin.json"

@@ -16,9 +16,6 @@ from spinchern import (
     MoleculeSpec,
     OutOfRange,
     build_heisenberg,
-    eigh,
-    field_cartesian,
-    param_derivative,
     total_magnetization,
 )
 
@@ -27,7 +24,10 @@ from spinchern.qcore import PAULI
 from _oracles import (
     _embed,
     collective_ry,
+    eigh,
+    field_cartesian,
     kron_chain_hamiltonian,
+    param_derivative,
     product_pair_operators,
 )
 

@@ -28,7 +28,6 @@ from spinchern import (
     compile_zz,
     effective_uniform_coupling,
     evolve_quench,
-    expm_i,
     find_crossings,
     perturbed_fidelity,
     program_from_json,
@@ -37,7 +36,6 @@ from spinchern import (
     simulate_protocol_trotter,
     to_pulse_program,
     toggled_zz_coefficients,
-    trotter_order,
     trotter_step,
     verify_sequence,
     zz_target_propagator,
@@ -52,7 +50,9 @@ from _oracles import (
     dense_ramp,
     enumerate_zz_vertices,
     enumerated_zz_schedule,
+    expm_i,
     kron_simulate_program,
+    trotter_order,
 )
 
 TAU = 1e-3

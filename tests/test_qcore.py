@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinchern import (
-    ChainSpec,
-    EigenSystem,
-    FieldPoint,
-    NotHermitian,
-    eigh,
-    expm_i,
-    build_heisenberg,
-)
+import spinchern.model as model
+import spinchern.pulsesim as pulsesim
+import spinchern.spectral as spectral
+from spinchern import ChainSpec, FieldPoint, build_heisenberg, pole_system
 from spinchern.qcore import PAULI
+
+from _oracles import EigenSystem, NotHermitian, eigh, expm_i
 
 
 def random_hermitian(dim: int, seed: int) -> np.ndarray:
@@ -119,3 +116,64 @@ def test_eigensystem_is_frozen():
     assert isinstance(system, EigenSystem)
     with pytest.raises(AttributeError):
         system.values = np.zeros(2)
+
+
+# --- the package's block solver ----------------------------------------------
+
+
+def _block_solutions(n: int):
+    """(levels, real eigenvector columns, M_z blocks) of the interaction's
+    solve (``_sector_data``) and of the exchange's (``_exchange_system``,
+    whose blocks are the interaction's without their zz diagonal)."""
+    sectors = spectral._sector_data(n)
+    blocks = [(idx, block) for _, idx, block in model._interaction_blocks(n)]
+    no_zz = [(idx, block - np.diag(np.diag(block))) for idx, block in blocks]
+    return [
+        (sectors.level_x, sectors.vectors, blocks),
+        (*pulsesim._exchange_system(n), no_zz),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_block_solver_columns_are_real_orthonormal_signed_eigenvectors(n):
+    dim = 2**n
+    for levels, columns, blocks in _block_solutions(n):
+        assert columns.dtype == np.float64
+        assert np.abs(columns.T @ columns - np.eye(dim)).max() <= 1e-12
+        pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(dim)]
+        assert np.all(pivots > 0.0)
+        col = 0
+        for idx, block in blocks:
+            cols = slice(col, col + idx.size)
+            inside = columns[idx, cols]
+            # unit columns whose sector part has unit norm vanish outside it
+            assert np.abs(np.linalg.norm(inside, axis=0) - 1.0).max() <= 1e-12
+            assert np.abs(block @ inside - inside * levels[cols]).max() <= 1e-12
+            col += idx.size
+        assert col == dim
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pole_levels_match_the_oracle_dense_solve(n):
+    for j in (-1.3, -0.4, 0.0, 0.55, 1.6):
+        for magnitude in (0.6, 1.0, 2.2):
+            spec = ChainSpec(n, j)
+            dense = eigh(
+                build_heisenberg(spec, FieldPoint(theta=0.0, magnitude=magnitude))
+            )
+            fast = pole_system(spec, magnitude)
+            assert np.abs(fast.values - dense.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_trotter_core_matches_the_oracle_split_step(n):
+    # e^{-iA tau/2} e^{-iB tau} e^{-iA tau/2} at the pole, A the diagonal
+    # (field and zz) part of the dense Hamiltonian and B the rest.
+    for j, magnitude, tau in ((-0.7, 1.0, 0.1), (0.45, 1.8, 0.37), (1.2, 0.5, 1.3)):
+        spec = ChainSpec(n, j)
+        h = build_heisenberg(spec, FieldPoint(theta=0.0, magnitude=magnitude))
+        a = np.diag(np.diag(h))
+        half = expm_i(a, tau / 2.0)
+        oracle = half @ expm_i(h - a, tau) @ half
+        core = pulsesim._trotter_core(spec, magnitude, tau)
+        assert np.abs(core - oracle).max() <= 1e-13

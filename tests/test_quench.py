@@ -24,11 +24,9 @@ from spinchern import (
     VelocityOutOfLinearZone,
     build_heisenberg,
     curvature_spectral,
-    eigh,
     evolve_quench,
     extract_curvature,
     linear_zone_scan,
-    param_derivative,
     perturbed_fidelity,
     pole_system,
     run_sweep,
@@ -44,6 +42,8 @@ from _oracles import (
     RAMP_RATES,
     assert_same_state,
     dense_ramp,
+    eigh,
+    param_derivative,
     pole_ground_magnetization,
 )
 

@@ -24,7 +24,6 @@ from spinchern import (
     chern_integral,
     chern_lattice,
     curvature_spectral,
-    eigh,
     find_crossings,
     ground_gap,
     pole_system,
@@ -36,6 +35,7 @@ from _oracles import (
     bisection_crossings,
     dense_chern_lattice,
     dense_curvature,
+    eigh,
     plaquette_curvature,
 )
 
@@ -417,7 +417,7 @@ def _fields(cached):
             id="sector_response",
         ),
         pytest.param(
-            lambda n: _fields(pulsesim._exchange_system(n)), id="exchange_system"
+            lambda n: list(pulsesim._exchange_system(n)), id="exchange_system"
         ),
         pytest.param(
             lambda n: [quench._free_spin_ramp(quench.QuenchProtocol(0.1 * n))],
