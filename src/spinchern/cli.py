@@ -226,10 +226,8 @@ def _cmd_pulse_compile(args) -> int:
 def _cmd_pulse_verify(args) -> int:
     m = _load_molecule(args)
     program = program_from_json(args.sequence)
-    fidelity = _zz_fidelity(
-        simulate_program(program, m),
-        zz_target_propagator(m.n_spins, args.target_j, args.tau),
-    )
+    target = zz_target_propagator(m.n_spins, args.target_j, args.tau)
+    fidelity = _zz_fidelity(simulate_program(program, m), target)
     print(f"fidelity: {fidelity:.12f}")
     return 0
 

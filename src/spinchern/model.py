@@ -12,8 +12,8 @@ parameterized on a sphere as
 
 the convention under which the phi-derivative of H at the equator is
 minus the total y-magnetization.  Every solver reads the chain through
-the bit-pattern M_z blocks of its interaction; ``build_heisenberg``
-assembles the dense matrix at one field point.
+one site table per size and the M_z blocks of X built from it;
+``build_heisenberg`` assembles the dense matrix at one field point.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ class MoleculeSpec:
             raise OutOfRange(f"{path}: {exc}") from None
 
 
-# The basis diagonals, total spin operators and the unit-strength
-# interaction are reused heavily by sweeps, so they are cached per chain
-# size and read-only: an in-place write to one raises ValueError.
+# The site table and the pole diagonals are reused heavily by sweeps, so
+# they are cached per chain size and read-only: an in-place write to one
+# raises ValueError.
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -173,24 +173,36 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+@dataclass(frozen=True)
+class _SiteTable:
+    """The one place that says site k is bit n-1-k of a basis index, set
+    for sigma_z = -1.  ``z[k, b]`` is sigma_z of site k in state b and
+    ``flips[k, b]`` the state with site k flipped; ``up`` and ``down``
+    pair each state with site k up to its flip, site after site.
+    """
+
+    z: np.ndarray
+    flips: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def _z_diagonals(n_spins: int) -> np.ndarray:
-    """Per-site sigma_z eigenvalue patterns over the computational basis."""
-    z = np.array(
-        [
-            np.tile(np.repeat(np.array([1.0, -1.0]), 2 ** (n_spins - 1 - i)), 2**i)
-            for i in range(n_spins)
-        ]
-    )
-    _read_only(z)
-    return z
+def _site_table(n_spins: int) -> _SiteTable:
+    basis = np.arange(2**n_spins)
+    bits = 1 << np.arange(n_spins - 1, -1, -1)
+    flips = basis ^ bits[:, None]
+    z = np.where(basis & bits[:, None], -1.0, 1.0)
+    table = _SiteTable(z, flips, np.broadcast_to(basis, z.shape)[z > 0], flips[z > 0])
+    _read_only(*vars(table).values())
+    return table
 
 
 @functools.lru_cache(maxsize=None)
 def _pole_diagonals(n_spins: int):
     """Total sigma_z (the M_z label) and adjacent zz sum of each basis
     state: the field and zz diagonals of the pole Hamiltonian."""
-    z = _z_diagonals(n_spins)
+    z = _site_table(n_spins).z
     basis_m = z.sum(axis=0)
     zz = (z[:-1] * z[1:]).sum(axis=0)
     _read_only(basis_m, zz)
@@ -199,46 +211,23 @@ def _pole_diagonals(n_spins: int):
 
 def _interaction_blocks(n_spins: int):
     """Yield (M, basis indices, block) of the unit interaction X for each
-    M_z sector in ascending M, built from bit patterns.
+    M_z sector in ascending M.
 
     X conserves M_z.  Its block is real symmetric: the zz sum on the
-    diagonal, and 2 from xx+yy between two states that differ by the
-    flip of one anti-aligned bond.  Site k is bit n-1-k of the basis
-    index, set for sigma_z = -1.
+    diagonal and the sector's bond flips off it.
     """
-    z = _z_diagonals(n_spins)
+    sites = _site_table(n_spins)
     basis_m, zz = _pole_diagonals(n_spins)
+    bond, cols = np.nonzero(sites.z[:-1] != sites.z[1:])  # anti-aligned
+    rows = sites.flips[bond, sites.flips[bond + 1, cols]]  # bond flipped
     rank = np.empty(basis_m.size, dtype=int)  # position within the sector
     for m in range(-n_spins, n_spins + 1, 2):
         idx = np.flatnonzero(basis_m == m)
         rank[idx] = np.arange(idx.size)
         block = np.diag(zz[idx])
-        for k in range(n_spins - 1):
-            anti = idx[z[k, idx] != z[k + 1, idx]]
-            block[rank[anti], rank[anti ^ (3 << (n_spins - 2 - k))]] = 2.0
+        inside = basis_m[cols] == m
+        block[rank[rows[inside]], rank[cols[inside]]] = 2.0
         yield m, idx, block
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_operators(n_spins: int):
-    """Total spin per axis and the dense unit-strength interaction, built
-    from bit patterns: sigma_z is diagonal, and sigma_x and sigma_y of
-    site k take column b to row b ^ (1 << (n-1-k)), with entries 1 and
-    i z_k[b]."""
-    dim = 2**n_spins
-    z = _z_diagonals(n_spins)
-    cols = np.arange(dim)
-    totals = {axis: np.zeros((dim, dim), dtype=complex) for axis in _AXES}
-    totals["z"][cols, cols] = _pole_diagonals(n_spins)[0]
-    for k in range(n_spins):
-        rows = cols ^ (1 << (n_spins - 1 - k))
-        totals["x"][rows, cols] = 1.0
-        totals["y"][rows, cols] = 1j * z[k]
-    interaction = np.zeros((dim, dim), dtype=complex)
-    for _, idx, block in _interaction_blocks(n_spins):
-        interaction[np.ix_(idx, idx)] = block
-    _read_only(interaction, *totals.values())
-    return totals, interaction
 
 
 def _check_cap(spec: ChainSpec) -> None:
@@ -249,28 +238,35 @@ def _check_cap(spec: ChainSpec) -> None:
 
 
 def build_heisenberg(spec: ChainSpec, p: FieldPoint) -> np.ndarray:
-    """Chain Hamiltonian at a field point."""
+    """Chain Hamiltonian at a field point, from the interaction blocks and
+    the site table: sigma_x and sigma_y of site k take state b to
+    flips[k, b] with entries 1 and i z[k, b]."""
     _check_cap(spec)
-    totals, interaction = _chain_operators(spec.n_spins)
     st, ct = math.sin(p.theta), math.cos(p.theta)
     sp, cp = math.sin(p.phi), math.cos(p.phi)
     hx, hy, hz = (p.magnitude * c for c in (st * cp, st * sp, ct))
-    return (
-        -hx * totals["x"]
-        - hy * totals["y"]
-        - hz * totals["z"]
-        - spec.coupling_j * interaction
-    )
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for _, idx, block in _interaction_blocks(spec.n_spins):
+        h[np.ix_(idx, idx)] = -spec.coupling_j * block
+    cols = np.arange(spec.dim)
+    h[cols, cols] -= hz * _pole_diagonals(spec.n_spins)[0]
+    sites = _site_table(spec.n_spins)
+    h[sites.flips, cols] = -hx - 1j * hy * sites.z
+    return h
 
 
 def total_magnetization(psi: np.ndarray, axis: str) -> float:
-    """Expectation of the total Pauli magnetization along ``axis``."""
+    """Expectation of the total Pauli magnetization along ``axis``; the
+    site table's pairs a = psi[up], b = psi[down] give sigma_x and sigma_y
+    as 2 Re and 2 Im of a* b, summed over every site by one vdot."""
     if axis not in _AXES:
         raise ValueError("axis must be one of 'x', 'y', 'z'")
     dim = psi.shape[0]
     n_spins = dim.bit_length() - 1
     if 2**n_spins != dim:
         raise ValueError("state dimension is not a power of two")
-    totals, _ = _chain_operators(n_spins)
-    return float(np.real(np.vdot(psi, totals[axis].dot(psi))))
-
+    if axis == "z":
+        return float(np.vdot(psi, _pole_diagonals(n_spins)[0] * psi).real)
+    sites = _site_table(n_spins)
+    pairs = 2.0 * np.vdot(psi[sites.up], psi[sites.down])
+    return float(pairs.real if axis == "x" else pairs.imag)

@@ -35,7 +35,7 @@ from .model import (
     _json_field,
     _pole_diagonals,
     _read_only,
-    _z_diagonals,
+    _site_table,
 )
 from .qcore import PAULI, propagator, sector_eigh
 from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
@@ -166,11 +166,10 @@ _PARITY_TOL = 1e-12
 
 @functools.lru_cache(maxsize=None)
 def _bit_reversal(n_spins: int) -> np.ndarray:
-    """The basis index of each basis state's mirror image, read-only."""
-    index = np.arange(2**n_spins)
-    mirror = np.zeros_like(index)
-    for k in range(n_spins):
-        mirror |= ((index >> k) & 1) << (n_spins - 1 - k)
+    """The mirror image of each basis state, read-only: the sum of the
+    bits flips[k, 0] of the sites k whose mirror site N-1-k is down."""
+    sites = _site_table(n_spins)
+    mirror = sites.flips[:, 0].dot(sites.z[::-1] < 0)
     _read_only(mirror)
     return mirror
 
@@ -705,12 +704,14 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     Delays evolve under the coupling table plus the event's explicit
     frame offsets; chemical shifts are absorbed by the frames and do
     not appear.  Rotations are ideal and instantaneous, applied as one
-    2x2 contraction per rotated spin.
+    2x2 contraction per rotated spin.  The dense propagator is held to
+    the default chain cap before anything is built.
     """
     n = program.n_spins
+    _check_cap(ChainSpec(n, 0.0))
     if m.n_spins != n:
         raise ValueError("program and molecule sizes differ")
-    z = _z_diagonals(n)
+    z = _site_table(n).z
     zz = np.zeros(2**n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -741,7 +742,15 @@ class SequenceReport:
 
 
 def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarray:
-    """Propagator of the uniform adjacent zz chain -target_j sum sz sz."""
+    """Propagator of the uniform adjacent zz chain -target_j sum sz sz.
+
+    Its arguments and the default chain cap are checked before any work.
+    """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise OutOfRange(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(target_j):
+        raise OutOfRange(f"target_j must be finite, got {target_j}")
+    _check_cap(ChainSpec(n_spins, 0.0))
     diag = -target_j * _pole_diagonals(n_spins)[1]
     return np.diag(np.exp(-1j * diag * tau))
 

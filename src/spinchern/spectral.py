@@ -31,6 +31,7 @@ from .model import (
     _interaction_blocks,
     _pole_diagonals,
     _read_only,
+    _site_table,
 )
 from .qcore import sector_eigh
 
@@ -131,9 +132,9 @@ def _sector_response(n_spins: int) -> _Response:
 
     The S_x block from sector M + 2 down to M is V_M^T F V_{M+2},
     with F the 0/1 flips of one up spin: sigma_x of site k takes basis
-    state b to b ^ (1 << (n-1-k)), and the set bit is sigma_z = -1.  No
-    2^n x 2^n array is built.
+    state b to the site table's flips[k, b].  No 2^n x 2^n array is built.
     """
+    sites = _site_table(n_spins)
     sectors = _sector_data(n_spins)
     bounds = [*sectors.starts, sectors.basis_m.size]
     cols = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -146,10 +147,9 @@ def _sector_response(n_spins: int) -> _Response:
     down = []
     for s in range(n_spins):
         flips = np.zeros((idx[s].size, idx[s + 1].size))
-        for k in range(n_spins):
-            bit = 1 << (n_spins - 1 - k)
-            up = idx[s + 1][(idx[s + 1] & bit) == 0]
-            flips[rank[up ^ bit], rank[up]] = 1.0
+        for z, flip in zip(sites.z, sites.flips):
+            up = idx[s + 1][z[idx[s + 1]] > 0]
+            flips[rank[flip[up]], rank[up]] = 1.0
         down.append((vecs[s + 1].T @ flips.T @ vecs[s]) ** 2)
     columns, table = [], []
     for s in range(n_spins + 1):

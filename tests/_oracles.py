@@ -316,6 +316,15 @@ def _embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return out
 
 
+def kron_total_magnetization(psi: np.ndarray, axis: str) -> float:
+    """<psi| sum_k sigma_axis^k |psi> with every site operator embedded
+    by Kronecker products."""
+    n = psi.size.bit_length() - 1
+    op = {"x": _SX, "y": _SY, "z": _SZ}[axis]
+    total = sum(_embed(op, site, n) for site in range(n))
+    return float(np.vdot(psi, total @ psi).real)
+
+
 def product_pair_operators(n: int) -> dict:
     """Per-axis sums of adjacent two-site couplings, each a dense product
     of two embedded site operators."""

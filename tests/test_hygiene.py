@@ -1,5 +1,6 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
-one eigensolver module and oracles that do not share it.
+one eigensolver module, oracles that do not share it and one module
+that places spins on the bits of a basis index.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -112,6 +113,25 @@ def test_only_qcore_calls_a_dense_eigensolver():
     assert uses.pop("qcore.py"), "qcore no longer calls np.linalg.eigh"
     stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
     assert not stray, f"eigensolver outside qcore: {', '.join(stray)}"
+
+
+def _shift_lines(tree: ast.Module) -> list[int]:
+    """Lines with a ``<<`` or ``>>`` operation, augmented or not."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, (ast.LShift, ast.RShift))
+    ]
+
+
+def test_only_model_shifts_bits():
+    # Site k is bit n-1-k of a basis index: model's site table spells
+    # that once, and every other module reads the table.
+    uses = {path.name: _shift_lines(_parse(path)) for path in MODULES}
+    assert uses.pop("model.py"), "model no longer builds the site table by shifts"
+    stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
+    assert not stray, f"bit shift outside model: {', '.join(stray)}"
 
 
 def test_oracles_import_no_solver_from_the_package():

@@ -666,6 +666,54 @@ def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_pat
         assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--target-j", "nan", "--tau", "1e-3"], id="target-nan"),
+        pytest.param(["--target-j", "1", "--tau", "inf"], id="tau-inf"),
+        pytest.param(["--target-j", "1", "--tau=0"], id="tau-zero"),
+        pytest.param(["--target-j", "1", "--tau=-1e-3"], id="tau-negative"),
+    ],
+)
+def test_cli_pulse_verify_rejects_bad_target_and_tau(flags, tmp_path, capsys):
+    # Unchecked, a NaN target printed "fidelity: nan" and exited 0, an
+    # infinite tau printed two RuntimeWarnings and nan, and tau <= 0
+    # printed fidelities of about 0.997.
+    sequence = tmp_path / "ok.json"
+    sequence.write_text(json.dumps([_DELAY, _PULSE]))
+    argv = ["pulse", "verify", "--molecule", str(DATA_DIR / "three_spin.json"),
+            "--sequence", str(sequence), *flags]  # fmt: skip
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: OutOfRange: ")
+
+
+def test_cli_pulse_verify_rejects_a_chain_over_the_cap(tmp_path, capsys):
+    n = 12
+    molecule = tmp_path / "molecule.json"
+    molecule.write_text(
+        json.dumps(
+            {
+                "labels": [f"s{k}" for k in range(n)],
+                "shifts_hz": [0.0] * n,
+                "couplings_hz": [
+                    [100.0 if abs(i - k) == 1 else 0.0 for k in range(n)]
+                    for i in range(n)
+                ],
+            }
+        )
+    )
+    sequence = tmp_path / "sequence.json"
+    sequence.write_text(json.dumps([dict(_DELAY, frame=[0.0] * n)]))
+    argv = ["pulse", "verify", "--molecule", str(molecule), "--sequence",
+            str(sequence), "--target-j", "1", "--tau", "1e-3"]  # fmt: skip
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: DimensionCap: ")
+
+
 def test_cli_pulse_compile_rejects_wrong_size(capsys):
     code = cli_main(
         ["pulse", "compile", "--molecule", str(DATA_DIR / "three_spin.json"), "--n", "4"]

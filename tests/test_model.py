@@ -27,6 +27,7 @@ from _oracles import (
     eigh,
     field_cartesian,
     kron_chain_hamiltonian,
+    kron_total_magnetization,
     param_derivative,
     product_pair_operators,
 )
@@ -109,19 +110,27 @@ def test_hamiltonian_matches_kron_oracle(n, j, theta, phi):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_operators_equal_product_construction(n):
     # The bit-pattern blocks, placed at their sector's basis indices, are
-    # the product construction summed over the three axes.
+    # the product construction summed over the three axes, and so is the
+    # coupling part of build_heisenberg at the pole.
     products = product_pair_operators(n)
     interaction = products["x"] + products["y"] + products["z"]
     built = np.zeros((2**n, 2**n))
     for _, idx, block in model._interaction_blocks(n):
         built[np.ix_(idx, idx)] = block
     assert np.array_equal(built, interaction)
-    totals, dense_interaction = model._chain_operators(n)
-    assert np.array_equal(dense_interaction, interaction)
-    # The bit-pattern spin totals are the sums of embedded Pauli matrices.
-    for axis in ("x", "y", "z"):
+    pole = FieldPoint(theta=0.0)
+    free = build_heisenberg(ChainSpec(n, 0.0), pole)
+    assert np.array_equal(free - build_heisenberg(ChainSpec(n, 1.0), pole), interaction)
+    # The field part along each axis is minus the sum of embedded Pauli
+    # matrices; cos(pi/2) = 6e-17 leaves stray field components that small.
+    for axis, p in (
+        ("x", FieldPoint(theta=math.pi / 2)),
+        ("y", FieldPoint(theta=math.pi / 2, phi=math.pi / 2)),
+        ("z", pole),
+    ):
         embedded = sum(_embed(PAULI[axis], k, n) for k in range(n))
-        assert np.array_equal(totals[axis], embedded)
+        field = build_heisenberg(ChainSpec(n, 0.0), p)
+        assert np.abs(field + embedded).max() <= 1e-15 * n
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -186,6 +195,17 @@ def test_total_magnetization_of_polarized_ground_state():
         total_magnetization(system.ground_state, "q")
     with pytest.raises(ValueError):
         total_magnetization(np.ones(3), "z")
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_total_magnetization_equals_kron_construction(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        for axis in ("x", "y", "z"):
+            expected = kron_total_magnetization(psi, axis)
+            assert abs(total_magnetization(psi, axis) - expected) <= 1e-12
 
 
 def test_molecule_spec_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import spinchern.model as model
 import spinchern.pulsesim as pulsesim
 import spinchern.quench as quench
 import spinchern.spectral as spectral
@@ -445,6 +446,52 @@ def test_compile_rejects_nonfinite_tau(molecule2):
     for tau in (math.inf, math.nan):
         with pytest.raises(OutOfRange):
             compile_zz(molecule2, 1.0, tau)
+
+
+# Unchecked, the target propagator took a NaN target to a NaN fidelity,
+# an infinite tau to a NaN one with two RuntimeWarnings, and tau <= 0 to
+# fidelities near 1.  At 40 spins a check made after the size cap would
+# raise DimensionCap instead.
+@pytest.mark.parametrize(
+    "target_j, tau",
+    [(math.nan, TAU), (math.inf, TAU), (1.0, math.inf), (1.0, math.nan),
+     (1.0, 0.0), (1.0, -TAU)],
+    ids=["target-nan", "target-inf", "tau-inf", "tau-nan", "tau-zero", "tau-negative"],
+)  # fmt: skip
+def test_bad_target_and_tau_are_rejected_before_any_work(molecule3, target_j, tau):
+    with pytest.raises(OutOfRange):
+        compile_zz(molecule3, target_j, tau)
+    with pytest.raises(OutOfRange):
+        zz_target_propagator(40, target_j, tau)
+
+
+def test_pulse_routes_check_the_chain_cap_before_any_cache_access():
+    # Unchecked, a 16-spin frame built a 2^16 x 2^16 identity, 68 GB.
+    n = 40
+    program = PulseProgram(
+        n, (Delay(TAU, (0.0,) * n), Rotation((0, n - 1), "x", math.pi))
+    )
+    adjacent = np.diag(np.full(n - 1, 100.0), 1)
+    molecule = MoleculeSpec(
+        labels=tuple(f"s{k}" for k in range(n)),
+        shifts_hz=np.zeros(n),
+        couplings_hz=adjacent + adjacent.T,
+    )
+    caches = (
+        model._site_table,
+        model._pole_diagonals,
+        spectral._sector_data,
+        pulsesim._exchange_system,
+        pulsesim._bit_reversal,
+    )
+    before = [cache.cache_info() for cache in caches]
+    with pytest.raises(DimensionCap):
+        simulate_program(program, molecule)
+    # 11 spins is the first size past the default chain cap of 10.
+    for size in (n, 11):
+        with pytest.raises(DimensionCap):
+            zz_target_propagator(size, 1.0, TAU)
+    assert [cache.cache_info() for cache in caches] == before
 
 
 def test_toggled_average_hits_target_and_refocuses_rest(molecule3, molecule4):

@@ -262,9 +262,8 @@ def test_eight_spin_ramp_matches_dense_oracle():
 # --- the free-spin product cache --------------------------------------------
 
 CACHES = (
-    model._z_diagonals,
+    model._site_table,
     model._pole_diagonals,
-    model._chain_operators,
     spectral._sector_data,
     pulsesim._exchange_system,
     quench._free_spin_ramp,

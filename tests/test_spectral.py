@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ def test_size_cap_is_checked_before_any_cache_access(call):
     caches = (
         spectral._sector_data,
         spectral._sector_response,
-        model._chain_operators,
+        model._site_table,
         pulsesim._exchange_system,
     )
     before = [cache.cache_info() for cache in caches]
@@ -384,18 +385,13 @@ def test_bad_scan_inputs_raise_before_any_cache_access(call):
     caches = (
         spectral._sector_data,
         spectral._sector_response,
-        model._chain_operators,
+        model._site_table,
         pulsesim._exchange_system,
     )
     before = [cache.cache_info() for cache in caches]
     with pytest.raises(OutOfRange):
         call(ChainSpec(3, 1.0))
     assert [cache.cache_info() for cache in caches] == before
-
-
-def _cached_chain_operators(n):
-    totals, interaction = model._chain_operators(n)
-    return [*totals.values(), interaction]
 
 
 def _fields(cached):
@@ -405,9 +401,8 @@ def _fields(cached):
 @pytest.mark.parametrize(
     "cached",
     [
-        pytest.param(lambda n: [model._z_diagonals(n)], id="z_diagonals"),
+        pytest.param(lambda n: _fields(model._site_table(n)), id="site_table"),
         pytest.param(lambda n: list(model._pole_diagonals(n)), id="pole_diagonals"),
-        pytest.param(_cached_chain_operators, id="chain_operators"),
         pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
         pytest.param(
             lambda n: [
@@ -471,11 +466,28 @@ def test_stacked_rows_equal_single_rotations(n):
         assert np.abs(row - spectral._rotate_y(psi, angle)).max() <= 1e-14
 
 
-def test_static_routes_build_no_dense_operator():
-    model._chain_operators.cache_clear()
-    spec = ChainSpec(9, 1.0)
-    curvature_spectral(spec, EQUATOR)
-    chern_lattice(spec)
-    ground_gap(spec, FieldPoint(theta=0.0))
-    find_crossings(spec, (-2.0, 2.0))
-    assert model._chain_operators.cache_info().currsize == 0
+def test_cold_routes_at_ten_spins_peak_below_one_dense_operator():
+    # The bound is one 2^10 x 2^10 complex matrix, 16 MiB: no route holds
+    # a dense spin total or interaction of the chain.
+    caches = (
+        model._site_table,
+        model._pole_diagonals,
+        spectral._sector_data,
+        spectral._sector_response,
+        quench._free_spin_ramp,
+        quench._midpoint_angles,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    spec = ChainSpec(10, 1.0)
+    tracemalloc.start()
+    try:
+        quench.evolve_quench(spec, quench.QuenchProtocol(0.1))
+        curvature_spectral(spec, EQUATOR)
+        chern_lattice(spec)
+        ground_gap(spec, FieldPoint(theta=0.0))
+        find_crossings(spec, (-2.0, 2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
