@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -23,7 +22,15 @@ from .lab import (
     export_results,
     run_sweep,
 )
-from .model import ChainSpec, FieldPoint, MoleculeSpec
+from .model import (
+    ChainSpec,
+    FieldPoint,
+    MoleculeSpec,
+    _is_count,
+    _is_real_list,
+    _json_field,
+    _json_file,
+)
 from .pulsesim import (
     _zz_fidelity,
     compile_zz,
@@ -107,26 +114,42 @@ def _cmd_curvature(args) -> int:
 
 
 def _load_sweep_config(args) -> SweepConfig:
-    raw = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    n_spins = args.n if args.n is not None else raw.get("n_spins", 2)
-    j_values = _j_grid_from_args(args) or tuple(
-        raw.get("j_values", default_j_grid())
+    raw = _json_file(args.config, dict, "a JSON object") if args.config else {}
+
+    def field(key, default, valid, expected):
+        """The config file's value of ``key`` if it has one, type-checked."""
+        if key not in raw:
+            return default
+        return _json_field(raw, key, args.config, valid, expected)
+
+    numbers = (_is_real_list, "a list of numbers")
+    n_spins = (
+        args.n
+        if args.n is not None
+        else field("n_spins", 2, _is_count, "a whole number")
     )
+    j_values = _j_grid_from_args(args) or field("j_values", default_j_grid(), *numbers)
     velocities = (
-        _parse_velocities(args.v)
-        if args.v
-        else tuple(raw.get("velocities", (0.1,)))
+        _parse_velocities(args.v) if args.v else field("velocities", (0.1,), *numbers)
+    )
+    steps = (
+        args.steps
+        if args.steps is not None
+        else field("steps", 300, _is_count, "a whole number")
+    )
+    method = args.method or field(
+        "method", "spectral", lambda v: isinstance(v, str), "a string"
+    )
+    output_path = args.output or field(
+        "output_path", None, lambda v: v is None or isinstance(v, str), "a string"
     )
     return SweepConfig(
         spec=ChainSpec(n_spins=n_spins, coupling_j=0.0),
-        j_values=j_values,
-        velocities=velocities,
-        steps=args.steps if args.steps is not None else raw.get("steps", 300),
-        method=args.method if args.method else raw.get("method", "spectral"),
-        output_path=args.output or raw.get("output_path"),
+        j_values=tuple(j_values),
+        velocities=tuple(velocities),
+        steps=steps,
+        method=method,
+        output_path=output_path,
     )
 
 

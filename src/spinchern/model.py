@@ -12,7 +12,7 @@ parameterized on a sphere as
 
 the convention under which the phi-derivative of H at the equator is
 minus the total y-magnetization.  Every solver reads the chain through
-one site table per size and the M_z blocks of X built from it;
+one site table per size, its spin-axis views and the M_z blocks of X;
 ``build_heisenberg`` assembles the dense matrix at one field point.
 """
 
@@ -54,6 +54,25 @@ def _check_grid(grid) -> tuple[int, int]:
     if min(counts) < 1:
         raise OutOfRange(f"grid {grid!r} has no cells")
     return counts
+
+
+def _is_real(value) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_real_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_real, value))
+
+
+def _json_file(path, kind: type, expected: str):
+    """The JSON value in the file at ``path``, or ``OutOfRange`` naming
+    the file unless it is a ``kind`` (``expected`` says what it must be)."""
+    with open(path, encoding="utf-8") as fh:
+        value = json.load(fh)
+    if not isinstance(value, kind):
+        raise OutOfRange(f"{path} must hold {expected}, got {value!r}")
+    return value
 
 
 def _json_field(record, key: str, where: str, valid=None, expected: str = ""):
@@ -145,8 +164,7 @@ class MoleculeSpec:
 
     @classmethod
     def from_json(cls, path) -> "MoleculeSpec":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _json_file(path, dict, "a JSON object")
         labels = _json_field(
             raw, "labels", path, lambda v: isinstance(v, list), "a list"
         )
@@ -163,9 +181,8 @@ class MoleculeSpec:
             raise OutOfRange(f"{path}: {exc}") from None
 
 
-# The site table and the pole diagonals are reused heavily by sweeps, so
-# they are cached per chain size and read-only: an in-place write to one
-# raises ValueError.
+# Sweeps reuse the site table heavily, so it is cached per chain size and
+# read-only: an in-place write to one of its arrays raises ValueError.
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -178,13 +195,22 @@ class _SiteTable:
     """The one place that says site k is bit n-1-k of a basis index, set
     for sigma_z = -1.  ``z[k, b]`` is sigma_z of site k in state b and
     ``flips[k, b]`` the state with site k flipped; ``up`` and ``down``
-    pair each state with site k up to its flip, site after site.
+    pair each state with site k up to its flip, site after site.  ``m``
+    and ``zz`` are each state's M_z label and adjacent zz sum, the pole
+    Hamiltonian's diagonals, and ``mirror`` its image under k <-> n-1-k.
+    ``sectors[s]`` lists the states of M = 2s - n in ascending order and
+    ``rank`` each state's position in its sector.
     """
 
     z: np.ndarray
     flips: np.ndarray
     up: np.ndarray
     down: np.ndarray
+    m: np.ndarray
+    zz: np.ndarray
+    mirror: np.ndarray
+    sectors: tuple
+    rank: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,20 +219,15 @@ def _site_table(n_spins: int) -> _SiteTable:
     bits = 1 << np.arange(n_spins - 1, -1, -1)
     flips = basis ^ bits[:, None]
     z = np.where(basis & bits[:, None], -1.0, 1.0)
-    table = _SiteTable(z, flips, np.broadcast_to(basis, z.shape)[z > 0], flips[z > 0])
-    _read_only(*vars(table).values())
-    return table
-
-
-@functools.lru_cache(maxsize=None)
-def _pole_diagonals(n_spins: int):
-    """Total sigma_z (the M_z label) and adjacent zz sum of each basis
-    state: the field and zz diagonals of the pole Hamiltonian."""
-    z = _site_table(n_spins).z
-    basis_m = z.sum(axis=0)
-    zz = (z[:-1] * z[1:]).sum(axis=0)
-    _read_only(basis_m, zz)
-    return basis_m, zz
+    up, down = np.broadcast_to(basis, z.shape)[z > 0], flips[z > 0]
+    m, zz = z.sum(axis=0), (z[:-1] * z[1:]).sum(axis=0)
+    mirror = bits.dot(z[::-1] < 0)  # site k's bit where site n-1-k is down
+    sectors = tuple(np.flatnonzero(m == s) for s in range(-n_spins, n_spins + 1, 2))
+    rank = np.empty(basis.size, dtype=int)
+    for idx in sectors:
+        rank[idx] = np.arange(idx.size)
+    _read_only(z, flips, up, down, m, zz, mirror, rank, *sectors)
+    return _SiteTable(z, flips, up, down, m, zz, mirror, sectors, rank)
 
 
 def _interaction_blocks(n_spins: int):
@@ -217,17 +238,61 @@ def _interaction_blocks(n_spins: int):
     diagonal and the sector's bond flips off it.
     """
     sites = _site_table(n_spins)
-    basis_m, zz = _pole_diagonals(n_spins)
     bond, cols = np.nonzero(sites.z[:-1] != sites.z[1:])  # anti-aligned
     rows = sites.flips[bond, sites.flips[bond + 1, cols]]  # bond flipped
-    rank = np.empty(basis_m.size, dtype=int)  # position within the sector
-    for m in range(-n_spins, n_spins + 1, 2):
-        idx = np.flatnonzero(basis_m == m)
-        rank[idx] = np.arange(idx.size)
-        block = np.diag(zz[idx])
-        inside = basis_m[cols] == m
-        block[rank[rows[inside]], rank[cols[inside]]] = 2.0
+    for m, idx in zip(range(-n_spins, n_spins + 1, 2), sites.sectors):
+        block = np.diag(sites.zz[idx])
+        inside = sites.m[cols] == m
+        block[sites.rank[rows[inside]], sites.rank[cols[inside]]] = 2.0
         yield m, idx, block
+
+
+# Spin-axis views: read as n axes of length 2, a basis index puts site k
+# on axis k, the site table's bit order.  Nothing else reshapes by spin.
+
+
+def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply ``single`` to every spin of a state, or of each column of a
+    matrix, as one 2x2 contraction per spin, O(n 2^n) per column.
+
+    Each contraction acts on the leading spin and moves it to the back,
+    so after n of them every spin is transformed and the spins are back
+    in order, behind the column index.  A contraction is computed as
+    x^T single^T, whose result is laid out for the next reshape, so no
+    contraction copies the array first.  ``ndarray.dot`` skips the
+    dispatch of the ``matmul`` ufunc, about a quarter of a contraction's
+    time at these sizes, with the same bits.
+    """
+    out = x
+    for _ in range(x.shape[0].bit_length() - 1):
+        out = out.reshape(2, -1).T.dot(single.T)
+    return out.reshape(x.shape[::-1]).T
+
+
+def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
+    """Apply R_y(angle) = exp(-i angle S_y / 2) to a state."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
+
+
+def _rotate_rows(psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rows R_y(angle) psi for every angle, as one batched 2x2 contraction
+    per spin over the whole stack of angles.
+
+    As in ``_each_spin``, each contraction acts on the leading spin of
+    every row and moves it to the back, computed as x^T single^T.
+    """
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    singles_t = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)
+    out = np.broadcast_to(psi, (angles.size, psi.size))
+    for _ in range(psi.size.bit_length() - 1):
+        out = out.reshape(angles.size, 2, -1).transpose(0, 2, 1) @ singles_t
+    return out.reshape(angles.size, psi.size)
+
+
+def _rotate_spin(single: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Apply ``single`` to spin k, axis 1 of a (2^k, 2, -1) view of ``x``."""
+    return (single @ x.reshape(2**k, 2, -1)).reshape(x.shape)
 
 
 def _check_cap(spec: ChainSpec) -> None:
@@ -249,8 +314,8 @@ def build_heisenberg(spec: ChainSpec, p: FieldPoint) -> np.ndarray:
     for _, idx, block in _interaction_blocks(spec.n_spins):
         h[np.ix_(idx, idx)] = -spec.coupling_j * block
     cols = np.arange(spec.dim)
-    h[cols, cols] -= hz * _pole_diagonals(spec.n_spins)[0]
     sites = _site_table(spec.n_spins)
+    h[cols, cols] -= hz * sites.m
     h[sites.flips, cols] = -hx - 1j * hy * sites.z
     return h
 
@@ -265,8 +330,8 @@ def total_magnetization(psi: np.ndarray, axis: str) -> float:
     n_spins = dim.bit_length() - 1
     if 2**n_spins != dim:
         raise ValueError("state dimension is not a power of two")
-    if axis == "z":
-        return float(np.vdot(psi, _pole_diagonals(n_spins)[0] * psi).real)
     sites = _site_table(n_spins)
+    if axis == "z":
+        return float(np.vdot(psi, sites.m * psi).real)
     pairs = 2.0 * np.vdot(psi[sites.up], psi[sites.down])
     return float(pairs.real if axis == "x" else pairs.imag)

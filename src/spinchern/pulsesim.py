@@ -30,22 +30,21 @@ from .model import (
     FieldPoint,
     MoleculeSpec,
     _check_cap,
+    _each_spin,
     _interaction_blocks,
     _is_count,
+    _is_real,
+    _is_real_list,
     _json_field,
-    _pole_diagonals,
+    _json_file,
     _read_only,
+    _rotate_spin,
+    _rotate_y,
     _site_table,
 )
 from .qcore import PAULI, propagator, sector_eigh
 from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
-from .spectral import (
-    PoleSystem,
-    _each_spin,
-    _pole_system,
-    _rotate_y,
-    _sector_data,
-)
+from .spectral import PoleSystem, _pole_system
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -54,8 +53,8 @@ _COUPLING_RTOL = 1e-12
 
 def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
     """Field and zz part of the pole Hamiltonian, which is diagonal."""
-    basis_m, adjacent_zz = _pole_diagonals(spec.n_spins)
-    return -magnitude * basis_m - spec.coupling_j * adjacent_zz
+    sites = _site_table(spec.n_spins)
+    return -magnitude * sites.m - spec.coupling_j * sites.zz
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,7 +109,7 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
 #
 # The ramp runs in the frame W = w (x) ... (x) w whose columns are the
 # sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
-# diagonal of M_z labels m of spectral's sectors, so every rotation is
+# diagonal of the site table's M_z labels m, so every rotation is
 # the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
 
 _Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
@@ -165,35 +164,26 @@ _PARITY_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
-def _bit_reversal(n_spins: int) -> np.ndarray:
-    """The mirror image of each basis state, read-only: the sum of the
-    bits flips[k, 0] of the sites k whose mirror site N-1-k is down."""
-    sites = _site_table(n_spins)
-    mirror = sites.flips[:, 0].dot(sites.z[::-1] < 0)
-    _read_only(mirror)
-    return mirror
-
-
-@functools.lru_cache(maxsize=None)
 def _mirror_sector(n_spins: int, parity: float):
     """The frame of the sector of ``parity``, read-only: left = W[:, r],
     right = left + w W[:, rev r] and the M_z labels m[r] of the
     representatives r."""
-    mirror = _bit_reversal(n_spins)
+    sites = _site_table(n_spins)
+    mirror = sites.mirror
     index = np.arange(mirror.size)
     reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
     weights = np.where(mirror[reps] == reps, 0.0, parity)
     left = _each_spin(_Y_FRAME, np.eye(mirror.size, dtype=complex)[:, reps])
     # W commutes with the reflection, so W[:, rev r] = W[rev, r]
     right = left + weights * left[mirror]
-    m = _sector_data(n_spins).basis_m[reps]
+    m = sites.m[reps]
     _read_only(left, right, m)
     return left, right, m
 
 
 def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
     """sigma of a state with state[rev b] = sigma state[b] for every b."""
-    mirrored = state[_bit_reversal(n_spins)]
+    mirrored = state[_site_table(n_spins).mirror]
     parity = 1.0 if np.vdot(state, mirrored).real >= 0.0 else -1.0
     defect = float(np.linalg.norm(mirrored - parity * state))
     if not defect <= _PARITY_TOL:
@@ -642,15 +632,6 @@ def program_to_json(program: PulseProgram, path) -> None:
         fh.write("\n")
 
 
-def _is_real(value) -> bool:
-    """True for a JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_real_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_real, value))
-
-
 def _is_spin_list(value) -> bool:
     return (
         isinstance(value, list)
@@ -663,8 +644,7 @@ def program_from_json(path) -> PulseProgram:
     """Read an event list.  The chain size is taken from the delays' frame
     vectors, or from the highest pulsed spin if there is no delay, so a
     pulse on a spin past the frame is reported at the pulse."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _json_file(path, list, "a list of events")
     events = []
     frames, pulsed_spins = [], 0
     for k, item in enumerate(payload):
@@ -725,10 +705,9 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
             unitary = np.exp(-1j * diag * ev.duration)[:, None] * unitary
         else:
             single = _pauli_rotation(ev.axis, ev.angle)
-            # Spin k is the middle axis of a (2^k, 2, -1) view of the rows;
-            # a spin listed twice is rotated once.
+            # a spin listed twice is rotated once
             for k in sorted(set(ev.spins)):
-                unitary = (single @ unitary.reshape(2**k, 2, -1)).reshape(dim, dim)
+                unitary = _rotate_spin(single, unitary, k)
     return unitary
 
 
@@ -751,7 +730,7 @@ def zz_target_propagator(n_spins: int, target_j: float, tau: float) -> np.ndarra
     if not math.isfinite(target_j):
         raise OutOfRange(f"target_j must be finite, got {target_j}")
     _check_cap(ChainSpec(n_spins, 0.0))
-    diag = -target_j * _pole_diagonals(n_spins)[1]
+    diag = -target_j * _site_table(n_spins).zz
     return np.diag(np.exp(-1j * diag * tau))
 
 

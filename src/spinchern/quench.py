@@ -16,8 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
-from .model import ChainSpec, _is_count, _read_only, total_magnetization
-from .spectral import PoleSystem, _each_spin, _pole_system, _rotate_y
+from .model import (
+    ChainSpec,
+    _each_spin,
+    _is_count,
+    _read_only,
+    _rotate_y,
+    total_magnetization,
+)
+from .spectral import PoleSystem, _pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
@@ -81,6 +88,8 @@ def theta_of_t(protocol: QuenchProtocol, t):
 
     ``t`` is a time or an array of times.
     """
+    if not np.isfinite(t).all():
+        raise OutOfRange(f"t={t} is not finite")
     total = protocol.total_time
     early, late = np.min(t), np.max(t)
     if early < 0.0 or late > total * (1.0 + 1e-12):

@@ -29,8 +29,8 @@ from .model import (
     _check_cap,
     _check_grid,
     _interaction_blocks,
-    _pole_diagonals,
     _read_only,
+    _rotate_rows,
     _site_table,
 )
 from .qcore import sector_eigh
@@ -93,10 +93,9 @@ class _Sectors:
     Columns of ``vectors`` are the real block eigenvectors, sector after
     sector in ascending M; ``level_m`` and ``level_x`` hold each
     column's M and interaction eigenvalue, and ``starts`` the first
-    column of each sector.  ``basis_m`` is the M_z of each basis state.
+    column of each sector.
     """
 
-    basis_m: np.ndarray
     level_m: np.ndarray
     level_x: np.ndarray
     vectors: np.ndarray
@@ -107,7 +106,7 @@ class _Sectors:
 def _sector_data(n_spins: int) -> _Sectors:
     level_m, level_x, vectors, starts = sector_eigh(_interaction_blocks(n_spins))
     _read_only(level_m, level_x, vectors, starts)
-    return _Sectors(_pole_diagonals(n_spins)[0], level_m, level_x, vectors, starts)
+    return _Sectors(level_m, level_x, vectors, starts)
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,10 @@ def _sector_response(n_spins: int) -> _Response:
     """
     sites = _site_table(n_spins)
     sectors = _sector_data(n_spins)
-    bounds = [*sectors.starts, sectors.basis_m.size]
+    idx, rank = sites.sectors, sites.rank
+    bounds = [*sectors.starts, rank.size]
     cols = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
-    idx = [np.flatnonzero(sectors.basis_m == m) for m in sectors.level_m[bounds[:-1]]]
     vecs = [sectors.vectors[i, c] for i, c in zip(idx, map(slice, bounds, bounds[1:]))]
-    rank = np.empty(sectors.basis_m.size, dtype=int)  # position within the sector
-    for i in idx:
-        rank[i] = np.arange(i.size)
     # down[s][r, k] = |<k|S_x|r>|^2 from vector r of sector s + 1 to k of s
     down = []
     for s in range(n_spins):
@@ -171,9 +167,9 @@ def _sectors(spec: ChainSpec) -> _Sectors:
 def _pole_levels(spec: ChainSpec, magnitude: float):
     """Sector data, the pole levels -|h| M - J lambda of its columns, and
     their stable ascending order."""
-    sectors = _sectors(spec)
     if not (math.isfinite(magnitude) and magnitude > 0.0):
         raise OutOfRange(f"field magnitude must be positive and finite: {magnitude}")
+    sectors = _sectors(spec)
     levels = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
     return sectors, levels, np.argsort(levels, kind="stable")
 
@@ -190,45 +186,6 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
         sectors=sectors.level_m[order],
         ground_state=sectors.vectors[:, order[0]].astype(complex),
     )
-
-
-def _each_spin(single: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply ``single`` to every spin of a state, or of each column of a
-    matrix, as one 2x2 contraction per spin, O(n 2^n) per column.
-
-    Each contraction acts on the leading spin and moves it to the back,
-    so after n of them every spin is transformed and the spins are back
-    in order, behind the column index.  A contraction is computed as
-    x^T single^T, whose result is laid out for the next reshape, so no
-    contraction copies the array first.  ``ndarray.dot`` skips the
-    dispatch of the ``matmul`` ufunc, about a quarter of a contraction's
-    time at these sizes, with the same bits.
-    """
-    out = x
-    for _ in range(x.shape[0].bit_length() - 1):
-        out = out.reshape(2, -1).T.dot(single.T)
-    return out.reshape(x.shape[::-1]).T
-
-
-def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
-    """Apply R_y(angle) = exp(-i angle S_y / 2) to a state."""
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
-
-
-def _rotate_rows(psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rows R_y(angle) psi for every angle, as one batched 2x2 contraction
-    per spin over the whole stack of angles.
-
-    As in ``_each_spin``, each contraction acts on the leading spin of
-    every row and moves it to the back, computed as x^T single^T.
-    """
-    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    singles_t = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)
-    out = np.broadcast_to(psi, (angles.size, psi.size))
-    for _ in range(psi.size.bit_length() - 1):
-        out = out.reshape(angles.size, 2, -1).transpose(0, 2, 1) @ singles_t
-    return out.reshape(angles.size, psi.size)
 
 
 def _require_gap(gap: float, p: FieldPoint) -> float:
@@ -332,7 +289,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     rows = _rotate_rows(pole.ground_state, thetas)
     # <r_i|r_{i+1}> per row pair, and right[i, k] from row i's weights
     down = np.einsum("ib,ib->i", rows[:-1].conj(), rows[1:])
-    hops = np.exp(-0.5j * np.outer(_sectors(spec).basis_m, dphi))
+    hops = np.exp(-0.5j * np.outer(_site_table(spec.n_spins).m, dphi))
     right = np.abs(rows) ** 2 @ hops
     angles = np.angle(right[1:] * right[:-1].conj())
     overlap = min(np.abs(down).min(), np.abs(right).min())

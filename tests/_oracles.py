@@ -12,13 +12,16 @@ against the oracle ``expm_i``.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import pkgutil
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+import spinchern
 from spinchern import (
     ChainSpec,
     Delay,
@@ -52,6 +55,30 @@ PLATEAU_CASES = [
 ]  # fmt: skip
 RAMP_RATES = (0.05, 0.1, 0.29, 2.0)
 ORACLE_STEPS = 40
+
+
+def _package_caches() -> list:
+    """Every cached function a spinchern module defines, found by walking
+    the package's modules for ``cache_info``."""
+    caches = []
+    for info in pkgutil.iter_modules(spinchern.__path__):
+        module = importlib.import_module(f"{spinchern.__name__}.{info.name}")
+        caches += [
+            obj
+            for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        ]
+    return caches
+
+
+# The package's caches.  An input rejected "before any cache access"
+# leaves every one of them as it was.
+CACHES = _package_caches()
+
+
+def cache_state() -> list:
+    """The hit and miss counts of every package cache."""
+    return [cache.cache_info() for cache in CACHES]
 
 
 # --- dense Hermitian layer ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
-one eigensolver module, oracles that do not share it and one module
-that places spins on the bits of a basis index.
+one eigensolver module, oracles that do not share it, one module that
+places spins on the bits and axes of a basis index, and a shared cache
+list that holds every cached function.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -18,6 +19,8 @@ import pytest
 
 import spinchern
 import spinchern.qcore as qcore
+
+from _oracles import CACHES
 
 PACKAGE_DIR = Path(spinchern.__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -132,6 +135,57 @@ def test_only_model_shifts_bits():
     assert uses.pop("model.py"), "model no longer builds the site table by shifts"
     stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
     assert not stray, f"bit shift outside model: {', '.join(stray)}"
+
+
+def _is_spin_axis(arg: ast.expr) -> bool:
+    """A literal 2 or a ``2 ** k``, or a tuple holding one."""
+    if isinstance(arg, ast.Tuple):
+        return any(map(_is_spin_axis, arg.elts))
+    if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Pow):
+        arg = arg.left
+    return isinstance(arg, ast.Constant) and type(arg.value) is int and arg.value == 2
+
+
+def _spin_view_lines(tree: ast.Module) -> list[int]:
+    """Lines that call ``reshape`` with a spin axis among its arguments."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "reshape"
+        and any(map(_is_spin_axis, node.args))
+    ]
+
+
+def test_only_model_views_the_basis_by_spin():
+    # Site k is axis k of a (2, ..., 2) view of a basis index, the bit
+    # order of the site table: model's spin-axis views spell that, and
+    # every other module calls them.
+    uses = {path.name: _spin_view_lines(_parse(path)) for path in MODULES}
+    in_model = uses.pop("model.py")
+    stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
+    assert not stray, f"spin-axis reshape outside model: {', '.join(stray)}"
+    assert in_model, "model no longer holds the spin-axis views"
+
+
+def _cached_functions(tree: ast.Module) -> set[str]:
+    """Functions decorated with ``functools.lru_cache`` or ``cache``."""
+    caching = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(ast.unparse(d).split("(")[0] in caching for d in node.decorator_list)
+    }
+
+
+def test_the_shared_cache_list_holds_every_cached_function():
+    declared = {
+        f"spinchern.{path.stem}.{name}"
+        for path in MODULES
+        for name in _cached_functions(_parse(path))
+    }
+    assert declared == {f"{c.__module__}.{c.__name__}" for c in CACHES}
 
 
 def test_oracles_import_no_solver_from_the_package():

@@ -689,6 +689,41 @@ def test_cli_pulse_verify_rejects_bad_target_and_tau(flags, tmp_path, capsys):
     assert err.startswith("error: OutOfRange: ")
 
 
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        pytest.param("sweep", [1, 2], "a JSON object", id="config-list"),
+        pytest.param("sweep", {"j_values": [[1]]}, "'j_values'", id="j-nested"),
+        pytest.param("sweep", {"method": "dynamical", "velocities": [[0.1]]},
+                     "'velocities'", id="velocities-nested"),
+        pytest.param("sweep", {"n_spins": 2, "steps": True}, "'steps'", id="steps-bool"),
+        pytest.param("sweep", {"method": 5}, "'method'", id="method-int"),
+        pytest.param("sweep", {"j_values": [0.5], "output_path": 5}, "'output_path'",
+                     id="output-int"),
+        pytest.param("verify", 5, "a list of events", id="sequence-int"),
+        pytest.param("compile", [1], "a JSON object", id="molecule-list"),
+    ],
+)  # fmt: skip
+def test_cli_json_files_are_type_checked(command, payload, field, tmp_path, capsys):
+    # Unchecked, a list config died with an AttributeError, nested
+    # j_values or velocities with a TypeError from float(), a bool step
+    # count ran a spectral sweep, a method 5 and an output path 5 failed
+    # without naming the file (the path only after the whole sweep), and
+    # a sequence holding 5 died with a TypeError.
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "sweep": ["sweep", "--config", str(path)],
+        "verify": ["pulse", "verify", "--molecule", str(DATA_DIR / "three_spin.json"),
+                   "--sequence", str(path), "--target-j", "1", "--tau", "1e-3"],
+        "compile": ["pulse", "compile", "--molecule", str(path)],
+    }[command]  # fmt: skip
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: OutOfRange: {path}") and field in err
+
+
 def test_cli_pulse_verify_rejects_a_chain_over_the_cap(tmp_path, capsys):
     n = 12
     molecule = tmp_path / "molecule.json"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from spinchern import (
     FieldPoint,
     MoleculeSpec,
     OutOfRange,
+    PulseProgram,
+    Rotation,
     build_heisenberg,
+    simulate_program,
     total_magnetization,
 )
 
@@ -105,6 +109,28 @@ def test_hamiltonian_matches_kron_oracle(n, j, theta, phi):
     assert np.allclose(
         build_heisenberg(spec, p), kron_chain_hamiltonian(n, j, theta, phi), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_order_agrees_across_layers(n):
+    # A pi pulse on spin k of a pulse program acts on the table's site k,
+    # and the collective rotation takes the all-up state 0 to the table's
+    # all-down state.  simulate_program reads only the molecule's size and
+    # couplings, so a free frame stands in for it, one spin included.
+    sites = model._site_table(n)
+    frame = SimpleNamespace(n_spins=n, couplings_hz=np.zeros((n, n)))
+    dim = 2**n
+    for k in range(n):
+        flip = np.zeros((dim, dim))
+        flip[sites.flips[k], np.arange(dim)] = 1.0
+        for axis, pauli in (("x", flip), ("z", np.diag(sites.z[k]))):
+            program = PulseProgram(n, (Rotation((k,), axis, math.pi),))
+            got = simulate_program(program, frame)
+            assert np.abs(got + 1j * pauli).max() <= 1e-15
+    up = np.zeros(dim, dtype=complex)
+    up[0] = 1.0
+    (all_down,) = sites.sectors[0]
+    assert abs(abs(model._rotate_y(up, math.pi)[all_down]) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -47,6 +47,7 @@ from _oracles import (
     PLATEAU_CASES,
     RAMP_RATES,
     assert_same_state,
+    cache_state,
     collective_ry,
     dense_ramp,
     enumerate_zz_vertices,
@@ -302,7 +303,7 @@ def test_mirror_sectors_split_the_basis(n):
     # columns, right = W P_w unfolds a sector state into the full space,
     # and the sector core is the gather C_y[r, r] + w C_y[r, rev r].
     pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
-    mirror = pulsesim._bit_reversal(n)
+    mirror = model._site_table(n).mirror
     assert np.array_equal(mirror[mirror], np.arange(2**n))
     frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * n)
     core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3)
@@ -325,7 +326,7 @@ def test_mirror_sectors_split_the_basis(n):
             (left.conj().T @ core @ right, gathered, 1e-13),
         ):
             assert np.abs(got - want).max(initial=0.0) <= tol
-        assert np.array_equal(m, spectral._sector_data(n).basis_m[reps])
+        assert np.array_equal(m, model._site_table(n).m[reps])
 
 
 def test_perturbed_fidelity_validation():
@@ -477,21 +478,14 @@ def test_pulse_routes_check_the_chain_cap_before_any_cache_access():
         shifts_hz=np.zeros(n),
         couplings_hz=adjacent + adjacent.T,
     )
-    caches = (
-        model._site_table,
-        model._pole_diagonals,
-        spectral._sector_data,
-        pulsesim._exchange_system,
-        pulsesim._bit_reversal,
-    )
-    before = [cache.cache_info() for cache in caches]
+    before = cache_state()
     with pytest.raises(DimensionCap):
         simulate_program(program, molecule)
     # 11 spins is the first size past the default chain cap of 10.
     for size in (n, 11):
         with pytest.raises(DimensionCap):
             zz_target_propagator(size, 1.0, TAU)
-    assert [cache.cache_info() for cache in caches] == before
+    assert cache_state() == before
 
 
 def test_toggled_average_hits_target_and_refocuses_rest(molecule3, molecule4):
@@ -742,7 +736,7 @@ def test_y_frame_diagonalises_rotations_and_keeps_the_exchange(n, delta):
         ChainSpec(n, 1.0), pole
     )
     assert np.max(np.abs(frame.conj().T @ exchange @ frame - exchange)) <= 1e-12
-    m = spectral._sector_data(n).basis_m
+    m = model._site_table(n).m
     rotated = frame.conj().T @ collective_ry(n, delta) @ frame
     assert np.max(np.abs(rotated - np.diag(np.exp(-0.5j * delta * m)))) <= 1e-12
 
@@ -763,7 +757,7 @@ def plateau_chains(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(spec=plateau_chains(), v=st.sampled_from(RAMP_RATES))
 def test_bit_reversal_commutes_with_the_split_step_core(spec, v):
-    mirror = pulsesim._bit_reversal(spec.n_spins)
+    mirror = model._site_table(spec.n_spins).mirror
     step_time = QuenchProtocol(v, ORACLE_STEPS).step_time
     core = pulsesim._trotter_core(spec, 1.0, step_time)
     assert np.max(np.abs(core[np.ix_(mirror, mirror)] - core)) <= 1e-13
@@ -771,14 +765,14 @@ def test_bit_reversal_commutes_with_the_split_step_core(spec, v):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bit_reversal_keeps_the_m_labels(n):
-    basis_m = spectral._sector_data(n).basis_m
-    assert np.array_equal(basis_m[pulsesim._bit_reversal(n)], basis_m)
+    sites = model._site_table(n)
+    assert np.array_equal(sites.m[sites.mirror], sites.m)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(spec=plateau_chains())
 def test_pole_ground_state_has_a_mirror_parity(spec):
-    mirror = pulsesim._bit_reversal(spec.n_spins)
+    mirror = model._site_table(spec.n_spins).mirror
     ground = pulsesim._pole_system(spec).ground_state
     frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * spec.n_spins)
     for state in (ground, frame.conj().T @ ground):

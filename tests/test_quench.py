@@ -8,10 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spinchern.model as model
-import spinchern.pulsesim as pulsesim
 import spinchern.quench as quench
-import spinchern.spectral as spectral
 from spinchern import (
     ChainSpec,
     DegenerateGroundState,
@@ -41,6 +38,7 @@ from _oracles import (
     PLATEAU_CASES,
     RAMP_RATES,
     assert_same_state,
+    cache_state,
     dense_ramp,
     eigh,
     param_derivative,
@@ -84,6 +82,10 @@ def test_ramp_profile_endpoints_and_window():
         theta_of_t(proto, -1e-9)
     with pytest.raises(OutOfRange):
         theta_of_t(proto, proto.total_time * 1.01)
+    # Unchecked, a NaN time returned NaN, also inside an array.
+    for t in (math.nan, math.inf, -math.inf, np.array([0.0, math.nan])):
+        with pytest.raises(OutOfRange, match="not finite"):
+            theta_of_t(proto, t)
 
 
 def test_slow_ramp_reads_off_the_curvature():
@@ -261,15 +263,6 @@ def test_eight_spin_ramp_matches_dense_oracle():
 
 # --- the free-spin product cache --------------------------------------------
 
-CACHES = (
-    model._site_table,
-    model._pole_diagonals,
-    spectral._sector_data,
-    pulsesim._exchange_system,
-    quench._free_spin_ramp,
-    quench._midpoint_angles,
-)
-
 
 def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
     # Every row of every chain size shares the protocol, so only the
@@ -331,10 +324,10 @@ def test_final_angle_is_theta_of_t_at_the_end(v, steps):
 
 
 def _assert_raises_before_any_cache_access(call):
-    before = [cache.cache_info() for cache in CACHES]
+    before = cache_state()
     with pytest.raises(OutOfRange):
         call()
-    assert [cache.cache_info() for cache in CACHES] == before
+    assert cache_state() == before
 
 
 @pytest.mark.parametrize(

@@ -32,8 +32,10 @@ from spinchern import (
 )
 
 from _oracles import (
+    CACHES,
     PLATEAU_CASES,
     bisection_crossings,
+    cache_state,
     dense_chern_lattice,
     dense_curvature,
     eigh,
@@ -268,9 +270,13 @@ def test_pole_system_matches_dense_spectrum(n):
 
 
 def test_pole_system_rejects_bad_field_magnitude():
-    for magnitude in (0.0, -1.0, math.nan, math.inf):
+    # Unchecked, the magnitude was rejected only after the size's sector
+    # blocks were solved: one cache miss at N = 9.
+    for magnitude in (math.nan, math.inf, 0.0, -1.0):
+        before = cache_state()
         with pytest.raises(OutOfRange):
-            pole_system(ChainSpec(2, 1.0), magnitude)
+            pole_system(ChainSpec(9, 1.0), magnitude)
+        assert cache_state() == before
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -355,16 +361,10 @@ def test_find_crossings_matches_bisection_oracle(n):
     ],
 )
 def test_size_cap_is_checked_before_any_cache_access(call):
-    caches = (
-        spectral._sector_data,
-        spectral._sector_response,
-        model._site_table,
-        pulsesim._exchange_system,
-    )
-    before = [cache.cache_info() for cache in caches]
+    before = cache_state()
     with pytest.raises(DimensionCap):
         call(ChainSpec(3, 1.0, max_spins=2))
-    assert [cache.cache_info() for cache in caches] == before
+    assert cache_state() == before
 
 
 @pytest.mark.parametrize(
@@ -382,27 +382,25 @@ def test_size_cap_is_checked_before_any_cache_access(call):
 )
 def test_bad_scan_inputs_raise_before_any_cache_access(call):
     # Unchecked, the fractional grid raised a TypeError from numpy.
-    caches = (
-        spectral._sector_data,
-        spectral._sector_response,
-        model._site_table,
-        pulsesim._exchange_system,
-    )
-    before = [cache.cache_info() for cache in caches]
+    before = cache_state()
     with pytest.raises(OutOfRange):
         call(ChainSpec(3, 1.0))
-    assert [cache.cache_info() for cache in caches] == before
+    assert cache_state() == before
 
 
 def _fields(cached):
-    return [getattr(cached, f.name) for f in dataclasses.fields(cached)]
+    """The arrays of a cached dataclass, each entry of a tuple field too."""
+    arrays = []
+    for f in dataclasses.fields(cached):
+        value = getattr(cached, f.name)
+        arrays += value if isinstance(value, tuple) else [value]
+    return arrays
 
 
 @pytest.mark.parametrize(
     "cached",
     [
         pytest.param(lambda n: _fields(model._site_table(n)), id="site_table"),
-        pytest.param(lambda n: list(model._pole_diagonals(n)), id="pole_diagonals"),
         pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
         pytest.param(
             lambda n: [
@@ -422,7 +420,6 @@ def _fields(cached):
             lambda n: [quench._midpoint_angles(quench.QuenchProtocol(0.1 * n))],
             id="midpoint_angles",
         ),
-        pytest.param(lambda n: [pulsesim._bit_reversal(n)], id="bit_reversal"),
         pytest.param(
             lambda n: [
                 *pulsesim._mirror_sector(n, 1.0),
@@ -451,7 +448,7 @@ def test_each_spin_equals_kron_construction(n):
     for shape in ((dim,), (dim, 3), (dim, dim)):
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         x /= np.linalg.norm(x, axis=0)
-        assert np.abs(spectral._each_spin(single, x) - full @ x).max() <= 1e-14
+        assert np.abs(model._each_spin(single, x) - full @ x).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -460,24 +457,16 @@ def test_stacked_rows_equal_single_rotations(n):
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     psi /= np.linalg.norm(psi)
     angles = np.concatenate([np.linspace(0.0, math.pi, 25), rng.uniform(-4, 4, 5)])
-    rows = spectral._rotate_rows(psi, angles)
+    rows = model._rotate_rows(psi, angles)
     assert rows.shape == (angles.size, psi.size)
     for row, angle in zip(rows, angles):
-        assert np.abs(row - spectral._rotate_y(psi, angle)).max() <= 1e-14
+        assert np.abs(row - model._rotate_y(psi, angle)).max() <= 1e-14
 
 
 def test_cold_routes_at_ten_spins_peak_below_one_dense_operator():
     # The bound is one 2^10 x 2^10 complex matrix, 16 MiB: no route holds
     # a dense spin total or interaction of the chain.
-    caches = (
-        model._site_table,
-        model._pole_diagonals,
-        spectral._sector_data,
-        spectral._sector_response,
-        quench._free_spin_ramp,
-        quench._midpoint_angles,
-    )
-    for cache in caches:
+    for cache in CACHES:
         cache.cache_clear()
     spec = ChainSpec(10, 1.0)
     tracemalloc.start()
