@@ -16,6 +16,7 @@ import sys
 from ._version import __version__
 from .errors import SpinChernError, TooFewRows
 from .lab import (
+    METHODS,
     SweepConfig,
     default_j_grid,
     detect_plateaus,
@@ -128,7 +129,12 @@ def _load_sweep_config(args) -> SweepConfig:
         if args.n is not None
         else field("n_spins", 2, _is_count, "a whole number")
     )
-    j_values = _j_grid_from_args(args) or field("j_values", default_j_grid(), *numbers)
+    j_values = _j_grid_from_args(args) or field(
+        "j_values",
+        default_j_grid(),
+        lambda v: _is_real_list(v) and len(v) > 0,
+        "a non-empty list of numbers",
+    )
     velocities = (
         _parse_velocities(args.v) if args.v else field("velocities", (0.1,), *numbers)
     )
@@ -138,7 +144,7 @@ def _load_sweep_config(args) -> SweepConfig:
         else field("steps", 300, _is_count, "a whole number")
     )
     method = args.method or field(
-        "method", "spectral", lambda v: isinstance(v, str), "a string"
+        "method", "spectral", lambda v: v in METHODS, f"one of {METHODS}"
     )
     output_path = args.output or field(
         "output_path", None, lambda v: v is None or isinstance(v, str), "a string"

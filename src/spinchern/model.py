@@ -168,8 +168,13 @@ class MoleculeSpec:
         labels = _json_field(
             raw, "labels", path, lambda v: isinstance(v, list), "a list"
         )
-        shifts, couplings = (
-            _json_field(raw, key, path) for key in ("shifts_hz", "couplings_hz")
+        shifts = _json_field(raw, "shifts_hz", path, _is_real_list, "a list of numbers")
+        couplings = _json_field(
+            raw,
+            "couplings_hz",
+            path,
+            lambda v: isinstance(v, list) and all(map(_is_real_list, v)),
+            "a list of lists of numbers",
         )
         try:
             return cls(
@@ -273,21 +278,6 @@ def _rotate_y(psi: np.ndarray, angle: float) -> np.ndarray:
     """Apply R_y(angle) = exp(-i angle S_y / 2) to a state."""
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     return _each_spin(np.array([[c, -s], [s, c]], dtype=complex), psi)
-
-
-def _rotate_rows(psi: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rows R_y(angle) psi for every angle, as one batched 2x2 contraction
-    per spin over the whole stack of angles.
-
-    As in ``_each_spin``, each contraction acts on the leading spin of
-    every row and moves it to the back, computed as x^T single^T.
-    """
-    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    singles_t = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)
-    out = np.broadcast_to(psi, (angles.size, psi.size))
-    for _ in range(psi.size.bit_length() - 1):
-        out = out.reshape(angles.size, 2, -1).transpose(0, 2, 1) @ singles_t
-    return out.reshape(angles.size, psi.size)
 
 
 def _rotate_spin(single: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:

@@ -43,7 +43,13 @@ from .model import (
     _site_table,
 )
 from .qcore import PAULI, propagator, sector_eigh
-from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
+from .quench import (
+    QuenchProtocol,
+    QuenchResult,
+    _midpoint_angles,
+    _ramp_result,
+    _readout,
+)
 from .spectral import PoleSystem, _pole_system
 
 # Adjacent couplings closer than this (relative) cannot be told apart
@@ -307,7 +313,8 @@ def simulate_protocol_trotter(
     readout, with rotations around the split step core."""
     pole = _pole_system(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
-    return _ramp_result(pole, _ramp_state(pole, core, protocol), protocol)
+    psi = _ramp_state(pole, core, protocol)
+    return _ramp_result(pole, protocol, *_readout(pole.ground_state, psi, protocol))
 
 
 def perturbed_fidelity(

@@ -16,20 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
-from .model import (
-    ChainSpec,
-    _each_spin,
-    _is_count,
-    _read_only,
-    _rotate_y,
-    total_magnetization,
-)
+from .model import ChainSpec, _is_count, _read_only, _rotate_y, total_magnetization
 from .spectral import PoleSystem, _pole_system
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
-# static curvature, mapped at 300 steps and field magnitude 1 on a 0.0025
-# grid from v = 0.05 (N = 2, J = 1; the ratio is the same for every N and
-# J on a plateau).  The deviation stays below 4.5% up to here and first
+# static curvature.  On a plateau both are M_g times one free spin's (see
+# the reduced ramp below, and F = M_g sin(theta) / 2), so their ratio is
+# the one-spin ratio at every N and J, and the cap is a statement about
+# one spin.  It was mapped at 300 steps and field magnitude 1 on a 0.0025
+# grid from v = 0.05.  The deviation stays below 4.5% up to here and first
 # passes 5% at v ~ 0.2999.  Beyond, the ratio rings with an amplitude that
 # grows with v (the ramp's acceleration v^2/pi switches on abruptly at
 # t = 0), so an isolated node at a faster rate (0.02% at v = 1.53, against
@@ -69,13 +64,12 @@ class QuenchProtocol:
 
 @dataclass(frozen=True)
 class QuenchResult:
-    """Final state and the curvature read off one ramp.
+    """The curvature read off one ramp.
 
     ``gap`` is the pole gap of the chain at unit field, which rotation
     covariance keeps the same all along the ramp.
     """
 
-    final_state: np.ndarray
     m_phi: float
     f_extracted: float
     v_theta: float
@@ -104,9 +98,13 @@ def theta_of_t(protocol: QuenchProtocol, t):
 # -n(theta) . S is linear in it, so an exact step factorises,
 # exp(-i H(theta) dt) = exp(i J X dt) exp(i dt n(theta) . S), and both
 # factors commute along the ramp.  The pole ground state g is an X
-# eigenstate (J lambda_g = -(E_g + M_g) at unit field), so the ramp is
-# U g = e^{i J lambda_g T} (u (x) ... (x) u) g with u the 2x2 ramp of one
-# free spin (Radcliffe, J. Phys. A 4, 313 (1971)).
+# eigenstate, so the ramp is U g = e^{i J lambda_g T} (u (x) ... (x) u) g
+# with u the 2x2 ramp of one free spin.  A gapped g is also the top of
+# its spin-S multiplet, S = M_g / 2: otherwise S+ g would be a lower
+# level in M_g + 2.  So U g is a spin-S coherent state (Radcliffe,
+# J. Phys. A 4, 313 (1971)), whose transverse magnetization is M_g times
+# that of u|up> and whose overlap with the rotated g is the M_g-th power
+# of that of u|up>.  An exact ramp reads one spin.
 
 
 # Real traffic needs few protocols: a sweep uses one per rate,
@@ -158,26 +156,32 @@ def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
     return u
 
 
-def _reduced_ramp(pole: PoleSystem, protocol: QuenchProtocol) -> np.ndarray:
-    """Final state of the exact ramp from the pole ground state."""
-    phase = np.exp(-1j * (pole.values[0] + pole.sectors[0]) * protocol.total_time)
-    return phase * _each_spin(_free_spin_ramp(protocol), pole.ground_state)
+_UP = np.array([1.0, 0.0], dtype=complex)
+
+
+def _readout(start: np.ndarray, psi: np.ndarray, protocol: QuenchProtocol):
+    """m_phi and the adiabatic overlap of a ramp's final state ``psi``.
+    The adiabatic target is the rotated start state, so no eigensolve is
+    needed at the end."""
+    theta_final = protocol.final_angle
+    m_phi = math.sin(theta_final) * total_magnetization(psi, "y")
+    target = _rotate_y(start, theta_final)
+    return m_phi, float(abs(np.vdot(target, psi)) ** 2)
+
+
+def _spin_readout(protocol: QuenchProtocol):
+    """The readout of one free spin's ramp from |up>."""
+    return _readout(_UP, _free_spin_ramp(protocol)[:, 0], protocol)
 
 
 def _ramp_result(
-    pole: PoleSystem, psi: np.ndarray, protocol: QuenchProtocol
+    pole: PoleSystem, protocol: QuenchProtocol, m_phi: float, overlap: float
 ) -> QuenchResult:
-    """Readout of a ramp's final state.  The adiabatic target is the
-    rotated pole ground state, so no eigensolve is needed at the end."""
-    theta_final = protocol.final_angle
-    m_phi = math.sin(theta_final) * total_magnetization(psi, "y")
-    target = _rotate_y(pole.ground_state, theta_final)
     return QuenchResult(
-        final_state=psi,
         m_phi=m_phi,
         f_extracted=m_phi / protocol.v_theta,
         v_theta=protocol.v_theta,
-        adiabatic_overlap=float(abs(np.vdot(target, psi)) ** 2),
+        adiabatic_overlap=overlap,
         gap=pole.ground_gap,
     )
 
@@ -190,24 +194,24 @@ def evolve_quench(
 ) -> QuenchResult:
     """Integrate the ramp with midpoint-sampled piecewise-constant steps.
 
-    The steps are exact, so the ramp reduces to one 2x2 product (see
-    above) and no propagator of the chain is formed.  With
-    ``check_convergence`` the step count is doubled once and the run
-    rejected if the transverse magnetization moves by more than
-    ``CONVERGENCE_TOL``.
+    The steps are exact, so the ramp reduces to the ramp of one free spin
+    (see above), read off its 2x2 product; no state of the chain is
+    formed.  With ``check_convergence`` the step count is doubled once
+    and the run rejected if the transverse magnetization moves by more
+    than ``CONVERGENCE_TOL``.
     """
     pole = _pole_system(spec)
-    result = _ramp_result(pole, _reduced_ramp(pole, protocol), protocol)
+    m_g = float(pole.sectors[0])
+    m_one, overlap_one = _spin_readout(protocol)
     if check_convergence:
         fine = replace(protocol, steps=2 * protocol.steps)
-        fine_m_phi = _ramp_result(pole, _reduced_ramp(pole, fine), fine).m_phi
-        drift = abs(fine_m_phi - result.m_phi)
+        drift = m_g * abs(_spin_readout(fine)[0] - m_one)
         if drift > CONVERGENCE_TOL:
             raise StepCountTooSmall(
                 f"m_phi drifts by {drift:.3e} on step doubling; "
                 f"increase steps beyond {protocol.steps}"
             )
-    return result
+    return _ramp_result(pole, protocol, m_g * m_one, overlap_one**m_g)
 
 
 def extract_curvature(results) -> float:

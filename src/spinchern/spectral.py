@@ -30,8 +30,6 @@ from .model import (
     _check_grid,
     _interaction_blocks,
     _read_only,
-    _rotate_rows,
-    _site_table,
 )
 from .qcore import sector_eigh
 
@@ -74,7 +72,9 @@ class PoleSystem:
     """Ascending pole levels, the M_z sector of each, and the ground state.
 
     The ground state is a real sector vector held as a complex array,
-    the dtype of every state a ramp evolves from it.
+    the dtype of every state a Trotter ramp evolves from it.  The exact
+    ramp, the curvature sum and the lattice rows read only the levels
+    and the ground sector.
     """
 
     values: np.ndarray
@@ -107,55 +107,6 @@ def _sector_data(n_spins: int) -> _Sectors:
     level_m, level_x, vectors, starts = sector_eigh(_interaction_blocks(n_spins))
     _read_only(level_m, level_x, vectors, starts)
     return _Sectors(level_m, level_x, vectors, starts)
-
-
-@dataclass(frozen=True)
-class _Response:
-    """Signed squared S_x elements between neighbouring M_z sectors.
-
-    S_x takes sector M only to M - 2 and M + 2, and on M -> M +- 2 the
-    S_y block is -+i times the S_x block, so for a sector vector i,
-    Im(<i|S_y|n><n|S_x|i>) = +-|<n|S_x|i>|^2, with + toward M + 2.  For
-    sector s, ``columns[s]`` holds the sector-vector columns of both
-    neighbours and ``table[s][r, k]`` that signed square for the
-    sector's r-th vector and neighbour column ``columns[s][k]``.
-    """
-
-    columns: tuple
-    table: tuple
-
-
-@functools.lru_cache(maxsize=None)
-def _sector_response(n_spins: int) -> _Response:
-    """The sector table of every chain of ``n_spins``, for every J and |h|.
-
-    The S_x block from sector M + 2 down to M is V_M^T F V_{M+2},
-    with F the 0/1 flips of one up spin: sigma_x of site k takes basis
-    state b to the site table's flips[k, b].  No 2^n x 2^n array is built.
-    """
-    sites = _site_table(n_spins)
-    sectors = _sector_data(n_spins)
-    idx, rank = sites.sectors, sites.rank
-    bounds = [*sectors.starts, rank.size]
-    cols = [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
-    vecs = [sectors.vectors[i, c] for i, c in zip(idx, map(slice, bounds, bounds[1:]))]
-    # down[s][r, k] = |<k|S_x|r>|^2 from vector r of sector s + 1 to k of s
-    down = []
-    for s in range(n_spins):
-        flips = np.zeros((idx[s].size, idx[s + 1].size))
-        for z, flip in zip(sites.z, sites.flips):
-            up = idx[s + 1][z[idx[s + 1]] > 0]
-            flips[rank[flip[up]], rank[up]] = 1.0
-        down.append((vecs[s + 1].T @ flips.T @ vecs[s]) ** 2)
-    columns, table = [], []
-    for s in range(n_spins + 1):
-        near = [(cols[s - 1], -down[s - 1])] if s > 0 else []
-        if s < n_spins:
-            near.append((cols[s + 1], down[s].T))
-        columns.append(np.concatenate([c for c, _ in near]))
-        table.append(np.concatenate([t for _, t in near], axis=1))
-    _read_only(*columns, *table)
-    return _Response(tuple(columns), tuple(table))
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -220,21 +171,19 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
 
     oriented so a single free spin gives +1/2 at the equator.  The sum
     is taken in the pole frame, where U^dagger dH/dtheta U = -|h| S_x and
-    U^dagger dH/dphi U = -|h| sin(theta) S_y.  There S_x and S_y reach
-    only the sectors M_g +- 2 of the ground state, so the states n are
-    the cached sector eigenvectors of those two sectors, and each term's
-    numerator is read from the size's ``_sector_response`` table.
+    U^dagger dH/dphi U = -|h| sin(theta) S_y.  A gapped ground state g
+    is the top of its spin-S multiplet, S = M_g / 2, so by Wigner-Eckart
+    S_x and S_y reach only S- g, which lies 2|h| above g in M_g - 2.
+    There the S_y element is -i times the S_x element, so the one term's
+    numerator is -|<S- g|S_x|g>|^2 = -M_g.
     """
     sectors, levels, order = _pole_levels(spec, p.magnitude)
     ground, excited = order[:2]
     gap = _require_gap(float(levels[excited] - levels[ground]), p)
-    response = _sector_response(spec.n_spins)
-    s = int(sectors.level_m[ground] + spec.n_spins) // 2
-    near = response.columns[s]
-    signed = response.table[s][ground - sectors.starts[s]]
+    m_g = float(sectors.level_m[ground])
     scale = -2.0 * p.magnitude**2 * math.sin(p.theta)
-    f = scale * np.dot(signed, (levels[near] - levels[ground]) ** -2.0)
-    return CurvatureSample(point=p, f_phitheta=float(f), gap=gap)
+    f = scale * -m_g / (2.0 * p.magnitude) ** 2
+    return CurvatureSample(point=p, f_phitheta=f, gap=gap)
 
 
 def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
@@ -259,6 +208,18 @@ def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:
     return total / (2.0 * math.pi)
 
 
+def _multiplet_rows(m_g: int, thetas: np.ndarray):
+    """Weights of R_y(theta)|S, S> on the M_z labels of its spin-S
+    multiplet, S = m_g / 2, one row per angle, and those labels: the
+    binomial C(m_g, k) cos^{2(m_g - k)}(theta/2) sin^{2k}(theta/2) on
+    M = m_g - 2k."""
+    k = np.arange(m_g + 1)
+    binomial = np.array([math.comb(m_g, i) for i in k], dtype=float)
+    cos2, sin2 = np.cos(0.5 * thetas) ** 2, np.sin(0.5 * thetas) ** 2
+    weights = binomial * cos2[:, None] ** (m_g - k) * sin2[:, None] ** k
+    return weights, m_g - 2 * k
+
+
 def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     """First Chern number from plaquette link phases on a closed grid.
 
@@ -274,6 +235,11 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     alone.  A link along a row reads only that row's weights |r_i(b)|^2,
     right = sum_b |r_i(b)|^2 exp(-i dphi m_b / 2).
 
+    A gapped g is the top |S, S> of its spin-S multiplet, S = M_g / 2,
+    so the rows live in that multiplet: their weights per M_z label are
+    binomial (``_multiplet_rows``) and the down links are
+    cos(dtheta / 2)^M_g.  No state of the chain is rotated.
+
     On these rotated states the winding of each column telescopes to the
     change of the right-link phase between the poles, where r has M_z =
     M_g and -M_g, so the sum reads the pole ground sector M_g.  What the
@@ -283,16 +249,14 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     can return a wrong integer.
     """
     n_theta, n_phi = _check_grid(grid)
-    pole = _pole_system(spec)
+    m_g = int(_pole_system(spec).sectors[0])
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     dphi = np.diff(np.linspace(0.0, 2.0 * math.pi, n_phi + 1))
-    rows = _rotate_rows(pole.ground_state, thetas)
-    # <r_i|r_{i+1}> per row pair, and right[i, k] from row i's weights
-    down = np.einsum("ib,ib->i", rows[:-1].conj(), rows[1:])
-    hops = np.exp(-0.5j * np.outer(_site_table(spec.n_spins).m, dphi))
-    right = np.abs(rows) ** 2 @ hops
+    weights, m = _multiplet_rows(m_g, thetas)
+    down = np.cos(0.5 * np.diff(thetas)) ** m_g
+    right = weights @ np.exp(-0.5j * np.outer(m, dphi))
     angles = np.angle(right[1:] * right[:-1].conj())
-    overlap = min(np.abs(down).min(), np.abs(right).min())
+    overlap = min(down.min(), np.abs(right).min())
     phase = np.abs(angles).max()
     if overlap < LATTICE_MIN_OVERLAP or phase > LATTICE_MAX_PHASE:
         raise OutOfRange(

@@ -64,9 +64,9 @@ def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
 
 
 def test_staircase_pass_on_a_warm_sector_cache_matches_reference(tmp_path):
-    # Every staircase pass after the first reads the curvature of each
-    # size from its cached neighbour-sector table.
+    # Every staircase pass after the first reads the levels of each size
+    # from its cached sector blocks.
     _check_pass("staircase", tmp_path)
-    warm = spectral._sector_response.cache_info()
+    warm = spectral._sector_data.cache_info()
     _check_pass("staircase", tmp_path)
-    assert spectral._sector_response.cache_info().misses == warm.misses
+    assert spectral._sector_data.cache_info().misses == warm.misses

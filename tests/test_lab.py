@@ -623,6 +623,10 @@ def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
                      id="labels-int"),
         pytest.param("molecule", dict(_MOLECULE, labels=["A"]), "", "'labels'",
                      id="labels-short"),
+        pytest.param("molecule", dict(_MOLECULE, shifts_hz="x"), "", "'shifts_hz'",
+                     id="shifts-string"),
+        pytest.param("molecule", dict(_MOLECULE, couplings_hz="x"), "",
+                     "'couplings_hz'", id="couplings-string"),
         pytest.param("sequence", [_DELAY, dict(_PULSE, spins=[])], " event 1",
                      "'spins'", id="spins-empty"),
         pytest.param("sequence", [dict(_PULSE, spins=[1.7])], " event 0", "'spins'",
@@ -642,11 +646,13 @@ def test_bad_pulse_files_are_rejected(kind, payload, message, tmp_path, capsys):
 def test_pulse_file_values_are_type_checked(kind, payload, where, field, tmp_path,
                                             capsys):  # fmt: skip
     # Unchecked, labels=5 died with a TypeError traceback, an empty spin
-    # list with a bare ValueError from max(), spin 1.7 ran as spin 1 and
-    # one label passed for three spins.  A negative delay, a NaN frame
-    # offset and a spin past the frame length named neither the file nor
-    # the event, and then the spin past the frame was blamed on the delay
-    # before it.  Every message names the file, the event and the field.
+    # list with a bare ValueError from max(), spin 1.7 ran as spin 1,
+    # one label passed for three spins, and a string of shifts or
+    # couplings named the file but not the key.  A negative delay, a NaN
+    # frame offset and a spin past the frame length named neither the
+    # file nor the event, and then the spin past the frame was blamed on
+    # the delay before it.  Every message names the file, the event and
+    # the field.
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(payload))
     molecule = path if kind == "molecule" else DATA_DIR / "three_spin.json"
@@ -698,6 +704,8 @@ def test_cli_pulse_verify_rejects_bad_target_and_tau(flags, tmp_path, capsys):
                      "'velocities'", id="velocities-nested"),
         pytest.param("sweep", {"n_spins": 2, "steps": True}, "'steps'", id="steps-bool"),
         pytest.param("sweep", {"method": 5}, "'method'", id="method-int"),
+        pytest.param("sweep", {"method": "bogus"}, "'method'", id="method-unknown"),
+        pytest.param("sweep", {"j_values": []}, "'j_values'", id="j-empty"),
         pytest.param("sweep", {"j_values": [0.5], "output_path": 5}, "'output_path'",
                      id="output-int"),
         pytest.param("verify", 5, "a list of events", id="sequence-int"),
@@ -708,8 +716,9 @@ def test_cli_json_files_are_type_checked(command, payload, field, tmp_path, caps
     # Unchecked, a list config died with an AttributeError, nested
     # j_values or velocities with a TypeError from float(), a bool step
     # count ran a spectral sweep, a method 5 and an output path 5 failed
-    # without naming the file (the path only after the whole sweep), and
-    # a sequence holding 5 died with a TypeError.
+    # without naming the file (the path only after the whole sweep), an
+    # unknown method and an empty J list named neither the file nor the
+    # key, and a sequence holding 5 died with a TypeError.
     path = tmp_path / "file.json"
     path.write_text(json.dumps(payload))
     argv = {

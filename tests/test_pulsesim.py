@@ -252,11 +252,13 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
     states = pulsesim._ramp_state(pole, core, proto, offsets)
     for state, column in zip(states, offsets.T):
-        result = quench._ramp_result(pole, state[:, 0], proto)
-        psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True, offsets=column)
-        assert_same_state(result.final_state, psi)
-        assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
-        assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
+        m_phi, overlap = quench._readout(pole.ground_state, state[:, 0], proto)
+        psi, dense_m_phi, dense_overlap = dense_ramp(
+            spec, proto, trotter=True, offsets=column
+        )
+        assert_same_state(state[:, 0], psi)
+        assert m_phi == pytest.approx(dense_m_phi, abs=1e-10)
+        assert overlap == pytest.approx(dense_overlap, abs=1e-10)
 
 
 def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
@@ -784,11 +786,13 @@ def test_pole_ground_state_has_a_mirror_parity(spec):
 @pytest.mark.parametrize("n, j", PLATEAU_CASES)
 def test_trotter_ramp_matches_dense_oracle(n, j):
     spec = ChainSpec(n, j)
+    pole = pulsesim._pole_system(spec)
     for v in RAMP_RATES:
         proto = QuenchProtocol(v, ORACLE_STEPS)
         psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True)
         result = simulate_protocol_trotter(spec, proto)
-        assert_same_state(result.final_state, psi)
+        core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
+        assert_same_state(pulsesim._ramp_state(pole, core, proto), psi)
         assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
         assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
 

@@ -304,8 +304,8 @@ def _plateau_couplings(n):
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_curvature_matches_dense_oracle_on_every_plateau_of_larger_chains(n):
-    # The sector table holds only the neighbour sectors M_g +- 2; the
-    # dense oracle sums over every level of a fresh eigensolve.
+    # The route sums over the ground multiplet alone; the dense oracle
+    # sums over every level of a fresh eigensolve.
     for j in _plateau_couplings(n):
         for magnitude in (0.7, 1.9):
             spec = ChainSpec(n, j * magnitude)
@@ -324,6 +324,50 @@ def test_equator_curvature_is_half_the_pole_sector_up_to_the_cap(n):
             continue
         two_f = 2.0 * curvature_spectral(spec, EQUATOR).f_phitheta
         assert two_f == pytest.approx(pole.sectors[0], abs=1e-9)
+
+
+# --- the ground multiplet ----------------------------------------------------
+#
+# The exact ramp, the curvature sum and the lattice rows read the gapped
+# pole ground state g as the top |S, S> of a spin-S multiplet, S = M_g / 2.
+
+J_GRID = np.linspace(-2.0, 2.0, 41)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pole_ground_state_is_highest_weight(n):
+    # sum_k sigma+_k g = 0: sigma+_k takes each state with site k down to
+    # its flip.
+    sites = model._site_table(n)
+    for j in J_GRID:
+        pole = pole_system(ChainSpec(n, float(j)))
+        if pole.ground_gap < 1e-3:
+            continue
+        raised = np.zeros_like(pole.ground_state)
+        for z, flips in zip(sites.z, sites.flips):
+            raised[flips[z < 0]] += pole.ground_state[z < 0]
+        assert np.abs(raised).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ferromagnetic_ground_sector_is_saturated(n):
+    # For J > 0 the ground state is all up, M_g = N, and the lowest
+    # excitation is its own multiplet's S- g, 2|h| above it.
+    for j in J_GRID[J_GRID > 0.0]:
+        for magnitude in (0.5, 1.0, 3.0):
+            pole = pole_system(ChainSpec(n, float(j)), magnitude)
+            assert pole.sectors[0] == n
+            assert pole.ground_gap == pytest.approx(2.0 * magnitude, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_first_crossing_is_the_one_magnon_saturation_coupling(n):
+    # The saturated level -N - J (N - 1) first meets the lowest one-magnon
+    # level for J < 0, -(N - 2) - J (N - 5 - 4 cos(pi / N)) at unit field,
+    # at J_sat = -1 / (2 (1 + cos(pi / N))).
+    j_sat = -1.0 / (2.0 * (1.0 + math.cos(math.pi / n)))
+    nearest = min(find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0)), key=abs)
+    assert nearest == pytest.approx(j_sat, abs=1e-12)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -403,13 +447,6 @@ def _fields(cached):
         pytest.param(lambda n: _fields(model._site_table(n)), id="site_table"),
         pytest.param(lambda n: _fields(spectral._sector_data(n)), id="sector_data"),
         pytest.param(
-            lambda n: [
-                *spectral._sector_response(n).columns,
-                *spectral._sector_response(n).table,
-            ],
-            id="sector_response",
-        ),
-        pytest.param(
             lambda n: list(pulsesim._exchange_system(n)), id="exchange_system"
         ),
         pytest.param(
@@ -453,14 +490,25 @@ def test_each_spin_equals_kron_construction(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stacked_rows_equal_single_rotations(n):
-    rng = np.random.default_rng(n)
-    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    psi /= np.linalg.norm(psi)
-    angles = np.concatenate([np.linspace(0.0, math.pi, 25), rng.uniform(-4, 4, 5)])
-    rows = model._rotate_rows(psi, angles)
-    assert rows.shape == (angles.size, psi.size)
-    for row, angle in zip(rows, angles):
-        assert np.abs(row - model._rotate_y(psi, angle)).max() <= 1e-14
+    # The lattice rows, all angles at once from the ground multiplet's
+    # binomial weights, against each angle's rotation of the pole ground
+    # state summed over the basis states of each M_z label.
+    sector = ((model._site_table(n).m + n) // 2).astype(int)
+    angles = np.concatenate([np.linspace(0.0, math.pi, 25), [0.123, 2.9, 4.0]])
+    seen = set()
+    for j in _plateau_couplings(n) if n > 1 else [0.0]:
+        pole = pole_system(ChainSpec(n, j))
+        m_g = int(pole.sectors[0])
+        weights, m = spectral._multiplet_rows(m_g, angles)
+        assert weights.shape == (angles.size, m_g + 1)
+        for row, angle in zip(weights, angles):
+            rotated = np.abs(model._rotate_y(pole.ground_state, angle)) ** 2
+            by_label = np.bincount(sector, weights=rotated, minlength=n + 1)
+            expected = np.zeros(n + 1)
+            expected[(m + n) // 2] = row
+            assert np.abs(by_label - expected).max() <= 1e-14
+        seen.add(m_g)
+    assert seen == set(range(n % 2, n + 1, 2))
 
 
 def test_cold_routes_at_ten_spins_peak_below_one_dense_operator():
