@@ -17,6 +17,7 @@ from ._version import __version__
 from .errors import SpinChernError, TooFewRows
 from .lab import (
     METHODS,
+    RAMP_METHODS,
     SweepConfig,
     default_j_grid,
     detect_plateaus,
@@ -123,7 +124,6 @@ def _load_sweep_config(args) -> SweepConfig:
             return default
         return _json_field(raw, key, args.config, valid, expected)
 
-    numbers = (_is_real_list, "a list of numbers")
     n_spins = (
         args.n
         if args.n is not None
@@ -135,16 +135,21 @@ def _load_sweep_config(args) -> SweepConfig:
         lambda v: _is_real_list(v) and len(v) > 0,
         "a non-empty list of numbers",
     )
-    velocities = (
-        _parse_velocities(args.v) if args.v else field("velocities", (0.1,), *numbers)
+    method = args.method or field(
+        "method", "spectral", lambda v: v in METHODS, f"one of {METHODS}"
+    )
+    # the static methods read no rate, so only a ramp needs one
+    ramp = method in RAMP_METHODS
+    velocities = _parse_velocities(args.v) if args.v else field(
+        "velocities",
+        (0.1,),
+        lambda v: _is_real_list(v) and (len(v) > 0 or not ramp),
+        "a non-empty list of numbers" if ramp else "a list of numbers",
     )
     steps = (
         args.steps
         if args.steps is not None
         else field("steps", 300, _is_count, "a whole number")
-    )
-    method = args.method or field(
-        "method", "spectral", lambda v: v in METHODS, f"one of {METHODS}"
     )
     output_path = args.output or field(
         "output_path", None, lambda v: v is None or isinstance(v, str), "a string"

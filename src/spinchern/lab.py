@@ -24,6 +24,7 @@ from .quench import QuenchProtocol, evolve_quench, extract_curvature
 from .spectral import chern_lattice, curvature_spectral, ground_gap
 
 METHODS = ("dynamical", "spectral", "lattice", "trotter")
+RAMP_METHODS = ("dynamical", "trotter")
 
 # Worker count for row-parallel sweeps; unset or 1 keeps them serial.
 WORKERS_ENV = "SPINCHERN_WORKERS"
@@ -62,7 +63,7 @@ class SweepConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method == "lattice":
             _check_grid(self.lattice_grid)
-        if self.method in ("dynamical", "trotter"):
+        if self.method in RAMP_METHODS:
             if not self.velocities:
                 raise ValueError("ramp methods need at least one velocity")
             # each protocol checks its rate and the step count

@@ -120,20 +120,22 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
 
 _Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
 
-# The step loop bounds the diagonal phases built at once to this many rows
-# of the state dimension: this many steps of one ramp, fewer of a stack.
+# A stack of T ramps on the step loop builds the diagonal phases of this
+# many ramp-steps at once, _PHASE_CHUNK // T steps of every ramp.  Single
+# ramps build none: they read their sector's ``_step_phases`` table.
 _PHASE_CHUNK = 64
 
 # Largest mirror-sector dimension at which a ramp multiplies its step
 # matrices together instead of applying them to the state one by one;
 # the choice depends on nothing else, so a ramp has the same bits alone
-# or in a stack.  Medians of 1000 shuffled rounds of single 300-step
-# ramps, product against loop, on a 2-vCPU x86-64 VM with OpenBLAS
-# 0.3.31 on one thread: 0.41 vs 0.96 ms at d = 3, 0.38 vs 0.89 ms at
-# d = 6 and 0.62 vs 0.92 ms at d = 10, but 1.88 vs 1.08 ms at d = 20,
-# where the d^3 products cost more than the calls they save.  The
-# sectors of N <= 7 have no dimension between 10 and 20 but N = 5's odd
-# one, 12.
+# or in a stack.  Medians of two runs of 1000 shuffled rounds of single
+# 300-step ramps, product against loop, with the phases read from their
+# table and so off the clock, on a 2-vCPU x86-64 VM with OpenBLAS 0.3.31
+# on one thread: 0.15 vs 0.58-0.65 ms at d = 3, 0.20-0.22 vs 0.60-0.68
+# ms at d = 6, 0.35-0.38 vs 0.62-0.70 ms at d = 10 and 0.44-0.47 vs
+# 0.61-0.69 ms at d = 12, but 1.54-1.70 vs 0.66-0.76 ms at d = 20, where
+# the d^3 products cost more than the calls they save.  The sectors of
+# N <= 10 have no dimension between 12, N = 5's odd one, and 20.
 _PRODUCT_MAX_DIM = 12
 
 # Consecutive steps multiplied into one group before the pairwise rounds.
@@ -143,9 +145,10 @@ _PRODUCT_MAX_DIM = 12
 _GROUP_STEPS = 8
 
 # Steps whose matrices are built at once on the product path, whatever
-# the stack: per step 16 d bytes of phases and 32 d^2 / L of group
-# products with their scaled copy, 0.4 MB at d = 12; the default 300
-# steps are one chunk.
+# the stack: per step 32 d^2 / L bytes of group products with their
+# scaled copy, 0.3 MB at d = 12; the default 300 steps are one chunk.
+# The phases are read, not built, per chunk: a single ramp slices its
+# table, and each ramp of a stack builds its own, 16 d bytes per step.
 _PRODUCT_CHUNK = 512
 
 # --- mirror sectors ----------------------------------------------------------
@@ -200,11 +203,47 @@ def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
     return parity
 
 
-def _step_product(
-    core: np.ndarray, m: np.ndarray, deltas: np.ndarray, psi: np.ndarray
-) -> np.ndarray:
+def _step_deltas(angles: np.ndarray) -> np.ndarray:
+    """delta_k = a_k - a_{k+1} of the midpoint angles along axis 0, and
+    a_last for the last step, whose rotation R(a_last)^T ends the ramp in
+    the pole's frame."""
+    deltas = angles.copy()
+    deltas[:-1] -= angles[1:]
+    return deltas
+
+
+@functools.lru_cache(maxsize=16)
+def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
+    """The diagonal phases of a single ramp in the mirror sector of
+    ``parity``, read-only: row 0 enters the first step's frame,
+    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
+    2), with m the sector's M_z labels (see ``_step_deltas``).
+
+    They depend only on the protocol and the sector, not on J, so every
+    single ramp of a sweep shares one table.  A stack of noisy trials
+    builds its own phases with the same expressions, so a ramp has the
+    same bits alone or in a stack.
+
+    A Trotter sweep uses one protocol per rate and at most 2 sectors of
+    its one size; the bench's pulse pass reads 8 tables (one protocol,
+    N = 2-7, both sectors at N = 2 and 4).  The cache keeps 16, that
+    pass twice over or a sweep over 8 rates.  A table is 16 d bytes per
+    step: at 300 steps 0.35 MB for N = 7's even sector (d = 72) and
+    2.5 MB at the N = 10 cap (d = 528), so a full cache holds at most
+    5.5 MB at N <= 7 and 41 MB at the cap.
+    """
+    angles = _midpoint_angles(protocol)
+    m = _mirror_sector(n_spins, parity)[2]
+    table = np.empty((angles.size + 1, m.size), dtype=complex)
+    table[0] = np.exp(0.5j * np.multiply.outer(angles[0], m))
+    table[1:] = np.exp(-0.5j * np.multiply.outer(_step_deltas(angles), m))
+    _read_only(table)
+    return table
+
+
+def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """The state psi after the steps P_k core, k in order, with P_k the
-    diagonal phase exp(-i deltas[k] m / 2).
+    diagonal phase phases[k].
 
     Per chunk the earliest S mod L steps of its S are applied to psi one
     by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
@@ -215,17 +254,15 @@ def _step_product(
     per round, until one is left; a round with an odd count first
     applies its earliest product to psi.
     """
-    d = m.size
-    for start in range(0, deltas.size, _PRODUCT_CHUNK):
-        phases = np.exp(
-            -0.5j * np.multiply.outer(deltas[start : start + _PRODUCT_CHUNK], m)
-        )
-        peel = len(phases) % _GROUP_STEPS
-        for phase in phases[:peel]:
+    d = core.shape[0]
+    for start in range(0, len(phases), _PRODUCT_CHUNK):
+        chunk = phases[start : start + _PRODUCT_CHUNK]
+        peel = len(chunk) % _GROUP_STEPS
+        for phase in chunk[:peel]:
             psi = phase * core.dot(psi)
-        if peel == len(phases):
+        if peel == len(chunk):
             continue
-        groups = phases[peel:].reshape(-1, _GROUP_STEPS, d)
+        groups = chunk[peel:].reshape(-1, _GROUP_STEPS, d)
         mats = groups[:, -1, :, None] * core
         for k in range(_GROUP_STEPS - 2, -1, -1):
             scaled = mats * groups[:, k, None, :]
@@ -259,8 +296,10 @@ def _ramp_state(
 
     The ramp runs in the y frame of the pole ground state's mirror
     sector, about half the basis, entered and left through the sector's
-    cached frame.  A ground state without a definite parity is
-    degenerate and raises ``DegenerateGroundState``.
+    cached frame.  A single ramp reads its phases from the cached
+    ``_step_phases`` table of its protocol and sector.  A ground state
+    without a definite parity is degenerate and raises
+    ``DegenerateGroundState``.
 
     At these sizes a step costs call dispatch, not flops.  Up to a
     sector dimension of ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies
@@ -272,38 +311,36 @@ def _ramp_state(
     which is one zgemv per ramp and so gives each ramp the bits of its
     single run; one (d, T) zgemm over the stack would not.
     """
-    angles = _midpoint_angles(protocol)
     n_spins = pole.ground_state.size.bit_length() - 1
     parity = _mirror_parity(pole.ground_state, n_spins)
     left, right, m = _mirror_sector(n_spins, parity)
     enter = left.conj().T
     core = enter.dot(core).dot(right)
     ground = enter.dot(pole.ground_state)
-    if offsets is not None:
-        angles = angles[:, None] + offsets
-        m, ground = m[:, None], ground[:, None]
-    psi = np.exp(0.5j * np.multiply.outer(angles[0], m)) * ground
-    deltas = angles.copy()
-    deltas[:-1] -= angles[1:]
+    if offsets is None:
+        table = _step_phases(protocol, n_spins, parity)
+        psi = table[0] * ground
+        if m.size <= _PRODUCT_MAX_DIM:
+            return right.dot(_step_product(core, table[1:], psi))
+        for phase in table[1:]:
+            psi = phase * core.dot(psi)
+        return right.dot(psi)
+    angles = _midpoint_angles(protocol)[:, None] + offsets
+    deltas = _step_deltas(angles)
+    psi = np.exp(0.5j * np.multiply.outer(angles[0], m[:, None])) * ground[:, None]
     if m.size <= _PRODUCT_MAX_DIM:
-        if offsets is None:
-            psi = _step_product(core, m, deltas, psi)
-        else:
-            for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-                ramp[:] = _step_product(core, m[:, 0], ramp_deltas, ramp)
+        for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
+            phases = np.exp(-0.5j * np.multiply.outer(ramp_deltas, m))
+            ramp[:] = _step_product(core, phases, ramp)
     else:
-        chunk = max(1, _PHASE_CHUNK * protocol.steps // angles.size)
+        chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
         for start in range(0, protocol.steps, chunk):
             phases = np.exp(
-                -0.5j * np.multiply.outer(deltas[start : start + chunk], m)
+                -0.5j * np.multiply.outer(deltas[start : start + chunk], m[:, None])
             )
-            if offsets is None:
-                for phase in phases:
-                    psi = phase * core.dot(psi)
-            else:
-                for phase in phases:
-                    psi = phase * (core @ psi)
-    return right.dot(psi) if offsets is None else right @ psi
+            for phase in phases:
+                psi = phase * (core @ psi)
+    return right @ psi
 
 
 def simulate_protocol_trotter(
@@ -314,7 +351,8 @@ def simulate_protocol_trotter(
     pole = _pole_system(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
     psi = _ramp_state(pole, core, protocol)
-    return _ramp_result(pole, protocol, *_readout(pole.ground_state, psi, protocol))
+    m_phi, overlap = _readout(pole.ground_state, psi, protocol)
+    return _ramp_result(pole.ground_gap, protocol, m_phi, overlap)
 
 
 def perturbed_fidelity(

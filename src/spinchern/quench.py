@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
 from .model import ChainSpec, _is_count, _read_only, _rotate_y, total_magnetization
-from .spectral import PoleSystem, _pole_system
+from .spectral import _pole_ground
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature.  On a plateau both are M_g times one free spin's (see
@@ -109,18 +109,21 @@ def theta_of_t(protocol: QuenchProtocol, t):
 
 # Real traffic needs few protocols: a sweep uses one per rate,
 # check_convergence adds the doubled-steps one and linear_zone_scan one
-# per rate it maps (the bench's ramp pass uses two, its pulse pass one),
-# and a Trotter ramp or noisy-trial stack reads its caller's.  64 holds a
-# scan over dozens of rates.  An entry of _midpoint_angles is one float
-# per step (2.4 KB at 300 steps), one of _free_spin_ramp one 2x2 array.
+# per rate it maps (the bench's ramp pass uses two, its pulse pass one).
+# 64 holds a scan over dozens of rates.  An entry of _midpoint_angles is
+# one float per step (2.4 KB at 300 steps), one of _spin_readout two
+# floats.
 
 
 @functools.lru_cache(maxsize=64)
 def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
     """theta at the midpoint (k + 1/2) dt of each step k, read-only.
 
-    Every Trotter ramp and every uncached free-spin product reads them,
-    so they are built once per protocol, like ``_free_spin_ramp``.
+    The builds of the per-protocol tables (``_spin_readout`` here and
+    ``pulsesim._step_phases``) read them, and so does every stack of
+    noisy Trotter trials.  Building them took about 23 us on a 2-vCPU
+    x86-64 VM, and uncached they added 0.1 ms to ``perturbed_fidelity``
+    per bench pulse pass, so they are built once per protocol too.
     """
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     angles = theta_of_t(protocol, midpoints)
@@ -128,19 +131,12 @@ def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
     return angles
 
 
-@functools.lru_cache(maxsize=64)
 def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
     """u = prod_k exp(i dt n_k . sigma), latest step leftmost, n_k the field
     direction at the midpoint of step k.
 
     Each step is the SU(2) matrix [[a, -b*], [b, a*]]; neighbouring steps
     are multiplied pairwise, all pairs at once, until one is left.
-
-    u depends only on the protocol, not on the chain or J, and building
-    it is most of an exact ramp at small N.  So it is cached per
-    (v_theta, steps), and every ramp with that protocol shares one
-    read-only u.  The cache keeps the 64 most recently used protocols, so
-    a scan over many rates cannot grow it further.
     """
     dt = protocol.step_time
     theta = _midpoint_angles(protocol)
@@ -151,9 +147,7 @@ def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
             a, b = np.append(a, 1.0), np.append(b, 0.0)
         a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
         a, b = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-    u = np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
-    _read_only(u)
-    return u
+    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
 
 
 _UP = np.array([1.0, 0.0], dtype=complex)
@@ -169,20 +163,28 @@ def _readout(start: np.ndarray, psi: np.ndarray, protocol: QuenchProtocol):
     return m_phi, float(abs(np.vdot(target, psi)) ** 2)
 
 
-def _spin_readout(protocol: QuenchProtocol):
-    """The readout of one free spin's ramp from |up>."""
+@functools.lru_cache(maxsize=64)
+def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
+    """The readout (m_phi, overlap) of one free spin's ramp from |up>.
+
+    It depends only on the protocol, not on the chain or J, and building
+    it is most of an exact ramp.  So it is cached per (v_theta, steps):
+    every exact ramp with that protocol, at every N and J, reads the
+    same two floats.  The cache keeps the 64 most recently used
+    protocols, so a scan over many rates cannot grow it further.
+    """
     return _readout(_UP, _free_spin_ramp(protocol)[:, 0], protocol)
 
 
 def _ramp_result(
-    pole: PoleSystem, protocol: QuenchProtocol, m_phi: float, overlap: float
+    gap: float, protocol: QuenchProtocol, m_phi: float, overlap: float
 ) -> QuenchResult:
     return QuenchResult(
         m_phi=m_phi,
         f_extracted=m_phi / protocol.v_theta,
         v_theta=protocol.v_theta,
         adiabatic_overlap=overlap,
-        gap=pole.ground_gap,
+        gap=gap,
     )
 
 
@@ -200,8 +202,7 @@ def evolve_quench(
     and the run rejected if the transverse magnetization moves by more
     than ``CONVERGENCE_TOL``.
     """
-    pole = _pole_system(spec)
-    m_g = float(pole.sectors[0])
+    m_g, gap = _pole_ground(spec)
     m_one, overlap_one = _spin_readout(protocol)
     if check_convergence:
         fine = replace(protocol, steps=2 * protocol.steps)
@@ -211,7 +212,7 @@ def evolve_quench(
                 f"m_phi drifts by {drift:.3e} on step doubling; "
                 f"increase steps beyond {protocol.steps}"
             )
-    return _ramp_result(pole, protocol, m_g * m_one, overlap_one**m_g)
+    return _ramp_result(gap, protocol, m_g * m_one, overlap_one**m_g)
 
 
 def extract_curvature(results) -> float:

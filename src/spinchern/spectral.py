@@ -73,8 +73,8 @@ class PoleSystem:
 
     The ground state is a real sector vector held as a complex array,
     the dtype of every state a Trotter ramp evolves from it.  The exact
-    ramp, the curvature sum and the lattice rows read only the levels
-    and the ground sector.
+    ramp, the curvature sum and the lattice rows read only the ground
+    sector and the gap, through ``_pole_ground``, and build none.
     """
 
     values: np.ndarray
@@ -150,12 +150,23 @@ def _require_gap(gap: float, p: FieldPoint) -> float:
 
 def _pole_system(spec: ChainSpec) -> PoleSystem:
     """Unit-field pole system with a gapped ground state, which starts
-    every ramp and the plaquette grid.  ``pole_system`` enforces the
-    dimension cap before any work.
+    every Trotter ramp.  ``pole_system`` enforces the dimension cap
+    before any work.
     """
     system = pole_system(spec)
     _require_gap(system.ground_gap, _POLE)
     return system
+
+
+def _pole_ground(spec: ChainSpec, p: FieldPoint = _POLE) -> tuple[float, float]:
+    """M_g and the gap of the gapped ground level at field magnitude
+    |p|, from the pole levels alone: no state is gathered.  The exact
+    ramp, the curvature sum and the plaquette grid read only these.
+    """
+    sectors, levels, order = _pole_levels(spec, p.magnitude)
+    ground, excited = order[:2]
+    gap = _require_gap(float(levels[excited] - levels[ground]), p)
+    return float(sectors.level_m[ground]), gap
 
 
 def ground_gap(spec: ChainSpec, p: FieldPoint) -> float:
@@ -177,10 +188,7 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
     There the S_y element is -i times the S_x element, so the one term's
     numerator is -|<S- g|S_x|g>|^2 = -M_g.
     """
-    sectors, levels, order = _pole_levels(spec, p.magnitude)
-    ground, excited = order[:2]
-    gap = _require_gap(float(levels[excited] - levels[ground]), p)
-    m_g = float(sectors.level_m[ground])
+    m_g, gap = _pole_ground(spec, p)
     scale = -2.0 * p.magnitude**2 * math.sin(p.theta)
     f = scale * -m_g / (2.0 * p.magnitude) ** 2
     return CurvatureSample(point=p, f_phitheta=f, gap=gap)
@@ -249,7 +257,7 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     can return a wrong integer.
     """
     n_theta, n_phi = _check_grid(grid)
-    m_g = int(_pole_system(spec).sectors[0])
+    m_g = int(_pole_ground(spec)[0])
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     dphi = np.diff(np.linspace(0.0, 2.0 * math.pi, n_phi + 1))
     weights, m = _multiplet_rows(m_g, thetas)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import spinchern.pulsesim as pulsesim
 import spinchern.quench as quench
 import spinchern.spectral as spectral
 
@@ -56,11 +57,21 @@ def test_seed_zero_pass_matches_reference(workload, tmp_path):
 
 def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
     # The bench repeats passes in one process, so all but the first run
-    # every ramp on a cached free-spin product.
+    # every ramp on a cached free-spin readout.
     _check_pass("ramp", tmp_path)
-    warm = quench._free_spin_ramp.cache_info()
+    warm = quench._spin_readout.cache_info()
     _check_pass("ramp", tmp_path)
-    assert quench._free_spin_ramp.cache_info().misses == warm.misses
+    assert quench._spin_readout.cache_info().misses == warm.misses
+
+
+def test_pulse_pass_on_warm_step_phase_tables_matches_reference(tmp_path):
+    # All but the first pass run every single Trotter ramp on its
+    # sector's cached table of step phases.
+    _check_pass("pulse", tmp_path)
+    warm = pulsesim._step_phases.cache_info()
+    _check_pass("pulse", tmp_path)
+    after = pulsesim._step_phases.cache_info()
+    assert after.misses == warm.misses and after.hits > warm.hits
 
 
 def test_staircase_pass_on_a_warm_sector_cache_matches_reference(tmp_path):

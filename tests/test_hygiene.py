@@ -1,7 +1,8 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
 one eigensolver module, oracles that do not share it, one module that
-places spins on the bits and axes of a basis index, and a shared cache
-list that holds every cached function.
+places spins on the bits and axes of a basis index, a shared cache list
+that holds every cached function, and a bound on each cache keyed by a
+ramp protocol.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -186,6 +187,26 @@ def test_the_shared_cache_list_holds_every_cached_function():
         for name in _cached_functions(_parse(path))
     }
     assert declared == {f"{c.__module__}.{c.__name__}" for c in CACHES}
+
+
+def test_protocol_keyed_caches_have_a_finite_maxsize():
+    # A cache keyed by the chain size is bounded by the size cap, but any
+    # rate and step count make a valid protocol, so a cache keyed by one
+    # must drop its oldest entries.
+    keyed = {
+        f"{c.__module__}.{c.__name__}": c.cache_parameters()["maxsize"]
+        for c in CACHES
+        if any(
+            p.annotation == "QuenchProtocol"
+            for p in inspect.signature(c.__wrapped__).parameters.values()
+        )
+    }
+    assert set(keyed) >= {
+        "spinchern.quench._spin_readout",
+        "spinchern.pulsesim._step_phases",
+    }
+    unbounded = sorted(name for name, size in keyed.items() if size is None)
+    assert not unbounded, f"unbounded protocol caches: {', '.join(unbounded)}"
 
 
 def test_oracles_import_no_solver_from_the_package():

@@ -706,6 +706,8 @@ def test_cli_pulse_verify_rejects_bad_target_and_tau(flags, tmp_path, capsys):
         pytest.param("sweep", {"method": 5}, "'method'", id="method-int"),
         pytest.param("sweep", {"method": "bogus"}, "'method'", id="method-unknown"),
         pytest.param("sweep", {"j_values": []}, "'j_values'", id="j-empty"),
+        pytest.param("sweep", {"method": "dynamical", "velocities": []},
+                     "'velocities'", id="velocities-empty"),
         pytest.param("sweep", {"j_values": [0.5], "output_path": 5}, "'output_path'",
                      id="output-int"),
         pytest.param("verify", 5, "a list of events", id="sequence-int"),
@@ -717,8 +719,9 @@ def test_cli_json_files_are_type_checked(command, payload, field, tmp_path, caps
     # j_values or velocities with a TypeError from float(), a bool step
     # count ran a spectral sweep, a method 5 and an output path 5 failed
     # without naming the file (the path only after the whole sweep), an
-    # unknown method and an empty J list named neither the file nor the
-    # key, and a sequence holding 5 died with a TypeError.
+    # unknown method, an empty J list and a ramp method's empty rate list
+    # named neither the file nor the key, and a sequence holding 5 died
+    # with a TypeError.
     path = tmp_path / "file.json"
     path.write_text(json.dumps(payload))
     argv = {

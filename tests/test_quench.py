@@ -282,14 +282,20 @@ def test_eight_spin_ramp_matches_dense_oracle():
         assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
 
 
-# --- the free-spin product cache --------------------------------------------
+# --- the per-protocol tables --------------------------------------------------
 
 
 def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
     # Every row of every chain size shares the protocol, so only the
-    # first ramp misses the cache.  A rate no other test uses.
+    # first ramp misses the readout cache and builds the free-spin
+    # product.  A rate no other test uses.
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    before = quench._free_spin_ramp.cache_info()
+    builds = []
+    build = quench._free_spin_ramp
+    monkeypatch.setattr(
+        quench, "_free_spin_ramp", lambda p: builds.append(p) or build(p)
+    )
+    before = quench._spin_readout.cache_info()
     rows = []
     for n in (2, 3, 4):
         cfg = SweepConfig(
@@ -299,18 +305,35 @@ def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
             velocities=(0.0937,),
         )
         rows += run_sweep(cfg)
-    after = quench._free_spin_ramp.cache_info()
+    after = quench._spin_readout.cache_info()
     assert len(rows) == 9 and all(row.converged for row in rows)
+    assert builds == [QuenchProtocol(0.0937)]
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == len(rows) - 1
 
 
 def test_warm_free_spin_product_is_the_uncached_one():
-    # Protocols that share a rate or a step count are distinct entries.
+    # The cached readout of the free-spin product.  Protocols that share
+    # a rate or a step count are distinct entries.
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
-        quench._free_spin_ramp(proto)
-        warm = quench._free_spin_ramp(proto)
-        cold = quench._free_spin_ramp.__wrapped__(proto)
+        quench._spin_readout(proto)
+        warm = quench._spin_readout(proto)
+        cold = quench._spin_readout.__wrapped__(proto)
+        spin = quench._free_spin_ramp(proto)[:, 0]
+        assert warm == cold == quench._readout(quench._UP, spin, proto)
+        assert all(type(x) is float for x in warm)
+
+
+@pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
+def test_warm_step_phases_are_the_uncached_ones(n, j):
+    # An odd sector, an even one and one on the step loop.
+    parity = pulsesim._mirror_parity(pole_system(ChainSpec(n, j)).ground_state, n)
+    dim = pulsesim._mirror_sector(n, parity)[2].size
+    for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
+        pulsesim._step_phases(proto, n, parity)
+        warm = pulsesim._step_phases(proto, n, parity)
+        cold = pulsesim._step_phases.__wrapped__(proto, n, parity)
+        assert warm.shape == (proto.steps + 1, dim)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
 
 
@@ -323,18 +346,26 @@ def test_warm_midpoint_angles_are_the_uncached_ones():
 
 
 def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
-    # Every row's ramp reads the angles of the one protocol; a rate no
-    # other test uses.
+    # Over two sizes, each (protocol, sector) builds one table of step
+    # phases from the one protocol's angles, and every later row hits
+    # it.  N = 2 starts in its odd sector at J = -1.25 and in its even
+    # one at 0.75; N = 3 starts in its even one at every coupling.  A
+    # rate no other test uses.
     monkeypatch.delenv(WORKERS_ENV, raising=False)
-    before = quench._midpoint_angles.cache_info()
-    cfg = SweepConfig(
-        spec=ChainSpec(3, 0.0), j_values=(-1.2, 0.8), method="trotter",
-        velocities=(0.0913,), steps=120,
-    )  # fmt: skip
-    assert len(run_sweep(cfg)) == 2
-    after = quench._midpoint_angles.cache_info()
-    assert after.misses - before.misses == 1
-    assert after.hits - before.hits == 1
+    angles = quench._midpoint_angles.cache_info()
+    before = pulsesim._step_phases.cache_info()
+    rows = []
+    for n, couplings in ((2, (-1.25, 0.75, -1.3, 0.8)), (3, (-1.2, 0.8, 1.1))):
+        cfg = SweepConfig(
+            spec=ChainSpec(n, 0.0), j_values=couplings, method="trotter",
+            velocities=(0.0913,), steps=120,
+        )  # fmt: skip
+        rows += run_sweep(cfg)
+    after = pulsesim._step_phases.cache_info()
+    assert len(rows) == 7 and all(row.converged for row in rows)
+    assert after.misses - before.misses == 3
+    assert after.hits - before.hits == len(rows) - 3
+    assert quench._midpoint_angles.cache_info().misses - angles.misses == 1
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

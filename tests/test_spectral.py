@@ -450,12 +450,15 @@ def _fields(cached):
             lambda n: list(pulsesim._exchange_system(n)), id="exchange_system"
         ),
         pytest.param(
-            lambda n: [quench._free_spin_ramp(quench.QuenchProtocol(0.1 * n))],
-            id="free_spin_ramp",
-        ),
-        pytest.param(
             lambda n: [quench._midpoint_angles(quench.QuenchProtocol(0.1 * n))],
             id="midpoint_angles",
+        ),
+        pytest.param(
+            lambda n: [
+                pulsesim._step_phases(quench.QuenchProtocol(0.1 * n), n, 1.0),
+                pulsesim._step_phases(quench.QuenchProtocol(0.1 * n), n, -1.0),
+            ],
+            id="step_phases",
         ),
         pytest.param(
             lambda n: [
@@ -509,6 +512,22 @@ def test_stacked_rows_equal_single_rotations(n):
             assert np.abs(by_label - expected).max() <= 1e-14
         seen.add(m_g)
     assert seen == set(range(n % 2, n + 1, 2))
+
+
+def test_ground_level_routes_gather_no_ground_state(monkeypatch):
+    # The exact ramp, the curvature sum and the plaquette grid read M_g
+    # and the gap from the levels alone; only a Trotter ramp gathers the
+    # 2^N ground column of the pole system.
+    def gather(*args):
+        raise AssertionError("pole_system gathered the ground state")
+
+    monkeypatch.setattr(spectral, "pole_system", gather)
+    spec = ChainSpec(4, -0.5)
+    assert quench.evolve_quench(spec, quench.QuenchProtocol(0.1)).gap > 0.0
+    assert curvature_spectral(spec, EQUATOR).gap > 0.0
+    assert chern_lattice(spec) == 2
+    with pytest.raises(AssertionError):
+        pulsesim.simulate_protocol_trotter(spec, quench.QuenchProtocol(0.1))
 
 
 def test_cold_routes_at_ten_spins_peak_below_one_dense_operator():
