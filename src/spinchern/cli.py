@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from ._version import __version__
-from .errors import SpinChernError, TooFewRows
+from .errors import OutOfRange, SpinChernError, TooFewRows
 from .lab import (
     METHODS,
-    RAMP_METHODS,
     SweepConfig,
     default_j_grid,
     detect_plateaus,
@@ -115,53 +115,45 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
+# The JSON type of each key a sweep config file may hold; SweepConfig
+# checks the values.
+_SWEEP_FILE_KEYS = {
+    "n_spins": (_is_count, "a whole number"),
+    "j_values": (_is_real_list, "a list of numbers"),
+    "velocities": (_is_real_list, "a list of numbers"),
+    "steps": (_is_count, "a whole number"),
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "output_path": (lambda v: v is None or isinstance(v, str), "a string"),
+}
+
+
 def _load_sweep_config(args) -> SweepConfig:
-    raw = _json_file(args.config, dict, "a JSON object") if args.config else {}
-
-    def field(key, default, valid, expected):
-        """The config file's value of ``key`` if it has one, type-checked."""
-        if key not in raw:
-            return default
-        return _json_field(raw, key, args.config, valid, expected)
-
-    n_spins = (
-        args.n
-        if args.n is not None
-        else field("n_spins", 2, _is_count, "a whole number")
-    )
-    j_values = _j_grid_from_args(args) or field(
-        "j_values",
-        default_j_grid(),
-        lambda v: _is_real_list(v) and len(v) > 0,
-        "a non-empty list of numbers",
-    )
-    method = args.method or field(
-        "method", "spectral", lambda v: v in METHODS, f"one of {METHODS}"
-    )
-    # the static methods read no rate, so only a ramp needs one
-    ramp = method in RAMP_METHODS
-    velocities = _parse_velocities(args.v) if args.v else field(
-        "velocities",
-        (0.1,),
-        lambda v: _is_real_list(v) and (len(v) > 0 or not ramp),
-        "a non-empty list of numbers" if ramp else "a list of numbers",
-    )
-    steps = (
-        args.steps
-        if args.steps is not None
-        else field("steps", 300, _is_count, "a whole number")
-    )
-    output_path = args.output or field(
-        "output_path", None, lambda v: v is None or isinstance(v, str), "a string"
-    )
-    return SweepConfig(
-        spec=ChainSpec(n_spins=n_spins, coupling_j=0.0),
-        j_values=tuple(j_values),
-        velocities=tuple(velocities),
-        steps=steps,
-        method=method,
-        output_path=output_path,
-    )
+    """The sweep of the config file, or of 2 spins over ``default_j_grid``
+    without one, with the flags given applied over it.  The file must
+    be a valid sweep on its own: its errors name the file."""
+    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=default_j_grid())
+    if args.config:
+        raw = _json_file(args.config, dict, "a JSON object")
+        fields = {
+            key: _json_field(raw, key, args.config, valid, expected)
+            for key, (valid, expected) in _SWEEP_FILE_KEYS.items()
+            if key in raw
+        }
+        try:
+            if "n_spins" in fields:
+                fields["spec"] = ChainSpec(fields.pop("n_spins"), 0.0)
+            cfg = replace(cfg, **fields)
+        except OutOfRange as exc:
+            raise OutOfRange(f"{args.config}: {exc}") from None
+    flags = {
+        "spec": None if args.n is None else ChainSpec(args.n, 0.0),
+        "j_values": _j_grid_from_args(args) or None,
+        "velocities": _parse_velocities(args.v) if args.v else None,
+        "steps": args.steps,
+        "method": args.method,
+        "output_path": args.output or None,
+    }
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_sweep(args) -> int:
@@ -340,11 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--n", type=int, default=None)
     _add_j_grid_flags(p)
-    p.add_argument(
-        "--method",
-        choices=("dynamical", "spectral", "lattice", "trotter"),
-        default=None,
-    )
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--v", default=None, help="comma-separated ramp rates")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--output", default=None)
@@ -407,10 +395,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SpinChernError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SpinChernError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

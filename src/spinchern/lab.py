@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,11 @@ _EQUATOR = FieldPoint(theta=math.pi / 2)
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One coupling sweep: chain template, J grid, method and output."""
+    """One coupling sweep: chain template, J grid, method and output.
+
+    The one place that knows a sweep's fields, defaults and valid
+    values: a value outside them raises ``OutOfRange`` naming its field.
+    """
 
     spec: ChainSpec
     j_values: tuple
@@ -51,24 +55,32 @@ class SweepConfig:
     lattice_grid: tuple = (24, 24)
 
     def __post_init__(self):
-        object.__setattr__(self, "j_values", tuple(float(j) for j in self.j_values))
-        object.__setattr__(
-            self, "velocities", tuple(float(v) for v in self.velocities)
-        )
+        object.__setattr__(self, "j_values", self._numbers("j_values"))
+        object.__setattr__(self, "velocities", self._numbers("velocities"))
         if not self.j_values:
-            raise ValueError("j_values must be nonempty")
+            raise OutOfRange("'j_values' must not be empty")
         if not all(map(math.isfinite, self.j_values)):
-            raise OutOfRange(f"j_values must be finite, got {self.j_values}")
+            raise OutOfRange(f"'j_values' must be finite, got {self.j_values}")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+            raise OutOfRange(f"'method' must be one of {METHODS}, got {self.method!r}")
         if self.method == "lattice":
             _check_grid(self.lattice_grid)
         if self.method in RAMP_METHODS:
             if not self.velocities:
-                raise ValueError("ramp methods need at least one velocity")
+                raise OutOfRange(
+                    f"'velocities' must not be empty for a {self.method} sweep"
+                )
             # each protocol checks its rate and the step count
             for v in self.velocities:
                 QuenchProtocol(v_theta=v, steps=self.steps)
+
+    def _numbers(self, name: str) -> tuple:
+        """Field ``name`` as a tuple of floats, or ``OutOfRange`` naming it."""
+        values = getattr(self, name)
+        try:
+            return tuple(float(x) for x in values)
+        except (TypeError, ValueError, OverflowError):
+            raise OutOfRange(f"{name!r} must hold numbers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,19 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _config_fields(config: SweepConfig) -> dict:
+    """The config's fields by name, with the chain spec's fields in
+    place of the spec; JSON writes the tuples as lists."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update((g.name, getattr(value, g.name)) for g in fields(value))
+        else:
+            out[f.name] = value
+    return out
+
+
 def export_results(
     rows,
     stats,
@@ -246,19 +271,7 @@ def export_results(
     sidecar = {
         "version": __version__,
         "seed": seed,
-        "config": None
-        if config is None
-        else {
-            "n_spins": config.spec.n_spins,
-            "coupling_j": config.spec.coupling_j,
-            "max_spins": config.spec.max_spins,
-            "j_values": list(config.j_values),
-            "velocities": list(config.velocities),
-            "steps": config.steps,
-            "method": config.method,
-            "output_path": config.output_path,
-            "lattice_grid": list(config.lattice_grid),
-        },
+        "config": None if config is None else _config_fields(config),
         "plateaus": [
             {
                 "plateau_mean": s.plateau_mean,

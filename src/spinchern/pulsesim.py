@@ -212,6 +212,14 @@ def _step_deltas(angles: np.ndarray) -> np.ndarray:
     return deltas
 
 
+def _rotation_phases(angles, m: np.ndarray) -> np.ndarray:
+    """exp(-i a m / 2), the y-frame phase of the rotation R(a), for each
+    angle a of ``angles`` (any shape) over the labels ``m``.  Every
+    Trotter ramp, single or in a stack, builds its phases here, so a
+    ramp has the same bits alone or in a stack."""
+    return np.exp(-0.5j * np.multiply.outer(angles, m))
+
+
 @functools.lru_cache(maxsize=16)
 def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
     """The diagonal phases of a single ramp in the mirror sector of
@@ -221,8 +229,7 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
 
     They depend only on the protocol and the sector, not on J, so every
     single ramp of a sweep shares one table.  A stack of noisy trials
-    builds its own phases with the same expressions, so a ramp has the
-    same bits alone or in a stack.
+    builds its own phases, through the same ``_rotation_phases``.
 
     A Trotter sweep uses one protocol per rate and at most 2 sectors of
     its one size; the bench's pulse pass reads 8 tables (one protocol,
@@ -235,8 +242,8 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
     angles = _midpoint_angles(protocol)
     m = _mirror_sector(n_spins, parity)[2]
     table = np.empty((angles.size + 1, m.size), dtype=complex)
-    table[0] = np.exp(0.5j * np.multiply.outer(angles[0], m))
-    table[1:] = np.exp(-0.5j * np.multiply.outer(_step_deltas(angles), m))
+    table[0] = _rotation_phases(-angles[0], m)
+    table[1:] = _rotation_phases(_step_deltas(angles), m)
     _read_only(table)
     return table
 
@@ -327,17 +334,15 @@ def _ramp_state(
         return right.dot(psi)
     angles = _midpoint_angles(protocol)[:, None] + offsets
     deltas = _step_deltas(angles)
-    psi = np.exp(0.5j * np.multiply.outer(angles[0], m[:, None])) * ground[:, None]
+    psi = _rotation_phases(-angles[0], m[:, None]) * ground[:, None]
     if m.size <= _PRODUCT_MAX_DIM:
         for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-            phases = np.exp(-0.5j * np.multiply.outer(ramp_deltas, m))
+            phases = _rotation_phases(ramp_deltas, m)
             ramp[:] = _step_product(core, phases, ramp)
     else:
         chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
         for start in range(0, protocol.steps, chunk):
-            phases = np.exp(
-                -0.5j * np.multiply.outer(deltas[start : start + chunk], m[:, None])
-            )
+            phases = _rotation_phases(deltas[start : start + chunk], m[:, None])
             for phase in phases:
                 psi = phase * (core @ psi)
     return right @ psi

@@ -46,8 +46,8 @@ LATTICE_MIN_OVERLAP = 0.5
 LATTICE_MAX_PHASE = 0.5 * math.pi
 
 # Sector-line slopes closer than this, relative to the largest |lambda|,
-# count as equal: every block's largest lambda is N - 1 up to roundoff,
-# and those parallel lines must not meet.
+# count as equal: sectors M and -M have the same blocks up to a spin
+# flip, so their lines are parallel up to roundoff and must not meet.
 _SLOPE_RTOL = 1e-12
 
 # A crossing is kept only where the pole gap closes below this.
@@ -170,8 +170,10 @@ def _pole_ground(spec: ChainSpec, p: FieldPoint = _POLE) -> tuple[float, float]:
 
 
 def ground_gap(spec: ChainSpec, p: FieldPoint) -> float:
-    """Energy difference between the two lowest levels."""
-    return pole_system(spec, p.magnitude).ground_gap
+    """Energy difference between the two lowest levels, read from the
+    pole levels alone: no state is gathered."""
+    _, levels, order = _pole_levels(spec, p.magnitude)
+    return float(levels[order[1]] - levels[order[0]])
 
 
 def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
@@ -280,17 +282,18 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
 
     At the pole the lowest level of each M_z sector is non-degenerate
     for J != 0 (Perron-Frobenius), so the two lowest levels cross
-    exactly where the ground sector changes.  At unit field the lowest
-    level of sector M is the line E_M(J) = -M - J lambda_M on either
-    side of J = 0, with lambda_M the smallest eigenvalue of X_M for
-    J < 0 and the largest for J > 0.  The ground energy is the lower
-    envelope of these lines, a concave function of |J| on each side, so
-    its slope only falls going outward and each sector holds at most one
-    interval on each side.  From the unique ground sector M = N at J = 0
-    the walk steps outward to the nearest intersection with a steeper
-    line, until it passes the end of the interval; no energy is
-    evaluated at either end.  A root is kept only if the pole gap closes
-    there.
+    exactly where the ground sector changes.  At unit field and J >= 0
+    the ground level is -N - J (N - 1) in M = N, below every other
+    level -M - J lambda with lambda <= N - 1, so only J < 0 can hold a
+    crossing.  There the lowest level of sector M is the line E_M(J) =
+    -M - J lambda_M, with lambda_M the smallest eigenvalue of X_M.  The
+    ground energy is the lower envelope of these lines, a concave
+    function of -J, so its slope only falls going outward and each
+    sector holds at most one interval.  From the unique ground sector
+    M = N at J = 0 the walk steps outward to the nearest intersection
+    with a steeper line, until it passes the lower end of the interval;
+    no energy is evaluated at either end.  A root is kept only if the
+    pole gap closes there.
     """
     lo, hi = j_interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -299,22 +302,21 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
         raise ValueError("j_interval must satisfy lo < hi")
     sectors = _sectors(spec)
     m = sectors.level_m[sectors.starts]
+    # dE_M/dt along J = -t, t >= 0
+    slopes = np.minimum.reduceat(sectors.level_x, sectors.starts)
+    tol = _SLOPE_RTOL * np.abs(slopes).max()
     roots = []
-    for side, reduce, end in ((-1.0, np.minimum, lo), (1.0, np.maximum, hi)):
-        lam = reduce.reduceat(sectors.level_x, sectors.starts)
-        slopes = -side * lam  # dE_M/dt along J = side * t, t >= 0
-        tol = _SLOPE_RTOL * np.abs(lam).max()
-        ground = m.size - 1  # M = N
-        while True:
-            steeper = np.flatnonzero(slopes < slopes[ground] - tol)
-            if not steeper.size:
-                break
-            ts = (m[ground] - m[steeper]) / (slopes[ground] - slopes[steeper])
-            nearest = np.argmin(ts)
-            if ts[nearest] > side * end:
-                break
-            roots.append(float(side * ts[nearest]))
-            ground = steeper[nearest]
+    ground = m.size - 1  # M = N
+    while True:
+        steeper = np.flatnonzero(slopes < slopes[ground] - tol)
+        if not steeper.size:
+            break
+        ts = (m[ground] - m[steeper]) / (slopes[ground] - slopes[steeper])
+        nearest = np.argmin(ts)
+        if ts[nearest] > -lo:
+            break
+        roots.append(float(-ts[nearest]))
+        ground = steeper[nearest]
     return [
         j
         for j in sorted(roots)

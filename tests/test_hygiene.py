@@ -1,8 +1,8 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
 one eigensolver module, oracles that do not share it, one module that
-places spins on the bits and axes of a basis index, a shared cache list
-that holds every cached function, and a bound on each cache keyed by a
-ramp protocol.
+places spins on the bits and axes of a basis index, one builder of the
+Trotter ramps' phases, a shared cache list that holds every cached
+function, and a bound on each cache keyed by a ramp protocol.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -167,6 +167,27 @@ def test_only_model_views_the_basis_by_spin():
     stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
     assert not stray, f"spin-axis reshape outside model: {', '.join(stray)}"
     assert in_model, "model no longer holds the spin-axis views"
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    """The function or method name of each call inside ``node``."""
+    return {
+        getattr(call.func, "attr", getattr(call.func, "id", None))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def test_trotter_ramps_build_their_phases_in_one_place():
+    # A single ramp's phase table and a stack's phases come from one
+    # builder, so a ramp has the same bits alone or in a stack only as
+    # long as no second copy of the expression exists.
+    tree = _parse(PACKAGE_DIR / "pulsesim.py")
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("_step_phases", "_ramp_state"):
+        called = _called_names(functions[name])
+        assert "exp" not in called, f"{name} builds a phase itself"
+        assert "_rotation_phases" in called, f"{name} builds no phase"
 
 
 def _cached_functions(tree: ast.Module) -> set[str]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinchern
 from spinchern import (
     ChainSpec,
     FieldPoint,
@@ -60,13 +61,23 @@ def _row(j, f, converged=True, method="spectral"):
 
 
 def test_sweep_config_validation():
+    # Each bad value raises OutOfRange naming its field; before, an empty
+    # J list, an unknown method and a ramp without rates raised a plain
+    # ValueError, and an entry that is not a number a TypeError or an
+    # OverflowError.
     spec = ChainSpec(2, 0.0)
-    with pytest.raises(ValueError):
-        SweepConfig(spec=spec, j_values=())
-    with pytest.raises(ValueError):
-        SweepConfig(spec=spec, j_values=(1.0,), method="magic")
-    with pytest.raises(ValueError):
-        SweepConfig(spec=spec, j_values=(1.0,), method="dynamical", velocities=())
+    cases = [
+        ({"j_values": ()}, "'j_values'"),
+        ({"j_values": (1.0, "one")}, "'j_values'"),
+        ({"j_values": ([1.0],)}, "'j_values'"),
+        ({"j_values": (10**400,)}, "'j_values'"),
+        ({"velocities": (0.1, None)}, "'velocities'"),
+        ({"method": "magic"}, "'method'"),
+        ({"method": "dynamical", "velocities": ()}, "'velocities'"),
+    ]
+    for fields, name in cases:
+        with pytest.raises(OutOfRange, match=name):
+            SweepConfig(**{"spec": spec, "j_values": (1.0,), **fields})
 
 
 def test_spectral_sweep_rows_sorted_and_quantized():
@@ -367,6 +378,60 @@ def test_export_header_and_sidecar(tmp_path):
     assert sidecar["config"]["method"] == "spectral"
     assert sidecar["plateaus"][0]["nearest_theory"] == 1.0
     assert sidecar["version"]
+
+
+def test_export_sidecar_text_is_pinned(tmp_path):
+    path = tmp_path / "pinned.csv"
+    cfg = SweepConfig(
+        spec=ChainSpec(3, 0.0),
+        j_values=(-1, 0.25),
+        velocities=(0.05, 0.1),
+        method="trotter",
+        output_path="run.csv",
+    )
+    stats = [PlateauStats(1.5, 0.0, (-1.0, 0.25), 1.5)]
+    export_results([], stats, path, config=cfg, crossings=[-1 / 3], seed=7)
+    expected = """{
+  "version": "VERSION",
+  "seed": 7,
+  "config": {
+    "n_spins": 3,
+    "coupling_j": 0.0,
+    "max_spins": 10,
+    "j_values": [
+      -1.0,
+      0.25
+    ],
+    "velocities": [
+      0.05,
+      0.1
+    ],
+    "steps": 300,
+    "method": "trotter",
+    "output_path": "run.csv",
+    "lattice_grid": [
+      24,
+      24
+    ]
+  },
+  "plateaus": [
+    {
+      "plateau_mean": 1.5,
+      "plateau_std": 0.0,
+      "j_range": [
+        -1.0,
+        0.25
+      ],
+      "nearest_theory": 1.5
+    }
+  ],
+  "crossings": [
+    -0.3333333333333333
+  ]
+}
+"""
+    text = (tmp_path / "pinned.json").read_text(encoding="utf-8")
+    assert text == expected.replace("VERSION", spinchern.__version__)
 
 
 def test_export_empty_rows(tmp_path):
@@ -734,6 +799,35 @@ def test_cli_json_files_are_type_checked(command, payload, field, tmp_path, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: OutOfRange: {path}") and field in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(["--n", "0"], id="no-spins"),
+        pytest.param(["--method", "dynamical", "--steps", "0"], id="steps-zero"),
+        pytest.param(["--method", "trotter", "--v", "0.1,nan"], id="rate-nan"),
+    ],
+)
+def test_cli_bad_sweep_flag_names_no_file(flags, tmp_path, capsys):
+    # The file is a valid sweep, so the error is the flag's own.
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps({"j_values": [0.5]}))
+    assert cli_main(["sweep", "--config", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: OutOfRange: ") and str(path) not in err
+
+
+def test_cli_sweep_file_must_be_valid_on_its_own(tmp_path, capsys):
+    # A flag applies over a valid sweep; it does not mend the file.
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps({"method": "dynamical", "velocities": []}))
+    argv = ["sweep", "--config", str(path), "--method", "spectral"]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: OutOfRange: {path}: 'velocities'")
 
 
 def test_cli_pulse_verify_rejects_a_chain_over_the_cap(tmp_path, capsys):

@@ -28,6 +28,7 @@ from spinchern import (
     find_crossings,
     ground_gap,
     pole_system,
+    run_sweep,
     total_magnetization,
 )
 
@@ -515,9 +516,10 @@ def test_stacked_rows_equal_single_rotations(n):
 
 
 def test_ground_level_routes_gather_no_ground_state(monkeypatch):
-    # The exact ramp, the curvature sum and the plaquette grid read M_g
-    # and the gap from the levels alone; only a Trotter ramp gathers the
-    # 2^N ground column of the pole system.
+    # The exact ramp, the curvature sum, the plaquette grid, the gap, the
+    # crossing search and a lattice sweep row read M_g and the gap from
+    # the levels alone; only a Trotter ramp gathers the 2^N ground
+    # column of the pole system.
     def gather(*args):
         raise AssertionError("pole_system gathered the ground state")
 
@@ -526,6 +528,10 @@ def test_ground_level_routes_gather_no_ground_state(monkeypatch):
     assert quench.evolve_quench(spec, quench.QuenchProtocol(0.1)).gap > 0.0
     assert curvature_spectral(spec, EQUATOR).gap > 0.0
     assert chern_lattice(spec) == 2
+    assert ground_gap(spec, EQUATOR) > 0.0
+    assert len(find_crossings(spec, (-2.0, 2.0))) == 2
+    sweep = SweepConfig(spec=spec, j_values=(-0.5,), method="lattice")
+    assert run_sweep(sweep)[0].gap_at_pole > 0.0
     with pytest.raises(AssertionError):
         pulsesim.simulate_protocol_trotter(spec, quench.QuenchProtocol(0.1))
 
