@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from dataclasses import replace
@@ -41,6 +42,7 @@ from .pulsesim import (
     program_from_json,
     program_to_json,
     simulate_program,
+    simulate_protocol_trotter,
     to_pulse_program,
     verify_sequence,
     zz_target_propagator,
@@ -61,13 +63,23 @@ def _print_table(headers, rows):
         print("  ".join(str(c).rjust(w) for c, w in zip(r, widths)))
 
 
+def _given(**flags) -> dict:
+    """The flags that were given, by the name of the argument they set;
+    an omitted flag leaves the API's default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _j_grid_from_args(args) -> tuple:
-    if args.j_min is None and args.j_max is None and args.j_step is None:
-        return ()
-    lo = -2.0 if args.j_min is None else args.j_min
-    hi = 2.0 if args.j_max is None else args.j_max
-    step = 0.05 if args.j_step is None else args.j_step
-    return default_j_grid(step=step, lo=lo, hi=hi)
+    """``default_j_grid`` over the grid flags given, or () for none."""
+    given = _given(lo=args.j_min, hi=args.j_max, step=args.j_step)
+    return default_j_grid(**given) if given else ()
+
+
+# The grid ends and step that ``default_j_grid`` takes for an omitted flag;
+# the crossing search reads its ends from here, building no grid.
+_J_GRID_DEFAULTS = {
+    name: p.default for name, p in inspect.signature(default_j_grid).parameters.items()
+}
 
 
 def _parse_velocities(text: str) -> tuple:
@@ -95,9 +107,7 @@ def _cmd_curvature(args) -> int:
     spec = ChainSpec(n_spins=args.n, coupling_j=args.j)
     point = FieldPoint(theta=args.theta)
     rows = []
-    methods = ("spectral", "lattice", "dynamical") if args.method == "all" else (
-        args.method,
-    )
+    methods = METHODS if args.method == "all" else (args.method,)
     for method in methods:
         if method == "spectral":
             f = curvature_spectral(spec, point).f_phitheta
@@ -106,10 +116,9 @@ def _cmd_curvature(args) -> int:
             chern = chern_lattice(spec)
             rows.append([method, f"{chern / 2:.8f}", str(chern)])
         else:
-            res = evolve_quench(
-                spec, QuenchProtocol(v_theta=args.v, steps=args.steps)
-            )
-            f = res.f_extracted
+            ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
+            protocol = QuenchProtocol(args.v, **_given(steps=args.steps))
+            f = ramp(spec, protocol).f_extracted
             rows.append([method, f"{f:.8f}", f"{2 * f:.8f}"])
     _print_table(["method", "f_phitheta", "chern"], rows)
     return 0
@@ -145,15 +154,15 @@ def _load_sweep_config(args) -> SweepConfig:
             cfg = replace(cfg, **fields)
         except OutOfRange as exc:
             raise OutOfRange(f"{args.config}: {exc}") from None
-    flags = {
-        "spec": None if args.n is None else ChainSpec(args.n, 0.0),
-        "j_values": _j_grid_from_args(args) or None,
-        "velocities": _parse_velocities(args.v) if args.v else None,
-        "steps": args.steps,
-        "method": args.method,
-        "output_path": args.output or None,
-    }
-    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    flags = _given(
+        spec=None if args.n is None else ChainSpec(args.n, 0.0),
+        j_values=_j_grid_from_args(args) or None,
+        velocities=_parse_velocities(args.v) if args.v else None,
+        steps=args.steps,
+        method=args.method,
+        output_path=args.output or None,
+    )
+    return replace(cfg, **flags)
 
 
 def _cmd_sweep(args) -> int:
@@ -196,9 +205,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crossings(args) -> int:
     spec = ChainSpec(n_spins=args.n, coupling_j=0.0)
-    lo = -2.0 if args.j_min is None else args.j_min
-    hi = 2.0 if args.j_max is None else args.j_max
-    found = find_crossings(spec, (lo, hi))
+    ends = {**_J_GRID_DEFAULTS, **_given(lo=args.j_min, hi=args.j_max)}
+    found = find_crossings(spec, (ends["lo"], ends["hi"]))
     if not found:
         print("no crossings found")
     for j in found:
@@ -209,7 +217,7 @@ def _cmd_crossings(args) -> int:
 def _load_molecule(args) -> MoleculeSpec:
     m = MoleculeSpec.from_json(args.molecule)
     if args.n is not None and m.n_spins != args.n:
-        raise ValueError(
+        raise OutOfRange(
             f"molecule has {m.n_spins} spins, --n asked for {args.n}"
         )
     return m
@@ -262,7 +270,7 @@ def _cmd_linear_zone(args) -> int:
     spec = ChainSpec(n_spins=args.n, coupling_j=args.j)
     velocities = _parse_velocities(args.v)
     f_static = curvature_spectral(spec, FieldPoint(theta=math.pi / 2)).f_phitheta
-    table = linear_zone_scan(spec, velocities, steps=args.steps)
+    table = linear_zone_scan(spec, velocities, **_given(steps=args.steps))
     # A plateau with Chern number 0 has no curvature to compare against.
     _print_table(
         ["v_theta", "m_phi/v", "vs_static"],
@@ -280,18 +288,11 @@ def _cmd_linear_zone(args) -> int:
 
 def _cmd_robustness(args) -> int:
     spec = ChainSpec(n_spins=args.n, coupling_j=args.j)
-    proto = QuenchProtocol(v_theta=args.v, steps=args.steps)
+    proto = QuenchProtocol(args.v, **_given(steps=args.steps))
     worst = perturbed_fidelity(
-        spec,
-        proto,
-        args.error_deg,
-        seed=args.seed,
-        trials=args.trials,
+        spec, proto, args.error_deg, **_given(seed=args.seed, trials=args.trials)
     )
-    print(
-        f"min fidelity over {args.trials} trials at +/-{args.error_deg} deg: "
-        f"{worst:.6f}"
-    )
+    print(f"min fidelity over the trials at +/-{args.error_deg} deg: {worst:.6f}")
     return 0
 
 
@@ -319,13 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=float, required=True)
     p.add_argument("--theta", type=float, default=math.pi / 2)
-    p.add_argument(
-        "--method",
-        choices=("spectral", "lattice", "dynamical", "all"),
-        default="spectral",
-    )
+    p.add_argument("--method", choices=(*METHODS, "all"), default="spectral")
     p.add_argument("--v", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=int, default=None)
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("sweep", help="curvature versus coupling strength")
@@ -371,17 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.05,0.1,0.2,0.29,0.5,1.0,2.0",
         help="comma-separated ascending ramp rates",
     )
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=int, default=None)
     p.set_defaults(func=_cmd_linear_zone)
 
     p = sub.add_parser("robustness", help="ramp fidelity under pulse-angle noise")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--j", type=float, default=1.0)
     p.add_argument("--v", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--error-deg", type=float, default=5.0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_robustness)
 
     return parser

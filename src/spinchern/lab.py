@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
-from .model import ChainSpec, FieldPoint, _check_grid
+from .model import ChainSpec, FieldPoint, _check_grid, _is_count
 from .pulsesim import simulate_protocol_trotter
 from .quench import QuenchProtocol, evolve_quench, extract_curvature
 from .spectral import chern_lattice, curvature_spectral, ground_gap
@@ -49,7 +49,7 @@ class SweepConfig:
     spec: ChainSpec
     j_values: tuple
     velocities: tuple = (0.1,)
-    steps: int = 300
+    steps: int = QuenchProtocol.steps
     method: str = "spectral"
     output_path: str | None = None
     lattice_grid: tuple = (24, 24)
@@ -63,14 +63,20 @@ class SweepConfig:
             raise OutOfRange(f"'j_values' must be finite, got {self.j_values}")
         if self.method not in METHODS:
             raise OutOfRange(f"'method' must be one of {METHODS}, got {self.method!r}")
-        if self.method == "lattice":
+        if not (_is_count(self.steps) and self.steps >= 1):
+            raise OutOfRange(
+                f"'steps' must be a whole number >= 1, got {self.steps!r}"
+            )
+        try:
             _check_grid(self.lattice_grid)
+        except OutOfRange as exc:
+            raise OutOfRange(f"'lattice_grid': {exc}") from None
         if self.method in RAMP_METHODS:
             if not self.velocities:
                 raise OutOfRange(
                     f"'velocities' must not be empty for a {self.method} sweep"
                 )
-            # each protocol checks its rate and the step count
+            # each protocol checks its rate
             for v in self.velocities:
                 QuenchProtocol(v_theta=v, steps=self.steps)
 

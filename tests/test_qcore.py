@@ -122,35 +122,52 @@ def test_eigensystem_is_frozen():
 
 
 def _block_solutions(n: int):
-    """(levels, real eigenvector columns, M_z blocks) of the interaction's
-    solve (``_sector_data``) and of the exchange's (``_exchange_system``,
-    whose blocks are the interaction's without their zz diagonal)."""
+    """(M_z blocks, solved blocks) of the interaction's solve
+    (``_sector_data``) and of the exchange's (``_exchange_system``, whose
+    blocks are the interaction's without their zz diagonal).  A solved
+    block is (M, basis indices, levels, eigenvector columns).  The
+    interaction's level arrays list its blocks sector after sector; the
+    exchange's blocks are cut from its dense columns, sector after
+    sector, which must vanish outside them."""
+    blocks = [(m, idx, block) for m, idx, block in model._interaction_blocks(n)]
     sectors = spectral._sector_data(n)
-    blocks = [(idx, block) for _, idx, block in model._interaction_blocks(n)]
-    no_zz = [(idx, block - np.diag(np.diag(block))) for idx, block in blocks]
-    return [
-        (sectors.level_x, sectors.vectors, blocks),
-        (*pulsesim._exchange_system(n), no_zz),
-    ]
+    starts = np.cumsum([0] + [idx.size for _, idx, _ in blocks[:-1]])
+    assert np.array_equal(sectors.starts, starts)
+    for (m, idx, levels, _), start in zip(sectors.blocks, starts):
+        assert np.all(sectors.level_m[start : start + idx.size] == m)
+        assert np.array_equal(sectors.level_x[start : start + idx.size], levels)
+    no_zz = [(m, idx, block - np.diag(np.diag(block))) for m, idx, block in blocks]
+    values, vectors = pulsesim._exchange_system(n)
+    exchange, col = [], 0
+    scattered = np.zeros_like(vectors)
+    for m, idx, _ in no_zz:
+        cols = slice(col, col + idx.size)
+        exchange.append((m, idx, values[cols], vectors[idx, cols]))
+        scattered[idx, cols] = vectors[idx, cols]
+        col += idx.size
+    assert col == 2**n and np.array_equal(scattered, vectors)
+    return [(blocks, sectors.blocks), (no_zz, exchange)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_block_solver_columns_are_real_orthonormal_signed_eigenvectors(n):
-    dim = 2**n
-    for levels, columns, blocks in _block_solutions(n):
-        assert columns.dtype == np.float64
-        assert np.abs(columns.T @ columns - np.eye(dim)).max() <= 1e-12
-        pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(dim)]
-        assert np.all(pivots > 0.0)
-        col = 0
-        for idx, block in blocks:
-            cols = slice(col, col + idx.size)
-            inside = columns[idx, cols]
-            # unit columns whose sector part has unit norm vanish outside it
-            assert np.abs(np.linalg.norm(inside, axis=0) - 1.0).max() <= 1e-12
-            assert np.abs(block @ inside - inside * levels[cols]).max() <= 1e-12
-            col += idx.size
-        assert col == dim
+    sites = model._site_table(n)
+    for blocks, solved in _block_solutions(n):
+        # the blocks tile the basis once, in the site table's order
+        assert len(solved) == len(blocks) == n + 1
+        tiles = np.sort(np.concatenate([idx for _, idx, _, _ in solved]))
+        assert np.array_equal(tiles, np.arange(2**n))
+        for (m, idx, block), (m_s, idx_s, levels, columns) in zip(blocks, solved):
+            assert m_s == m and np.array_equal(idx_s, idx)
+            assert np.array_equal(idx, sites.sectors[(m + n) // 2])
+            assert levels.dtype == columns.dtype == np.float64
+            assert columns.shape == (idx.size, idx.size)
+            assert np.all(np.diff(levels) >= 0.0)
+            eye = np.eye(idx.size)
+            assert np.abs(columns.T @ columns - eye).max() <= 1e-12
+            pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(idx.size)]
+            assert np.all(pivots > 0.0)
+            assert np.abs(block @ columns - columns * levels).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))

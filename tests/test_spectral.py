@@ -434,12 +434,15 @@ def test_bad_scan_inputs_raise_before_any_cache_access(call):
 
 
 def _fields(cached):
-    """The arrays of a cached dataclass, each entry of a tuple field too."""
-    arrays = []
-    for f in dataclasses.fields(cached):
-        value = getattr(cached, f.name)
-        arrays += value if isinstance(value, tuple) else [value]
-    return arrays
+    """The arrays of a cached dataclass, those in its tuple fields (at any
+    depth) too."""
+    return _arrays(tuple(getattr(cached, f.name) for f in dataclasses.fields(cached)))
+
+
+def _arrays(value) -> list:
+    if isinstance(value, tuple):
+        return [a for item in value for a in _arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
 
 
 @pytest.mark.parametrize(
@@ -471,11 +474,24 @@ def _fields(cached):
     ],
 )
 def test_cached_arrays_are_read_only(cached):
-    for a in cached(3):
+    arrays = cached(3)
+    assert arrays
+    for a in arrays:
         before = a.copy()
         with pytest.raises(ValueError):
             a *= 2
         assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_sector_data_holds_no_array_larger_than_its_blocks(n):
+    # The blocks' eigenvector columns take sum_M d_M^2 = C(2n, n) reals,
+    # the largest d_M^2 at most that; a dense 2^n x 2^n scatter of them
+    # takes 4^n.
+    arrays = _fields(spectral._sector_data(n))
+    assert max(a.size for a in arrays) <= math.comb(2 * n, n)
+    vectors = [vectors for *_, vectors in spectral._sector_data(n).blocks]
+    assert sum(v.size for v in vectors) == math.comb(2 * n, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
