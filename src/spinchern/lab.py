@@ -29,6 +29,13 @@ RAMP_METHODS = ("dynamical", "trotter")
 # Worker count for row-parallel sweeps; unset or 1 keeps them serial.
 WORKERS_ENV = "SPINCHERN_WORKERS"
 
+# Most points a coupling grid may hold.  A sweep runs one row per point,
+# so a grid is built whole before its first row: 1e5 points is 2000 times
+# the default grid and a few seconds of spectral rows, while a typo in an
+# end (--j-min -1e6) would otherwise build 4e7 points, about 1.2 GiB as
+# a tuple of floats, and then run that many rows.
+MAX_J_POINTS = 100_000
+
 # Half the minimal plateau spacing; robust to ramp-method noise ~0.02.
 JUMP_THRESHOLD = 0.25
 
@@ -71,14 +78,18 @@ class SweepConfig:
             _check_grid(self.lattice_grid)
         except OutOfRange as exc:
             raise OutOfRange(f"'lattice_grid': {exc}") from None
+        protocols = ()
         if self.method in RAMP_METHODS:
             if not self.velocities:
                 raise OutOfRange(
                     f"'velocities' must not be empty for a {self.method} sweep"
                 )
             # each protocol checks its rate
-            for v in self.velocities:
-                QuenchProtocol(v_theta=v, steps=self.steps)
+            protocols = tuple(QuenchProtocol(v, self.steps) for v in self.velocities)
+        # Every ramp row reads these protocols, so they are built once, here.
+        # Kept outside the fields, they leave equality, hashing, repr and the
+        # sidecar as they were; a pickled config carries them.
+        object.__setattr__(self, "_protocols", protocols)
 
     def _numbers(self, name: str) -> tuple:
         """Field ``name`` as a tuple of floats, or ``OutOfRange`` naming it."""
@@ -125,7 +136,7 @@ def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
             gap = ground_gap(spec, _POLE)
         else:
             ramp = evolve_quench if method == "dynamical" else simulate_protocol_trotter
-            results = [ramp(spec, QuenchProtocol(v, cfg.steps)) for v in cfg.velocities]
+            results = [ramp(spec, protocol) for protocol in cfg._protocols]
             f, gap = extract_curvature(results), results[0].gap
     except DegenerateGroundState:
         f, gap, converged = math.nan, ground_gap(spec, _POLE), False
@@ -338,10 +349,20 @@ def import_results(path) -> list[SweepRow]:
 
 
 def default_j_grid(step: float = 0.05, lo: float = -2.0, hi: float = 2.0) -> tuple:
-    """The standard coupling grid bracketing every crossing for N <= 4."""
+    """The standard coupling grid bracketing every crossing for N <= 4.
+
+    A grid of more than ``MAX_J_POINTS`` points raises ``OutOfRange``
+    before any point is built.
+    """
     if not (math.isfinite(step) and step > 0.0):
         raise OutOfRange(f"grid step must be positive and finite, got {step}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise OutOfRange(f"grid ends must be finite with lo <= hi, got [{lo}, {hi}]")
-    count = int(round((hi - lo) / step)) + 1
+    spacings = (hi - lo) / step
+    count = round(spacings) + 1 if math.isfinite(spacings) else math.inf
+    if count > MAX_J_POINTS:
+        raise OutOfRange(
+            f"grid [{lo}, {hi}] at step {step} has {count} points, "
+            f"more than the cap of {MAX_J_POINTS}"
+        )
     return tuple(float(j) for j in np.linspace(lo, hi, count))

@@ -72,9 +72,11 @@ class PoleSystem:
     """Ascending pole levels, the M_z sector of each, and the ground state.
 
     The ground state is a real sector vector held as a complex array,
-    the dtype of every state a Trotter ramp evolves from it.  The exact
-    ramp, the curvature sum and the lattice rows read only the ground
-    sector and the gap, through ``_pole_ground``, and build none.
+    the dtype of every state a Trotter ramp evolves from it.  Only the
+    Trotter start and the ``spectrum`` command read this object.  The
+    exact ramp, the curvature sum, the lattice rows and the crossing
+    check read the ground sector and the gap through ``_lowest_levels``,
+    from each sector's extreme eigenvalues, and build no level array.
     """
 
     values: np.ndarray
@@ -94,13 +96,20 @@ class _Sectors:
     eigenvector columns) for each sector in ascending M, the site
     table's ``sectors`` order.  ``level_m`` and ``level_x`` hold each
     level's M and interaction eigenvalue, sector after sector, and
-    ``starts`` the first level of each sector.
+    ``starts`` the first level of each sector; only ``pole_system``,
+    which returns every level, reads them.  ``extremes`` holds, per
+    sector in ascending M, (M, its two lowest eigenvalues ascending, its
+    two highest descending) as Python floats, one of each for a
+    one-state sector.  A sector's two lowest pole levels -|h| M - J
+    lambda sit at one end of its spectrum, so every query of the ground
+    sector, the gap or the sector lines reads this table, in O(N).
     """
 
     level_m: np.ndarray
     level_x: np.ndarray
     starts: np.ndarray
     blocks: tuple
+    extremes: tuple
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,8 +119,12 @@ def _sector_data(n_spins: int) -> _Sectors:
     level_m = np.repeat([float(m) for m, _, _, _ in blocks], sizes)
     level_x = np.concatenate([values for _, _, values, _ in blocks])
     starts = np.cumsum([0] + sizes[:-1])
+    extremes = tuple(
+        (float(m), tuple(map(float, values[:2])), tuple(map(float, values[::-1][:2])))
+        for m, _, values, _ in blocks
+    )
     _read_only(level_m, level_x, starts, *(a for b in blocks for a in b[2:]))
-    return _Sectors(level_m, level_x, starts, blocks)
+    return _Sectors(level_m, level_x, starts, blocks, extremes)
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -120,14 +133,9 @@ def _sectors(spec: ChainSpec) -> _Sectors:
     return _sector_data(spec.n_spins)
 
 
-def _pole_levels(spec: ChainSpec, magnitude: float):
-    """Sector data, the pole levels -|h| M - J lambda of its columns, and
-    their stable ascending order."""
+def _check_magnitude(magnitude: float) -> None:
     if not (math.isfinite(magnitude) and magnitude > 0.0):
         raise OutOfRange(f"field magnitude must be positive and finite: {magnitude}")
-    sectors = _sectors(spec)
-    levels = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
-    return sectors, levels, np.argsort(levels, kind="stable")
 
 
 def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
@@ -136,7 +144,10 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
 
     The spectrum is the same at every field point of the same magnitude.
     """
-    sectors, levels, order = _pole_levels(spec, magnitude)
+    _check_magnitude(magnitude)
+    sectors = _sectors(spec)
+    levels = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
+    order = np.argsort(levels, kind="stable")
     # sector s holds M = 2s - n
     s = (int(sectors.level_m[order[0]]) + spec.n_spins) // 2
     _, idx, _, vectors = sectors.blocks[s]
@@ -145,6 +156,39 @@ def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
     return PoleSystem(
         values=levels[order], sectors=sectors.level_m[order], ground_state=ground_state
     )
+
+
+def _lowest_levels(spec: ChainSpec, magnitude: float) -> tuple[float, float, float]:
+    """M_g, the lowest pole level and the second-lowest, in O(N).
+
+    A sector's levels -|h| M - J lambda fall as lambda rises for J > 0
+    and rise with it otherwise, so its lowest two take the two largest
+    lambda or the two smallest.  The second-lowest level of the chain is
+    the lesser of the ground sector's next level and every other
+    sector's lowest.  Each level has ``pole_system``'s arithmetic, and a
+    tie keeps the lower sector, as its stable sort does, so both give
+    the same bits.
+    """
+    _check_magnitude(magnitude)
+    extremes = _sectors(spec).extremes
+    field, j = -magnitude, spec.coupling_j
+    end = 2 if j > 0.0 else 1
+    m_g = None
+    ground = second = math.inf
+    for row in extremes:
+        m, lams = row[0], row[end]
+        low = field * m - j * lams[0]
+        if low < ground:
+            # the old ground lies at or below every other level seen
+            second = ground
+            if len(lams) > 1:
+                above = field * m - j * lams[1]
+                if above < second:
+                    second = above
+            m_g, ground = m, low
+        elif low < second:
+            second = low
+    return m_g, ground, second
 
 
 def _require_gap(gap: float, p: FieldPoint) -> float:
@@ -168,20 +212,19 @@ def _pole_system(spec: ChainSpec) -> PoleSystem:
 
 def _pole_ground(spec: ChainSpec, p: FieldPoint = _POLE) -> tuple[float, float]:
     """M_g and the gap of the gapped ground level at field magnitude
-    |p|, from the pole levels alone: no state is gathered.  The exact
-    ramp, the curvature sum and the plaquette grid read only these.
+    |p|, from each sector's extreme levels (``_lowest_levels``): no
+    state is gathered and no level array is built.  The exact ramp, the
+    curvature sum and the plaquette grid read only these.
     """
-    sectors, levels, order = _pole_levels(spec, p.magnitude)
-    ground, excited = order[:2]
-    gap = _require_gap(float(levels[excited] - levels[ground]), p)
-    return float(sectors.level_m[ground]), gap
+    m_g, ground, second = _lowest_levels(spec, p.magnitude)
+    return m_g, _require_gap(float(second - ground), p)
 
 
 def ground_gap(spec: ChainSpec, p: FieldPoint) -> float:
-    """Energy difference between the two lowest levels, read from the
-    pole levels alone: no state is gathered."""
-    _, levels, order = _pole_levels(spec, p.magnitude)
-    return float(levels[order[1]] - levels[order[0]])
+    """Energy difference between the two lowest levels, read from each
+    sector's extreme levels: no state is gathered."""
+    _, ground, second = _lowest_levels(spec, p.magnitude)
+    return float(second - ground)
 
 
 def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
@@ -300,18 +343,19 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
     sector holds at most one interval.  From the unique ground sector
     M = N at J = 0 the walk steps outward to the nearest intersection
     with a steeper line, until it passes the lower end of the interval;
-    no energy is evaluated at either end.  A root is kept only if the
-    pole gap closes there.
+    no energy is evaluated at either end.  Each sector's M and
+    lambda_M come from the sector data's ``extremes`` table, so no level
+    array is read.  A root is kept only if the pole gap closes there.
     """
     lo, hi = j_interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise OutOfRange(f"j_interval must be finite, got {j_interval}")
     if not lo < hi:
         raise OutOfRange(f"j_interval must satisfy lo < hi, got {j_interval}")
-    sectors = _sectors(spec)
-    m = sectors.level_m[sectors.starts]
+    extremes = _sectors(spec).extremes
+    m = np.array([row[0] for row in extremes])
     # dE_M/dt along J = -t, t >= 0
-    slopes = np.minimum.reduceat(sectors.level_x, sectors.starts)
+    slopes = np.array([row[1][0] for row in extremes])
     tol = _SLOPE_RTOL * np.abs(slopes).max()
     roots = []
     ground = m.size - 1  # M = N

@@ -426,6 +426,18 @@ def pole_ground_magnetization(spec: ChainSpec) -> int:
     return round(float(np.vdot(ground, s_z @ ground).real))
 
 
+def sorted_pole_ground(
+    level_m: np.ndarray, level_x: np.ndarray, magnitude: float, j: float
+) -> tuple[float, float]:
+    """M_g and the pole gap from a stable ascending sort of every pole
+    level -|h| M - J lambda, given each level's M and interaction
+    eigenvalue: the all-levels route that reading each sector's extreme
+    levels replaced.  A tie keeps the earlier level."""
+    levels = -magnitude * level_m - j * level_x
+    order = np.argsort(levels, kind="stable")
+    return float(level_m[order[0]]), float(levels[order[1]] - levels[order[0]])
+
+
 def assert_same_state(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> None:
     """States equal up to a global phase, entrywise within ``tol``."""
     phase = np.vdot(a, b)

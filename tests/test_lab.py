@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -293,6 +294,48 @@ def test_sweep_rows_keep_the_bits_of_their_route(method, n, j):
         direct = extract_curvature([ramp(spec, QuenchProtocol(0.1, 300))])
     assert row.f_phitheta == direct
     assert row.chern == 2.0 * direct
+
+
+def test_ramp_config_builds_its_protocols_once(tmp_path, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(QuenchProtocol(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(lab, "QuenchProtocol", counted)
+    cfg = SweepConfig(
+        spec=ChainSpec(2, 0.0),
+        j_values=(-1.0, 0.4, 1.0),
+        velocities=(0.1, 0.2),
+        method="dynamical",
+    )
+    assert all(row.converged for row in run_sweep(cfg))
+    assert len(built) == 2
+    # a worker pool receives the config pickled, protocols and all
+    assert pickle.loads(pickle.dumps(cfg))._protocols == tuple(built)
+    # The protocols are no field: a config rebuilt from its sidecar is
+    # equal and writes the same bytes.
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    export_results([], [], first, config=cfg)
+    saved = json.loads(first.with_suffix(".json").read_text(encoding="utf-8"))
+    c = saved["config"]
+    rebuilt = SweepConfig(
+        spec=ChainSpec(c["n_spins"], c["coupling_j"], c["max_spins"]),
+        j_values=c["j_values"],
+        velocities=c["velocities"],
+        steps=c["steps"],
+        method=c["method"],
+        output_path=c["output_path"],
+        lattice_grid=tuple(c["lattice_grid"]),
+    )
+    assert rebuilt == cfg and hash(rebuilt) == hash(cfg)
+    assert repr(rebuilt) == repr(cfg) and "_protocols" not in repr(cfg)
+    export_results([], [], second, config=rebuilt)
+    assert (
+        second.with_suffix(".json").read_bytes()
+        == first.with_suffix(".json").read_bytes()
+    )
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
@@ -666,6 +709,9 @@ def test_cli_spectrum_writes_csv(tmp_path, capsys):
         (0.05, math.inf, 2.0),
         (0.05, -2.0, math.nan),
         (0.05, 1.0, -1.0),
+        # one point over the cap, and a count too large for a float
+        (1.0, 0.0, float(lab.MAX_J_POINTS)),
+        (5e-324, -1.0, 1.0),
     ],
 )
 def test_bad_j_grid_is_rejected_before_any_work(step, lo, hi, capsys):

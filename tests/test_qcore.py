@@ -126,16 +126,21 @@ def _block_solutions(n: int):
     (``_sector_data``) and of the exchange's (``_exchange_system``, whose
     blocks are the interaction's without their zz diagonal).  A solved
     block is (M, basis indices, levels, eigenvector columns).  The
-    interaction's level arrays list its blocks sector after sector; the
+    interaction's level arrays list its blocks sector after sector, and
+    its line extremes each block's two lowest and two highest levels; the
     exchange's blocks are cut from its dense columns, sector after
     sector, which must vanish outside them."""
     blocks = [(m, idx, block) for m, idx, block in model._interaction_blocks(n)]
     sectors = spectral._sector_data(n)
     starts = np.cumsum([0] + [idx.size for _, idx, _ in blocks[:-1]])
     assert np.array_equal(sectors.starts, starts)
-    for (m, idx, levels, _), start in zip(sectors.blocks, starts):
+    for (m, idx, levels, _), start, row in zip(
+        sectors.blocks, starts, sectors.extremes
+    ):
         assert np.all(sectors.level_m[start : start + idx.size] == m)
         assert np.array_equal(sectors.level_x[start : start + idx.size], levels)
+        # the line extremes: M, the two lowest levels and the two highest
+        assert row == (m, tuple(levels[:2]), tuple(levels[::-1][:2]))
     no_zz = [(m, idx, block - np.diag(np.diag(block))) for m, idx, block in blocks]
     values, vectors = pulsesim._exchange_system(n)
     exchange, col = [], 0

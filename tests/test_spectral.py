@@ -41,6 +41,7 @@ from _oracles import (
     dense_curvature,
     eigh,
     plaquette_curvature,
+    sorted_pole_ground,
 )
 
 EQUATOR = FieldPoint(theta=math.pi / 2)
@@ -272,12 +273,15 @@ def test_pole_system_matches_dense_spectrum(n):
 
 def test_pole_system_rejects_bad_field_magnitude():
     # Unchecked, the magnitude was rejected only after the size's sector
-    # blocks were solved: one cache miss at N = 9.
-    for magnitude in (math.nan, math.inf, 0.0, -1.0):
-        before = cache_state()
-        with pytest.raises(OutOfRange):
-            pole_system(ChainSpec(9, 1.0), magnitude)
-        assert cache_state() == before
+    # blocks were solved: one cache miss at N = 9.  The query under
+    # _pole_ground and ground_gap checks it too, though their field
+    # points have checked it already.
+    for route in (pole_system, spectral._lowest_levels):
+        for magnitude in (math.nan, math.inf, 0.0, -1.0):
+            before = cache_state()
+            with pytest.raises(OutOfRange):
+                route(ChainSpec(9, 1.0), magnitude)
+            assert cache_state() == before
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -403,6 +407,7 @@ def test_find_crossings_matches_bisection_oracle(n):
         pytest.param(lambda s: chern_lattice(s), id="chern_lattice"),
         pytest.param(lambda s: find_crossings(s, (-2.0, 2.0)), id="find_crossings"),
         pytest.param(lambda s: pole_system(s), id="pole_system"),
+        pytest.param(lambda s: spectral._pole_ground(s), id="pole_ground"),
     ],
 )
 def test_size_cap_is_checked_before_any_cache_access(call):
@@ -550,6 +555,88 @@ def test_ground_level_routes_gather_no_ground_state(monkeypatch):
     assert run_sweep(sweep)[0].gap_at_pole > 0.0
     with pytest.raises(AssertionError):
         pulsesim.simulate_protocol_trotter(spec, quench.QuenchProtocol(0.1))
+
+
+# find_crossings(ChainSpec(n, 0), (-2.5, 2.5)) as the sorted-levels code
+# returned it, digit for digit.
+SORTED_LEVEL_CROSSINGS = {
+    1: [],
+    2: [-0.5],
+    3: [-0.3333333333333333],
+    4: [-0.7588190451025207, -0.2928932188134525],
+    5: [-0.4468797368446167, -0.276393202250021],
+    6: [-1.0171247662233607, -0.3607581815728147, -0.26794919243112275],
+    7: [-0.5650773058126168, -0.3224899053259985, -0.2630237709004218],
+    8: [
+        -1.2732621463217755, -0.4345456913805166,
+        -0.30161654997877074, -0.25989153247414504,
+    ],
+    9: [
+        -0.6844245434314291, -0.37456595018888544,
+        -0.288815344951498, -0.25777280103144085,
+    ],
+    10: [
+        -1.5273629309041319, -0.5104939399426401, -0.340922664831642,
+        -0.2803373754521608, -0.25627140773422913,
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pole_queries_equal_the_sorted_levels_bit_for_bit(n):
+    # M_g and the gap from each sector's extreme levels against a stable
+    # sort of all 2^n levels, with ==: on a grid in J, at every crossing
+    # and 1e-9 past it, and at J = 0 and +-1e-12, at three magnitudes.
+    # 2070 cases over n = 1-10.
+    crossings = find_crossings(ChainSpec(n, 0.0), (-2.5, 2.5))
+    assert crossings == SORTED_LEVEL_CROSSINGS[n]
+    couplings = [float(j) for j in np.linspace(-2.5, 2.5, 61)]
+    couplings += [j + d for j in crossings for d in (0.0, 1e-9)]
+    couplings += [0.0, 1e-12, -1e-12]
+    sectors = spectral._sector_data(n)
+    degenerate = 0
+    for magnitude in (0.37, 1.0, 2.9):
+        p = FieldPoint(theta=0.0, magnitude=magnitude)
+        for j in couplings:
+            spec = ChainSpec(n, j)
+            m_g, gap = sorted_pole_ground(
+                sectors.level_m, sectors.level_x, magnitude, j
+            )
+            assert ground_gap(spec, p) == gap
+            if gap < spectral.DEGENERACY_RTOL * magnitude:
+                degenerate += 1
+                with pytest.raises(DegenerateGroundState):
+                    spectral._pole_ground(spec, p)
+            else:
+                assert spectral._pole_ground(spec, p) == (m_g, gap)
+    # the crossings are those of unit field, each degenerate there (the
+    # J grid holds some of them again)
+    assert degenerate >= len(crossings)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda s: ground_gap(s, EQUATOR), id="ground_gap"),
+        pytest.param(lambda s: spectral._pole_ground(s), id="pole_ground"),
+        pytest.param(
+            lambda s: quench.evolve_quench(s, quench.QuenchProtocol(0.1)),
+            id="evolve_quench",
+        ),
+    ],
+)
+def test_warm_pole_queries_at_ten_spins_allocate_no_level_array(call):
+    # A warm query reads one row per sector, O(N); a sort of all 2^10
+    # levels allocated about 25 KB.
+    spec = ChainSpec(10, -0.3)
+    call(spec)
+    tracemalloc.start()
+    try:
+        call(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
 
 
 def test_cold_routes_at_ten_spins_peak_below_one_dense_operator():
