@@ -43,14 +43,8 @@ from .model import (
     _site_table,
 )
 from .qcore import PAULI, propagator, sector_eigh
-from .quench import (
-    QuenchProtocol,
-    QuenchResult,
-    _midpoint_angles,
-    _ramp_result,
-    _readout,
-)
-from .spectral import PoleSystem, _pole_system
+from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
+from .spectral import _pole_ground, _sectors
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -170,9 +164,15 @@ _PRODUCT_CHUNK = 512
 # representatives r = {b <= rev(b)}, palindromes dropped when sigma = -1;
 # the full y-frame state is y[r] = x, y[rev r] = sigma x.  The sector's
 # frame takes a z-frame state to x and back in one product each:
-# x = left^dagger psi with left = W[:, r], and psi = right x with
-# right = left + w W[:, rev r], w = sigma or 0 on palindromes, whose
-# partner is the column itself.  On x the core acts as left^dagger C right.
+# x = enter psi with enter = W[:, r]^dagger, and psi = right x with
+# right = W[:, r] + w W[:, rev r], w = sigma or 0 on palindromes, whose
+# partner is the column itself.  On x the core acts as enter C right.
+#
+# A ramp enters, runs and is read out in the sector; only the core is
+# projected with ``right``.  The rotations and S_y are diagonal in the y
+# frame with labels m, and m[rev b] = m[b], so a sum over the full
+# y-frame state is a sum over x weighted by each representative's count
+# of basis states, 1 on a palindrome and 2 on a mirror pair.
 
 # The ground state's parity is checked at run time to this norm.
 _PARITY_TOL = 1e-12
@@ -180,20 +180,24 @@ _PARITY_TOL = 1e-12
 
 @functools.lru_cache(maxsize=None)
 def _mirror_sector(n_spins: int, parity: float):
-    """The frame of the sector of ``parity``, read-only: left = W[:, r],
-    right = left + w W[:, rev r] and the M_z labels m[r] of the
-    representatives r."""
+    """The frame of the sector of ``parity``, read-only: enter =
+    W[:, r]^dagger (contiguous), right = W[:, r] + w W[:, rev r], the
+    M_z labels m[r] of the representatives r and their counts, 1 on a
+    palindrome and 2 elsewhere."""
     sites = _site_table(n_spins)
     mirror = sites.mirror
     index = np.arange(mirror.size)
     reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
-    weights = np.where(mirror[reps] == reps, 0.0, parity)
+    palindromes = mirror[reps] == reps
+    weights = np.where(palindromes, 0.0, parity)
     left = _each_spin(_Y_FRAME, np.eye(mirror.size, dtype=complex)[:, reps])
     # W commutes with the reflection, so W[:, rev r] = W[rev, r]
     right = left + weights * left[mirror]
+    enter = np.ascontiguousarray(left.conj().T)
     m = sites.m[reps]
-    _read_only(left, right, m)
-    return left, right, m
+    count = np.where(palindromes, 1.0, 2.0)
+    _read_only(enter, right, m, count)
+    return enter, right, m, count
 
 
 def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
@@ -207,6 +211,28 @@ def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
             f"(defect {defect:.3e}), so it is degenerate"
         )
     return parity
+
+
+def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
+    """The unit-field pole gap, and the mirror parity and sector state
+    x = enter g of the gapped pole ground state g, which starts every
+    Trotter ramp.  The cap and the gap are checked first.
+
+    M_g and the gap come from each sector's extreme levels
+    (``_pole_ground``); g is block M_g's ground column, its largest
+    interaction eigenvalue for J > 0 and its smallest otherwise, the
+    level ``pole_system`` sorts first.  Only the parity check reads g
+    over the full basis.
+    """
+    m_g, gap = _pole_ground(spec)
+    # sector s holds M = 2s - n
+    _, idx, _, vectors = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
+    column = vectors[:, -1 if spec.coupling_j > 0.0 else 0]
+    ground = np.zeros(spec.dim)
+    ground[idx] = column
+    parity = _mirror_parity(ground, spec.n_spins)
+    enter = _mirror_sector(spec.n_spins, parity)[0]
+    return gap, parity, enter[:, idx].dot(column)
 
 
 def _step_deltas(angles: np.ndarray) -> np.ndarray:
@@ -290,29 +316,31 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
 
 
 def _ramp_state(
-    pole: PoleSystem,
+    ground: np.ndarray,
+    parity: float,
     core: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final state of the ramp that applies R(a_k) core R(a_k)^T at step
-    k, given the split step ``core`` of ``_trotter_core``.
+    """Final sector state of the ramp that applies R(a_k) core R(a_k)^T
+    at step k, given the split step ``core`` of ``_trotter_core`` and
+    the start's sector state ``ground`` in the mirror sector of
+    ``parity`` (see ``_trotter_start``).
 
     a_k is the midpoint angle of step k.  Consecutive rotations fuse,
     R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame step k is
     the matrix P_k W^dagger core W, P_k a diagonal phase.
 
-    ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
-    a_k + offsets[k, t], and returns their states with shape (T, 2^n, 1).
-    Each ramp keeps its own arithmetic, so its state has the same bits
-    in any stack.
+    The ramp runs in the y frame of the sector, about half the basis,
+    and returns the state there, shape (d,): the z-frame state is
+    ``right`` times it.  The core is projected on the sector once.  A
+    single ramp reads its phases from the cached ``_step_phases`` table
+    of its protocol and sector.
 
-    The ramp runs in the y frame of the pole ground state's mirror
-    sector, about half the basis, entered and left through the sector's
-    cached frame.  A single ramp reads its phases from the cached
-    ``_step_phases`` table of its protocol and sector.  A ground state
-    without a definite parity is degenerate and raises
-    ``DegenerateGroundState``.
+    ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
+    a_k + offsets[k, t], and returns their sector states with shape
+    (T, d, 1).  Each ramp keeps its own arithmetic, so its state has the
+    same bits in any stack.
 
     At these sizes a step costs call dispatch, not flops.  Up to a
     sector dimension of ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies
@@ -324,20 +352,17 @@ def _ramp_state(
     which is one zgemv per ramp and so gives each ramp the bits of its
     single run; one (d, T) zgemm over the stack would not.
     """
-    n_spins = pole.ground_state.size.bit_length() - 1
-    parity = _mirror_parity(pole.ground_state, n_spins)
-    left, right, m = _mirror_sector(n_spins, parity)
-    enter = left.conj().T
+    n_spins = core.shape[0].bit_length() - 1
+    enter, right, m, _ = _mirror_sector(n_spins, parity)
     core = enter.dot(core).dot(right)
-    ground = enter.dot(pole.ground_state)
     if offsets is None:
         table = _step_phases(protocol, n_spins, parity)
         psi = table[0] * ground
         if m.size <= _PRODUCT_MAX_DIM:
-            return right.dot(_step_product(core, table[1:], psi))
+            return _step_product(core, table[1:], psi)
         for phase in table[1:]:
             psi = phase * core.dot(psi)
-        return right.dot(psi)
+        return psi
     angles = _midpoint_angles(protocol)[:, None] + offsets
     deltas = _step_deltas(angles)
     psi = _rotation_phases(-angles[0], m[:, None]) * ground[:, None]
@@ -351,19 +376,27 @@ def _ramp_state(
             phases = _rotation_phases(deltas[start : start + chunk], m[:, None])
             for phase in phases:
                 psi = phase * (core @ psi)
-    return right @ psi
+    return psi
 
 
 def simulate_protocol_trotter(
     spec: ChainSpec, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Trotterized counterpart of the exact ramp: the same pole system and
-    readout, with rotations around the split step core."""
-    pole = _pole_system(spec)
+    """Trotterized counterpart of the exact ramp, with rotations around
+    the split step core, started, run and read out in the pole ground
+    state's mirror sector: m_phi = sin(theta_f) sum c m |x|^2 and the
+    adiabatic overlap |sum c conj(R x_0) x|^2, with c the
+    representatives' counts, x_0 the start and R the y-frame phase of
+    R(theta_f)."""
+    gap, parity, ground = _trotter_start(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
-    psi = _ramp_state(pole, core, protocol)
-    m_phi, overlap = _readout(pole.ground_state, psi, protocol)
-    return _ramp_result(pole.ground_gap, protocol, m_phi, overlap)
+    psi = _ramp_state(ground, parity, core, protocol)
+    _, _, m, count = _mirror_sector(spec.n_spins, parity)
+    theta = protocol.final_angle
+    m_phi = math.sin(theta) * float(np.dot(count * m, (psi.conj() * psi).real))
+    target = _rotation_phases(theta, m) * ground
+    overlap = float(abs(np.vdot(target, count * psi)) ** 2)
+    return _ramp_result(gap, protocol, m_phi, overlap)
 
 
 def perturbed_fidelity(
@@ -380,6 +413,10 @@ def perturbed_fidelity(
     same miscalibrated angle enters the + and - rotation).  Trials use
     seeds seed+0 .. seed+trials-1, so the result is reproducible and
     individual trials can run anywhere.
+
+    The arguments, the chain cap and the pole gap are checked before any
+    work.  The ideal ramp and the trials run as one stack in the mirror
+    sector, where each overlap is |sum c conj(ideal) x_t|^2.
     """
     if not (math.isfinite(angle_error_deg) and angle_error_deg >= 0.0):
         raise OutOfRange("angle_error_deg must be nonnegative and finite")
@@ -387,7 +424,7 @@ def perturbed_fidelity(
         raise OutOfRange(f"trials must be a whole number >= 1, got {trials!r}")
     if not (_is_count(seed) and seed >= 0):
         raise OutOfRange(f"seed must be a whole number >= 0, got {seed!r}")
-    pole = _pole_system(spec)
+    _, parity, ground = _trotter_start(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
     bound = math.radians(angle_error_deg)
     # Column 0 is the ideal ramp.
@@ -395,10 +432,11 @@ def perturbed_fidelity(
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         offsets[:, trial + 1] = rng.uniform(-bound, bound, protocol.steps)
-    ideal, *noisy = _ramp_state(pole, core, protocol, offsets)
+    ideal, *noisy = _ramp_state(ground, parity, core, protocol, offsets)
+    weighted = _mirror_sector(spec.n_spins, parity)[3][:, None] * ideal
     worst = 1.0
     for psi in noisy:
-        worst = min(worst, abs(np.vdot(ideal, psi)) ** 2)
+        worst = min(worst, abs(np.vdot(weighted, psi)) ** 2)
     return float(worst)
 
 
@@ -516,11 +554,31 @@ def _check_compilable(m: MoleculeSpec) -> np.ndarray:
     return pair
 
 
-def _sign_patterns(n_spins: int):
-    """All flip-parity patterns with the first spin pinned to +1."""
-    return [
-        (1,) + rest for rest in itertools.product((1, -1), repeat=n_spins - 1)
-    ]
+# The bases of ``compile_zz``'s linear program depend only on the chain
+# size and on which couplings are constraint rows: the adjacent pairs and
+# the nonzero non-adjacent ones.  So the cache is bounded by its key
+# space, 1 + 2 + 8 = 11 keys for 2, 3 and 4 spins.  An entry's arrays
+# take at most 9.3 KB (4 spins with one non-adjacent row: 58 bases of
+# 4 x 4 blocks), and all 11 take 53 KB.
+
+
+@functools.lru_cache(maxsize=None)
+def _lp_bases(n_spins: int, pairs: tuple):
+    """The flip-parity patterns, first spin pinned to +1, and the
+    nonsingular bases of the linear program whose rows are the couplings
+    ``pairs`` (i, j): each basis's column subset, in lexicographic order,
+    and its block blocks[s] = columns[:, subsets[s]], both read-only.  A
+    block with a zero determinant, the zero pivot on which a single
+    solve raises, is dropped."""
+    flips = itertools.product((1, -1), repeat=n_spins - 1)
+    patterns = tuple((1,) + rest for rest in flips)
+    columns = np.array([[p[i] * p[j] for p in patterns] for i, j in pairs], dtype=float)
+    subsets = np.array(list(itertools.combinations(range(len(patterns)), len(pairs))))
+    blocks = np.ascontiguousarray(np.moveaxis(columns[:, subsets], 1, 0))
+    nonsingular = np.linalg.det(blocks) != 0.0
+    subsets, blocks = subsets[nonsingular], blocks[nonsingular]
+    _read_only(subsets, blocks)
+    return patterns, subsets, blocks
 
 
 def effective_uniform_coupling(m: MoleculeSpec) -> float:
@@ -554,9 +612,9 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     and the pick matters: four-spin tables with fewer than three
     non-adjacent couplings often have several optimal vertices.
 
-    All bases are stacked and solved in one batch; those with a zero
-    determinant, the zero pivot on which a single solve raises, are
-    dropped first.
+    The nonsingular bases of the table's constraint rows come from the
+    ``_lp_bases`` cache, read after the table is checked; all are
+    stacked and solved in one batch against this call's weights.
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
@@ -574,17 +632,8 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
             elif coupling != 0.0:
                 rows.append((i, j, 0.0))
 
-    patterns = _sign_patterns(n)
-    columns = np.array(
-        [[p[i] * p[j] for p in patterns] for i, j, _ in rows], dtype=float
-    )
+    patterns, subsets, blocks = _lp_bases(n, tuple((i, j) for i, j, _ in rows))
     required = np.array([r for _, _, r in rows])
-
-    # blocks[s] = columns[:, subsets[s]]
-    subsets = np.array(list(itertools.combinations(range(len(patterns)), len(rows))))
-    blocks = np.ascontiguousarray(np.moveaxis(columns[:, subsets], 1, 0))
-    nonsingular = np.linalg.det(blocks) != 0.0
-    subsets, blocks = subsets[nonsingular], blocks[nonsingular]
     rhs = np.broadcast_to(required[:, None], (len(blocks), len(rows), 1))
     durations = np.linalg.solve(blocks, rhs)
     residual = np.abs(blocks @ durations - rhs).max(axis=(1, 2))
@@ -592,9 +641,9 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     feasible = (residual <= 1e-9 * max(1.0, np.max(np.abs(required)))) & (
         durations.min(axis=1) >= -1e-12 * tau
     )
-    walls = durations.sum(axis=1)
+    walls = durations.sum(axis=1).tolist()
     best = None
-    for k in np.flatnonzero(feasible):
+    for k in np.flatnonzero(feasible).tolist():
         if best is None or walls[k] < walls[best] - 1e-15 * tau:
             best = k
     if best is None:

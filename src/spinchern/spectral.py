@@ -71,12 +71,13 @@ class CurvatureSample:
 class PoleSystem:
     """Ascending pole levels, the M_z sector of each, and the ground state.
 
-    The ground state is a real sector vector held as a complex array,
-    the dtype of every state a Trotter ramp evolves from it.  Only the
-    Trotter start and the ``spectrum`` command read this object.  The
-    exact ramp, the curvature sum, the lattice rows and the crossing
-    check read the ground sector and the gap through ``_lowest_levels``,
-    from each sector's extreme eigenvalues, and build no level array.
+    The ground state is a real sector vector held as a complex array.
+    Only ``pole_system``'s callers read this object, and in the package
+    that is the ``spectrum`` command.  The ramps, the curvature sum, the
+    lattice rows and the crossing check read the ground sector and the
+    gap through ``_lowest_levels``, from each sector's extreme
+    eigenvalues, and build no level array; the Trotter start takes its
+    state from block M_g's ground column.
     """
 
     values: np.ndarray
@@ -198,16 +199,6 @@ def _require_gap(gap: float, p: FieldPoint) -> float:
             f"theta={p.theta:.6g}, phi={p.phi:.6g}"
         )
     return gap
-
-
-def _pole_system(spec: ChainSpec) -> PoleSystem:
-    """Unit-field pole system with a gapped ground state, which starts
-    every Trotter ramp.  ``pole_system`` enforces the dimension cap
-    before any work.
-    """
-    system = pole_system(spec)
-    _require_gap(system.ground_gap, _POLE)
-    return system
 
 
 def _pole_ground(spec: ChainSpec, p: FieldPoint = _POLE) -> tuple[float, float]:

@@ -12,6 +12,7 @@ against the oracle ``expm_i``.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -24,6 +25,7 @@ import numpy as np
 import spinchern
 from spinchern import (
     ChainSpec,
+    CompiledZZ,
     Delay,
     FieldPoint,
     MoleculeSpec,
@@ -442,6 +444,14 @@ def assert_same_state(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> None:
     """States equal up to a global phase, entrywise within ``tol``."""
     phase = np.vdot(a, b)
     assert np.max(np.abs(a * phase / abs(phase) - b)) <= tol
+
+
+def assert_same_compile(a: CompiledZZ, b: CompiledZZ) -> None:
+    """Compiled schedules equal field by field: ``==`` on each field, on
+    every entry of an array field."""
+    for field in dataclasses.fields(CompiledZZ):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert (x == y).all() if isinstance(x, np.ndarray) else x == y, field.name
 
 
 def kron_chain_hamiltonian(n: int, j: float, theta: float, phi: float) -> np.ndarray:

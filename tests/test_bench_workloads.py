@@ -19,6 +19,8 @@ import spinchern.pulsesim as pulsesim
 import spinchern.quench as quench
 import spinchern.spectral as spectral
 
+from _oracles import assert_same_compile
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SEED = 0
 
@@ -66,12 +68,32 @@ def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
 
 def test_pulse_pass_on_warm_step_phase_tables_matches_reference(tmp_path):
     # All but the first pass run every single Trotter ramp on its
-    # sector's cached table of step phases.
+    # sector's cached table of step phases, and every zz compile on its
+    # cached LP bases.
     _check_pass("pulse", tmp_path)
     warm = pulsesim._step_phases.cache_info()
+    warm_bases = pulsesim._lp_bases.cache_info()
     _check_pass("pulse", tmp_path)
     after = pulsesim._step_phases.cache_info()
     assert after.misses == warm.misses and after.hits > warm.hits
+    after_bases = pulsesim._lp_bases.cache_info()
+    assert after_bases.misses == warm_bases.misses
+    assert after_bases.hits > warm_bases.hits
+
+
+def test_warm_lp_bases_compile_the_bench_tables_like_cold_ones():
+    # The 36 seed-0 tables, several with vertices tied within 1e-12 tau:
+    # the cached bases give the solve the same blocks, so the same bits
+    # and the same vertex.
+    tasks = workloads.generate("pulse", SEED)
+    tables = [task.args for task in tasks if task.kind == "zz"]
+    assert len(tables) == 36
+    for args in tables:
+        pulsesim.compile_zz(*args)
+    warm = [pulsesim.compile_zz(*args) for args in tables]
+    for args, compiled in zip(tables, warm):
+        pulsesim._lp_bases.cache_clear()
+        assert_same_compile(compiled, pulsesim.compile_zz(*args))
 
 
 def test_staircase_pass_on_a_warm_sector_cache_matches_reference(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from spinchern import (
     evolve_quench,
     find_crossings,
     perturbed_fidelity,
+    pole_system,
     program_from_json,
     program_to_json,
     simulate_program,
@@ -46,6 +49,7 @@ from _oracles import (
     ORACLE_STEPS,
     PLATEAU_CASES,
     RAMP_RATES,
+    assert_same_compile,
     assert_same_state,
     cache_state,
     collective_ry,
@@ -182,13 +186,27 @@ def test_stacked_trials_equal_single_trials_bit_for_bit(n, j):
     assert worst == min(singles)
 
 
-def test_single_ramp_equals_its_stacked_run():
-    spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 150)
-    pole = pulsesim._pole_system(spec)
+def _sector_ramp(spec, proto, offsets=None):
+    """The final sector state of a Trotter ramp of ``spec``, or of a
+    stack with ``offsets``, from the pole ground state's sector start."""
+    _, parity, ground = pulsesim._trotter_start(spec)
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    alone = pulsesim._ramp_state(pole, core, proto)
-    stacked = pulsesim._ramp_state(pole, core, proto, np.zeros((proto.steps, 3)))
-    assert stacked.shape == (3, 8, 1)
+    return pulsesim._ramp_state(ground, parity, core, proto, offsets)
+
+
+def _unfold(spec, x):
+    """The z-frame state of a sector state x of ``spec``'s ground sector,
+    right @ x."""
+    parity = pulsesim._trotter_start(spec)[1]
+    return pulsesim._mirror_sector(spec.n_spins, parity)[1] @ x
+
+
+def test_single_ramp_equals_its_stacked_run():
+    # N = 3's even sector holds 6 of the 8 states.
+    spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 150)
+    alone = _sector_ramp(spec, proto)
+    stacked = _sector_ramp(spec, proto, np.zeros((proto.steps, 3)))
+    assert alone.shape == (6,) and stacked.shape == (3, 6, 1)
     assert all(np.array_equal(alone, psi[:, 0]) for psi in stacked)
 
 
@@ -205,14 +223,12 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
     # 151 steps are no multiple of the group length, so every product
     # ramp first applies its earliest steps one by one.
     spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 151)
-    pole = pulsesim._pole_system(spec)
-    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
     offsets = np.random.default_rng(n).uniform(-0.1, 0.1, (proto.steps, 4))
     offsets[:, 0] = 0.0
-    stacked = pulsesim._ramp_state(pole, core, proto, offsets)
-    assert np.array_equal(pulsesim._ramp_state(pole, core, proto), stacked[0, :, 0])
+    stacked = _sector_ramp(spec, proto, offsets)
+    assert np.array_equal(_sector_ramp(spec, proto), stacked[0, :, 0])
     for t in range(1, 4):
-        alone = pulsesim._ramp_state(pole, core, proto, offsets[:, t : t + 1])
+        alone = _sector_ramp(spec, proto, offsets[:, t : t + 1])
         assert np.array_equal(alone[0], stacked[t])
     worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=4)
     singles = [
@@ -239,7 +255,8 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
 @example(case=(5, -0.36), v=0.1, steps=pulsesim._PRODUCT_CHUNK + 3, seed=5)
 def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     # The oracle runs in the full 2^n space, so it checks the restriction
-    # to the mirror sector too.  A count that is no multiple of the group
+    # to the mirror sector too: each sector state is unfolded to the
+    # z frame and read out there.  A count that is no multiple of the group
     # length applies its earliest steps one by one, and one shorter than
     # a group has no product at all; past the chunk bound a ramp
     # multiplies several products.  Column 0 is the ideal ramp, column 1
@@ -248,11 +265,10 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     spec, proto = ChainSpec(n, j), QuenchProtocol(v, steps)
     offsets = np.zeros((steps, 2))
     offsets[:, 1] = np.random.default_rng(seed).uniform(-0.1, 0.1, steps)
-    pole = pulsesim._pole_system(spec)
-    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    states = pulsesim._ramp_state(pole, core, proto, offsets)
+    ground = pole_system(spec).ground_state
+    states = _unfold(spec, _sector_ramp(spec, proto, offsets))
     for state, column in zip(states, offsets.T):
-        m_phi, overlap = quench._readout(pole.ground_state, state[:, 0], proto)
+        m_phi, overlap = quench._readout(ground, state[:, 0], proto)
         psi, dense_m_phi, dense_overlap = dense_ramp(
             spec, proto, trotter=True, offsets=column
         )
@@ -280,30 +296,48 @@ def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
     assert dims == [1] * 4 + [6] * 4 + [6] * 4 + [10] * 4
 
 
-def test_mixed_mirror_parity_start_is_degenerate():
+def test_mixed_mirror_parity_start_is_degenerate(monkeypatch):
     # A pole ground state with no definite mirror parity can only come
-    # from a degenerate level; the ramp refuses it before any step.
-    spec, proto = ChainSpec(3, 0.8), QuenchProtocol(0.1, 21)
-    pole = pulsesim._pole_system(spec)
-    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    kick = np.zeros(8, dtype=complex)
-    kick[0b001], kick[0b100] = 1e-6, -1e-6  # odd, the ground state is even
-    mixed = pole.ground_state + kick
-    mixed /= np.linalg.norm(mixed)
-    bad = spectral.PoleSystem(pole.values, pole.sectors, mixed)
-    with pytest.raises(DegenerateGroundState):
-        pulsesim._ramp_state(bad, core, proto)
-    with pytest.raises(DegenerateGroundState):
-        pulsesim._ramp_state(bad, core, proto, np.zeros((proto.steps, 2)))
+    # from a degenerate level; the ramp refuses it before any step.  At
+    # N = 3, J = -1.2 the ground column lies in block M = 1, the states
+    # 0b001, 0b010 and 0b100; the start's parity check is fed that
+    # column plus an odd kick on the mirror pair 0b001, 0b100.
+    spec, proto = ChainSpec(3, -1.2), QuenchProtocol(0.1, 21)
+    sectors = spectral._sectors(spec)
+    m, idx, values, vectors = sectors.blocks[2]
+    assert m == 1 and idx.tolist() == [0b001, 0b010, 0b100]
+    mixed = vectors.copy()
+    mixed[[0, 2], 0] += [1e-6, -1e-6]  # odd, the ground column is even
+    mixed[:, 0] /= np.linalg.norm(mixed[:, 0])
+    blocks = list(sectors.blocks)
+    blocks[2] = (m, idx, values, mixed)
+    bad = dataclasses.replace(sectors, blocks=tuple(blocks))
+    monkeypatch.setattr(pulsesim, "_sectors", lambda s: bad)
+
+    def stepped(*args):
+        raise AssertionError("the ramp stepped from a mixed-parity start")
+
+    monkeypatch.setattr(pulsesim, "_ramp_state", stepped)
+    for ramp in (
+        lambda: pulsesim._trotter_start(spec),
+        lambda: simulate_protocol_trotter(spec, proto),
+        lambda: perturbed_fidelity(spec, proto, 5.0, trials=2),
+    ):
+        with pytest.raises(DegenerateGroundState):
+            ramp()
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_mirror_sectors_split_the_basis(n):
     # 2^ceil(n/2) palindromes; the even sector holds them and one of each
     # mirror pair, the odd sector one of each pair.  Each sector's frame
-    # is checked against W from np.kron: left = W[:, r] has orthonormal
-    # columns, right = W P_w unfolds a sector state into the full space,
-    # and the sector core is the gather C_y[r, r] + w C_y[r, rev r].
+    # is checked against W from np.kron: enter = W[:, r]^dagger, a
+    # contiguous array with orthonormal rows, right = W P_w unfolds a
+    # sector state into the full space, and the sector core is the
+    # gather C_y[r, r] + w C_y[r, rev r].  Each representative counts
+    # the basis states it stands for, 1 on a palindrome and 2 on a pair,
+    # so the counts sum to 2^n in the even sector and to 2^n -
+    # 2^ceil(n/2) in the odd one.
     pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
     mirror = model._site_table(n).mirror
     assert np.array_equal(mirror[mirror], np.arange(2**n))
@@ -311,7 +345,11 @@ def test_mirror_sectors_split_the_basis(n):
     core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3)
     core_y = frame.conj().T @ core @ frame
     index = np.arange(2**n)
-    for parity, size in ((1.0, 2 ** ((n + 1) // 2) + pairs), (-1.0, pairs)):
+    palindromes = 2 ** ((n + 1) // 2)
+    for parity, size, states in (
+        (1.0, palindromes + pairs, 2**n),
+        (-1.0, pairs, 2**n - palindromes),
+    ):
         reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
         partners = mirror[reps]
         weights = np.where(partners == reps, 0.0, parity)
@@ -320,15 +358,19 @@ def test_mirror_sectors_split_the_basis(n):
         unfold[reps, np.arange(reps.size)] = 1.0
         unfold[partners, np.arange(reps.size)] += weights
         gathered = core_y[np.ix_(reps, reps)] + core_y[np.ix_(reps, partners)] * weights
-        left, right, m = pulsesim._mirror_sector(n, parity)
-        assert left.shape == right.shape == (2**n, size) and reps.size == size
+        enter, right, m, count = pulsesim._mirror_sector(n, parity)
+        assert right.shape == (2**n, size) and reps.size == size
+        assert enter.shape == (size, 2**n) and enter.flags.c_contiguous
         for got, want, tol in (
-            (left.conj().T @ left, np.eye(size), 1e-14),
+            (enter, frame[:, reps].conj().T, 1e-14),
+            (enter @ enter.conj().T, np.eye(size), 1e-14),
             (right, frame @ unfold, 1e-14),
-            (left.conj().T @ core @ right, gathered, 1e-13),
+            (enter @ core @ right, gathered, 1e-13),
         ):
             assert np.abs(got - want).max(initial=0.0) <= tol
         assert np.array_equal(m, model._site_table(n).m[reps])
+        assert np.array_equal(count, np.where(partners == reps, 1.0, 2.0))
+        assert count.sum() == states
 
 
 def test_perturbed_fidelity_validation():
@@ -647,9 +689,64 @@ def _assert_compiles_like_enumeration(m: MoleculeSpec, target_j: float) -> None:
 def test_compile_matches_vertex_enumeration(m, target_j):
     if enumerate_zz_vertices(m, target_j, TAU):
         _assert_compiles_like_enumeration(m, target_j)
+        # A compile on the cached LP bases equals one that builds them.
+        warm = compile_zz(m, target_j, TAU)
+        pulsesim._lp_bases.cache_clear()
+        assert_same_compile(warm, compile_zz(m, target_j, TAU))
     else:
         with pytest.raises(UnphysicalDurations):
             compile_zz(m, target_j, TAU)
+
+
+def test_lp_bases_cache_is_bounded_by_its_key_space():
+    # The bases depend on the size and on which non-adjacent couplings
+    # are nonzero: 1, 2 and 8 patterns at 2, 3 and 4 spins.  A table
+    # with no feasible vertex still reads its bases.
+    keys = set()
+    for n in (2, 3, 4):
+        non_adjacent = [(i, k) for i in range(n) for k in range(i + 2, n)]
+        for size in range(len(non_adjacent) + 1):
+            for coupled in itertools.combinations(non_adjacent, size):
+                table = np.diag([150.0, 60.0, 20.0][: n - 1], 1)
+                for i, k in coupled:
+                    table[i, k] = 7.0
+                m = _molecule(table)
+                try:
+                    compile_zz(m, _target_for(m), TAU)
+                except UnphysicalDurations:
+                    pass
+                rows = sorted([(i, i + 1) for i in range(n - 1)] + list(coupled))
+                keys.add((n, tuple(rows)))
+    assert len(keys) == pulsesim._lp_bases.cache_info().currsize == 11
+    before = pulsesim._lp_bases.cache_info()
+    for n, pairs in keys:
+        patterns, subsets, blocks = pulsesim._lp_bases(n, pairs)
+        assert isinstance(patterns, tuple) and len(patterns) == 2 ** (n - 1)
+        assert len(subsets) == len(blocks) >= 1
+        for a in (subsets, blocks):
+            with pytest.raises(ValueError):
+                a[0] *= 2
+    assert pulsesim._lp_bases.cache_info().misses == before.misses
+
+
+def test_rejected_tables_leave_the_lp_cache_alone(molecule3, molecule4):
+    # _check_compilable runs before the bases are read.
+    table3 = np.array(molecule3.couplings_hz)
+    table3[0, 1] = table3[1, 0] = table3[1, 2]
+    table4 = np.array(molecule4.couplings_hz)
+    table4[2, 3] = table4[3, 2] = 0.0
+    chain5 = np.diag(np.ones(4), 1)
+    rejected = [
+        (MoleculeSpec(molecule3.labels, molecule3.shifts_hz, table3), DegenerateCouplings),
+        (MoleculeSpec(molecule4.labels, molecule4.shifts_hz, table4), DegenerateCouplings),
+        (MoleculeSpec(tuple("abcde"), np.zeros(5), chain5 + chain5.T), OutOfRange),
+    ]
+    before, lp = cache_state(), pulsesim._lp_bases.cache_info()
+    for m, error in rejected:
+        with pytest.raises(error):
+            compile_zz(m, 10.0, TAU)
+    assert pulsesim._lp_bases.cache_info() == lp
+    assert cache_state() == before
 
 
 def test_compile_keeps_the_first_of_tied_vertices():
@@ -774,25 +871,29 @@ def test_bit_reversal_keeps_the_m_labels(n):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(spec=plateau_chains())
 def test_pole_ground_state_has_a_mirror_parity(spec):
+    # The Trotter start is the sector state of that ground state: it
+    # unfolds to it, and its parity is the state's.
     mirror = model._site_table(spec.n_spins).mirror
-    ground = pulsesim._pole_system(spec).ground_state
+    ground = pole_system(spec).ground_state
     frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * spec.n_spins)
     for state in (ground, frame.conj().T @ ground):
         parity = np.vdot(state, state[mirror]).real
         assert abs(abs(parity) - 1.0) <= 1e-12
         assert np.max(np.abs(state[mirror] - np.sign(parity) * state)) <= 1e-12
+    gap, sigma, start = pulsesim._trotter_start(spec)
+    assert sigma == np.sign(np.vdot(ground, ground[mirror]).real)
+    assert gap == pole_system(spec).ground_gap
+    assert np.max(np.abs(_unfold(spec, start) - ground)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, j", PLATEAU_CASES)
 def test_trotter_ramp_matches_dense_oracle(n, j):
     spec = ChainSpec(n, j)
-    pole = pulsesim._pole_system(spec)
     for v in RAMP_RATES:
         proto = QuenchProtocol(v, ORACLE_STEPS)
         psi, m_phi, overlap = dense_ramp(spec, proto, trotter=True)
         result = simulate_protocol_trotter(spec, proto)
-        core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-        assert_same_state(pulsesim._ramp_state(pole, core, proto), psi)
+        assert_same_state(_unfold(spec, _sector_ramp(spec, proto)), psi)
         assert result.m_phi == pytest.approx(m_phi, abs=1e-10)
         assert result.adiabatic_overlap == pytest.approx(overlap, abs=1e-10)
 
@@ -815,6 +916,37 @@ def test_perturbed_fidelity_matches_dense_oracle(n, j):
         assert perturbed_fidelity(
             spec, proto, error_deg, seed=seed, trials=trials
         ) == pytest.approx(worst, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_readout_matches_the_full_space_one(n):
+    # On every plateau, both mirror parities at even N: the readouts
+    # summed over the sector state with the representatives' counts
+    # against quench's readout of the unfolded 2^n state, and the
+    # fidelity against 2^n overlaps of the unfolded trials.
+    proto = QuenchProtocol(0.29, ORACLE_STEPS)
+    seed, trials, error_deg = 5, 3, 4.0
+    bound = math.radians(error_deg)
+    offsets = np.zeros((proto.steps, trials + 1))
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        offsets[:, trial + 1] = rng.uniform(-bound, bound, proto.steps)
+    edges = [-2.0, *find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0)), 2.0]
+    parities = set()
+    for lo, hi in zip(edges, edges[1:]):
+        spec = ChainSpec(n, 0.5 * (lo + hi))
+        parities.add(pulsesim._trotter_start(spec)[1])
+        ground = pole_system(spec).ground_state
+        result = simulate_protocol_trotter(spec, proto)
+        psi = _unfold(spec, _sector_ramp(spec, proto))
+        m_phi, overlap = quench._readout(ground, psi, proto)
+        assert abs(result.m_phi - m_phi) <= 1e-13
+        assert abs(result.adiabatic_overlap - overlap) <= 1e-13
+        ideal, *noisy = _unfold(spec, _sector_ramp(spec, proto, offsets))
+        worst = min(abs(np.vdot(ideal, state)) ** 2 for state in noisy)
+        fidelity = perturbed_fidelity(spec, proto, error_deg, seed=seed, trials=trials)
+        assert abs(fidelity - worst) <= 1e-13
+    assert parities == ({1.0} if n % 2 else {1.0, -1.0})
 
 
 # Ramp error against the exact integrator at the same step count, on the

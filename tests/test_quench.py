@@ -59,10 +59,12 @@ def _exact_final_state(spec, proto):
 
 
 def _trotter_state(spec, proto):
-    """The final state of a Trotter ramp, which its readout reads."""
-    pole = pulsesim._pole_system(spec)
+    """The final z-frame state of a Trotter ramp: its sector state, which
+    the readout reads, unfolded by the sector's frame."""
+    _, parity, ground = pulsesim._trotter_start(spec)
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    return pulsesim._ramp_state(pole, core, proto)
+    right = pulsesim._mirror_sector(spec.n_spins, parity)[1]
+    return right @ pulsesim._ramp_state(ground, parity, core, proto)
 
 
 def test_protocol_validation():

@@ -476,6 +476,10 @@ def _arrays(value) -> list:
             ],
             id="mirror_sector",
         ),
+        pytest.param(
+            lambda n: list(pulsesim._lp_bases(n, ((0, 1), (0, 2), (1, 2)))[1:]),
+            id="lp_bases",
+        ),
     ],
 )
 def test_cached_arrays_are_read_only(cached):
@@ -539,8 +543,9 @@ def test_stacked_rows_equal_single_rotations(n):
 def test_ground_level_routes_gather_no_ground_state(monkeypatch):
     # The exact ramp, the curvature sum, the plaquette grid, the gap, the
     # crossing search and a lattice sweep row read M_g and the gap from
-    # the levels alone; only a Trotter ramp gathers the 2^N ground
-    # column of the pole system.
+    # the levels alone.  The Trotter ramps read them too, and take their
+    # start from block M_g's ground column, so no route needs the pole
+    # system.
     def gather(*args):
         raise AssertionError("pole_system gathered the ground state")
 
@@ -553,8 +558,9 @@ def test_ground_level_routes_gather_no_ground_state(monkeypatch):
     assert len(find_crossings(spec, (-2.0, 2.0))) == 2
     sweep = SweepConfig(spec=spec, j_values=(-0.5,), method="lattice")
     assert run_sweep(sweep)[0].gap_at_pole > 0.0
-    with pytest.raises(AssertionError):
-        pulsesim.simulate_protocol_trotter(spec, quench.QuenchProtocol(0.1))
+    proto = quench.QuenchProtocol(0.1)
+    assert pulsesim.simulate_protocol_trotter(spec, proto).gap > 0.0
+    assert 0.0 < pulsesim.perturbed_fidelity(spec, proto, 5.0, trials=2) <= 1.0
 
 
 # find_crossings(ChainSpec(n, 0), (-2.5, 2.5)) as the sorted-levels code
