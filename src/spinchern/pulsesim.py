@@ -2,10 +2,10 @@
 
 The ramp protocol is decomposed into symmetric Trotter steps built from
 collective rotations, diagonal field+zz segments and an xx+yy exchange
-segment.  The diagonal segments map onto free NMR evolution with
-deliberately off-resonant frames; the zz part of that evolution is
-manufactured from a molecule's native coupling table by a refocusing
-compiler that places pi pulses between delay segments.
+segment, stepped by ``quench``'s ramp kernel.  The diagonal segments map
+onto free NMR evolution with deliberately off-resonant frames; the zz
+part is manufactured from a molecule's native coupling table by a
+refocusing compiler that places pi pulses between delay segments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCouplings,
-    DegenerateGroundState,
     OutOfRange,
     UnphysicalDurations,
 )
@@ -30,7 +29,6 @@ from .model import (
     FieldPoint,
     MoleculeSpec,
     _check_cap,
-    _each_spin,
     _interaction_blocks,
     _is_count,
     _is_real,
@@ -43,8 +41,15 @@ from .model import (
     _site_table,
 )
 from .qcore import PAULI, propagator, sector_eigh
-from .quench import QuenchProtocol, QuenchResult, _midpoint_angles, _ramp_result
-from .spectral import _pole_ground, _sectors
+from .quench import (
+    QuenchProtocol,
+    QuenchResult,
+    _mirror_sector,
+    _ramp_readout,
+    _ramp_result,
+    _ramp_state,
+    _trotter_start,
+)
 
 # Adjacent couplings closer than this (relative) cannot be told apart
 # by the closed-form segment timings.
@@ -104,299 +109,15 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
     return _rotate_y(rotated.T, p.theta).T
 
 
-# --- Trotter ramp kernel -----------------------------------------------------
-#
-# The isotropic chain is rotation-covariant on the phi = 0 meridian:
-# H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
-# the real collective y-rotation.  A Trotter step at angle a is therefore
-# R(a) C R(a)^T with the fixed split step core C of ``_trotter_core``.
-# The split step breaks SU(2), so unlike the exact ramp of ``quench`` it
-# does not reduce to one spin.
-#
-# The ramp runs in the frame W = w (x) ... (x) w whose columns are the
-# sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
-# diagonal of the site table's M_z labels m, so every rotation is
-# the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
-
-_Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-
-# A stack of T ramps on the step loop builds the diagonal phases of this
-# many ramp-steps at once, _PHASE_CHUNK // T steps of every ramp.  Single
-# ramps build none: they read their sector's ``_step_phases`` table.
-_PHASE_CHUNK = 64
-
-# Largest mirror-sector dimension at which a ramp multiplies its step
-# matrices together instead of applying them to the state one by one;
-# the choice depends on nothing else, so a ramp has the same bits alone
-# or in a stack.  Medians of two runs of 1000 shuffled rounds of single
-# 300-step ramps, product against loop, with the phases read from their
-# table and so off the clock, on a 2-vCPU x86-64 VM with OpenBLAS 0.3.31
-# on one thread: 0.15 vs 0.58-0.65 ms at d = 3, 0.20-0.22 vs 0.60-0.68
-# ms at d = 6, 0.35-0.38 vs 0.62-0.70 ms at d = 10 and 0.44-0.47 vs
-# 0.61-0.69 ms at d = 12, but 1.54-1.70 vs 0.66-0.76 ms at d = 20, where
-# the d^3 products cost more than the calls they save.  The sectors of
-# N <= 10 have no dimension between 12, N = 5's odd one, and 20.
-_PRODUCT_MAX_DIM = 12
-
-# Consecutive steps multiplied into one group before the pairwise rounds.
-# In the same rounds, groups of 4 / 8 / 16 steps: 0.39 / 0.41 / 0.48 ms
-# at d = 3, 0.39 / 0.38 / 0.44 ms at d = 6, 0.78 / 0.62 / 0.60 ms at
-# d = 10.
-_GROUP_STEPS = 8
-
-# Steps whose matrices are built at once on the product path, whatever
-# the stack: per step 32 d^2 / L bytes of group products with their
-# scaled copy, 0.3 MB at d = 12; the default 300 steps are one chunk.
-# The phases are read, not built, per chunk: a single ramp slices its
-# table, and each ramp of a stack builds its own, 16 d bytes per step.
-_PRODUCT_CHUNK = 512
-
-# --- mirror sectors ----------------------------------------------------------
-#
-# Mirror reflection of the open chain, site i <-> N-1-i, reverses the n
-# bits of a basis index.  The uniform chain's Hamiltonian commutes with
-# it, and so does the y frame, which has one factor per site; the split
-# step core, the M_z labels and so every step's phase are mirror
-# symmetric.  The gapped pole ground state is nondegenerate and has a
-# definite parity sigma = +-1, and a ramp never leaves that sector.
-#
-# A y-frame state of parity sigma is held by its entries x on the
-# representatives r = {b <= rev(b)}, palindromes dropped when sigma = -1;
-# the full y-frame state is y[r] = x, y[rev r] = sigma x.  The sector's
-# frame takes a z-frame state to x and back in one product each:
-# x = enter psi with enter = W[:, r]^dagger, and psi = right x with
-# right = W[:, r] + w W[:, rev r], w = sigma or 0 on palindromes, whose
-# partner is the column itself.  On x the core acts as enter C right.
-#
-# A ramp enters, runs and is read out in the sector; only the core is
-# projected with ``right``.  The rotations and S_y are diagonal in the y
-# frame with labels m, and m[rev b] = m[b], so a sum over the full
-# y-frame state is a sum over x weighted by each representative's count
-# of basis states, 1 on a palindrome and 2 on a mirror pair.
-
-# The ground state's parity is checked at run time to this norm.
-_PARITY_TOL = 1e-12
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_sector(n_spins: int, parity: float):
-    """The frame of the sector of ``parity``, read-only: enter =
-    W[:, r]^dagger (contiguous), right = W[:, r] + w W[:, rev r], the
-    M_z labels m[r] of the representatives r and their counts, 1 on a
-    palindrome and 2 elsewhere."""
-    sites = _site_table(n_spins)
-    mirror = sites.mirror
-    index = np.arange(mirror.size)
-    reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
-    palindromes = mirror[reps] == reps
-    weights = np.where(palindromes, 0.0, parity)
-    left = _each_spin(_Y_FRAME, np.eye(mirror.size, dtype=complex)[:, reps])
-    # W commutes with the reflection, so W[:, rev r] = W[rev, r]
-    right = left + weights * left[mirror]
-    enter = np.ascontiguousarray(left.conj().T)
-    m = sites.m[reps]
-    count = np.where(palindromes, 1.0, 2.0)
-    _read_only(enter, right, m, count)
-    return enter, right, m, count
-
-
-def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
-    """sigma of a state with state[rev b] = sigma state[b] for every b."""
-    mirrored = state[_site_table(n_spins).mirror]
-    parity = 1.0 if np.vdot(state, mirrored).real >= 0.0 else -1.0
-    defect = float(np.linalg.norm(mirrored - parity * state))
-    if not defect <= _PARITY_TOL:
-        raise DegenerateGroundState(
-            f"pole ground state has no definite mirror parity "
-            f"(defect {defect:.3e}), so it is degenerate"
-        )
-    return parity
-
-
-def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
-    """The unit-field pole gap, and the mirror parity and sector state
-    x = enter g of the gapped pole ground state g, which starts every
-    Trotter ramp.  The cap and the gap are checked first.
-
-    M_g and the gap come from each sector's extreme levels
-    (``_pole_ground``); g is block M_g's ground column, its largest
-    interaction eigenvalue for J > 0 and its smallest otherwise, the
-    level ``pole_system`` sorts first.  Only the parity check reads g
-    over the full basis.
-    """
-    m_g, gap = _pole_ground(spec)
-    # sector s holds M = 2s - n
-    _, idx, _, vectors = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
-    column = vectors[:, -1 if spec.coupling_j > 0.0 else 0]
-    ground = np.zeros(spec.dim)
-    ground[idx] = column
-    parity = _mirror_parity(ground, spec.n_spins)
-    enter = _mirror_sector(spec.n_spins, parity)[0]
-    return gap, parity, enter[:, idx].dot(column)
-
-
-def _step_deltas(angles: np.ndarray) -> np.ndarray:
-    """delta_k = a_k - a_{k+1} of the midpoint angles along axis 0, and
-    a_last for the last step, whose rotation R(a_last)^T ends the ramp in
-    the pole's frame."""
-    deltas = angles.copy()
-    deltas[:-1] -= angles[1:]
-    return deltas
-
-
-def _rotation_phases(angles, m: np.ndarray) -> np.ndarray:
-    """exp(-i a m / 2), the y-frame phase of the rotation R(a), for each
-    angle a of ``angles`` (any shape) over the labels ``m``.  Every
-    Trotter ramp, single or in a stack, builds its phases here, so a
-    ramp has the same bits alone or in a stack."""
-    return np.exp(-0.5j * np.multiply.outer(angles, m))
-
-
-@functools.lru_cache(maxsize=16)
-def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
-    """The diagonal phases of a single ramp in the mirror sector of
-    ``parity``, read-only: row 0 enters the first step's frame,
-    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
-    2), with m the sector's M_z labels (see ``_step_deltas``).
-
-    They depend only on the protocol and the sector, not on J, so every
-    single ramp of a sweep shares one table.  A stack of noisy trials
-    builds its own phases, through the same ``_rotation_phases``.
-
-    A Trotter sweep uses one protocol per rate and at most 2 sectors of
-    its one size; the bench's pulse pass reads 8 tables (one protocol,
-    N = 2-7, both sectors at N = 2 and 4).  The cache keeps 16, that
-    pass twice over or a sweep over 8 rates.  A table is 16 d bytes per
-    step: at 300 steps 0.35 MB for N = 7's even sector (d = 72) and
-    2.5 MB at the N = 10 cap (d = 528), so a full cache holds at most
-    5.5 MB at N <= 7 and 41 MB at the cap.
-    """
-    angles = _midpoint_angles(protocol)
-    m = _mirror_sector(n_spins, parity)[2]
-    table = np.empty((angles.size + 1, m.size), dtype=complex)
-    table[0] = _rotation_phases(-angles[0], m)
-    table[1:] = _rotation_phases(_step_deltas(angles), m)
-    _read_only(table)
-    return table
-
-
-def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The state psi after the steps P_k core, k in order, with P_k the
-    diagonal phase phases[k].
-
-    Per chunk the earliest S mod L steps of its S are applied to psi one
-    by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
-    consecutive steps, all built at once from the left: G = P_last C,
-    then G <- (G P_k) C down to the group's earliest step, one stacked
-    (groups d, d) product with C = core per step.  The group products
-    are multiplied pairwise, later group on the left, one batched matmul
-    per round, until one is left; a round with an odd count first
-    applies its earliest product to psi.
-    """
-    d = core.shape[0]
-    for start in range(0, len(phases), _PRODUCT_CHUNK):
-        chunk = phases[start : start + _PRODUCT_CHUNK]
-        peel = len(chunk) % _GROUP_STEPS
-        for phase in chunk[:peel]:
-            psi = phase * core.dot(psi)
-        if peel == len(chunk):
-            continue
-        groups = chunk[peel:].reshape(-1, _GROUP_STEPS, d)
-        mats = groups[:, -1, :, None] * core
-        for k in range(_GROUP_STEPS - 2, -1, -1):
-            scaled = mats * groups[:, k, None, :]
-            mats = scaled.reshape(-1, d).dot(core).reshape(-1, d, d)
-        while len(mats) > 1:
-            if len(mats) % 2:
-                psi = mats[0].dot(psi)
-                mats = mats[1:]
-            mats = mats[1::2] @ mats[0::2]
-        psi = mats[0].dot(psi)
-    return psi
-
-
-def _ramp_state(
-    ground: np.ndarray,
-    parity: float,
-    core: np.ndarray,
-    protocol: QuenchProtocol,
-    offsets: np.ndarray | None = None,
-) -> np.ndarray:
-    """Final sector state of the ramp that applies R(a_k) core R(a_k)^T
-    at step k, given the split step ``core`` of ``_trotter_core`` and
-    the start's sector state ``ground`` in the mirror sector of
-    ``parity`` (see ``_trotter_start``).
-
-    a_k is the midpoint angle of step k.  Consecutive rotations fuse,
-    R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame step k is
-    the matrix P_k W^dagger core W, P_k a diagonal phase.
-
-    The ramp runs in the y frame of the sector, about half the basis,
-    and returns the state there, shape (d,): the z-frame state is
-    ``right`` times it.  The core is projected on the sector once.  A
-    single ramp reads its phases from the cached ``_step_phases`` table
-    of its protocol and sector.
-
-    ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
-    a_k + offsets[k, t], and returns their sector states with shape
-    (T, d, 1).  Each ramp keeps its own arithmetic, so its state has the
-    same bits in any stack.
-
-    At these sizes a step costs call dispatch, not flops.  Up to a
-    sector dimension of ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies
-    its step matrices together (``_step_product``), each ramp of a stack
-    on its own, and applies the product by one mat-vec.  Above it every
-    step is one mat-vec and one phase.  A single ramp takes its mat-vec
-    through ``ndarray.dot``, one zgemv without the dispatch of the
-    ``matmul`` ufunc.  A stack keeps the broadcast ``core @ psi``,
-    which is one zgemv per ramp and so gives each ramp the bits of its
-    single run; one (d, T) zgemm over the stack would not.
-    """
-    n_spins = core.shape[0].bit_length() - 1
-    enter, right, m, _ = _mirror_sector(n_spins, parity)
-    core = enter.dot(core).dot(right)
-    if offsets is None:
-        table = _step_phases(protocol, n_spins, parity)
-        psi = table[0] * ground
-        if m.size <= _PRODUCT_MAX_DIM:
-            return _step_product(core, table[1:], psi)
-        for phase in table[1:]:
-            psi = phase * core.dot(psi)
-        return psi
-    angles = _midpoint_angles(protocol)[:, None] + offsets
-    deltas = _step_deltas(angles)
-    psi = _rotation_phases(-angles[0], m[:, None]) * ground[:, None]
-    if m.size <= _PRODUCT_MAX_DIM:
-        for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-            phases = _rotation_phases(ramp_deltas, m)
-            ramp[:] = _step_product(core, phases, ramp)
-    else:
-        chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
-        for start in range(0, protocol.steps, chunk):
-            phases = _rotation_phases(deltas[start : start + chunk], m[:, None])
-            for phase in phases:
-                psi = phase * (core @ psi)
-    return psi
-
-
 def simulate_protocol_trotter(
     spec: ChainSpec, protocol: QuenchProtocol
 ) -> QuenchResult:
-    """Trotterized counterpart of the exact ramp, with rotations around
-    the split step core, started, run and read out in the pole ground
-    state's mirror sector: m_phi = sin(theta_f) sum c m |x|^2 and the
-    adiabatic overlap |sum c conj(R x_0) x|^2, with c the
-    representatives' counts, x_0 the start and R the y-frame phase of
-    R(theta_f)."""
+    """Trotterized counterpart of the exact ramp: ``quench``'s ramp
+    kernel run around the split step core, started, run and read out in
+    the pole ground state's mirror sector (``quench._ramp_readout``)."""
     gap, parity, ground = _trotter_start(spec)
     core = _trotter_core(spec, 1.0, protocol.step_time)
-    psi = _ramp_state(ground, parity, core, protocol)
-    _, _, m, count = _mirror_sector(spec.n_spins, parity)
-    theta = protocol.final_angle
-    m_phi = math.sin(theta) * float(np.dot(count * m, (psi.conj() * psi).real))
-    target = _rotation_phases(theta, m) * ground
-    overlap = float(abs(np.vdot(target, count * psi)) ** 2)
-    return _ramp_result(gap, protocol, m_phi, overlap)
+    return _ramp_result(gap, protocol, *_ramp_readout(ground, parity, core, protocol))
 
 
 def perturbed_fidelity(

@@ -3,21 +3,28 @@
 The polar angle is ramped from the north pole to the equator with a
 linearly growing angular velocity; the transverse magnetization picked
 up en route is first order in the ramp rate with the Berry curvature as
-the proportionality constant.
+the proportionality constant.  The ramp kernel here steps every ramp,
+exact (one free spin) or Trotter (``pulsesim``'s split step core).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OutOfRange, StepCountTooSmall, VelocityOutOfLinearZone
-from .model import ChainSpec, _is_count, _read_only, _rotate_y, total_magnetization
-from .spectral import _pole_ground
+from .errors import (
+    DegenerateGroundState,
+    OutOfRange,
+    StepCountTooSmall,
+    VelocityOutOfLinearZone,
+)
+from .model import ChainSpec, _each_spin, _is_count, _read_only, _site_table
+from .spectral import _pole_ground, _sectors
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature.  On a plateau both are M_g times one free spin's (see
@@ -92,21 +99,6 @@ def theta_of_t(protocol: QuenchProtocol, t):
     return protocol.v_theta**2 * t**2 / (2.0 * math.pi)
 
 
-# --- reduced ramp ------------------------------------------------------------
-#
-# The exchange X commutes with the total spin, and the field term
-# -n(theta) . S is linear in it, so an exact step factorises,
-# exp(-i H(theta) dt) = exp(i J X dt) exp(i dt n(theta) . S), and both
-# factors commute along the ramp.  The pole ground state g is an X
-# eigenstate, so the ramp is U g = e^{i J lambda_g T} (u (x) ... (x) u) g
-# with u the 2x2 ramp of one free spin.  A gapped g is also the top of
-# its spin-S multiplet, S = M_g / 2: otherwise S+ g would be a lower
-# level in M_g + 2.  So U g is a spin-S coherent state (Radcliffe,
-# J. Phys. A 4, 313 (1971)), whose transverse magnetization is M_g times
-# that of u|up> and whose overlap with the rotated g is the M_g-th power
-# of that of u|up>.  An exact ramp reads one spin.
-
-
 # Real traffic needs few protocols: a sweep uses one per rate,
 # check_convergence adds the doubled-steps one and linear_zone_scan one
 # per rate it maps (the bench's ramp pass uses two, its pulse pass one).
@@ -119,9 +111,9 @@ def theta_of_t(protocol: QuenchProtocol, t):
 def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
     """theta at the midpoint (k + 1/2) dt of each step k, read-only.
 
-    The builds of the per-protocol tables (``_spin_readout`` here and
-    ``pulsesim._step_phases``) read them, and so does every stack of
-    noisy Trotter trials.  Building them took about 23 us on a 2-vCPU
+    The build of every single ramp's table of step phases
+    (``_step_phases``) reads them, and so does every stack of noisy
+    Trotter trials.  Building them took about 23 us on a 2-vCPU
     x86-64 VM, and uncached they added 0.1 ms to ``perturbed_fidelity``
     per bench pulse pass, so they are built once per protocol too.
     """
@@ -131,36 +123,316 @@ def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
     return angles
 
 
-def _free_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
-    """u = prod_k exp(i dt n_k . sigma), latest step leftmost, n_k the field
-    direction at the midpoint of step k.
+# --- ramp kernel -------------------------------------------------------------
+#
+# The isotropic chain is rotation-covariant on the phi = 0 meridian:
+# H(theta) = R(theta) H(0) R(theta)^T with R(theta) = exp(-i theta S_y / 2)
+# the real collective y-rotation.  A ramp step at angle a is therefore
+# R(a) C R(a)^T with a fixed core C: the split step core of
+# ``pulsesim._trotter_core``, which breaks SU(2), or one free spin's
+# exact step at the pole (see the reduced ramp below).
+#
+# The ramp runs in the frame W = w (x) ... (x) w whose columns are the
+# sigma_y eigenvectors, eigenvalue +1 first.  There W^dagger S_y W is the
+# diagonal of the site table's M_z labels m, so every rotation is
+# the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
 
-    Each step is the SU(2) matrix [[a, -b*], [b, a*]]; neighbouring steps
-    are multiplied pairwise, all pairs at once, until one is left.
+_Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
+
+# A stack of T ramps on the step loop builds the diagonal phases of this
+# many ramp-steps at once, _PHASE_CHUNK // T steps of every ramp.  Single
+# ramps build none: they read their sector's ``_step_phases`` table.
+_PHASE_CHUNK = 64
+
+# Largest mirror-sector dimension at which a ramp multiplies its step
+# matrices together instead of applying them to the state one by one;
+# the choice depends on nothing else, so a ramp has the same bits alone
+# or in a stack.  Medians of two runs of 1000 shuffled rounds of single
+# 300-step ramps, product against loop, with the phases read from their
+# table and so off the clock, on a 2-vCPU x86-64 VM with OpenBLAS 0.3.31
+# on one thread: 0.15 vs 0.58-0.65 ms at d = 3, 0.20-0.22 vs 0.60-0.68
+# ms at d = 6, 0.35-0.38 vs 0.62-0.70 ms at d = 10 and 0.44-0.47 vs
+# 0.61-0.69 ms at d = 12, but 1.54-1.70 vs 0.66-0.76 ms at d = 20, where
+# the d^3 products cost more than the calls they save.  The sectors of
+# N <= 10 have no dimension between 12, N = 5's odd one, and 20.
+_PRODUCT_MAX_DIM = 12
+
+# Consecutive steps multiplied into one group before the pairwise rounds.
+# In the same rounds, groups of 4 / 8 / 16 steps: 0.39 / 0.41 / 0.48 ms
+# at d = 3, 0.39 / 0.38 / 0.44 ms at d = 6, 0.78 / 0.62 / 0.60 ms at
+# d = 10.
+_GROUP_STEPS = 8
+
+# Steps whose matrices are built at once on the product path, whatever
+# the stack: per step 32 d^2 / L bytes of group products with their
+# scaled copy, 0.3 MB at d = 12; the default 300 steps are one chunk.
+# The phases are read, not built, per chunk: a single ramp slices its
+# table, and each ramp of a stack builds its own, 16 d bytes per step.
+_PRODUCT_CHUNK = 512
+
+# --- mirror sectors ----------------------------------------------------------
+#
+# Mirror reflection of the open chain, site i <-> N-1-i, reverses the n
+# bits of a basis index.  The uniform chain's Hamiltonian commutes with
+# it, and so does the y frame, which has one factor per site; the split
+# step core, the M_z labels and so every step's phase are mirror
+# symmetric.  The gapped pole ground state is nondegenerate and has a
+# definite parity sigma = +-1, and a ramp never leaves that sector.
+#
+# A y-frame state of parity sigma is held by its entries x on the
+# representatives r = {b <= rev(b)}, palindromes dropped when sigma = -1;
+# the full y-frame state is y[r] = x, y[rev r] = sigma x.  The sector's
+# frame takes a z-frame state to x and back in one product each:
+# x = enter psi with enter = W[:, r]^dagger, and psi = right x with
+# right = W[:, r] + w W[:, rev r], w = sigma or 0 on palindromes, whose
+# partner is the column itself.  On x the core acts as enter C right.
+#
+# A ramp enters, runs and is read out in the sector; only the core is
+# projected with ``right``.  The rotations and S_y are diagonal in the y
+# frame with labels m, and m[rev b] = m[b], so a sum over the full
+# y-frame state is a sum over x weighted by each representative's count
+# of basis states, 1 on a palindrome and 2 on a mirror pair.
+
+# The ground state's parity is checked at run time to this norm.
+_PARITY_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_sector(n_spins: int, parity: float):
+    """The frame of the sector of ``parity``, read-only: enter =
+    W[:, r]^dagger (contiguous), right = W[:, r] + w W[:, rev r], the
+    M_z labels m[r] of the representatives r and their counts, 1 on a
+    palindrome and 2 elsewhere."""
+    sites = _site_table(n_spins)
+    mirror = sites.mirror
+    index = np.arange(mirror.size)
+    reps = np.flatnonzero(index <= mirror if parity > 0 else index < mirror)
+    palindromes = mirror[reps] == reps
+    weights = np.where(palindromes, 0.0, parity)
+    left = _each_spin(_Y_FRAME, np.eye(mirror.size, dtype=complex)[:, reps])
+    # W commutes with the reflection, so W[:, rev r] = W[rev, r]
+    right = left + weights * left[mirror]
+    enter = np.ascontiguousarray(left.conj().T)
+    m = sites.m[reps]
+    count = np.where(palindromes, 1.0, 2.0)
+    _read_only(enter, right, m, count)
+    return enter, right, m, count
+
+
+def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
+    """sigma of a state with state[rev b] = sigma state[b] for every b."""
+    mirrored = state[_site_table(n_spins).mirror]
+    parity = 1.0 if np.vdot(state, mirrored).real >= 0.0 else -1.0
+    defect = float(np.linalg.norm(mirrored - parity * state))
+    if not defect <= _PARITY_TOL:
+        raise DegenerateGroundState(
+            f"pole ground state has no definite mirror parity "
+            f"(defect {defect:.3e}), so it is degenerate"
+        )
+    return parity
+
+
+def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
+    """The unit-field pole gap, and the mirror parity and sector state
+    x = enter g of the gapped pole ground state g, which starts every
+    Trotter ramp.  The cap and the gap are checked first.
+
+    M_g and the gap come from each sector's extreme levels
+    (``_pole_ground``); g is block M_g's ground column, its largest
+    interaction eigenvalue for J > 0 and its smallest otherwise, the
+    level ``pole_system`` sorts first.  Only the parity check reads g
+    over the full basis.
     """
-    dt = protocol.step_time
-    theta = _midpoint_angles(protocol)
-    a = math.cos(dt) + 1j * math.sin(dt) * np.cos(theta)
-    b = 1j * math.sin(dt) * np.sin(theta)
-    while a.size > 1:
-        if a.size % 2:  # pad with the identity as the latest step
-            a, b = np.append(a, 1.0), np.append(b, 0.0)
-        a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
-        a, b = a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
-    return np.array([[a[0], -b[0].conj()], [b[0], a[0].conj()]])
+    m_g, gap = _pole_ground(spec)
+    # sector s holds M = 2s - n
+    _, idx, _, vectors = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
+    column = vectors[:, -1 if spec.coupling_j > 0.0 else 0]
+    ground = np.zeros(spec.dim)
+    ground[idx] = column
+    parity = _mirror_parity(ground, spec.n_spins)
+    enter = _mirror_sector(spec.n_spins, parity)[0]
+    return gap, parity, enter[:, idx].dot(column)
 
 
-_UP = np.array([1.0, 0.0], dtype=complex)
+def _step_deltas(angles: np.ndarray) -> np.ndarray:
+    """delta_k = a_k - a_{k+1} of the midpoint angles along axis 0, and
+    a_last for the last step, whose rotation R(a_last)^T ends the ramp in
+    the pole's frame."""
+    deltas = angles.copy()
+    deltas[:-1] -= angles[1:]
+    return deltas
 
 
-def _readout(start: np.ndarray, psi: np.ndarray, protocol: QuenchProtocol):
-    """m_phi and the adiabatic overlap of a ramp's final state ``psi``.
-    The adiabatic target is the rotated start state, so no eigensolve is
-    needed at the end."""
-    theta_final = protocol.final_angle
-    m_phi = math.sin(theta_final) * total_magnetization(psi, "y")
-    target = _rotate_y(start, theta_final)
-    return m_phi, float(abs(np.vdot(target, psi)) ** 2)
+def _rotation_phases(angles, m: np.ndarray) -> np.ndarray:
+    """exp(-i a m / 2), the y-frame phase of the rotation R(a), for each
+    angle a of ``angles`` (any shape) over the labels ``m``.  Every
+    ramp, single or in a stack, builds its phases here, so a ramp has
+    the same bits alone or in a stack."""
+    return np.exp(-0.5j * np.multiply.outer(angles, m))
+
+
+@functools.lru_cache(maxsize=16)
+def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
+    """The diagonal phases of a single ramp in the mirror sector of
+    ``parity``, read-only: row 0 enters the first step's frame,
+    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
+    2), with m the sector's M_z labels (see ``_step_deltas``).
+
+    They depend only on the protocol and the sector, not on J, so every
+    single ramp of a sweep shares one table.  A stack of noisy trials
+    builds its own phases, through the same ``_rotation_phases``.
+
+    A Trotter sweep uses one protocol per rate and at most 2 sectors of
+    its one size, and each miss of ``_spin_readout`` one N = 1 table.
+    The bench's pulse pass reads 8 tables (one protocol, N = 2-7, both
+    sectors at N = 2 and 4), its ramp pass 2 at N = 1.  The cache keeps
+    16, the pulse pass twice over or a sweep over 8 rates.  A table is
+    16 d bytes per step: at 300 steps 9.6 KB at N = 1 (d = 2), 0.35 MB
+    for N = 7's even sector (d = 72) and 2.5 MB at the N = 10 cap
+    (d = 528), so a full cache holds at most 5.5 MB at N <= 7 and 41 MB
+    at the cap.
+    """
+    angles = _midpoint_angles(protocol)
+    m = _mirror_sector(n_spins, parity)[2]
+    table = np.empty((angles.size + 1, m.size), dtype=complex)
+    table[0] = _rotation_phases(-angles[0], m)
+    table[1:] = _rotation_phases(_step_deltas(angles), m)
+    _read_only(table)
+    return table
+
+
+def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The state psi after the steps P_k core, k in order, with P_k the
+    diagonal phase phases[k].
+
+    Per chunk the earliest S mod L steps of its S are applied to psi one
+    by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
+    consecutive steps, all built at once from the left: G = P_last C,
+    then G <- (G P_k) C down to the group's earliest step, one stacked
+    (groups d, d) product with C = core per step.  The group products
+    are multiplied pairwise, later group on the left, one batched matmul
+    per round, until one is left; a round with an odd count first
+    applies its earliest product to psi.
+    """
+    d = core.shape[0]
+    for start in range(0, len(phases), _PRODUCT_CHUNK):
+        chunk = phases[start : start + _PRODUCT_CHUNK]
+        peel = len(chunk) % _GROUP_STEPS
+        for phase in chunk[:peel]:
+            psi = phase * core.dot(psi)
+        if peel == len(chunk):
+            continue
+        groups = chunk[peel:].reshape(-1, _GROUP_STEPS, d)
+        mats = groups[:, -1, :, None] * core
+        for k in range(_GROUP_STEPS - 2, -1, -1):
+            scaled = mats * groups[:, k, None, :]
+            mats = scaled.reshape(-1, d).dot(core).reshape(-1, d, d)
+        while len(mats) > 1:
+            if len(mats) % 2:
+                psi = mats[0].dot(psi)
+                mats = mats[1:]
+            mats = mats[1::2] @ mats[0::2]
+        psi = mats[0].dot(psi)
+    return psi
+
+
+def _ramp_state(
+    ground: np.ndarray,
+    parity: float,
+    core: np.ndarray,
+    protocol: QuenchProtocol,
+    offsets: np.ndarray | None = None,
+) -> np.ndarray:
+    """Final sector state of the ramp that applies R(a_k) core R(a_k)^T
+    at step k, given the z-frame step ``core`` at the pole (the split
+    step of ``pulsesim._trotter_core``, or one spin's field step) and
+    the start's sector state ``ground`` in the mirror sector of
+    ``parity`` (see ``_trotter_start``).
+
+    a_k is the midpoint angle of step k.  Consecutive rotations fuse,
+    R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame step k is
+    the matrix P_k W^dagger core W, P_k a diagonal phase.
+
+    The ramp runs in the y frame of the sector, about half the basis,
+    and returns the state there, shape (d,): the z-frame state is
+    ``right`` times it.  The core is projected on the sector once.  A
+    single ramp reads its phases from the cached ``_step_phases`` table
+    of its protocol and sector.
+
+    ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
+    a_k + offsets[k, t], and returns their sector states with shape
+    (T, d, 1).  Each ramp keeps its own arithmetic, so its state has the
+    same bits in any stack.
+
+    At these sizes a step costs call dispatch, not flops.  Up to a
+    sector dimension of ``_PRODUCT_MAX_DIM`` a ramp therefore multiplies
+    its step matrices together (``_step_product``), each ramp of a stack
+    on its own, and applies the product by one mat-vec.  Above it every
+    step is one mat-vec and one phase.  A single ramp takes its mat-vec
+    through ``ndarray.dot``, one zgemv without the dispatch of the
+    ``matmul`` ufunc.  A stack keeps the broadcast ``core @ psi``,
+    which is one zgemv per ramp and so gives each ramp the bits of its
+    single run; one (d, T) zgemm over the stack would not.
+    """
+    n_spins = core.shape[0].bit_length() - 1
+    enter, right, m, _ = _mirror_sector(n_spins, parity)
+    core = enter.dot(core).dot(right)
+    if offsets is None:
+        table = _step_phases(protocol, n_spins, parity)
+        psi = table[0] * ground
+        if m.size <= _PRODUCT_MAX_DIM:
+            return _step_product(core, table[1:], psi)
+        for phase in table[1:]:
+            psi = phase * core.dot(psi)
+        return psi
+    angles = _midpoint_angles(protocol)[:, None] + offsets
+    deltas = _step_deltas(angles)
+    psi = _rotation_phases(-angles[0], m[:, None]) * ground[:, None]
+    if m.size <= _PRODUCT_MAX_DIM:
+        for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
+            phases = _rotation_phases(ramp_deltas, m)
+            ramp[:] = _step_product(core, phases, ramp)
+    else:
+        chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
+        for start in range(0, protocol.steps, chunk):
+            phases = _rotation_phases(deltas[start : start + chunk], m[:, None])
+            for phase in phases:
+                psi = phase * (core @ psi)
+    return psi
+
+
+def _ramp_readout(
+    start: np.ndarray, parity: float, core: np.ndarray, protocol: QuenchProtocol
+) -> tuple[float, float]:
+    """m_phi = sin(theta_f) sum c m |x|^2 and the adiabatic overlap
+    |sum c conj(R x_0) x|^2 of the single ramp of ``_ramp_state`` from
+    x_0 = ``start``, with c the representatives' counts and R the y-frame
+    phase of R(theta_f): the target is the rotated start, no eigensolve."""
+    psi = _ramp_state(start, parity, core, protocol)
+    n_spins = core.shape[0].bit_length() - 1
+    _, _, m, count = _mirror_sector(n_spins, parity)
+    theta = protocol.final_angle
+    m_phi = math.sin(theta) * float(np.dot(count * m, (psi.conj() * psi).real))
+    target = _rotation_phases(theta, m) * start
+    overlap = float(abs(np.vdot(target, count * psi)) ** 2)
+    return m_phi, overlap
+
+
+# --- reduced ramp ------------------------------------------------------------
+#
+# The exchange X commutes with the total spin, and the field term
+# -n(theta) . S is linear in it, so an exact step factorises,
+# exp(-i H(theta) dt) = exp(i J X dt) exp(i dt n(theta) . S), and both
+# factors commute along the ramp.  The pole ground state g is an X
+# eigenstate, so the ramp is U g = e^{i J lambda_g T} (u (x) ... (x) u) g
+# with u the 2x2 ramp of one free spin.  A gapped g is also the top of
+# its spin-S multiplet, S = M_g / 2: otherwise S+ g would be a lower
+# level in M_g + 2.  So U g is a spin-S coherent state (Radcliffe,
+# J. Phys. A 4, 313 (1971)), whose transverse magnetization is M_g times
+# that of u|up> and whose overlap with the rotated g is the M_g-th power
+# of that of u|up>.  An exact ramp reads one spin: the kernel's N = 1
+# run with the core diag(e^{i tau m}), whose rotated step
+# R(a) e^{i tau sigma_z} R(a)^T = e^{i tau n(a) . sigma} is exact.
 
 
 @functools.lru_cache(maxsize=64)
@@ -173,7 +445,9 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     same two floats.  The cache keeps the 64 most recently used
     protocols, so a scan over many rates cannot grow it further.
     """
-    return _readout(_UP, _free_spin_ramp(protocol)[:, 0], protocol)
+    enter = _mirror_sector(1, 1.0)[0]
+    core = np.diag(np.exp(1j * protocol.step_time * _site_table(1).m))
+    return _ramp_readout(enter[:, 0], 1.0, core, protocol)
 
 
 def _ramp_result(
@@ -197,7 +471,7 @@ def evolve_quench(
     """Integrate the ramp with midpoint-sampled piecewise-constant steps.
 
     The steps are exact, so the ramp reduces to the ramp of one free spin
-    (see above), read off its 2x2 product; no state of the chain is
+    (see above), the ramp kernel's N = 1 run; no state of the chain is
     formed.  With ``check_convergence`` the step count is doubled once
     and the run rejected if the transverse magnetization moves by more
     than ``CONVERGENCE_TOL``.
@@ -243,14 +517,16 @@ def linear_zone_scan(
     velocities,
     steps: int = QuenchProtocol.steps,
 ) -> list[tuple[float, float]]:
-    """Table of (rate, m_phi/rate) for mapping the linear response zone."""
+    """Table of (rate, m_phi/rate) for mapping the linear response zone;
+    every rate and the step count are checked before the first ramp."""
     velocities = list(velocities)
-    if any(v <= 0.0 for v in velocities):
-        raise OutOfRange("ramp rates must be positive")
+    if not velocities:
+        raise OutOfRange("velocities must not be empty")
+    for k, v in enumerate(velocities):
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (real and math.isfinite(v) and v > 0.0):
+            raise OutOfRange(f"velocities[{k}] is not a positive finite number: {v!r}")
     if sorted(velocities) != velocities:
         raise OutOfRange(f"velocities must be ascending, got {velocities}")
-    out = []
-    for v in velocities:
-        res = evolve_quench(spec, QuenchProtocol(v_theta=v, steps=steps))
-        out.append((v, res.m_phi / v))
-    return out
+    protocols = [QuenchProtocol(v_theta=v, steps=steps) for v in velocities]
+    return [(p.v_theta, evolve_quench(spec, p).m_phi / p.v_theta) for p in protocols]

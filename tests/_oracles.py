@@ -375,6 +375,30 @@ def collective_ry(n: int, angle: float) -> np.ndarray:
     return out
 
 
+def one_spin_ramp(protocol: QuenchProtocol) -> np.ndarray:
+    """u, the 2x2 ramp of one free spin: the product of the steps
+    expm_i(-n_k . sigma, dt), latest step leftmost, with n_k the field
+    direction at the midpoint of step k."""
+    dt = protocol.total_time / protocol.steps
+    u = np.eye(2, dtype=complex)
+    for k in range(protocol.steps):
+        theta = theta_of_t(protocol, (k + 0.5) * dt)
+        u = expm_i(-(math.sin(theta) * _SX + math.cos(theta) * _SZ), dt) @ u
+    return u
+
+
+def ramp_readout(start: np.ndarray, psi: np.ndarray, protocol: QuenchProtocol):
+    """(m_phi, adiabatic overlap) of a ramp from ``start`` that ended in
+    the z-frame state ``psi``: m_phi = sin(theta_f) <sum sigma_y> and the
+    overlap with the start rotated to theta_f, each through Kronecker
+    products."""
+    n = psi.size.bit_length() - 1
+    theta = theta_of_t(protocol, protocol.total_time)
+    m_phi = math.sin(theta) * kron_total_magnetization(psi, "y")
+    target = collective_ry(n, theta) @ start
+    return m_phi, float(abs(np.vdot(target, psi)) ** 2)
+
+
 def dense_ramp(
     spec: ChainSpec,
     protocol: QuenchProtocol,

@@ -71,10 +71,10 @@ def test_pulse_pass_on_warm_step_phase_tables_matches_reference(tmp_path):
     # sector's cached table of step phases, and every zz compile on its
     # cached LP bases.
     _check_pass("pulse", tmp_path)
-    warm = pulsesim._step_phases.cache_info()
+    warm = quench._step_phases.cache_info()
     warm_bases = pulsesim._lp_bases.cache_info()
     _check_pass("pulse", tmp_path)
-    after = pulsesim._step_phases.cache_info()
+    after = quench._step_phases.cache_info()
     assert after.misses == warm.misses and after.hits > warm.hits
     after_bases = pulsesim._lp_bases.cache_info()
     assert after_bases.misses == warm_bases.misses

@@ -1,7 +1,7 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
 one eigensolver module, oracles that do not share it, one module that
-places spins on the bits and axes of a basis index, one builder of the
-Trotter ramps' phases, a shared cache list that holds every cached
+places spins on the bits and axes of a basis index, one ramp kernel with
+one builder of its phases, a shared cache list that holds every cached
 function, and a bound on each cache keyed by a ramp protocol.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
@@ -182,12 +182,75 @@ def test_trotter_ramps_build_their_phases_in_one_place():
     # A single ramp's phase table and a stack's phases come from one
     # builder, so a ramp has the same bits alone or in a stack only as
     # long as no second copy of the expression exists.
-    tree = _parse(PACKAGE_DIR / "pulsesim.py")
+    tree = _parse(PACKAGE_DIR / "quench.py")
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     for name in ("_step_phases", "_ramp_state"):
         called = _called_names(functions[name])
         assert "exp" not in called, f"{name} builds a phase itself"
         assert "_rotation_phases" in called, f"{name} builds no phase"
+
+
+def _core_step_loops(tree: ast.AST) -> list[int]:
+    """Lines of the loops in ``tree`` that multiply by a matrix named
+    ``core``, by ``@`` or ``.dot``: the step loops of a ramp."""
+    lines = []
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                operands = [node.left, node.right]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "dot":
+                operands = [node.func.value, *node.args]
+            else:
+                continue
+            names = (n for o in operands for n in ast.walk(o))
+            if any(isinstance(n, ast.Name) and n.id == "core" for n in names):
+                lines.append(loop.lineno)
+                break
+    return lines
+
+
+def _reaches(graph: dict, start: str, target: str) -> bool:
+    """Whether ``start`` calls ``target``, directly or through other
+    functions of ``graph``, a map from each function to its calls."""
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name == target:
+            return True
+        if name not in seen:
+            seen.add(name)
+            todo += graph.get(name, ())
+    return False
+
+
+def test_one_module_steps_every_ramp():
+    # Exact ramps are the N = 1 run of the Trotter ramps' kernel, so one
+    # module multiplies ramp steps and every ramp route reaches it.
+    trees = {path.name: _parse(path) for path in MODULES}
+    defined = {
+        name: sorted(
+            module
+            for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+        for name in ("_step_product", "_ramp_state")
+    }
+    assert defined == {"_step_product": ["quench.py"], "_ramp_state": ["quench.py"]}
+    loops = {name: _core_step_loops(tree) for name, tree in trees.items()}
+    assert loops.pop("quench.py"), "quench no longer steps a ramp"
+    stray = [f"{name} line {line}" for name, lines in loops.items() for line in lines]
+    assert not stray, f"ramp step loop outside quench: {', '.join(stray)}"
+    graph = {
+        node.name: _called_names(node)
+        for name in ("quench.py", "pulsesim.py")
+        for node in trees[name].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for route in ("_spin_readout", "simulate_protocol_trotter", "perturbed_fidelity"):
+        assert _reaches(graph, route, "_ramp_state"), f"{route} has its own kernel"
 
 
 def _cached_functions(tree: ast.Module) -> set[str]:
@@ -224,7 +287,7 @@ def test_protocol_keyed_caches_have_a_finite_maxsize():
     }
     assert set(keyed) >= {
         "spinchern.quench._spin_readout",
-        "spinchern.pulsesim._step_phases",
+        "spinchern.quench._step_phases",
     }
     unbounded = sorted(name for name, size in keyed.items() if size is None)
     assert not unbounded, f"unbounded protocol caches: {', '.join(unbounded)}"

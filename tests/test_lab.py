@@ -1007,6 +1007,19 @@ def test_cli_linear_zone(capsys):
     assert abs(rows[LINEAR_ZONE_CAP] - 1.0) <= 0.05
 
 
+@pytest.mark.parametrize(
+    "rates, named",
+    [("", "velocities must not be empty"), ("0.1,nan", "velocities[1]"),
+     ("0.1,inf", "velocities[1]")],
+)  # fmt: skip
+def test_cli_linear_zone_rejects_bad_rates(rates, named, capsys):
+    # An empty --v printed an empty table and exited 0.
+    assert cli_main(["linear-zone", "--v", rates]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: OutOfRange: ") and named in err
+
+
 def test_cli_robustness(capsys):
     code = cli_main(
         ["robustness", "--n", "2", "--v", "0.5", "--steps", "60", "--error-deg", "1",

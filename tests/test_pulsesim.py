@@ -58,6 +58,7 @@ from _oracles import (
     enumerated_zz_schedule,
     expm_i,
     kron_simulate_program,
+    ramp_readout,
     trotter_order,
 )
 
@@ -189,16 +190,16 @@ def test_stacked_trials_equal_single_trials_bit_for_bit(n, j):
 def _sector_ramp(spec, proto, offsets=None):
     """The final sector state of a Trotter ramp of ``spec``, or of a
     stack with ``offsets``, from the pole ground state's sector start."""
-    _, parity, ground = pulsesim._trotter_start(spec)
+    _, parity, ground = quench._trotter_start(spec)
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    return pulsesim._ramp_state(ground, parity, core, proto, offsets)
+    return quench._ramp_state(ground, parity, core, proto, offsets)
 
 
 def _unfold(spec, x):
     """The z-frame state of a sector state x of ``spec``'s ground sector,
     right @ x."""
-    parity = pulsesim._trotter_start(spec)[1]
-    return pulsesim._mirror_sector(spec.n_spins, parity)[1] @ x
+    parity = quench._trotter_start(spec)[1]
+    return quench._mirror_sector(spec.n_spins, parity)[1] @ x
 
 
 def test_single_ramp_equals_its_stacked_run():
@@ -243,16 +244,16 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
     v=st.sampled_from(RAMP_RATES),
     steps=st.one_of(
         st.integers(1, 121),
-        st.integers(pulsesim._PRODUCT_CHUNK + 1, pulsesim._PRODUCT_CHUNK + 64),
+        st.integers(quench._PRODUCT_CHUNK + 1, quench._PRODUCT_CHUNK + 64),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(case=(3, 0.8), v=0.1, steps=1, seed=0)
-@example(case=(4, -0.5), v=0.1, steps=pulsesim._GROUP_STEPS + 3, seed=2)
-@example(case=(2, -1.25), v=2.0, steps=3 * pulsesim._GROUP_STEPS, seed=3)
-@example(case=(3, -1.2), v=0.29, steps=2 * pulsesim._PRODUCT_CHUNK + 1, seed=1)
-@example(case=(4, 0.85), v=0.05, steps=pulsesim._PRODUCT_CHUNK + 5, seed=4)
-@example(case=(5, -0.36), v=0.1, steps=pulsesim._PRODUCT_CHUNK + 3, seed=5)
+@example(case=(4, -0.5), v=0.1, steps=quench._GROUP_STEPS + 3, seed=2)
+@example(case=(2, -1.25), v=2.0, steps=3 * quench._GROUP_STEPS, seed=3)
+@example(case=(3, -1.2), v=0.29, steps=2 * quench._PRODUCT_CHUNK + 1, seed=1)
+@example(case=(4, 0.85), v=0.05, steps=quench._PRODUCT_CHUNK + 5, seed=4)
+@example(case=(5, -0.36), v=0.1, steps=quench._PRODUCT_CHUNK + 3, seed=5)
 def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     # The oracle runs in the full 2^n space, so it checks the restriction
     # to the mirror sector too: each sector state is unfolded to the
@@ -268,7 +269,7 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     ground = pole_system(spec).ground_state
     states = _unfold(spec, _sector_ramp(spec, proto, offsets))
     for state, column in zip(states, offsets.T):
-        m_phi, overlap = quench._readout(ground, state[:, 0], proto)
+        m_phi, overlap = ramp_readout(ground, state[:, 0], proto)
         psi, dense_m_phi, dense_overlap = dense_ramp(
             spec, proto, trotter=True, offsets=column
         )
@@ -282,13 +283,13 @@ def test_ramp_form_is_chosen_by_dimension_alone(monkeypatch):
     # ground state's mirror sector: products up to 12, the step loop at
     # N = 5's even sector of 20.
     dims = []
-    product = pulsesim._step_product
+    product = quench._step_product
 
     def counted(core, *rest):
         dims.append(core.shape[0])
         return product(core, *rest)
 
-    monkeypatch.setattr(pulsesim, "_step_product", counted)
+    monkeypatch.setattr(quench, "_step_product", counted)
     for n, j in [(2, -1.25), (3, 0.8), (4, -0.5), (4, 0.85), (5, 0.86)]:
         spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 21)
         simulate_protocol_trotter(spec, proto)
@@ -312,14 +313,15 @@ def test_mixed_mirror_parity_start_is_degenerate(monkeypatch):
     blocks = list(sectors.blocks)
     blocks[2] = (m, idx, values, mixed)
     bad = dataclasses.replace(sectors, blocks=tuple(blocks))
-    monkeypatch.setattr(pulsesim, "_sectors", lambda s: bad)
+    monkeypatch.setattr(quench, "_sectors", lambda s: bad)
 
     def stepped(*args):
         raise AssertionError("the ramp stepped from a mixed-parity start")
 
+    monkeypatch.setattr(quench, "_ramp_state", stepped)
     monkeypatch.setattr(pulsesim, "_ramp_state", stepped)
     for ramp in (
-        lambda: pulsesim._trotter_start(spec),
+        lambda: quench._trotter_start(spec),
         lambda: simulate_protocol_trotter(spec, proto),
         lambda: perturbed_fidelity(spec, proto, 5.0, trials=2),
     ):
@@ -341,7 +343,7 @@ def test_mirror_sectors_split_the_basis(n):
     pairs = (2**n - 2 ** ((n + 1) // 2)) // 2
     mirror = model._site_table(n).mirror
     assert np.array_equal(mirror[mirror], np.arange(2**n))
-    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * n)
+    frame = functools.reduce(np.kron, [quench._Y_FRAME] * n)
     core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3)
     core_y = frame.conj().T @ core @ frame
     index = np.arange(2**n)
@@ -358,7 +360,7 @@ def test_mirror_sectors_split_the_basis(n):
         unfold[reps, np.arange(reps.size)] = 1.0
         unfold[partners, np.arange(reps.size)] += weights
         gathered = core_y[np.ix_(reps, reps)] + core_y[np.ix_(reps, partners)] * weights
-        enter, right, m, count = pulsesim._mirror_sector(n, parity)
+        enter, right, m, count = quench._mirror_sector(n, parity)
         assert right.shape == (2**n, size) and reps.size == size
         assert enter.shape == (size, 2**n) and enter.flags.c_contiguous
         for got, want, tol in (
@@ -829,7 +831,7 @@ def test_y_frame_diagonalises_rotations_and_keeps_the_exchange(n, delta):
     # The ramp kernel runs in W = w (x) ... (x) w, w the sigma_y
     # eigenvectors: there every framing rotation is a diagonal phase and
     # the SU(2)-invariant exchange is unchanged.
-    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * n)
+    frame = functools.reduce(np.kron, [quench._Y_FRAME] * n)
     pole = FieldPoint(theta=0.0)
     exchange = build_heisenberg(ChainSpec(n, 0.0), pole) - build_heisenberg(
         ChainSpec(n, 1.0), pole
@@ -875,12 +877,12 @@ def test_pole_ground_state_has_a_mirror_parity(spec):
     # unfolds to it, and its parity is the state's.
     mirror = model._site_table(spec.n_spins).mirror
     ground = pole_system(spec).ground_state
-    frame = functools.reduce(np.kron, [pulsesim._Y_FRAME] * spec.n_spins)
+    frame = functools.reduce(np.kron, [quench._Y_FRAME] * spec.n_spins)
     for state in (ground, frame.conj().T @ ground):
         parity = np.vdot(state, state[mirror]).real
         assert abs(abs(parity) - 1.0) <= 1e-12
         assert np.max(np.abs(state[mirror] - np.sign(parity) * state)) <= 1e-12
-    gap, sigma, start = pulsesim._trotter_start(spec)
+    gap, sigma, start = quench._trotter_start(spec)
     assert sigma == np.sign(np.vdot(ground, ground[mirror]).real)
     assert gap == pole_system(spec).ground_gap
     assert np.max(np.abs(_unfold(spec, start) - ground)) <= 1e-14
@@ -922,7 +924,7 @@ def test_perturbed_fidelity_matches_dense_oracle(n, j):
 def test_sector_readout_matches_the_full_space_one(n):
     # On every plateau, both mirror parities at even N: the readouts
     # summed over the sector state with the representatives' counts
-    # against quench's readout of the unfolded 2^n state, and the
+    # against the oracle's readout of the unfolded 2^n state, and the
     # fidelity against 2^n overlaps of the unfolded trials.
     proto = QuenchProtocol(0.29, ORACLE_STEPS)
     seed, trials, error_deg = 5, 3, 4.0
@@ -935,11 +937,11 @@ def test_sector_readout_matches_the_full_space_one(n):
     parities = set()
     for lo, hi in zip(edges, edges[1:]):
         spec = ChainSpec(n, 0.5 * (lo + hi))
-        parities.add(pulsesim._trotter_start(spec)[1])
+        parities.add(quench._trotter_start(spec)[1])
         ground = pole_system(spec).ground_state
         result = simulate_protocol_trotter(spec, proto)
         psi = _unfold(spec, _sector_ramp(spec, proto))
-        m_phi, overlap = quench._readout(ground, psi, proto)
+        m_phi, overlap = ramp_readout(ground, psi, proto)
         assert abs(result.m_phi - m_phi) <= 1e-13
         assert abs(result.adiabatic_overlap - overlap) <= 1e-13
         ideal, *noisy = _unfold(spec, _sector_ramp(spec, proto, offsets))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinchern.model as model
@@ -43,8 +43,10 @@ from _oracles import (
     cache_state,
     dense_ramp,
     eigh,
+    one_spin_ramp,
     param_derivative,
     pole_ground_magnetization,
+    ramp_readout,
 )
 
 EQUATOR = FieldPoint(theta=math.pi / 2)
@@ -53,18 +55,18 @@ SLOW = QuenchProtocol(v_theta=0.1, steps=300)
 
 def _exact_final_state(spec, proto):
     """(u (x) ... (x) u) g, the chain state of an exact ramp up to its
-    global phase, with u the one-spin ramp the route reads."""
+    global phase, with u the oracle's one-spin ramp."""
     ground = pole_system(spec).ground_state
-    return model._each_spin(quench._free_spin_ramp(proto), ground)
+    return model._each_spin(one_spin_ramp(proto), ground)
 
 
 def _trotter_state(spec, proto):
     """The final z-frame state of a Trotter ramp: its sector state, which
     the readout reads, unfolded by the sector's frame."""
-    _, parity, ground = pulsesim._trotter_start(spec)
+    _, parity, ground = quench._trotter_start(spec)
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    right = pulsesim._mirror_sector(spec.n_spins, parity)[1]
-    return right @ pulsesim._ramp_state(ground, parity, core, proto)
+    right = quench._mirror_sector(spec.n_spins, parity)[1]
+    return right @ quench._ramp_state(ground, parity, core, proto)
 
 
 def test_protocol_validation():
@@ -195,17 +197,44 @@ def test_linear_zone_scan_validation():
         linear_zone_scan(ChainSpec(2, 1.0), [0.2, 0.1])
 
 
+@pytest.mark.parametrize(
+    "rates, steps, named",
+    [
+        pytest.param([], 300, "velocities must not be empty", id="empty"),
+        pytest.param([0.1, math.nan], 300, r"velocities\[1\]", id="nan"),
+        pytest.param([0.1, math.inf], 300, r"velocities\[1\]", id="inf"),
+        pytest.param([0.1, "0.2"], 300, r"velocities\[1\]", id="string"),
+        pytest.param([None, 0.1], 300, r"velocities\[0\]", id="none"),
+        pytest.param([0.1, True], 300, r"velocities\[1\]", id="bool"),
+        pytest.param([0.1, 0.2], 0, "steps", id="steps_zero"),
+    ],
+)
+def test_linear_zone_scan_checks_every_rate_before_its_first_ramp(
+    monkeypatch, rates, steps, named
+):
+    # Before, [0.1, nan] and [0.1, inf] ran the v = 0.1 ramp and only
+    # then raised from QuenchProtocol, and [] returned [].
+    ramps = []
+    monkeypatch.setattr(quench, "evolve_quench", lambda *args: ramps.append(args))
+    with pytest.raises(OutOfRange, match=named):
+        linear_zone_scan(ChainSpec(2, 1.0), rates, steps=steps)
+    assert ramps == []
+
+
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(
     v=st.floats(0.05, 1.5),
     n=st.sampled_from([1, 2]),
 )
 def test_final_state_is_normalized(v, n):
-    # The state an exact ramp reads is one free spin's, u|up>.
+    # The state an exact ramp reads is one free spin's, u|up>, and at
+    # J = 1 the chain's M_g is N.
     proto = QuenchProtocol(v, 50)
     result = evolve_quench(ChainSpec(n, 1.0), proto)
-    spin = quench._free_spin_ramp(proto)[:, 0]
+    spin = one_spin_ramp(proto)[:, 0]
     assert np.linalg.norm(spin) == pytest.approx(1.0, abs=1e-9)
+    m_one = ramp_readout(np.array([1.0, 0.0]), spin, proto)[0]
+    assert result.m_phi == pytest.approx(n * m_one, abs=1e-11)
     assert 0.0 <= result.adiabatic_overlap <= 1.0 + 1e-12
 
 
@@ -289,13 +318,13 @@ def test_eight_spin_ramp_matches_dense_oracle():
 
 def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
     # Every row of every chain size shares the protocol, so only the
-    # first ramp misses the readout cache and builds the free-spin
-    # product.  A rate no other test uses.
+    # first ramp misses the readout cache and runs the one-spin ramp.  A
+    # rate no other test uses.
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     builds = []
-    build = quench._free_spin_ramp
+    build = quench._ramp_state
     monkeypatch.setattr(
-        quench, "_free_spin_ramp", lambda p: builds.append(p) or build(p)
+        quench, "_ramp_state", lambda *a: builds.append(a[3]) or build(*a)
     )
     before = quench._spin_readout.cache_info()
     rows = []
@@ -317,24 +346,47 @@ def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
 def test_warm_free_spin_product_is_the_uncached_one():
     # The cached readout of the free-spin product.  Protocols that share
     # a rate or a step count are distinct entries.
+    up = np.array([1.0, 0.0])
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
         quench._spin_readout(proto)
         warm = quench._spin_readout(proto)
         cold = quench._spin_readout.__wrapped__(proto)
-        spin = quench._free_spin_ramp(proto)[:, 0]
-        assert warm == cold == quench._readout(quench._UP, spin, proto)
+        assert warm == cold
+        oracle = ramp_readout(up, one_spin_ramp(proto)[:, 0], proto)
+        assert warm == pytest.approx(oracle, abs=1e-11)
         assert all(type(x) is float for x in warm)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(v=st.floats(0.03, 5.0), steps=st.integers(1, 4000))
+@example(v=0.03, steps=1)
+@example(v=5.0, steps=quench._GROUP_STEPS - 1)
+@example(v=0.29, steps=quench._GROUP_STEPS + 3)
+@example(v=0.1, steps=quench._PRODUCT_CHUNK + 5)
+@example(v=2.0, steps=2 * quench._PRODUCT_CHUNK + 1)
+@example(v=0.05, steps=4000)
+def test_spin_readout_is_the_oracle_one_spin_ramp(v, steps):
+    # The exact ramp's one-spin readout is the ramp kernel's N = 1 run;
+    # the oracle multiplies 2x2 expm steps.  Counts no multiple of the
+    # group length apply their earliest steps one by one, and counts
+    # past the chunk bound multiply several products.
+    proto = QuenchProtocol(v, steps)
+    spin = one_spin_ramp(proto)[:, 0]
+    m_phi, overlap = ramp_readout(np.array([1.0, 0.0]), spin, proto)
+    got_m_phi, got_overlap = quench._spin_readout.__wrapped__(proto)
+    assert abs(got_m_phi - m_phi) <= 1e-11
+    assert abs(got_overlap - overlap) <= 1e-11
 
 
 @pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
 def test_warm_step_phases_are_the_uncached_ones(n, j):
     # An odd sector, an even one and one on the step loop.
-    parity = pulsesim._mirror_parity(pole_system(ChainSpec(n, j)).ground_state, n)
-    dim = pulsesim._mirror_sector(n, parity)[2].size
+    parity = quench._mirror_parity(pole_system(ChainSpec(n, j)).ground_state, n)
+    dim = quench._mirror_sector(n, parity)[2].size
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
-        pulsesim._step_phases(proto, n, parity)
-        warm = pulsesim._step_phases(proto, n, parity)
-        cold = pulsesim._step_phases.__wrapped__(proto, n, parity)
+        quench._step_phases(proto, n, parity)
+        warm = quench._step_phases(proto, n, parity)
+        cold = quench._step_phases.__wrapped__(proto, n, parity)
         assert warm.shape == (proto.steps + 1, dim)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
 
@@ -355,7 +407,7 @@ def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
     # rate no other test uses.
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     angles = quench._midpoint_angles.cache_info()
-    before = pulsesim._step_phases.cache_info()
+    before = quench._step_phases.cache_info()
     rows = []
     for n, couplings in ((2, (-1.25, 0.75, -1.3, 0.8)), (3, (-1.2, 0.8, 1.1))):
         cfg = SweepConfig(
@@ -363,7 +415,7 @@ def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
             velocities=(0.0913,), steps=120,
         )  # fmt: skip
         rows += run_sweep(cfg)
-    after = pulsesim._step_phases.cache_info()
+    after = quench._step_phases.cache_info()
     assert len(rows) == 7 and all(row.converged for row in rows)
     assert after.misses - before.misses == 3
     assert after.hits - before.hits == len(rows) - 3

@@ -464,15 +464,15 @@ def _arrays(value) -> list:
         ),
         pytest.param(
             lambda n: [
-                pulsesim._step_phases(quench.QuenchProtocol(0.1 * n), n, 1.0),
-                pulsesim._step_phases(quench.QuenchProtocol(0.1 * n), n, -1.0),
+                quench._step_phases(quench.QuenchProtocol(0.1 * n), n, 1.0),
+                quench._step_phases(quench.QuenchProtocol(0.1 * n), n, -1.0),
             ],
             id="step_phases",
         ),
         pytest.param(
             lambda n: [
-                *pulsesim._mirror_sector(n, 1.0),
-                *pulsesim._mirror_sector(n, -1.0),
+                *quench._mirror_sector(n, 1.0),
+                *quench._mirror_sector(n, -1.0),
             ],
             id="mirror_sector",
         ),
