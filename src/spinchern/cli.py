@@ -83,7 +83,13 @@ _J_GRID_DEFAULTS = {
 
 
 def _parse_velocities(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    """The rates of a comma-separated ``--v``, none for a blank one; an
+    empty entry is rejected before any ramp runs."""
+    entries = text.split(",") if text.strip() else []
+    for k, entry in enumerate(entries):
+        if not entry.strip():
+            raise OutOfRange(f"velocities[{k}] is empty in {text!r}")
+    return tuple(map(float, entries))
 
 
 def _cmd_spectrum(args) -> int:

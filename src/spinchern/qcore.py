@@ -25,16 +25,16 @@ def sector_eigh(blocks):
     sector in ascending M, as ``model._interaction_blocks`` does.  Each
     block is solved by one real ``np.linalg.eigh``, and each eigenvector
     is signed so that its largest-magnitude entry is positive, which
-    makes the result deterministic.  Returns, block by block, (M, basis
-    indices, ascending eigenvalues, real eigenvector columns over those
-    indices).
+    makes the result deterministic.  Yields, block by block as it is
+    solved, (M, basis indices, ascending eigenvalues, real eigenvector
+    columns over those indices).
     """
-    solved = []
     for m, idx, block in blocks:
         values, vectors = np.linalg.eigh(block)
         pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(idx.size)]
-        solved.append((m, idx, values, vectors * np.copysign(1.0, pivots)))
-    return solved
+        vectors *= np.copysign(1.0, pivots)
+        yield m, idx, values, vectors
+        del values, vectors, pivots  # not held while the next block is solved
 
 
 def propagator(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:

@@ -163,12 +163,12 @@ _PRODUCT_MAX_DIM = 12
 # d = 10.
 _GROUP_STEPS = 8
 
-# Steps whose matrices are built at once on the product path, whatever
-# the stack: per step 32 d^2 / L bytes of group products with their
-# scaled copy, 0.3 MB at d = 12; the default 300 steps are one chunk.
+# Bytes of group products, with their scaled copy, built at once on the
+# product path, whatever the stack: 32 d^2 / L per step, so a chunk
+# holds 1820 steps at d = 12 and a 65536-step ramp of one spin (d = 2).
 # The phases are read, not built, per chunk: a single ramp slices its
 # table, and each ramp of a stack builds its own, 16 d bytes per step.
-_PRODUCT_CHUNK = 512
+_PRODUCT_BYTES = 2**20
 
 # --- mirror sectors ----------------------------------------------------------
 #
@@ -219,19 +219,6 @@ def _mirror_sector(n_spins: int, parity: float):
     return enter, right, m, count
 
 
-def _mirror_parity(state: np.ndarray, n_spins: int) -> float:
-    """sigma of a state with state[rev b] = sigma state[b] for every b."""
-    mirrored = state[_site_table(n_spins).mirror]
-    parity = 1.0 if np.vdot(state, mirrored).real >= 0.0 else -1.0
-    defect = float(np.linalg.norm(mirrored - parity * state))
-    if not defect <= _PARITY_TOL:
-        raise DegenerateGroundState(
-            f"pole ground state has no definite mirror parity "
-            f"(defect {defect:.3e}), so it is degenerate"
-        )
-    return parity
-
-
 def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
     """The unit-field pole gap, and the mirror parity and sector state
     x = enter g of the gapped pole ground state g, which starts every
@@ -240,16 +227,22 @@ def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
     M_g and the gap come from each sector's extreme levels
     (``_pole_ground``); g is block M_g's ground column, its largest
     interaction eigenvalue for J > 0 and its smallest otherwise, the
-    level ``pole_system`` sorts first.  Only the parity check reads g
-    over the full basis.
+    level ``pole_system`` sorts first.  The reflection maps the block
+    onto itself, so g[rev b] = sigma g[b] is checked on the block.
     """
     m_g, gap = _pole_ground(spec)
     # sector s holds M = 2s - n
-    _, idx, _, vectors = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
-    column = vectors[:, -1 if spec.coupling_j > 0.0 else 0]
-    ground = np.zeros(spec.dim)
-    ground[idx] = column
-    parity = _mirror_parity(ground, spec.n_spins)
+    _, idx, _, ends = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
+    column = ends[:, 1 if spec.coupling_j > 0.0 else 0]
+    sites = _site_table(spec.n_spins)
+    mirrored = column[sites.rank[sites.mirror[idx]]]
+    parity = 1.0 if np.vdot(column, mirrored) >= 0.0 else -1.0
+    defect = float(np.linalg.norm(mirrored - parity * column))
+    if not defect <= _PARITY_TOL:
+        raise DegenerateGroundState(
+            f"pole ground state has no definite mirror parity "
+            f"(defect {defect:.3e}), so it is degenerate"
+        )
     enter = _mirror_sector(spec.n_spins, parity)[0]
     return gap, parity, enter[:, idx].dot(column)
 
@@ -283,14 +276,13 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
     builds its own phases, through the same ``_rotation_phases``.
 
     A Trotter sweep uses one protocol per rate and at most 2 sectors of
-    its one size, and each miss of ``_spin_readout`` one N = 1 table.
-    The bench's pulse pass reads 8 tables (one protocol, N = 2-7, both
-    sectors at N = 2 and 4), its ramp pass 2 at N = 1.  The cache keeps
-    16, the pulse pass twice over or a sweep over 8 rates.  A table is
-    16 d bytes per step: at 300 steps 9.6 KB at N = 1 (d = 2), 0.35 MB
-    for N = 7's even sector (d = 72) and 2.5 MB at the N = 10 cap
-    (d = 528), so a full cache holds at most 5.5 MB at N <= 7 and 41 MB
-    at the cap.
+    its one size; the exact ramps' one-spin run stores no table.  The
+    bench's pulse pass reads 8 tables (one protocol, N = 2-7, both
+    sectors at N = 2 and 4).  The cache keeps 16, the pulse pass twice
+    over or a sweep over 8 rates.  A table is 16 d bytes per step: at
+    300 steps 0.35 MB for N = 7's even sector (d = 72) and 2.5 MB at the
+    N = 10 cap (d = 528), so a full cache holds at most 5.5 MB at N <= 7
+    and 41 MB at the cap.
     """
     angles = _midpoint_angles(protocol)
     m = _mirror_sector(n_spins, parity)[2]
@@ -305,8 +297,9 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
     """The state psi after the steps P_k core, k in order, with P_k the
     diagonal phase phases[k].
 
-    Per chunk the earliest S mod L steps of its S are applied to psi one
-    by one, L = ``_GROUP_STEPS``.  The rest fall into groups of L
+    The steps run in chunks of ``_PRODUCT_BYTES``.  Per chunk the
+    earliest S mod L steps of its S are applied to psi one by one, L =
+    ``_GROUP_STEPS``.  The rest fall into groups of L
     consecutive steps, all built at once from the left: G = P_last C,
     then G <- (G P_k) C down to the group's earliest step, one stacked
     (groups d, d) product with C = core per step.  The group products
@@ -315,8 +308,9 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
     applies its earliest product to psi.
     """
     d = core.shape[0]
-    for start in range(0, len(phases), _PRODUCT_CHUNK):
-        chunk = phases[start : start + _PRODUCT_CHUNK]
+    steps = _PRODUCT_BYTES * _GROUP_STEPS // (32 * d * d)
+    for start in range(0, len(phases), steps):
+        chunk = phases[start : start + steps]
         peel = len(chunk) % _GROUP_STEPS
         for phase in chunk[:peel]:
             psi = phase * core.dot(psi)
@@ -402,13 +396,18 @@ def _ramp_state(
 
 
 def _ramp_readout(
-    start: np.ndarray, parity: float, core: np.ndarray, protocol: QuenchProtocol
+    start: np.ndarray,
+    parity: float,
+    core: np.ndarray,
+    protocol: QuenchProtocol,
+    offsets: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """m_phi = sin(theta_f) sum c m |x|^2 and the adiabatic overlap
     |sum c conj(R x_0) x|^2 of the single ramp of ``_ramp_state`` from
     x_0 = ``start``, with c the representatives' counts and R the y-frame
-    phase of R(theta_f): the target is the rotated start, no eigensolve."""
-    psi = _ramp_state(start, parity, core, protocol)
+    phase of R(theta_f): the target is the rotated start, no eigensolve.
+    ``offsets`` of shape (steps, 1) runs the ramp as a stack of one."""
+    psi = _ramp_state(start, parity, core, protocol, offsets).reshape(-1)
     n_spins = core.shape[0].bit_length() - 1
     _, _, m, count = _mirror_sector(n_spins, parity)
     theta = protocol.final_angle
@@ -444,10 +443,13 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     every exact ramp with that protocol, at every N and J, reads the
     same two floats.  The cache keeps the 64 most recently used
     protocols, so a scan over many rates cannot grow it further.
+    Its ramp runs as a stack of one, with the single run's bits, so no
+    table of its phases evicts a Trotter ramp's from ``_step_phases``.
     """
     enter = _mirror_sector(1, 1.0)[0]
     core = np.diag(np.exp(1j * protocol.step_time * _site_table(1).m))
-    return _ramp_readout(enter[:, 0], 1.0, core, protocol)
+    zero = np.zeros((protocol.steps, 1))
+    return _ramp_readout(enter[:, 0], 1.0, core, protocol, zero)
 
 
 def _ramp_result(

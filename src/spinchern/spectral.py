@@ -8,7 +8,7 @@ Every query rests on one closed-form pole spectrum.  At the north pole
 the field term is -|h| M_z and the interaction X commutes with M_z, so
 the levels are -|h| M - J lambda with lambda running over the
 eigenvalues of each M_z block X_M.  The blocks are diagonalised once per
-chain size; their eigenvectors depend on neither J nor |h|.  Any other
+chain size; their kept eigenvectors depend on neither J nor |h|.  Any other
 field point follows by rotation covariance, H(theta, phi) = U H(pole)
 U^dagger with U = R_z(phi) R_y(theta), so the spectrum is the same on
 the whole sphere.
@@ -69,9 +69,8 @@ class CurvatureSample:
 
 @dataclass(frozen=True)
 class PoleSystem:
-    """Ascending pole levels, the M_z sector of each, and the ground state.
+    """Ascending pole levels and the M_z sector of each.
 
-    The ground state is a real sector vector held as a complex array.
     Only ``pole_system``'s callers read this object, and in the package
     that is the ``spectrum`` command.  The ramps, the curvature sum, the
     lattice rows and the crossing check read the ground sector and the
@@ -82,7 +81,6 @@ class PoleSystem:
 
     values: np.ndarray
     sectors: np.ndarray
-    ground_state: np.ndarray
 
     @property
     def ground_gap(self) -> float:
@@ -93,39 +91,35 @@ class PoleSystem:
 class _Sectors:
     """The interaction diagonalised block by block in M_z.
 
-    ``blocks`` holds ``sector_eigh``'s (M, basis indices, eigenvalues,
-    eigenvector columns) for each sector in ascending M, the site
-    table's ``sectors`` order.  ``level_m`` and ``level_x`` hold each
-    level's M and interaction eigenvalue, sector after sector, and
-    ``starts`` the first level of each sector; only ``pole_system``,
-    which returns every level, reads them.  ``extremes`` holds, per
-    sector in ascending M, (M, its two lowest eigenvalues ascending, its
-    two highest descending) as Python floats, one of each for a
-    one-state sector.  A sector's two lowest pole levels -|h| M - J
-    lambda sit at one end of its spectrum, so every query of the ground
-    sector, the gap or the sector lines reads this table, in O(N).
+    ``blocks`` holds, per sector in ascending M (the site table's
+    ``sectors`` order), its M, basis indices and ascending eigenvalues
+    from ``sector_eigh`` and its lowest and highest eigenvector columns
+    as one (d, 2) array: 4 2^n numbers, where every column took C(2n,
+    n).  ``extremes`` holds, per sector, (M, its two lowest eigenvalues
+    ascending, its two highest descending) as Python floats, one of
+    each for a one-state sector.  A sector's two lowest pole levels -|h|
+    M - J lambda sit at one end of its spectrum, so the ground sector,
+    the gap and the sector lines read this table, in O(N), and a gapped
+    ground state is a kept column: a block's end levels are simple
+    (Perron-Frobenius; Lieb and Mattis, J. Math. Phys. 3, 749 (1962)).
     """
 
-    level_m: np.ndarray
-    level_x: np.ndarray
-    starts: np.ndarray
     blocks: tuple
     extremes: tuple
 
 
 @functools.lru_cache(maxsize=None)
 def _sector_data(n_spins: int) -> _Sectors:
-    blocks = tuple(sector_eigh(_interaction_blocks(n_spins)))
-    sizes = [idx.size for _, idx, _, _ in blocks]
-    level_m = np.repeat([float(m) for m, _, _, _ in blocks], sizes)
-    level_x = np.concatenate([values for _, _, values, _ in blocks])
-    starts = np.cumsum([0] + sizes[:-1])
+    blocks = []
+    for m, idx, values, vectors in sector_eigh(_interaction_blocks(n_spins)):
+        blocks.append((m, idx, values, vectors[:, [0, -1]]))
+        del vectors  # before the next block is solved
     extremes = tuple(
         (float(m), tuple(map(float, values[:2])), tuple(map(float, values[::-1][:2])))
         for m, _, values, _ in blocks
     )
-    _read_only(level_m, level_x, starts, *(a for b in blocks for a in b[2:]))
-    return _Sectors(level_m, level_x, starts, blocks, extremes)
+    _read_only(*(a for b in blocks for a in b[2:]))
+    return _Sectors(tuple(blocks), extremes)
 
 
 def _sectors(spec: ChainSpec) -> _Sectors:
@@ -140,23 +134,19 @@ def _check_magnitude(magnitude: float) -> None:
 
 
 def pole_system(spec: ChainSpec, magnitude: float = 1.0) -> PoleSystem:
-    """Levels and ground state of the chain Hamiltonian with the field at
-    the north pole; no eigensolve once the size's sector blocks are cached.
+    """Every level of the chain Hamiltonian with the field at the north
+    pole, -|h| M - J lambda from the block eigenvalues, stably sorted; no
+    eigensolve once the size's sector blocks are cached.
 
     The spectrum is the same at every field point of the same magnitude.
     """
     _check_magnitude(magnitude)
-    sectors = _sectors(spec)
-    levels = -magnitude * sectors.level_m - spec.coupling_j * sectors.level_x
+    blocks = _sectors(spec).blocks
+    level_m = np.repeat([float(m) for m, *_ in blocks], [b[1].size for b in blocks])
+    level_x = np.concatenate([values for _, _, values, _ in blocks])
+    levels = -magnitude * level_m - spec.coupling_j * level_x
     order = np.argsort(levels, kind="stable")
-    # sector s holds M = 2s - n
-    s = (int(sectors.level_m[order[0]]) + spec.n_spins) // 2
-    _, idx, _, vectors = sectors.blocks[s]
-    ground_state = np.zeros(spec.dim, dtype=complex)
-    ground_state[idx] = vectors[:, order[0] - sectors.starts[s]]
-    return PoleSystem(
-        values=levels[order], sectors=sectors.level_m[order], ground_state=ground_state
-    )
+    return PoleSystem(values=levels[order], sectors=level_m[order])
 
 
 def _lowest_levels(spec: ChainSpec, magnitude: float) -> tuple[float, float, float]:

@@ -1020,6 +1020,27 @@ def test_cli_linear_zone_rejects_bad_rates(rates, named, capsys):
     assert err.startswith("error: OutOfRange: ") and named in err
 
 
+@pytest.mark.parametrize("command", ["linear-zone", "sweep"])
+@pytest.mark.parametrize(
+    "rates, named",
+    [("0.1,,0.2", "velocities[1]"), (",0.1", "velocities[0]"),
+     ("0.1,0.2,", "velocities[2]"), ("0.1, ,0.2", "velocities[1]")],
+)  # fmt: skip
+def test_cli_rejects_an_empty_rate_before_any_ramp(
+    command, rates, named, monkeypatch, capsys
+):
+    # An empty entry was dropped, so the other rates ran and the command
+    # exited 0.
+    ramps = [_record(monkeypatch, f, []) for f in ("linear_zone_scan", "run_sweep")]
+    argv = [command, "--v", rates]
+    if command == "sweep":
+        argv += ["--method", "dynamical"]
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and ramps == [[], []]
+    assert err.startswith(f"error: OutOfRange: {named} is empty")
+
+
 def test_cli_robustness(capsys):
     code = cli_main(
         ["robustness", "--n", "2", "--v", "0.5", "--steps", "60", "--error-deg", "1",

@@ -45,6 +45,7 @@ from spinchern import (
     zz_target_propagator,
 )
 
+from _internals import pole_ground_state, product_chunks
 from _oracles import (
     ORACLE_STEPS,
     PLATEAU_CASES,
@@ -216,6 +217,10 @@ def test_single_ramp_equals_its_stacked_run():
 # mirror sector, the rest in the even one.
 PRODUCT_CASES = [case for case in PLATEAU_CASES if case[0] <= 5]
 
+# Product chunk length, in steps, set for the dense-oracle product test,
+# so that a ramp of a few hundred steps multiplies several chunks.
+CHUNK = 512
+
 
 @pytest.mark.parametrize(
     "n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (4, -0.5), (5, 0.86)]
@@ -244,30 +249,32 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
     v=st.sampled_from(RAMP_RATES),
     steps=st.one_of(
         st.integers(1, 121),
-        st.integers(quench._PRODUCT_CHUNK + 1, quench._PRODUCT_CHUNK + 64),
+        st.integers(CHUNK + 1, CHUNK + 64),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(case=(3, 0.8), v=0.1, steps=1, seed=0)
 @example(case=(4, -0.5), v=0.1, steps=quench._GROUP_STEPS + 3, seed=2)
 @example(case=(2, -1.25), v=2.0, steps=3 * quench._GROUP_STEPS, seed=3)
-@example(case=(3, -1.2), v=0.29, steps=2 * quench._PRODUCT_CHUNK + 1, seed=1)
-@example(case=(4, 0.85), v=0.05, steps=quench._PRODUCT_CHUNK + 5, seed=4)
-@example(case=(5, -0.36), v=0.1, steps=quench._PRODUCT_CHUNK + 3, seed=5)
+@example(case=(3, -1.2), v=0.29, steps=2 * CHUNK + 1, seed=1)
+@example(case=(4, 0.85), v=0.05, steps=CHUNK + 5, seed=4)
+@example(case=(5, -0.36), v=0.1, steps=CHUNK + 3, seed=5)
 def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     # The oracle runs in the full 2^n space, so it checks the restriction
     # to the mirror sector too: each sector state is unfolded to the
     # z frame and read out there.  A count that is no multiple of the group
     # length applies its earliest steps one by one, and one shorter than
-    # a group has no product at all; past the chunk bound a ramp
-    # multiplies several products.  Column 0 is the ideal ramp, column 1
-    # a noisy one.
+    # a group has no product at all; past the chunk bound, here CHUNK
+    # steps, a ramp multiplies several products.  Column 0 is the ideal
+    # ramp, column 1 a noisy one.
     n, j = case
     spec, proto = ChainSpec(n, j), QuenchProtocol(v, steps)
     offsets = np.zeros((steps, 2))
     offsets[:, 1] = np.random.default_rng(seed).uniform(-0.1, 0.1, steps)
-    ground = pole_system(spec).ground_state
-    states = _unfold(spec, _sector_ramp(spec, proto, offsets))
+    ground = pole_ground_state(spec)
+    dim = quench._mirror_sector(n, quench._trotter_start(spec)[1])[2].size
+    with product_chunks(CHUNK, dim):
+        states = _unfold(spec, _sector_ramp(spec, proto, offsets))
     for state, column in zip(states, offsets.T):
         m_phi, overlap = ramp_readout(ground, state[:, 0], proto)
         psi, dense_m_phi, dense_overlap = dense_ramp(
@@ -305,9 +312,9 @@ def test_mixed_mirror_parity_start_is_degenerate(monkeypatch):
     # column plus an odd kick on the mirror pair 0b001, 0b100.
     spec, proto = ChainSpec(3, -1.2), QuenchProtocol(0.1, 21)
     sectors = spectral._sectors(spec)
-    m, idx, values, vectors = sectors.blocks[2]
+    m, idx, values, ends = sectors.blocks[2]
     assert m == 1 and idx.tolist() == [0b001, 0b010, 0b100]
-    mixed = vectors.copy()
+    mixed = ends.copy()
     mixed[[0, 2], 0] += [1e-6, -1e-6]  # odd, the ground column is even
     mixed[:, 0] /= np.linalg.norm(mixed[:, 0])
     blocks = list(sectors.blocks)
@@ -876,7 +883,7 @@ def test_pole_ground_state_has_a_mirror_parity(spec):
     # The Trotter start is the sector state of that ground state: it
     # unfolds to it, and its parity is the state's.
     mirror = model._site_table(spec.n_spins).mirror
-    ground = pole_system(spec).ground_state
+    ground = pole_ground_state(spec)
     frame = functools.reduce(np.kron, [quench._Y_FRAME] * spec.n_spins)
     for state in (ground, frame.conj().T @ ground):
         parity = np.vdot(state, state[mirror]).real
@@ -938,7 +945,7 @@ def test_sector_readout_matches_the_full_space_one(n):
     for lo, hi in zip(edges, edges[1:]):
         spec = ChainSpec(n, 0.5 * (lo + hi))
         parities.add(quench._trotter_start(spec)[1])
-        ground = pole_system(spec).ground_state
+        ground = pole_ground_state(spec)
         result = simulate_protocol_trotter(spec, proto)
         psi = _unfold(spec, _sector_ramp(spec, proto))
         m_phi, overlap = ramp_readout(ground, psi, proto)

@@ -9,7 +9,7 @@ import spinchern.model as model
 import spinchern.pulsesim as pulsesim
 import spinchern.spectral as spectral
 from spinchern import ChainSpec, FieldPoint, build_heisenberg, pole_system
-from spinchern.qcore import PAULI
+from spinchern.qcore import PAULI, sector_eigh
 
 from _oracles import EigenSystem, NotHermitian, eigh, expm_i
 
@@ -122,23 +122,24 @@ def test_eigensystem_is_frozen():
 
 
 def _block_solutions(n: int):
-    """(M_z blocks, solved blocks) of the interaction's solve
-    (``_sector_data``) and of the exchange's (``_exchange_system``, whose
-    blocks are the interaction's without their zz diagonal).  A solved
-    block is (M, basis indices, levels, eigenvector columns).  The
-    interaction's level arrays list its blocks sector after sector, and
-    its line extremes each block's two lowest and two highest levels; the
-    exchange's blocks are cut from its dense columns, sector after
-    sector, which must vanish outside them."""
+    """(M_z blocks, solved blocks) of the interaction's solve and of the
+    exchange's (``_exchange_system``, whose blocks are the interaction's
+    without their zz diagonal).  A solved block is (M, basis indices,
+    levels, eigenvector columns).  The interaction's sector data
+    (``_sector_data``) keeps each block's levels, its lowest and highest
+    columns and its line extremes, the two lowest and two highest
+    levels; the exchange's blocks are cut from its dense columns, sector
+    after sector, which must vanish outside them."""
     blocks = [(m, idx, block) for m, idx, block in model._interaction_blocks(n)]
+    solved = list(sector_eigh(blocks))
     sectors = spectral._sector_data(n)
-    starts = np.cumsum([0] + [idx.size for _, idx, _ in blocks[:-1]])
-    assert np.array_equal(sectors.starts, starts)
-    for (m, idx, levels, _), start, row in zip(
-        sectors.blocks, starts, sectors.extremes
+    assert len(sectors.blocks) == len(solved)
+    for (m, idx, levels, columns), kept, row in zip(
+        solved, sectors.blocks, sectors.extremes
     ):
-        assert np.all(sectors.level_m[start : start + idx.size] == m)
-        assert np.array_equal(sectors.level_x[start : start + idx.size], levels)
+        assert kept[0] == m and np.array_equal(kept[1], idx)
+        assert np.array_equal(kept[2], levels)
+        assert np.array_equal(kept[3], columns[:, [0, -1]])
         # the line extremes: M, the two lowest levels and the two highest
         assert row == (m, tuple(levels[:2]), tuple(levels[::-1][:2]))
     no_zz = [(m, idx, block - np.diag(np.diag(block))) for m, idx, block in blocks]
@@ -151,7 +152,7 @@ def _block_solutions(n: int):
         scattered[idx, cols] = vectors[idx, cols]
         col += idx.size
     assert col == 2**n and np.array_equal(scattered, vectors)
-    return [(blocks, sectors.blocks), (no_zz, exchange)]
+    return [(blocks, solved), (no_zz, exchange)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -35,6 +35,7 @@ from spinchern import (
 from spinchern.lab import WORKERS_ENV
 from spinchern.quench import CONVERGENCE_TOL
 
+from _internals import pole_ground_state, product_chunks
 from _oracles import (
     ORACLE_STEPS,
     PLATEAU_CASES,
@@ -52,12 +53,15 @@ from _oracles import (
 EQUATOR = FieldPoint(theta=math.pi / 2)
 SLOW = QuenchProtocol(v_theta=0.1, steps=300)
 
+# Product chunk length, in steps, set for the one-spin oracle test, so
+# that a ramp of a few hundred steps multiplies several chunks.
+CHUNK = 512
+
 
 def _exact_final_state(spec, proto):
     """(u (x) ... (x) u) g, the chain state of an exact ramp up to its
     global phase, with u the oracle's one-spin ramp."""
-    ground = pole_system(spec).ground_state
-    return model._each_spin(one_spin_ramp(proto), ground)
+    return model._each_spin(one_spin_ramp(proto), pole_ground_state(spec))
 
 
 def _trotter_state(spec, proto):
@@ -301,7 +305,7 @@ def test_eight_spin_ramp_matches_dense_oracle():
     pole = FieldPoint(theta=0.0)
     system = pole_system(spec)
     dense_ground = eigh(build_heisenberg(spec, pole)).ground_state
-    start = np.vdot(dense_ground, system.ground_state)
+    start = np.vdot(dense_ground, pole_ground_state(spec))
     for v in (0.1, 2.0):
         proto = QuenchProtocol(v, ORACLE_STEPS)
         psi, m_phi, overlap = dense_ramp(spec, proto)
@@ -362,26 +366,46 @@ def test_warm_free_spin_product_is_the_uncached_one():
 @example(v=0.03, steps=1)
 @example(v=5.0, steps=quench._GROUP_STEPS - 1)
 @example(v=0.29, steps=quench._GROUP_STEPS + 3)
-@example(v=0.1, steps=quench._PRODUCT_CHUNK + 5)
-@example(v=2.0, steps=2 * quench._PRODUCT_CHUNK + 1)
+@example(v=0.1, steps=CHUNK + 5)
+@example(v=2.0, steps=2 * CHUNK + 1)
 @example(v=0.05, steps=4000)
 def test_spin_readout_is_the_oracle_one_spin_ramp(v, steps):
     # The exact ramp's one-spin readout is the ramp kernel's N = 1 run;
     # the oracle multiplies 2x2 expm steps.  Counts no multiple of the
     # group length apply their earliest steps one by one, and counts
-    # past the chunk bound multiply several products.
+    # past the chunk bound multiply several products.  One spin's chunk
+    # holds 65536 steps, so each ramp runs again in chunks of CHUNK.
     proto = QuenchProtocol(v, steps)
     spin = one_spin_ramp(proto)[:, 0]
     m_phi, overlap = ramp_readout(np.array([1.0, 0.0]), spin, proto)
-    got_m_phi, got_overlap = quench._spin_readout.__wrapped__(proto)
-    assert abs(got_m_phi - m_phi) <= 1e-11
-    assert abs(got_overlap - overlap) <= 1e-11
+    readouts = [quench._spin_readout.__wrapped__(proto)]
+    with product_chunks(CHUNK, 2):
+        readouts.append(quench._spin_readout.__wrapped__(proto))
+    for got_m_phi, got_overlap in readouts:
+        assert abs(got_m_phi - m_phi) <= 1e-11
+        assert abs(got_overlap - overlap) <= 1e-11
+
+
+def test_exact_ramps_store_no_step_phase_table():
+    # The one-spin ramp runs as a stack of one, which builds its phases
+    # per call: behind the cached readout a stored table would never be
+    # read again, and would evict the Trotter ramps' tables.  Rates no
+    # other test uses.
+    spec = ChainSpec(3, 0.8)
+    simulate_protocol_trotter(spec, SLOW)
+    before = quench._step_phases.cache_info()
+    readouts = quench._spin_readout.cache_info().misses
+    for k in range(20):
+        evolve_quench(spec, QuenchProtocol(0.0411 + 0.0007 * k))
+    after = quench._step_phases.cache_info()
+    assert quench._spin_readout.cache_info().misses == readouts + 20
+    assert after.currsize == before.currsize and after.misses == before.misses
 
 
 @pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
 def test_warm_step_phases_are_the_uncached_ones(n, j):
     # An odd sector, an even one and one on the step loop.
-    parity = quench._mirror_parity(pole_system(ChainSpec(n, j)).ground_state, n)
+    parity = quench._trotter_start(ChainSpec(n, j))[1]
     dim = quench._mirror_sector(n, parity)[2].size
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
         quench._step_phases(proto, n, parity)

@@ -32,6 +32,7 @@ from spinchern import (
     total_magnetization,
 )
 
+from _internals import pole_ground_state
 from _oracles import (
     CACHES,
     PLATEAU_CASES,
@@ -267,7 +268,8 @@ def test_pole_system_matches_dense_spectrum(n):
             dense_m = [total_magnetization(v, "z") for v in vectors.T]
             assert np.max(np.abs(system.sectors - dense_m)) <= 1e-9
             if system.ground_gap > 1e-9:
-                overlap = abs(np.vdot(vectors[:, 0], system.ground_state))
+                ground = pole_ground_state(ChainSpec(n, j), magnitude)
+                overlap = abs(np.vdot(vectors[:, 0], ground))
                 assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -345,12 +347,13 @@ def test_pole_ground_state_is_highest_weight(n):
     # its flip.
     sites = model._site_table(n)
     for j in J_GRID:
-        pole = pole_system(ChainSpec(n, float(j)))
-        if pole.ground_gap < 1e-3:
+        spec = ChainSpec(n, float(j))
+        if pole_system(spec).ground_gap < 1e-3:
             continue
-        raised = np.zeros_like(pole.ground_state)
+        ground = pole_ground_state(spec)
+        raised = np.zeros_like(ground)
         for z, flips in zip(sites.z, sites.flips):
-            raised[flips[z < 0]] += pole.ground_state[z < 0]
+            raised[flips[z < 0]] += ground[z < 0]
         assert np.abs(raised).max() <= 1e-12
 
 
@@ -494,13 +497,29 @@ def test_cached_arrays_are_read_only(cached):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_sector_data_holds_no_array_larger_than_its_blocks(n):
-    # The blocks' eigenvector columns take sum_M d_M^2 = C(2n, n) reals,
-    # the largest d_M^2 at most that; a dense 2^n x 2^n scatter of them
-    # takes 4^n.
-    arrays = _fields(spectral._sector_data(n))
-    assert max(a.size for a in arrays) <= math.comb(2 * n, n)
-    vectors = [vectors for *_, vectors in spectral._sector_data(n).blocks]
-    assert sum(v.size for v in vectors) == math.comb(2 * n, n)
+    # Each block keeps its basis indices, its eigenvalues and its lowest
+    # and highest eigenvector columns, 4 2^n numbers over the blocks.
+    # Every column of every block took C(2n, n) reals, and a dense
+    # 2^n x 2^n scatter of them 4^n.
+    sectors = spectral._sector_data(n)
+    assert sum(a.size for a in _fields(sectors)) <= 4 * 2**n
+    for _, idx, values, ends in sectors.blocks:
+        assert values.shape == (idx.size,) and ends.shape == (idx.size, 2)
+
+
+def test_cold_sector_data_at_ten_spins_holds_under_a_tenth_of_a_mebibyte():
+    # Its blocks' indices, eigenvalues and two columns each, 32 KiB with
+    # the tuples around them; every column of every block took 1.44 MiB.
+    # The site table is built first: it is not the sector data's.
+    model._site_table(10)
+    spectral._sector_data.cache_clear()
+    tracemalloc.start()
+    try:
+        spectral._sector_data(10)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2**20
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -526,12 +545,12 @@ def test_stacked_rows_equal_single_rotations(n):
     angles = np.concatenate([np.linspace(0.0, math.pi, 25), [0.123, 2.9, 4.0]])
     seen = set()
     for j in _plateau_couplings(n) if n > 1 else [0.0]:
-        pole = pole_system(ChainSpec(n, j))
-        m_g = int(pole.sectors[0])
+        m_g = int(pole_system(ChainSpec(n, j)).sectors[0])
+        ground = pole_ground_state(ChainSpec(n, j))
         weights, m = spectral._multiplet_rows(m_g, angles)
         assert weights.shape == (angles.size, m_g + 1)
         for row, angle in zip(weights, angles):
-            rotated = np.abs(model._rotate_y(pole.ground_state, angle)) ** 2
+            rotated = np.abs(model._rotate_y(ground, angle)) ** 2
             by_label = np.bincount(sector, weights=rotated, minlength=n + 1)
             expected = np.zeros(n + 1)
             expected[(m + n) // 2] = row
@@ -599,15 +618,16 @@ def test_pole_queries_equal_the_sorted_levels_bit_for_bit(n):
     couplings = [float(j) for j in np.linspace(-2.5, 2.5, 61)]
     couplings += [j + d for j in crossings for d in (0.0, 1e-9)]
     couplings += [0.0, 1e-12, -1e-12]
-    sectors = spectral._sector_data(n)
+    # every level's M and interaction eigenvalue, block after block
+    blocks = spectral._sector_data(n).blocks
+    level_m = np.repeat([float(m) for m, *_ in blocks], [b[1].size for b in blocks])
+    level_x = np.concatenate([values for _, _, values, _ in blocks])
     degenerate = 0
     for magnitude in (0.37, 1.0, 2.9):
         p = FieldPoint(theta=0.0, magnitude=magnitude)
         for j in couplings:
             spec = ChainSpec(n, j)
-            m_g, gap = sorted_pole_ground(
-                sectors.level_m, sectors.level_x, magnitude, j
-            )
+            m_g, gap = sorted_pole_ground(level_m, level_x, magnitude, j)
             assert ground_gap(spec, p) == gap
             if gap < spectral.DEGENERACY_RTOL * magnitude:
                 degenerate += 1
