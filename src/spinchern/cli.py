@@ -145,10 +145,14 @@ _SWEEP_FILE_KEYS = {
 def _load_sweep_config(args) -> SweepConfig:
     """The sweep of the config file, or of 2 spins over ``default_j_grid``
     without one, with the flags given applied over it.  The file must
-    be a valid sweep on its own: its errors name the file."""
+    be a valid sweep on its own, with no key outside
+    ``_SWEEP_FILE_KEYS``: its errors name the file."""
     cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=default_j_grid())
     if args.config:
         raw = _json_file(args.config, dict, "a JSON object")
+        unknown = sorted(set(raw) - set(_SWEEP_FILE_KEYS))
+        if unknown:
+            raise OutOfRange(f"{args.config} has unknown keys {unknown}")
         fields = {
             key: _json_field(raw, key, args.config, valid, expected)
             for key, (valid, expected) in _SWEEP_FILE_KEYS.items()
@@ -235,22 +239,17 @@ def _cmd_pulse_compile(args) -> int:
     if target_j is None:
         target_j = -0.5 * math.pi * effective_uniform_coupling(m)
     compiled = compile_zz(m, target_j, args.tau)
-    rows = []
-    for k, (duration, pattern) in enumerate(
-        zip(compiled.segment_durations, compiled.segment_patterns)
-    ):
-        rows.append(
-            [
-                k,
-                f"{duration:.6e}",
-                "".join("+" if x > 0 else "-" for x in pattern),
-                ",".join(str(s) for s in sorted(compiled.pi_pulse_placements[k]))
-                or "-",
-            ]
-        )
+    placements = [
+        ",".join(map(str, sorted(flipped))) or "-"
+        for flipped in compiled.pi_pulse_placements
+    ]
+    segments = zip(compiled.segment_durations, compiled.segment_patterns)
+    rows = [
+        [k, f"{t:.6e}", "".join("+" if x > 0 else "-" for x in p), placements[k]]
+        for k, (t, p) in enumerate(segments)
+    ]
     _print_table(["segment", "duration_s", "pattern", "pulses_before"], rows)
-    final = ",".join(str(s) for s in sorted(compiled.pi_pulse_placements[-1])) or "-"
-    print(f"closing pulses: {final}")
+    print(f"closing pulses: {placements[-1]}")
     print(
         f"target_j={compiled.target_j:.6g} rad/s  tau={compiled.tau:.6g} s  "
         f"wall={compiled.wall_time:.6g} s"

@@ -267,9 +267,14 @@ def export_results(
     """CSV table of rows plus a JSON sidecar with run metadata.
 
     Floats are serialized with 17 significant digits, so re-importing
-    reproduces them bit-exactly.
+    reproduces them bit-exactly.  The sidecar is ``path`` with a .json
+    extension, so a .json ``path`` raises ``OutOfRange`` before any
+    write: the sidecar would overwrite the table.
     """
     path = os.fspath(path)
+    base, extension = os.path.splitext(path)
+    if extension.lower() == ".json":
+        raise OutOfRange(f"{path}: a .json table would be overwritten by its sidecar")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
@@ -300,7 +305,6 @@ def export_results(
         ],
         "crossings": [] if crossings is None else list(crossings),
     }
-    base, _ = os.path.splitext(path)
     with open(base + ".json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")

@@ -40,7 +40,7 @@ from .model import (
     _rotate_y,
     _site_table,
 )
-from .qcore import PAULI, propagator, sector_eigh
+from .qcore import PAULI, sector_eigh
 from .quench import (
     QuenchProtocol,
     QuenchResult,
@@ -56,18 +56,12 @@ from .quench import (
 _COUPLING_RTOL = 1e-12
 
 
-def _diagonal_part(spec: ChainSpec, magnitude: float) -> np.ndarray:
-    """Field and zz part of the pole Hamiltonian, which is diagonal."""
-    sites = _site_table(spec.n_spins)
-    return -magnitude * sites.m - spec.coupling_j * sites.zz
-
-
 @functools.lru_cache(maxsize=None)
 def _exchange_system(n_spins: int):
     """Levels and real eigenvector columns of the unit xx+yy exchange,
     which conserves M_z, solved by M_z blocks once per chain size: each
     block is the interaction's without its zz diagonal.  The columns
-    are dense, sector after sector, for ``propagator``."""
+    are dense, sector after sector, for ``_trotter_core``."""
     blocks = _interaction_blocks(n_spins)
     no_zz = ((m, idx, b - np.diag(np.diag(b))) for m, idx, b in blocks)
     values, vectors = [], np.zeros((2**n_spins, 2**n_spins))
@@ -80,16 +74,29 @@ def _exchange_system(n_spins: int):
     return values, vectors
 
 
-def _trotter_core(spec: ChainSpec, magnitude: float, tau: float) -> np.ndarray:
-    """e^{-i(H_z+H_zz)tau/2} e^{-i(H_xx+H_yy)tau} e^{-i(H_z+H_zz)tau/2} at the pole.
+def _trotter_core(
+    spec: ChainSpec, magnitude: float, tau: float, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """left C right, for the split step core at the pole
+    C = e^{-i(H_z+H_zz)tau/2} e^{-i(H_xx+H_yy)tau} e^{-i(H_z+H_zz)tau/2},
+    without forming C; a dense core has identities on both sides.
 
-    H_xx+H_yy is -J times the unit exchange, so its propagator over tau
-    is the unit exchange's over -J tau.
+    H_xx+H_yy is -J times the unit exchange V diag(l) V^T, so C =
+    h V diag(e^{iJ tau l}) V^T h, h the diagonal half step.  Its factors
+    act on ``right`` one by one, so every array built has its shape.  V
+    is real and acts on the interleaved real and imaginary parts, so it
+    is never cast to a complex copy.
     """
     _check_cap(spec)
-    half = np.exp(-0.5j * _diagonal_part(spec, magnitude) * tau)
-    exchange = propagator(*_exchange_system(spec.n_spins), -spec.coupling_j * tau)
-    return (half[:, None] * exchange) * half[None, :]
+    sites = _site_table(spec.n_spins)
+    diagonal = -magnitude * sites.m - spec.coupling_j * sites.zz  # field and zz
+    half = np.exp(-0.5j * diagonal * tau)[:, None]
+    values, vectors = _exchange_system(spec.n_spins)
+    x = vectors.T.dot(np.ascontiguousarray(half * right).view(float)).view(complex)
+    x *= np.exp(1j * spec.coupling_j * tau * values)[:, None]
+    x = vectors.dot(x.view(float)).view(complex)
+    x *= half
+    return left.dot(x)
 
 
 def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
@@ -104,9 +111,9 @@ def trotter_step(spec: ChainSpec, p: FieldPoint, tau: float) -> np.ndarray:
         raise OutOfRange(f"trotter_step is defined on the phi=0 meridian, not {p.phi}")
     if not (math.isfinite(tau) and tau > 0.0):
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
-    # R core R^T = (R (R core)^T)^T, R real
-    rotated = _rotate_y(_trotter_core(spec, p.magnitude, tau), p.theta)
-    return _rotate_y(rotated.T, p.theta).T
+    _check_cap(spec)
+    rotation = _rotate_y(np.eye(spec.dim), p.theta)
+    return _trotter_core(spec, p.magnitude, tau, rotation, rotation.T)
 
 
 def simulate_protocol_trotter(
@@ -116,8 +123,10 @@ def simulate_protocol_trotter(
     kernel run around the split step core, started, run and read out in
     the pole ground state's mirror sector (``quench._ramp_readout``)."""
     gap, parity, ground = _trotter_start(spec)
-    core = _trotter_core(spec, 1.0, protocol.step_time)
-    return _ramp_result(gap, protocol, *_ramp_readout(ground, parity, core, protocol))
+    enter, right, _, _ = _mirror_sector(spec.n_spins, parity)
+    core = _trotter_core(spec, 1.0, protocol.step_time, enter, right)
+    readout = _ramp_readout(ground, spec.n_spins, parity, core, protocol)
+    return _ramp_result(gap, protocol, *readout)
 
 
 def perturbed_fidelity(
@@ -146,15 +155,16 @@ def perturbed_fidelity(
     if not (_is_count(seed) and seed >= 0):
         raise OutOfRange(f"seed must be a whole number >= 0, got {seed!r}")
     _, parity, ground = _trotter_start(spec)
-    core = _trotter_core(spec, 1.0, protocol.step_time)
+    enter, right, _, count = _mirror_sector(spec.n_spins, parity)
+    core = _trotter_core(spec, 1.0, protocol.step_time, enter, right)
     bound = math.radians(angle_error_deg)
     # Column 0 is the ideal ramp.
     offsets = np.zeros((protocol.steps, trials + 1))
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         offsets[:, trial + 1] = rng.uniform(-bound, bound, protocol.steps)
-    ideal, *noisy = _ramp_state(ground, parity, core, protocol, offsets)
-    weighted = _mirror_sector(spec.n_spins, parity)[3][:, None] * ideal
+    ideal, *noisy = _ramp_state(ground, spec.n_spins, parity, core, protocol, offsets)
+    weighted = count[:, None] * ideal
     worst = 1.0
     for psi in noisy:
         worst = min(worst, abs(np.vdot(weighted, psi)) ** 2)
@@ -246,12 +256,6 @@ class PulseProgram:
                 raise TypeError(f"event {k}: unknown event type {type(ev).__name__}")
 
 
-def _adjacent_couplings(m: MoleculeSpec) -> np.ndarray:
-    return np.array(
-        [m.couplings_hz[i, i + 1] for i in range(m.n_spins - 1)]
-    )
-
-
 def _check_compilable(m: MoleculeSpec) -> np.ndarray:
     """Check that the compiler accepts ``m`` and return the couplings that
     fix its segment timings: the inner adjacent pair J[n-3, n-2],
@@ -259,7 +263,7 @@ def _check_compilable(m: MoleculeSpec) -> np.ndarray:
     The table must have 2 to 4 spins and no vanishing adjacent coupling."""
     if not 2 <= m.n_spins <= 4:
         raise OutOfRange("refocusing compiler supports 2 to 4 spins")
-    adj = _adjacent_couplings(m)
+    adj = np.diag(m.couplings_hz, 1)
     scale = float(np.max(np.abs(m.couplings_hz)))
     if scale == 0.0 or np.any(np.abs(adj) <= _COUPLING_RTOL * scale):
         raise DegenerateCouplings(
@@ -405,7 +409,7 @@ def toggled_zz_coefficients(c: CompiledZZ) -> np.ndarray:
     """Effective zz coefficient of each pair, averaged over the target
     window: -target_j on adjacent pairs, 0 elsewhere, for a valid
     compilation."""
-    n = len(c.segment_patterns[0]) if c.segment_patterns else 0
+    n = c.base_couplings.shape[0]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -500,10 +504,6 @@ def program_from_json(path) -> PulseProgram:
         raise OutOfRange(f"{path}: {exc}") from None
 
 
-def _pauli_rotation(axis: str, angle: float) -> np.ndarray:
-    return math.cos(angle / 2.0) * np.eye(2) - 1j * math.sin(angle / 2.0) * PAULI[axis]
-
-
 def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     """Propagator of the event list in the per-spin rotating frame.
 
@@ -530,7 +530,8 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
             diag = zz + 0.5 * np.asarray(ev.frame_offsets) @ z
             unitary = np.exp(-1j * diag * ev.duration)[:, None] * unitary
         else:
-            single = _pauli_rotation(ev.axis, ev.angle)
+            half = ev.angle / 2.0
+            single = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[ev.axis]
             # a spin listed twice is rotated once
             for k in sorted(set(ev.spins)):
                 unitary = _rotate_spin(single, unitary, k)

@@ -1,4 +1,4 @@
-"""The package's one eigensolver and the propagator built on it.
+"""The package's one eigensolver.
 
 Every operator the package diagonalises conserves the total M_z and is
 real symmetric in the computational basis, so it is solved block by
@@ -35,8 +35,3 @@ def sector_eigh(blocks):
         vectors *= np.copysign(1.0, pivots)
         yield m, idx, values, vectors
         del values, vectors, pivots  # not held while the next block is solved
-
-
-def propagator(values: np.ndarray, vectors: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for h = V diag(values) V^T with real orthonormal V."""
-    return (vectors * np.exp(-1j * values * t)).dot(vectors.T)

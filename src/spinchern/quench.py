@@ -187,11 +187,11 @@ _PRODUCT_BYTES = 2**20
 # right = W[:, r] + w W[:, rev r], w = sigma or 0 on palindromes, whose
 # partner is the column itself.  On x the core acts as enter C right.
 #
-# A ramp enters, runs and is read out in the sector; only the core is
-# projected with ``right``.  The rotations and S_y are diagonal in the y
-# frame with labels m, and m[rev b] = m[b], so a sum over the full
-# y-frame state is a sum over x weighted by each representative's count
-# of basis states, 1 on a palindrome and 2 on a mirror pair.
+# A ramp enters, runs and is read out in the sector.  The rotations and
+# S_y are diagonal in the y frame with labels m, and m[rev b] = m[b], so
+# a sum over the full y-frame state is a sum over x weighted by each
+# representative's count of basis states, 1 on a palindrome and 2 on a
+# mirror pair.
 
 # The ground state's parity is checked at run time to this norm.
 _PARITY_TOL = 1e-12
@@ -332,26 +332,27 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
 
 def _ramp_state(
     ground: np.ndarray,
+    n_spins: int,
     parity: float,
     core: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final sector state of the ramp that applies R(a_k) core R(a_k)^T
-    at step k, given the z-frame step ``core`` at the pole (the split
-    step of ``pulsesim._trotter_core``, or one spin's field step) and
-    the start's sector state ``ground`` in the mirror sector of
-    ``parity`` (see ``_trotter_start``).
+    """Final sector state of the ramp that applies R(a_k) C R(a_k)^T at
+    step k, for the z-frame step C at the pole of ``n_spins`` spins (the
+    split step of ``pulsesim._trotter_core``, or one spin's field step),
+    from the start's sector state ``ground`` in the mirror sector of
+    ``parity`` (see ``_trotter_start``).  ``core`` is C in that sector,
+    enter C right, shape (d, d).
 
     a_k is the midpoint angle of step k.  Consecutive rotations fuse,
     R(a_{k+1})^T R(a_k) = R(a_k - a_{k+1}), so in the y frame step k is
-    the matrix P_k W^dagger core W, P_k a diagonal phase.
+    the matrix P_k W^dagger C W, P_k a diagonal phase.
 
     The ramp runs in the y frame of the sector, about half the basis,
     and returns the state there, shape (d,): the z-frame state is
-    ``right`` times it.  The core is projected on the sector once.  A
-    single ramp reads its phases from the cached ``_step_phases`` table
-    of its protocol and sector.
+    ``right`` times it.  A single ramp reads its phases from the cached
+    ``_step_phases`` table of its protocol and sector.
 
     ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
     a_k + offsets[k, t], and returns their sector states with shape
@@ -368,9 +369,7 @@ def _ramp_state(
     which is one zgemv per ramp and so gives each ramp the bits of its
     single run; one (d, T) zgemm over the stack would not.
     """
-    n_spins = core.shape[0].bit_length() - 1
-    enter, right, m, _ = _mirror_sector(n_spins, parity)
-    core = enter.dot(core).dot(right)
+    m = _mirror_sector(n_spins, parity)[2]
     if offsets is None:
         table = _step_phases(protocol, n_spins, parity)
         psi = table[0] * ground
@@ -397,6 +396,7 @@ def _ramp_state(
 
 def _ramp_readout(
     start: np.ndarray,
+    n_spins: int,
     parity: float,
     core: np.ndarray,
     protocol: QuenchProtocol,
@@ -407,8 +407,7 @@ def _ramp_readout(
     x_0 = ``start``, with c the representatives' counts and R the y-frame
     phase of R(theta_f): the target is the rotated start, no eigensolve.
     ``offsets`` of shape (steps, 1) runs the ramp as a stack of one."""
-    psi = _ramp_state(start, parity, core, protocol, offsets).reshape(-1)
-    n_spins = core.shape[0].bit_length() - 1
+    psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
     _, _, m, count = _mirror_sector(n_spins, parity)
     theta = protocol.final_angle
     m_phi = math.sin(theta) * float(np.dot(count * m, (psi.conj() * psi).real))
@@ -430,7 +429,8 @@ def _ramp_readout(
 # J. Phys. A 4, 313 (1971)), whose transverse magnetization is M_g times
 # that of u|up> and whose overlap with the rotated g is the M_g-th power
 # of that of u|up>.  An exact ramp reads one spin: the kernel's N = 1
-# run with the core diag(e^{i tau m}), whose rotated step
+# run with the core diag(e^{i tau m}), taken into its sector as
+# (enter e^{i tau m}) right, whose rotated step
 # R(a) e^{i tau sigma_z} R(a)^T = e^{i tau n(a) . sigma} is exact.
 
 
@@ -446,10 +446,10 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     Its ramp runs as a stack of one, with the single run's bits, so no
     table of its phases evicts a Trotter ramp's from ``_step_phases``.
     """
-    enter = _mirror_sector(1, 1.0)[0]
-    core = np.diag(np.exp(1j * protocol.step_time * _site_table(1).m))
+    enter, right, _, _ = _mirror_sector(1, 1.0)
+    core = (enter * np.exp(1j * protocol.step_time * _site_table(1).m)).dot(right)
     zero = np.zeros((protocol.steps, 1))
-    return _ramp_readout(enter[:, 0], 1.0, core, protocol, zero)
+    return _ramp_readout(enter[:, 0], 1, 1.0, core, protocol, zero)
 
 
 def _ramp_result(

@@ -30,8 +30,8 @@ ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 # numpy's dense eigensolvers, which only qcore may call.
 EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
 
-# Package routes the oracles may not import: qcore's solver and
-# propagator, and the cached solves and fast paths built on them.
+# Package routes the oracles may not import: every qcore function, and
+# the cached solves and fast paths built on them.
 SOLVER_ROUTES = {
     name
     for name, obj in vars(qcore).items()
@@ -294,7 +294,7 @@ def test_protocol_keyed_caches_have_a_finite_maxsize():
 
 
 def test_oracles_import_no_solver_from_the_package():
-    assert SOLVER_ROUTES >= {"sector_eigh", "propagator"}
+    assert SOLVER_ROUTES >= {"sector_eigh"}
     shared = []
     for node in ast.walk(_parse(ORACLES)):
         if isinstance(node, ast.Import):

@@ -578,6 +578,15 @@ def test_export_empty_rows(tmp_path):
     assert import_results(path) == []
 
 
+@pytest.mark.parametrize("name", ["out.json", "out.JSON", "out.Json"])
+def test_export_to_a_json_path_is_refused_before_any_write(tmp_path, name):
+    # The sidecar takes the path's base and a .json extension, so it
+    # overwrote a .json table, which import_results then refused.
+    with pytest.raises(OutOfRange, match="sidecar"):
+        export_results([_row(0.0, 1.0)], [], tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
 _CSV_HEADER = "j,f_phitheta,chern,gap_at_pole,method,converged"
 _CSV_ROW = "0.5,1,1,0.25,spectral,true"
 
@@ -666,6 +675,28 @@ def test_cli_sweep_reads_config_file(tmp_path):
     )
     assert cli_main(["sweep", "--config", str(cfg_path)]) == 0
     assert len(import_results(out)) == 3
+
+
+def test_cli_sweep_to_a_json_output_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    flags = ["--j-min", "-1", "--j-max", "1", "--j-step", "1", "--output", str(out)]
+    assert cli_main(["sweep", "--n", "2", *flags]) == 1
+    assert "OutOfRange" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["velocites", "max_spins", "lattice_grid"])
+def test_cli_sweep_config_with_an_unknown_key_is_refused(tmp_path, capsys, key):
+    # Unchecked, a misspelled rate list ran the default rate, and the
+    # sidecar's own max_spins and lattice_grid were dropped unread.
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "never.csv"
+    record = {"n_spins": 2, "method": "dynamical", "j_values": [1.0], key: [0.25]}
+    cfg_path.write_text(json.dumps({**record, "output_path": str(out)}))
+    assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and repr(key) in err
+    assert not out.exists()
 
 
 def test_cli_curvature_at_crossing_fails_cleanly(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,8 +193,9 @@ def _sector_ramp(spec, proto, offsets=None):
     """The final sector state of a Trotter ramp of ``spec``, or of a
     stack with ``offsets``, from the pole ground state's sector start."""
     _, parity, ground = quench._trotter_start(spec)
-    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    return quench._ramp_state(ground, parity, core, proto, offsets)
+    enter, right, _, _ = quench._mirror_sector(spec.n_spins, parity)
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time, enter, right)
+    return quench._ramp_state(ground, spec.n_spins, parity, core, proto, offsets)
 
 
 def _unfold(spec, x):
@@ -351,7 +353,8 @@ def test_mirror_sectors_split_the_basis(n):
     mirror = model._site_table(n).mirror
     assert np.array_equal(mirror[mirror], np.arange(2**n))
     frame = functools.reduce(np.kron, [quench._Y_FRAME] * n)
-    core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3)
+    eye = np.eye(2**n)
+    core = pulsesim._trotter_core(ChainSpec(n, 0.8), 1.0, 0.3, eye, eye)
     core_y = frame.conj().T @ core @ frame
     index = np.arange(2**n)
     palindromes = 2 ** ((n + 1) // 2)
@@ -551,6 +554,19 @@ def test_toggled_average_hits_target_and_refocuses_rest(molecule3, molecule4):
             for j in range(i + 1, n):
                 expected = -target if j == i + 1 else 0.0
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-12 * abs(target))
+
+
+def test_empty_schedule_has_zero_coefficients_of_every_pair(
+    molecule2, molecule3, molecule4
+):
+    # A zero target compiles to no segments; the table was 0 x 0 when its
+    # size was read off the first segment's pattern.
+    for m in (molecule2, molecule3, molecule4):
+        compiled = compile_zz(m, 0.0, TAU)
+        assert compiled.segment_durations == ()
+        matrix = toggled_zz_coefficients(compiled)
+        assert matrix.shape == (m.n_spins, m.n_spins)
+        assert np.array_equal(matrix, np.zeros((m.n_spins, m.n_spins)))
 
 
 def test_verify_reports_exact_fidelity_and_propagators(molecule3):
@@ -867,7 +883,8 @@ def plateau_chains(draw):
 def test_bit_reversal_commutes_with_the_split_step_core(spec, v):
     mirror = model._site_table(spec.n_spins).mirror
     step_time = QuenchProtocol(v, ORACLE_STEPS).step_time
-    core = pulsesim._trotter_core(spec, 1.0, step_time)
+    eye = np.eye(2**spec.n_spins)
+    core = pulsesim._trotter_core(spec, 1.0, step_time, eye, eye)
     assert np.max(np.abs(core[np.ix_(mirror, mirror)] - core)) <= 1e-13
 
 
@@ -990,6 +1007,33 @@ def test_two_spin_trotter_ramp_is_exact(j):
     # A single bond's zz and xx+yy parts commute, so the split step is the
     # exact step (measured error <= 2.1e-14).
     assert max(_trotter_ramp_errors(ChainSpec(2, j))) <= 1e-13
+
+
+def test_trotter_step_checks_the_cap_before_it_builds_a_frame(monkeypatch):
+    def built(*args):
+        raise AssertionError("the rotation was built for a chain over the cap")
+
+    monkeypatch.setattr(pulsesim, "_rotate_y", built)
+    with pytest.raises(DimensionCap):
+        trotter_step(ChainSpec(3, 1.0, max_spins=2), POINT, 0.1)
+
+
+def test_warm_trotter_ramp_forms_no_full_space_matrix():
+    # The sector core is built on d x 2^N arrays, at most two of them at
+    # once, and the ramp holds the d x d core: at N = 10 (d = 528 or
+    # 496) that is under 21 MiB, where one 2^N x 2^N complex array
+    # takes 16 MiB; the dense core and its projection peaked at 48 MiB.
+    spec, proto = ChainSpec(10, -0.3), QuenchProtocol(0.1, 300)
+    simulate_protocol_trotter(spec, proto)  # fills the caches
+    d = quench._mirror_sector(10, quench._trotter_start(spec)[1])[2].size
+    bound = 16 * (2 * d * 2**10 + d * d) + 2**20  # complex128, plus 1 MiB
+    tracemalloc.start()
+    try:
+        simulate_protocol_trotter(spec, proto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_ramps_reject_chain_over_cap():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import spinchern.model as model
 import spinchern.pulsesim as pulsesim
+import spinchern.quench as quench
 import spinchern.spectral as spectral
 from spinchern import ChainSpec, FieldPoint, build_heisenberg, pole_system
 from spinchern.qcore import PAULI, sector_eigh
@@ -198,5 +199,24 @@ def test_trotter_core_matches_the_oracle_split_step(n):
         a = np.diag(np.diag(h))
         half = expm_i(a, tau / 2.0)
         oracle = half @ expm_i(h - a, tau) @ half
-        core = pulsesim._trotter_core(spec, magnitude, tau)
+        eye = np.eye(2**n)
+        core = pulsesim._trotter_core(spec, magnitude, tau, eye, eye)
         assert np.abs(core - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trotter_core_in_sector_frames_is_the_projected_oracle(n):
+    # Built in a mirror sector's frames, the core is enter C right with
+    # C the oracle split step, in both parities; no dense C is formed.
+    for j, magnitude, tau in ((-0.7, 1.0, 0.1), (0.45, 1.8, 0.37), (1.2, 0.5, 1.3)):
+        spec = ChainSpec(n, j)
+        h = build_heisenberg(spec, FieldPoint(theta=0.0, magnitude=magnitude))
+        a = np.diag(np.diag(h))
+        half = expm_i(a, tau / 2.0)
+        oracle = half @ expm_i(h - a, tau) @ half
+        for parity in (1.0, -1.0):
+            enter, right, _, _ = quench._mirror_sector(n, parity)
+            core = pulsesim._trotter_core(spec, magnitude, tau, enter, right)
+            assert core.shape == (enter.shape[0],) * 2
+            want = enter @ oracle @ right
+            assert np.abs(core - want).max(initial=0.0) <= 1e-13

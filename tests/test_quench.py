@@ -68,9 +68,9 @@ def _trotter_state(spec, proto):
     """The final z-frame state of a Trotter ramp: its sector state, which
     the readout reads, unfolded by the sector's frame."""
     _, parity, ground = quench._trotter_start(spec)
-    core = pulsesim._trotter_core(spec, 1.0, proto.step_time)
-    right = quench._mirror_sector(spec.n_spins, parity)[1]
-    return right @ quench._ramp_state(ground, parity, core, proto)
+    enter, right, _, _ = quench._mirror_sector(spec.n_spins, parity)
+    core = pulsesim._trotter_core(spec, 1.0, proto.step_time, enter, right)
+    return right @ quench._ramp_state(ground, spec.n_spins, parity, core, proto)
 
 
 def test_protocol_validation():
@@ -328,7 +328,7 @@ def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
     builds = []
     build = quench._ramp_state
     monkeypatch.setattr(
-        quench, "_ramp_state", lambda *a: builds.append(a[3]) or build(*a)
+        quench, "_ramp_state", lambda *a: builds.append(a[4]) or build(*a)
     )
     before = quench._spin_readout.cache_info()
     rows = []
