@@ -20,6 +20,7 @@ from .errors import OutOfRange, SpinChernError, TooFewRows
 from .lab import (
     METHODS,
     SweepConfig,
+    _sidecar_path,
     default_j_grid,
     detect_plateaus,
     export_results,
@@ -177,6 +178,8 @@ def _load_sweep_config(args) -> SweepConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_sweep_config(args)
+    out = cfg.output_path or f"sweep_n{cfg.spec.n_spins}_{cfg.method}.csv"
+    _sidecar_path(out)  # a refused table path is refused before the first row
     rows = run_sweep(cfg)
     try:
         stats = detect_plateaus(rows)
@@ -207,7 +210,6 @@ def _cmd_sweep(args) -> int:
                 for s in stats
             ],
         )
-    out = cfg.output_path or f"sweep_n{cfg.spec.n_spins}_{cfg.method}.csv"
     export_results(rows, stats, out, config=cfg, crossings=crossings)
     print(f"\nwrote {out}")
     return 0

@@ -255,6 +255,17 @@ def _config_fields(config: SweepConfig) -> dict:
     return out
 
 
+def _sidecar_path(path) -> str:
+    """The path of the JSON sidecar of the table at ``path``: its base
+    with a .json extension.  A .json ``path``, in any letter case, raises
+    ``OutOfRange``: the sidecar would overwrite the table."""
+    path = os.fspath(path)
+    base, extension = os.path.splitext(path)
+    if extension.lower() == ".json":
+        raise OutOfRange(f"{path}: a .json table would be overwritten by its sidecar")
+    return base + ".json"
+
+
 def export_results(
     rows,
     stats,
@@ -271,10 +282,7 @@ def export_results(
     extension, so a .json ``path`` raises ``OutOfRange`` before any
     write: the sidecar would overwrite the table.
     """
-    path = os.fspath(path)
-    base, extension = os.path.splitext(path)
-    if extension.lower() == ".json":
-        raise OutOfRange(f"{path}: a .json table would be overwritten by its sidecar")
+    sidecar_path = _sidecar_path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
@@ -305,7 +313,7 @@ def export_results(
         ],
         "crossings": [] if crossings is None else list(crossings),
     }
-    with open(base + ".json", "w", encoding="utf-8") as fh:
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
 

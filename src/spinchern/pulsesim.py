@@ -40,7 +40,7 @@ from .model import (
     _rotate_y,
     _site_table,
 )
-from .qcore import PAULI, sector_eigh
+from .qcore import sector_eigh
 from .quench import (
     QuenchProtocol,
     QuenchResult,
@@ -123,8 +123,8 @@ def simulate_protocol_trotter(
     kernel run around the split step core, started, run and read out in
     the pole ground state's mirror sector (``quench._ramp_readout``)."""
     gap, parity, ground = _trotter_start(spec)
-    enter, right, _, _ = _mirror_sector(spec.n_spins, parity)
-    core = _trotter_core(spec, 1.0, protocol.step_time, enter, right)
+    sector = _mirror_sector(spec.n_spins, parity)
+    core = _trotter_core(spec, 1.0, protocol.step_time, sector.enter, sector.right)
     readout = _ramp_readout(ground, spec.n_spins, parity, core, protocol)
     return _ramp_result(gap, protocol, *readout)
 
@@ -155,8 +155,8 @@ def perturbed_fidelity(
     if not (_is_count(seed) and seed >= 0):
         raise OutOfRange(f"seed must be a whole number >= 0, got {seed!r}")
     _, parity, ground = _trotter_start(spec)
-    enter, right, _, count = _mirror_sector(spec.n_spins, parity)
-    core = _trotter_core(spec, 1.0, protocol.step_time, enter, right)
+    sector = _mirror_sector(spec.n_spins, parity)
+    core = _trotter_core(spec, 1.0, protocol.step_time, sector.enter, sector.right)
     bound = math.radians(angle_error_deg)
     # Column 0 is the ideal ramp.
     offsets = np.zeros((protocol.steps, trials + 1))
@@ -164,7 +164,7 @@ def perturbed_fidelity(
         rng = np.random.default_rng(seed + trial)
         offsets[:, trial + 1] = rng.uniform(-bound, bound, protocol.steps)
     ideal, *noisy = _ramp_state(ground, spec.n_spins, parity, core, protocol, offsets)
-    weighted = count[:, None] * ideal
+    weighted = sector.count[:, None] * ideal
     worst = 1.0
     for psi in noisy:
         worst = min(worst, abs(np.vdot(weighted, psi)) ** 2)
@@ -256,21 +256,22 @@ class PulseProgram:
                 raise TypeError(f"event {k}: unknown event type {type(ev).__name__}")
 
 
-def _check_compilable(m: MoleculeSpec) -> np.ndarray:
+def _check_compilable(m: MoleculeSpec) -> list:
     """Check that the compiler accepts ``m`` and return the couplings that
     fix its segment timings: the inner adjacent pair J[n-3, n-2],
     J[n-2, n-1], which must differ, or the one coupling of two spins.
-    The table must have 2 to 4 spins and no vanishing adjacent coupling."""
+    The table must have 2 to 4 spins and no vanishing adjacent coupling.
+    It is read as Python floats: at most 16 of them, where numpy's
+    per-call dispatch would cost more than the arithmetic."""
     if not 2 <= m.n_spins <= 4:
         raise OutOfRange("refocusing compiler supports 2 to 4 spins")
-    adj = np.diag(m.couplings_hz, 1)
-    scale = float(np.max(np.abs(m.couplings_hz)))
-    if scale == 0.0 or np.any(np.abs(adj) <= _COUPLING_RTOL * scale):
-        raise DegenerateCouplings(
-            f"adjacent couplings must be nonzero, got {adj.tolist()} Hz"
-        )
+    table = m.couplings_hz.tolist()
+    adj = [table[i][i + 1] for i in range(m.n_spins - 1)]
+    scale = max(abs(x) for row in table for x in row)
+    if scale == 0.0 or any(abs(x) <= _COUPLING_RTOL * scale for x in adj):
+        raise DegenerateCouplings(f"adjacent couplings must be nonzero, got {adj} Hz")
     pair = adj[-2:]
-    if pair.size == 2 and abs(pair[0] - pair[1]) <= _COUPLING_RTOL * scale:
+    if len(pair) == 2 and abs(pair[0] - pair[1]) <= _COUPLING_RTOL * scale:
         a = m.n_spins - 3
         raise DegenerateCouplings(
             f"couplings J[{a}{a + 1}]={pair[0]} Hz and "
@@ -314,8 +315,8 @@ def effective_uniform_coupling(m: MoleculeSpec) -> float:
     by the inner adjacent pair a, b through J_a J_b / (J_a - J_b).
     """
     pair = _check_compilable(m)
-    if pair.size == 1:
-        return float(pair[0])
+    if len(pair) == 1:
+        return pair[0]
     j_a, j_b = pair
     return float(j_a * j_b / (j_a - j_b))
 
@@ -348,22 +349,24 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
     _check_compilable(m)
 
     n = m.n_spins
-    rows = []  # (i, j, required integrated weight)
+    table = m.couplings_hz.tolist()
+    pairs, required = [], []  # constraint rows and their integrated weights
     for i in range(n):
         for j in range(i + 1, n):
-            coupling = m.couplings_hz[i, j]
             if j == i + 1:
-                rows.append((i, j, -2.0 * target_j * tau / (math.pi * coupling)))
-            elif coupling != 0.0:
-                rows.append((i, j, 0.0))
+                pairs.append((i, j))
+                required.append(-2.0 * target_j * tau / (math.pi * table[i][j]))
+            elif table[i][j] != 0.0:
+                pairs.append((i, j))
+                required.append(0.0)
 
-    patterns, subsets, blocks = _lp_bases(n, tuple((i, j) for i, j, _ in rows))
-    required = np.array([r for _, _, r in rows])
-    rhs = np.broadcast_to(required[:, None], (len(blocks), len(rows), 1))
+    patterns, subsets, blocks = _lp_bases(n, tuple(pairs))
+    # one right-hand side, broadcast over the stack of bases by the solve
+    rhs = np.array(required)[:, None]
     durations = np.linalg.solve(blocks, rhs)
     residual = np.abs(blocks @ durations - rhs).max(axis=(1, 2))
     durations = durations[..., 0]
-    feasible = (residual <= 1e-9 * max(1.0, np.max(np.abs(required)))) & (
+    feasible = (residual <= 1e-9 * max(1.0, *map(abs, required))) & (
         durations.min(axis=1) >= -1e-12 * tau
     )
     walls = durations.sum(axis=1).tolist()
@@ -373,13 +376,14 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
             best = k
     if best is None:
         raise UnphysicalDurations(
-            f"no nonnegative segment durations realize weights {required.tolist()}"
+            f"no nonnegative segment durations realize weights {rhs[:, 0].tolist()}"
         )
 
-    subset, durations = subsets[best], np.clip(durations[best], 0.0, None)
+    # Durations down to -1e-12 tau are feasible; like every one of at
+    # most 1e-15 tau, they leave no segment.
     segments = [
-        (patterns[idx], float(t))
-        for idx, t in zip(subset, durations)
+        (patterns[idx], t)
+        for idx, t in zip(subsets[best].tolist(), durations[best].tolist())
         if t > 1e-15 * tau
     ]
     # Deterministic order: fewest flipped spins first, then pattern bits.
@@ -504,6 +508,19 @@ def program_from_json(path) -> PulseProgram:
         raise OutOfRange(f"{path}: {exc}") from None
 
 
+def _pulse(axis: str, angle: float) -> np.ndarray:
+    """e^{-i angle sigma_axis / 2}, cos(angle/2) I - i sin(angle/2) sigma,
+    written out entry by entry."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    if axis == "x":
+        rows = ((c, -1j * s), (-1j * s, c))
+    elif axis == "y":
+        rows = ((c, -s), (s, c))
+    else:
+        rows = ((c - 1j * s, 0.0), (0.0, c + 1j * s))
+    return np.array(rows, dtype=complex)
+
+
 def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     """Propagator of the event list in the per-spin rotating frame.
 
@@ -518,20 +535,18 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     if m.n_spins != n:
         raise OutOfRange(f"program has {n} spins, the molecule {m.n_spins}")
     z = _site_table(n).z
-    zz = np.zeros(2**n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            zz += 0.5 * math.pi * m.couplings_hz[i, j] * z[i] * z[j]
+    # sum over i < j of pi/2 J_ij z_i z_j
+    zz = (0.5 * math.pi) * (z * np.triu(m.couplings_hz, 1).T.dot(z)).sum(axis=0)
 
-    dim = 2**n
-    unitary = np.eye(dim, dtype=complex)
+    unitary = np.eye(2**n, dtype=complex)
     for ev in program.events:
         if isinstance(ev, Delay):
-            diag = zz + 0.5 * np.asarray(ev.frame_offsets) @ z
-            unitary = np.exp(-1j * diag * ev.duration)[:, None] * unitary
+            diag = zz
+            if any(ev.frame_offsets):
+                diag = zz + 0.5 * np.dot(ev.frame_offsets, z)
+            unitary *= np.exp(diag * (-1j * ev.duration))[:, None]
         else:
-            half = ev.angle / 2.0
-            single = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[ev.axis]
+            single = _pulse(ev.axis, ev.angle)
             # a spin listed twice is rotated once
             for k in sorted(set(ev.spins)):
                 unitary = _rotate_spin(single, unitary, k)

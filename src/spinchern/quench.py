@@ -13,7 +13,7 @@ import functools
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     VelocityOutOfLinearZone,
 )
 from .model import ChainSpec, _each_spin, _is_count, _read_only, _site_table
-from .spectral import _pole_ground, _sectors
+from .spectral import _pole_ground, _sector_data
 
 # Largest ramp rate at which the readout m_phi / v stays within 5% of the
 # static curvature.  On a plateau both are M_g times one free spin's (see
@@ -197,12 +197,27 @@ _PRODUCT_BYTES = 2**20
 _PARITY_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class _MirrorSector:
+    """The frame of the sector of one parity, read-only: ``enter`` =
+    W[:, r]^dagger (contiguous) and ``right`` = W[:, r] + w W[:, rev r];
+    the representatives' ``count``, 1 on a palindrome and 2 elsewhere,
+    and ``weights`` = count m, m their M_z labels, which weigh |x|^2 in
+    the readout; and what ``_rotation_phases`` reads of the labels,
+    their distinct magnitudes ``spins`` ascending and the index
+    ``lookup`` of each label among +spins, then -spins."""
+
+    enter: np.ndarray
+    right: np.ndarray
+    count: np.ndarray
+    weights: np.ndarray
+    spins: np.ndarray
+    lookup: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def _mirror_sector(n_spins: int, parity: float):
-    """The frame of the sector of ``parity``, read-only: enter =
-    W[:, r]^dagger (contiguous), right = W[:, r] + w W[:, rev r], the
-    M_z labels m[r] of the representatives r and their counts, 1 on a
-    palindrome and 2 elsewhere."""
+def _mirror_sector(n_spins: int, parity: float) -> _MirrorSector:
+    """The frame of the sector of ``parity`` (see ``_MirrorSector``)."""
     sites = _site_table(n_spins)
     mirror = sites.mirror
     index = np.arange(mirror.size)
@@ -215,26 +230,28 @@ def _mirror_sector(n_spins: int, parity: float):
     enter = np.ascontiguousarray(left.conj().T)
     m = sites.m[reps]
     count = np.where(palindromes, 1.0, 2.0)
-    _read_only(enter, right, m, count)
-    return enter, right, m, count
+    spins, lookup = np.unique(np.abs(m), return_inverse=True)
+    lookup = np.where(m < 0.0, lookup + spins.size, lookup)
+    sector = _MirrorSector(enter, right, count, count * m, spins, lookup)
+    _read_only(*(getattr(sector, f.name) for f in fields(sector)))
+    return sector
 
 
-def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
-    """The unit-field pole gap, and the mirror parity and sector state
-    x = enter g of the gapped pole ground state g, which starts every
-    Trotter ramp.  The cap and the gap are checked first.
+@functools.lru_cache(maxsize=None)
+def _pole_start(n_spins: int, block: int, top: bool) -> tuple[float, np.ndarray]:
+    """The mirror parity sigma and sector state x = enter g, read-only,
+    of the ground column g of the M_z block ``block``: its largest
+    interaction eigenvalue if ``top`` and its smallest otherwise.  The
+    reflection maps the block onto itself, so g[rev b] = sigma g[b] is
+    checked on the block, to ``_PARITY_TOL``.
 
-    M_g and the gap come from each sector's extreme levels
-    (``_pole_ground``); g is block M_g's ground column, its largest
-    interaction eigenvalue for J > 0 and its smallest otherwise, the
-    level ``pole_system`` sorts first.  The reflection maps the block
-    onto itself, so g[rev b] = sigma g[b] is checked on the block.
+    Both depend on the size, the block and the sign of J alone, so the
+    cache is bounded by its key space: at most 2 (N + 1) entries per
+    size, each one float and d complex numbers.
     """
-    m_g, gap = _pole_ground(spec)
-    # sector s holds M = 2s - n
-    _, idx, _, ends = _sectors(spec).blocks[(int(m_g) + spec.n_spins) // 2]
-    column = ends[:, 1 if spec.coupling_j > 0.0 else 0]
-    sites = _site_table(spec.n_spins)
+    _, idx, _, ends = _sector_data(n_spins).blocks[block]
+    column = ends[:, 1 if top else 0]
+    sites = _site_table(n_spins)
     mirrored = column[sites.rank[sites.mirror[idx]]]
     parity = 1.0 if np.vdot(column, mirrored) >= 0.0 else -1.0
     defect = float(np.linalg.norm(mirrored - parity * column))
@@ -243,8 +260,25 @@ def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
             f"pole ground state has no definite mirror parity "
             f"(defect {defect:.3e}), so it is degenerate"
         )
-    enter = _mirror_sector(spec.n_spins, parity)[0]
-    return gap, parity, enter[:, idx].dot(column)
+    start = _mirror_sector(n_spins, parity).enter[:, idx].dot(column)
+    _read_only(start)
+    return parity, start
+
+
+def _trotter_start(spec: ChainSpec) -> tuple[float, float, np.ndarray]:
+    """The unit-field pole gap, and the mirror parity and sector state
+    of the gapped pole ground state g, which starts every Trotter ramp
+    (``_pole_start``).  The cap and the gap are checked first.
+
+    M_g and the gap come from each sector's extreme levels
+    (``_pole_ground``); g is block M_g's ground column, its largest
+    interaction eigenvalue for J > 0 and its smallest otherwise, the
+    level ``pole_system`` sorts first.
+    """
+    m_g, gap = _pole_ground(spec)
+    # sector s holds M = 2s - n
+    block = (int(m_g) + spec.n_spins) // 2
+    return (gap, *_pole_start(spec.n_spins, block, spec.coupling_j > 0.0))
 
 
 def _step_deltas(angles: np.ndarray) -> np.ndarray:
@@ -256,20 +290,27 @@ def _step_deltas(angles: np.ndarray) -> np.ndarray:
     return deltas
 
 
-def _rotation_phases(angles, m: np.ndarray) -> np.ndarray:
+def _rotation_phases(angles, sector: _MirrorSector) -> np.ndarray:
     """exp(-i a m / 2), the y-frame phase of the rotation R(a), for each
-    angle a of ``angles`` (any shape) over the labels ``m``.  Every
-    ramp, single or in a stack, builds its phases here, so a ramp has
-    the same bits alone or in a stack."""
-    return np.exp(-0.5j * np.multiply.outer(angles, m))
+    angle a of ``angles`` (any shape) over the labels m of ``sector``,
+    shape angles.shape + (d,).  Every ramp, single or in a stack, builds
+    its phases here, so a ramp has the same bits alone or in a stack.
+
+    The d labels take at most N + 1 values, so the exponential is taken
+    once per magnitude |m| and gathered; the phase of -|m| is the
+    conjugate of that of |m|, with the same bits as its own exponential.
+    """
+    half = np.exp(-0.5j * np.multiply.outer(angles, sector.spins))
+    return np.take(np.concatenate((half, half.conj()), axis=-1), sector.lookup, axis=-1)
 
 
 @functools.lru_cache(maxsize=16)
 def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
     """The diagonal phases of a single ramp in the mirror sector of
     ``parity``, read-only: row 0 enters the first step's frame,
-    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
-    2), with m the sector's M_z labels (see ``_step_deltas``).
+    exp(i a_0 m / 2), row k + 1 is step k's phase exp(-i delta_k m / 2),
+    with m the sector's M_z labels (see ``_step_deltas``), and the last
+    row is the readout's, exp(-i theta_f m / 2) at the final angle.
 
     They depend only on the protocol and the sector, not on J, so every
     single ramp of a sweep shares one table.  A stack of noisy trials
@@ -285,10 +326,8 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
     and 41 MB at the cap.
     """
     angles = _midpoint_angles(protocol)
-    m = _mirror_sector(n_spins, parity)[2]
-    table = np.empty((angles.size + 1, m.size), dtype=complex)
-    table[0] = _rotation_phases(-angles[0], m)
-    table[1:] = _rotation_phases(_step_deltas(angles), m)
+    rows = np.concatenate(([-angles[0]], _step_deltas(angles), [protocol.final_angle]))
+    table = _rotation_phases(rows, _mirror_sector(n_spins, parity))
     _read_only(table)
     return table
 
@@ -369,28 +408,32 @@ def _ramp_state(
     which is one zgemv per ramp and so gives each ramp the bits of its
     single run; one (d, T) zgemm over the stack would not.
     """
-    m = _mirror_sector(n_spins, parity)[2]
     if offsets is None:
-        table = _step_phases(protocol, n_spins, parity)
-        psi = table[0] * ground
-        if m.size <= _PRODUCT_MAX_DIM:
-            return _step_product(core, table[1:], psi)
-        for phase in table[1:]:
-            psi = phase * core.dot(psi)
-        return psi
+        return _table_ramp(ground, core, _step_phases(protocol, n_spins, parity))
+    sector = _mirror_sector(n_spins, parity)
     angles = _midpoint_angles(protocol)[:, None] + offsets
     deltas = _step_deltas(angles)
-    psi = _rotation_phases(-angles[0], m[:, None]) * ground[:, None]
-    if m.size <= _PRODUCT_MAX_DIM:
+    psi = _rotation_phases(-angles[0], sector)[..., None] * ground[:, None]
+    if ground.size <= _PRODUCT_MAX_DIM:
         for ramp, ramp_deltas in zip(psi[..., 0], deltas.T):
-            phases = _rotation_phases(ramp_deltas, m)
+            phases = _rotation_phases(ramp_deltas, sector)
             ramp[:] = _step_product(core, phases, ramp)
     else:
         chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
         for start in range(0, protocol.steps, chunk):
-            phases = _rotation_phases(deltas[start : start + chunk], m[:, None])
-            for phase in phases:
+            phases = _rotation_phases(deltas[start : start + chunk], sector)
+            for phase in phases[..., None]:
                 psi = phase * (core @ psi)
+    return psi
+
+
+def _table_ramp(ground: np.ndarray, core: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The single ramp of ``_ramp_state`` on its ``_step_phases`` table."""
+    psi = table[0] * ground
+    if ground.size <= _PRODUCT_MAX_DIM:
+        return _step_product(core, table[1:-1], psi)
+    for phase in table[1:-1]:
+        psi = phase * core.dot(psi)
     return psi
 
 
@@ -406,13 +449,18 @@ def _ramp_readout(
     |sum c conj(R x_0) x|^2 of the single ramp of ``_ramp_state`` from
     x_0 = ``start``, with c the representatives' counts and R the y-frame
     phase of R(theta_f): the target is the rotated start, no eigensolve.
+    A single ramp reads R from the last row of its table of step phases.
     ``offsets`` of shape (steps, 1) runs the ramp as a stack of one."""
-    psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
-    _, _, m, count = _mirror_sector(n_spins, parity)
+    sector = _mirror_sector(n_spins, parity)
     theta = protocol.final_angle
-    m_phi = math.sin(theta) * float(np.dot(count * m, (psi.conj() * psi).real))
-    target = _rotation_phases(theta, m) * start
-    overlap = float(abs(np.vdot(target, count * psi)) ** 2)
+    if offsets is None:
+        table = _step_phases(protocol, n_spins, parity)
+        psi, rotation = _table_ramp(start, core, table), table[-1]
+    else:
+        psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
+        rotation = _rotation_phases(theta, sector)
+    m_phi = math.sin(theta) * float(np.dot(sector.weights, (psi.conj() * psi).real))
+    overlap = float(abs(np.vdot(rotation * start, sector.count * psi)) ** 2)
     return m_phi, overlap
 
 
@@ -446,10 +494,13 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     Its ramp runs as a stack of one, with the single run's bits, so no
     table of its phases evicts a Trotter ramp's from ``_step_phases``.
     """
-    enter, right, _, _ = _mirror_sector(1, 1.0)
-    core = (enter * np.exp(1j * protocol.step_time * _site_table(1).m)).dot(right)
+    sector = _mirror_sector(1, 1.0)
+    # One spin's even sector holds both basis states, so its labels are
+    # the site table's, and e^{i tau m} is the phase of R(-2 tau).
+    field = _rotation_phases(-2.0 * protocol.step_time, sector)
+    core = (sector.enter * field).dot(sector.right)
     zero = np.zeros((protocol.steps, 1))
-    return _ramp_readout(enter[:, 0], 1, 1.0, core, protocol, zero)
+    return _ramp_readout(sector.enter[:, 0], 1, 1.0, core, protocol, zero)
 
 
 def _ramp_result(

@@ -19,7 +19,7 @@ import spinchern.pulsesim as pulsesim
 import spinchern.quench as quench
 import spinchern.spectral as spectral
 
-from _oracles import assert_same_compile
+from _oracles import CACHES, assert_same_compile, cache_state
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 SEED = 0
@@ -68,17 +68,27 @@ def test_ramp_pass_on_a_warm_protocol_cache_matches_reference(tmp_path):
 
 def test_pulse_pass_on_warm_step_phase_tables_matches_reference(tmp_path):
     # All but the first pass run every single Trotter ramp on its
-    # sector's cached table of step phases, and every zz compile on its
-    # cached LP bases.
+    # sector's cached table of step phases and its cached start, and
+    # every zz compile on its cached LP bases: no cache of the package
+    # misses again.
     _check_pass("pulse", tmp_path)
     warm = quench._step_phases.cache_info()
     warm_bases = pulsesim._lp_bases.cache_info()
+    warm_starts = quench._pole_start.cache_info()
+    warm_all = cache_state()
     _check_pass("pulse", tmp_path)
     after = quench._step_phases.cache_info()
     assert after.misses == warm.misses and after.hits > warm.hits
     after_bases = pulsesim._lp_bases.cache_info()
     assert after_bases.misses == warm_bases.misses
     assert after_bases.hits > warm_bases.hits
+    assert quench._pole_start.cache_info().hits > warm_starts.hits
+    missed = [
+        f"{cache.__module__}.{cache.__name__}"
+        for cache, before, now in zip(CACHES, warm_all, cache_state())
+        if now.misses != before.misses
+    ]
+    assert not missed, f"a warm pulse pass missed {', '.join(missed)}"
 
 
 def test_warm_lp_bases_compile_the_bench_tables_like_cold_ones():

@@ -1,7 +1,8 @@
 """Static hygiene of the package: no dead imports, an exact ``__all__``,
 one eigensolver module, oracles that do not share it, one module that
 places spins on the bits and axes of a basis index, one ramp kernel with
-one builder of its phases, a shared cache list that holds every cached
+one builder of its phases and of their exponentials, pole starts
+gathered once per key, a shared cache list that holds every cached
 function, and a bound on each cache keyed by a ramp protocol.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
@@ -188,6 +189,78 @@ def test_trotter_ramps_build_their_phases_in_one_place():
         called = _called_names(functions[name])
         assert "exp" not in called, f"{name} builds a phase itself"
         assert "_rotation_phases" in called, f"{name} builds no phase"
+
+
+def _functions(path: Path) -> dict:
+    """The module-level functions of a package module, by name."""
+    return {n.name: n for n in _parse(path).body if isinstance(n, ast.FunctionDef)}
+
+
+def _reads_label_index(node: ast.AST) -> bool:
+    """Whether ``node`` reads a sector's label magnitudes or their index."""
+    return any(
+        isinstance(n, ast.Attribute) and n.attr in ("spins", "lookup")
+        for n in ast.walk(node)
+    )
+
+
+def test_one_function_exponentiates_the_labels():
+    # The label-wise phases, one exponential per label magnitude and a
+    # gather, keep a ramp's bits only while no second copy exists, so
+    # no other function of quench takes an exponential or reads the
+    # sector's label index.
+    functions = _functions(PACKAGE_DIR / "quench.py")
+    builders = {
+        name
+        for name, node in functions.items()
+        if "exp" in _called_names(node) or _reads_label_index(node)
+    }
+    assert builders == {"_rotation_phases"}
+
+
+def _name_of(node: ast.expr):
+    """``x`` for a name ``x`` or an attribute ``a.x``, else None."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def _start_gathers(node: ast.AST) -> list[int]:
+    """Lines that gather a pole start per call: ``rank[mirror[...]]``,
+    or ``enter[:, k]`` with k not a literal."""
+    lines = []
+    for sub in ast.walk(node):
+        if not isinstance(sub, ast.Subscript):
+            continue
+        owner, index = _name_of(sub.value), sub.slice
+        if owner == "rank" and any(
+            isinstance(n, ast.Subscript) and _name_of(n.value) == "mirror"
+            for n in ast.walk(index)
+        ):
+            lines.append(sub.lineno)
+        elif (
+            owner == "enter"
+            and isinstance(index, ast.Tuple)
+            and len(index.elts) == 2
+            and isinstance(index.elts[0], ast.Slice)
+            and not isinstance(index.elts[1], ast.Constant)
+        ):
+            lines.append(sub.lineno)
+    return lines
+
+
+def test_pole_starts_are_gathered_only_by_their_cached_builder():
+    # A start is fixed by the size, the ground block and the sign of J,
+    # so its gathers run once per key, in _pole_start, and never per call.
+    quench_path = PACKAGE_DIR / "quench.py"
+    assert "_pole_start" in _cached_functions(_parse(quench_path))
+    stray = []
+    for path in (quench_path, PACKAGE_DIR / "pulsesim.py"):
+        for name, node in _functions(path).items():
+            lines = _start_gathers(node)
+            if name == "_pole_start" and path == quench_path:
+                assert lines, "_pole_start no longer gathers the start"
+            else:
+                stray += [f"{path.name} {name} line {line}" for line in lines]
+    assert not stray, f"per-call start gathers: {', '.join(stray)}"
 
 
 def _core_step_loops(tree: ast.AST) -> list[int]:

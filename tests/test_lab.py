@@ -685,6 +685,22 @@ def test_cli_sweep_to_a_json_output_exits_one_and_writes_nothing(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["out.json", "out.JSON"])
+def test_cli_sweep_refuses_a_json_output_before_the_first_row(
+    tmp_path, capsys, monkeypatch, name
+):
+    # The refusal came from export_results, after every row was computed.
+    def unreachable(cfg):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", unreachable)
+    flags = ["--method", "trotter", "--j-min", "-1", "--j-max", "1", "--j-step", "0.1"]
+    argv = ["sweep", "--n", "10", *flags, "--output", str(tmp_path / name)]
+    assert cli_main(argv) == 1
+    assert "sidecar" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["velocites", "max_spins", "lattice_grid"])
 def test_cli_sweep_config_with_an_unknown_key_is_refused(tmp_path, capsys, key):
     # Unchecked, a misspelled rate list ran the default rate, and the

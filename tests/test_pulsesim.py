@@ -193,7 +193,8 @@ def _sector_ramp(spec, proto, offsets=None):
     """The final sector state of a Trotter ramp of ``spec``, or of a
     stack with ``offsets``, from the pole ground state's sector start."""
     _, parity, ground = quench._trotter_start(spec)
-    enter, right, _, _ = quench._mirror_sector(spec.n_spins, parity)
+    sector = quench._mirror_sector(spec.n_spins, parity)
+    enter, right = sector.enter, sector.right
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time, enter, right)
     return quench._ramp_state(ground, spec.n_spins, parity, core, proto, offsets)
 
@@ -202,7 +203,7 @@ def _unfold(spec, x):
     """The z-frame state of a sector state x of ``spec``'s ground sector,
     right @ x."""
     parity = quench._trotter_start(spec)[1]
-    return quench._mirror_sector(spec.n_spins, parity)[1] @ x
+    return quench._mirror_sector(spec.n_spins, parity).right @ x
 
 
 def test_single_ramp_equals_its_stacked_run():
@@ -274,7 +275,7 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     offsets = np.zeros((steps, 2))
     offsets[:, 1] = np.random.default_rng(seed).uniform(-0.1, 0.1, steps)
     ground = pole_ground_state(spec)
-    dim = quench._mirror_sector(n, quench._trotter_start(spec)[1])[2].size
+    dim = quench._mirror_sector(n, quench._trotter_start(spec)[1]).count.size
     with product_chunks(CHUNK, dim):
         states = _unfold(spec, _sector_ramp(spec, proto, offsets))
     for state, column in zip(states, offsets.T):
@@ -311,9 +312,10 @@ def test_mixed_mirror_parity_start_is_degenerate(monkeypatch):
     # from a degenerate level; the ramp refuses it before any step.  At
     # N = 3, J = -1.2 the ground column lies in block M = 1, the states
     # 0b001, 0b010 and 0b100; the start's parity check is fed that
-    # column plus an odd kick on the mirror pair 0b001, 0b100.
+    # column plus an odd kick on the mirror pair 0b001, 0b100.  The
+    # checked start is cached per block, so the cache is cleared first.
     spec, proto = ChainSpec(3, -1.2), QuenchProtocol(0.1, 21)
-    sectors = spectral._sectors(spec)
+    sectors = spectral._sector_data(spec.n_spins)
     m, idx, values, ends = sectors.blocks[2]
     assert m == 1 and idx.tolist() == [0b001, 0b010, 0b100]
     mixed = ends.copy()
@@ -322,7 +324,8 @@ def test_mixed_mirror_parity_start_is_degenerate(monkeypatch):
     blocks = list(sectors.blocks)
     blocks[2] = (m, idx, values, mixed)
     bad = dataclasses.replace(sectors, blocks=tuple(blocks))
-    monkeypatch.setattr(quench, "_sectors", lambda s: bad)
+    quench._pole_start.cache_clear()
+    monkeypatch.setattr(quench, "_sector_data", lambda n: bad)
 
     def stepped(*args):
         raise AssertionError("the ramp stepped from a mixed-parity start")
@@ -370,7 +373,9 @@ def test_mirror_sectors_split_the_basis(n):
         unfold[reps, np.arange(reps.size)] = 1.0
         unfold[partners, np.arange(reps.size)] += weights
         gathered = core_y[np.ix_(reps, reps)] + core_y[np.ix_(reps, partners)] * weights
-        enter, right, m, count = quench._mirror_sector(n, parity)
+        sector = quench._mirror_sector(n, parity)
+        enter, right, count = sector.enter, sector.right, sector.count
+        m = sector.weights / count
         assert right.shape == (2**n, size) and reps.size == size
         assert enter.shape == (size, 2**n) and enter.flags.c_contiguous
         for got, want, tol in (
@@ -1025,7 +1030,7 @@ def test_warm_trotter_ramp_forms_no_full_space_matrix():
     # takes 16 MiB; the dense core and its projection peaked at 48 MiB.
     spec, proto = ChainSpec(10, -0.3), QuenchProtocol(0.1, 300)
     simulate_protocol_trotter(spec, proto)  # fills the caches
-    d = quench._mirror_sector(10, quench._trotter_start(spec)[1])[2].size
+    d = quench._mirror_sector(10, quench._trotter_start(spec)[1]).count.size
     bound = 16 * (2 * d * 2**10 + d * d) + 2**20  # complex128, plus 1 MiB
     tracemalloc.start()
     try:

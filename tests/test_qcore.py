@@ -215,7 +215,8 @@ def test_trotter_core_in_sector_frames_is_the_projected_oracle(n):
         half = expm_i(a, tau / 2.0)
         oracle = half @ expm_i(h - a, tau) @ half
         for parity in (1.0, -1.0):
-            enter, right, _, _ = quench._mirror_sector(n, parity)
+            sector = quench._mirror_sector(n, parity)
+            enter, right = sector.enter, sector.right
             core = pulsesim._trotter_core(spec, magnitude, tau, enter, right)
             assert core.shape == (enter.shape[0],) * 2
             want = enter @ oracle @ right

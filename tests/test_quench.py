@@ -68,7 +68,8 @@ def _trotter_state(spec, proto):
     """The final z-frame state of a Trotter ramp: its sector state, which
     the readout reads, unfolded by the sector's frame."""
     _, parity, ground = quench._trotter_start(spec)
-    enter, right, _, _ = quench._mirror_sector(spec.n_spins, parity)
+    sector = quench._mirror_sector(spec.n_spins, parity)
+    enter, right = sector.enter, sector.right
     core = pulsesim._trotter_core(spec, 1.0, proto.step_time, enter, right)
     return right @ quench._ramp_state(ground, spec.n_spins, parity, core, proto)
 
@@ -404,14 +405,15 @@ def test_exact_ramps_store_no_step_phase_table():
 
 @pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
 def test_warm_step_phases_are_the_uncached_ones(n, j):
-    # An odd sector, an even one and one on the step loop.
+    # An odd sector, an even one and one on the step loop.  A table has
+    # the entry row, one row per step and the readout's row.
     parity = quench._trotter_start(ChainSpec(n, j))[1]
-    dim = quench._mirror_sector(n, parity)[2].size
+    dim = quench._mirror_sector(n, parity).count.size
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
         quench._step_phases(proto, n, parity)
         warm = quench._step_phases(proto, n, parity)
         cold = quench._step_phases.__wrapped__(proto, n, parity)
-        assert warm.shape == (proto.steps + 1, dim)
+        assert warm.shape == (proto.steps + 2, dim)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
 
 
@@ -421,6 +423,107 @@ def test_warm_midpoint_angles_are_the_uncached_ones():
         warm = quench._midpoint_angles(proto)
         cold = quench._midpoint_angles.__wrapped__(proto)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+
+
+def _sector_labels(n, parity):
+    """The M_z labels of the sector's representatives, from the site
+    table: every b <= rev(b), palindromes dropped in the odd sector."""
+    sites = model._site_table(n)
+    index = np.arange(2**n)
+    keep = index <= sites.mirror if parity > 0 else index < sites.mirror
+    return sites.m[np.flatnonzero(keep)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_label_wise_phases_are_the_elementwise_exponential(n):
+    # One exponential per label magnitude, a conjugate per negative
+    # label and a gather give the bits and the layout of exp(-i a m / 2)
+    # taken entry by entry: single ramps' angles (S,), a stack's (S, T)
+    # and one ramp's strided column of them, a final angle, and at N <= 4
+    # the 65536 steps of one spin's longest product chunk.
+    rng = np.random.default_rng(n)
+    stack = rng.uniform(-4.0, 4.0, (300, 6))
+    arrays = [
+        quench._step_deltas(quench._midpoint_angles(SLOW)),
+        stack,
+        stack.T[2],
+        np.float64(-1.234),
+    ]
+    if n <= 4:
+        arrays.append(quench._midpoint_angles(QuenchProtocol(0.1, 65536)))
+    for parity in (1.0, -1.0):
+        sector = quench._mirror_sector(n, parity)
+        m = _sector_labels(n, parity)
+        assert sector.spins.size <= n + 1
+        for angles in arrays:
+            got = quench._rotation_phases(angles, sector)
+            want = np.exp(-0.5j * np.multiply.outer(angles, m))
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
+def _elementwise_phases(angles, sector):
+    """exp(-i a m / 2) entry by entry, as the phases were built before
+    they were built per label magnitude."""
+    m = sector.weights / sector.count
+    return np.exp(-0.5j * np.multiply.outer(angles, m))
+
+
+def test_spin_readout_keeps_its_bits_under_label_wise_phases(monkeypatch):
+    # 24 protocols from v = 0.05 to 5 and from 1 to 4000 steps; one
+    # spin's two phases are one exponential and its conjugate.
+    protocols = [
+        QuenchProtocol(v, steps)
+        for v in (0.05, 0.1, 0.29, 1.0, 2.0, 5.0)
+        for steps in (1, 7, 300, 4000)
+    ]
+    label_wise = [quench._spin_readout.__wrapped__(p) for p in protocols]
+    monkeypatch.setattr(quench, "_rotation_phases", _elementwise_phases)
+    assert label_wise == [quench._spin_readout.__wrapped__(p) for p in protocols]
+
+
+@pytest.mark.parametrize(
+    "n, j", [(1, 0.5), (2, -1.25), (3, 0.8), (5, 0.86), (6, -0.31)]
+)
+def test_warm_pole_starts_are_the_uncached_ones(n, j):
+    # The cached start is the sector state the per-call gathers built,
+    # with its bits; the single ramp reads its readout phases from the
+    # last row of its table and a stack of one builds them, alike.
+    spec = ChainSpec(n, j)
+    block = (int(pole_system(spec).sectors[0]) + n) // 2
+    quench._trotter_start(spec)
+    parity, warm = quench._pole_start(n, block, j > 0.0)
+    cold_parity, cold = quench._pole_start.__wrapped__(n, block, j > 0.0)
+    assert parity == cold_parity and warm.tobytes() == cold.tobytes()
+    # enter g for the oracle's ground state g, up to its global phase
+    sector = quench._mirror_sector(n, parity)
+    want = sector.enter @ pole_ground_state(spec)
+    norm = np.linalg.norm(want)
+    assert np.linalg.norm(warm) == pytest.approx(norm, abs=1e-12)
+    assert abs(np.vdot(want, warm)) == pytest.approx(norm**2, abs=1e-12)
+    core = pulsesim._trotter_core(spec, 1.0, SLOW.step_time, sector.enter, sector.right)
+    zero = np.zeros((SLOW.steps, 1))
+    single = quench._ramp_readout(warm, n, parity, core, SLOW)
+    assert single == quench._ramp_readout(warm, n, parity, core, SLOW, zero)
+
+
+def test_pole_start_cache_is_bounded_by_its_key_space():
+    # The start depends on the size, the ground block and the sign of J,
+    # at most 2 (N + 1) entries per size, however many couplings run.
+    quench._pole_start.cache_clear()
+    keys = set()
+    for n in range(1, 7):
+        for j in np.linspace(-2.0, 2.0, 81):
+            spec = ChainSpec(n, float(j))
+            try:
+                quench._trotter_start(spec)
+            except DegenerateGroundState:
+                continue
+            m_g = int(pole_system(spec).sectors[0])
+            keys.add((n, (m_g + n) // 2, j > 0.0))
+    assert quench._pole_start.cache_info().currsize == len(keys)
+    assert all(sum(k[0] == n for k in keys) <= 2 * (n + 1) for n in range(1, 7))
 
 
 def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):

@@ -474,10 +474,18 @@ def _arrays(value) -> list:
         ),
         pytest.param(
             lambda n: [
-                *quench._mirror_sector(n, 1.0),
-                *quench._mirror_sector(n, -1.0),
+                *_fields(quench._mirror_sector(n, 1.0)),
+                *_fields(quench._mirror_sector(n, -1.0)),
             ],
             id="mirror_sector",
+        ),
+        pytest.param(
+            lambda n: [
+                quench._pole_start(n, block, top)[1]
+                for block in range(n + 1)
+                for top in (False, True)
+            ],
+            id="pole_start",
         ),
         pytest.param(
             lambda n: list(pulsesim._lp_bases(n, ((0, 1), (0, 2), (1, 2)))[1:]),
