@@ -40,7 +40,7 @@ from .model import (
     _rotate_y,
     _site_table,
 )
-from .qcore import sector_eigh
+from .qcore import PAULI, sector_eigh
 from .quench import (
     QuenchProtocol,
     QuenchResult,
@@ -256,13 +256,14 @@ class PulseProgram:
                 raise TypeError(f"event {k}: unknown event type {type(ev).__name__}")
 
 
-def _check_compilable(m: MoleculeSpec) -> list:
-    """Check that the compiler accepts ``m`` and return the couplings that
-    fix its segment timings: the inner adjacent pair J[n-3, n-2],
-    J[n-2, n-1], which must differ, or the one coupling of two spins.
-    The table must have 2 to 4 spins and no vanishing adjacent coupling.
-    It is read as Python floats: at most 16 of them, where numpy's
-    per-call dispatch would cost more than the arithmetic."""
+def _check_compilable(m: MoleculeSpec) -> tuple[list, list]:
+    """Check that the compiler accepts ``m`` and return its coupling
+    table, as nested lists, and the couplings that fix its segment
+    timings: the inner adjacent pair J[n-3, n-2], J[n-2, n-1], which must
+    differ, or the one coupling of two spins.  The table must have 2 to
+    4 spins and no vanishing adjacent coupling.  It is read as Python
+    floats: at most 16 of them, where numpy's per-call dispatch would
+    cost more than the arithmetic."""
     if not 2 <= m.n_spins <= 4:
         raise OutOfRange("refocusing compiler supports 2 to 4 spins")
     table = m.couplings_hz.tolist()
@@ -277,7 +278,7 @@ def _check_compilable(m: MoleculeSpec) -> list:
             f"couplings J[{a}{a + 1}]={pair[0]} Hz and "
             f"J[{a + 1}{a + 2}]={pair[1]} Hz coincide; segment timings degenerate"
         )
-    return pair
+    return table, pair
 
 
 # The bases of ``compile_zz``'s linear program depend only on the chain
@@ -314,7 +315,7 @@ def effective_uniform_coupling(m: MoleculeSpec) -> float:
     Two spins use the native coupling directly; longer chains are fixed
     by the inner adjacent pair a, b through J_a J_b / (J_a - J_b).
     """
-    pair = _check_compilable(m)
+    _, pair = _check_compilable(m)
     if len(pair) == 1:
         return pair[0]
     j_a, j_b = pair
@@ -346,10 +347,9 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
         raise OutOfRange(f"tau must be positive and finite, got {tau}")
     if not math.isfinite(target_j):
         raise OutOfRange(f"target_j must be finite, got {target_j}")
-    _check_compilable(m)
+    table, _ = _check_compilable(m)
 
     n = m.n_spins
-    table = m.couplings_hz.tolist()
     pairs, required = [], []  # constraint rows and their integrated weights
     for i in range(n):
         for j in range(i + 1, n):
@@ -376,7 +376,7 @@ def compile_zz(m: MoleculeSpec, target_j: float, tau: float) -> CompiledZZ:
             best = k
     if best is None:
         raise UnphysicalDurations(
-            f"no nonnegative segment durations realize weights {rhs[:, 0].tolist()}"
+            f"no nonnegative segment durations realize weights {required}"
         )
 
     # Durations down to -1e-12 tau are feasible; like every one of at
@@ -508,19 +508,6 @@ def program_from_json(path) -> PulseProgram:
         raise OutOfRange(f"{path}: {exc}") from None
 
 
-def _pulse(axis: str, angle: float) -> np.ndarray:
-    """e^{-i angle sigma_axis / 2}, cos(angle/2) I - i sin(angle/2) sigma,
-    written out entry by entry."""
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    if axis == "x":
-        rows = ((c, -1j * s), (-1j * s, c))
-    elif axis == "y":
-        rows = ((c, -s), (s, c))
-    else:
-        rows = ((c - 1j * s, 0.0), (0.0, c + 1j * s))
-    return np.array(rows, dtype=complex)
-
-
 def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
     """Propagator of the event list in the per-spin rotating frame.
 
@@ -546,7 +533,8 @@ def simulate_program(program: PulseProgram, m: MoleculeSpec) -> np.ndarray:
                 diag = zz + 0.5 * np.dot(ev.frame_offsets, z)
             unitary *= np.exp(diag * (-1j * ev.duration))[:, None]
         else:
-            single = _pulse(ev.axis, ev.angle)
+            half = ev.angle / 2.0
+            single = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[ev.axis]
             # a spin listed twice is rotated once
             for k in sorted(set(ev.spins)):
                 unitary = _rotate_spin(single, unitary, k)

@@ -308,9 +308,8 @@ def _rotation_phases(angles, sector: _MirrorSector) -> np.ndarray:
 def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
     """The diagonal phases of a single ramp in the mirror sector of
     ``parity``, read-only: row 0 enters the first step's frame,
-    exp(i a_0 m / 2), row k + 1 is step k's phase exp(-i delta_k m / 2),
-    with m the sector's M_z labels (see ``_step_deltas``), and the last
-    row is the readout's, exp(-i theta_f m / 2) at the final angle.
+    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
+    2), with m the sector's M_z labels (see ``_step_deltas``).
 
     They depend only on the protocol and the sector, not on J, so every
     single ramp of a sweep shares one table.  A stack of noisy trials
@@ -326,7 +325,7 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
     and 41 MB at the cap.
     """
     angles = _midpoint_angles(protocol)
-    rows = np.concatenate(([-angles[0]], _step_deltas(angles), [protocol.final_angle]))
+    rows = np.concatenate(([-angles[0]], _step_deltas(angles)))
     table = _rotation_phases(rows, _mirror_sector(n_spins, parity))
     _read_only(table)
     return table
@@ -409,7 +408,13 @@ def _ramp_state(
     single run; one (d, T) zgemm over the stack would not.
     """
     if offsets is None:
-        return _table_ramp(ground, core, _step_phases(protocol, n_spins, parity))
+        table = _step_phases(protocol, n_spins, parity)
+        psi = table[0] * ground
+        if ground.size <= _PRODUCT_MAX_DIM:
+            return _step_product(core, table[1:], psi)
+        for phase in table[1:]:
+            psi = phase * core.dot(psi)
+        return psi
     sector = _mirror_sector(n_spins, parity)
     angles = _midpoint_angles(protocol)[:, None] + offsets
     deltas = _step_deltas(angles)
@@ -427,16 +432,6 @@ def _ramp_state(
     return psi
 
 
-def _table_ramp(ground: np.ndarray, core: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The single ramp of ``_ramp_state`` on its ``_step_phases`` table."""
-    psi = table[0] * ground
-    if ground.size <= _PRODUCT_MAX_DIM:
-        return _step_product(core, table[1:-1], psi)
-    for phase in table[1:-1]:
-        psi = phase * core.dot(psi)
-    return psi
-
-
 def _ramp_readout(
     start: np.ndarray,
     n_spins: int,
@@ -449,16 +444,11 @@ def _ramp_readout(
     |sum c conj(R x_0) x|^2 of the single ramp of ``_ramp_state`` from
     x_0 = ``start``, with c the representatives' counts and R the y-frame
     phase of R(theta_f): the target is the rotated start, no eigensolve.
-    A single ramp reads R from the last row of its table of step phases.
     ``offsets`` of shape (steps, 1) runs the ramp as a stack of one."""
+    psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
     sector = _mirror_sector(n_spins, parity)
     theta = protocol.final_angle
-    if offsets is None:
-        table = _step_phases(protocol, n_spins, parity)
-        psi, rotation = _table_ramp(start, core, table), table[-1]
-    else:
-        psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
-        rotation = _rotation_phases(theta, sector)
+    rotation = _rotation_phases(theta, sector)
     m_phi = math.sin(theta) * float(np.dot(sector.weights, (psi.conj() * psi).real))
     overlap = float(abs(np.vdot(rotation * start, sector.count * psi)) ** 2)
     return m_phi, overlap
@@ -495,9 +485,7 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     table of its phases evicts a Trotter ramp's from ``_step_phases``.
     """
     sector = _mirror_sector(1, 1.0)
-    # One spin's even sector holds both basis states, so its labels are
-    # the site table's, and e^{i tau m} is the phase of R(-2 tau).
-    field = _rotation_phases(-2.0 * protocol.step_time, sector)
+    field = np.exp(1j * protocol.step_time * _site_table(1).m)
     core = (sector.enter * field).dot(sector.right)
     zero = np.zeros((protocol.steps, 1))
     return _ramp_readout(sector.enter[:, 0], 1, 1.0, core, protocol, zero)

@@ -196,10 +196,28 @@ def _functions(path: Path) -> dict:
     return {n.name: n for n in _parse(path).body if isinstance(n, ast.FunctionDef)}
 
 
-def _reads_label_index(node: ast.AST) -> bool:
-    """Whether ``node`` reads a sector's label magnitudes or their index."""
+def _name_of(node: ast.expr):
+    """``x`` for a name ``x`` or an attribute ``a.x``, else None."""
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+# The fields of ``quench._MirrorSector`` that carry the sector's M_z
+# labels: their magnitudes and gather index, and the readout weights c m.
+_SECTOR_LABELS = ("spins", "lookup", "weights")
+
+
+def _reads(node: ast.AST, attrs) -> bool:
+    """Whether ``node`` reads an attribute named in ``attrs``."""
+    return any(isinstance(n, ast.Attribute) and n.attr in attrs for n in ast.walk(node))
+
+
+def _exponentiates_labels(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``exp`` on an argument that reads a mirror
+    sector's labels."""
     return any(
-        isinstance(n, ast.Attribute) and n.attr in ("spins", "lookup")
+        isinstance(n, ast.Call)
+        and _name_of(n.func) == "exp"
+        and any(_reads(arg, _SECTOR_LABELS) for arg in n.args)
         for n in ast.walk(node)
     )
 
@@ -207,20 +225,16 @@ def _reads_label_index(node: ast.AST) -> bool:
 def test_one_function_exponentiates_the_labels():
     # The label-wise phases, one exponential per label magnitude and a
     # gather, keep a ramp's bits only while no second copy exists, so
-    # no other function of quench takes an exponential or reads the
-    # sector's label index.
+    # no other function of quench reads the sector's label index or
+    # takes an exponential of its labels.  One spin's field core,
+    # e^{i tau m} over the site table's labels, is not a rotation phase.
     functions = _functions(PACKAGE_DIR / "quench.py")
     builders = {
         name
         for name, node in functions.items()
-        if "exp" in _called_names(node) or _reads_label_index(node)
+        if _reads(node, ("spins", "lookup")) or _exponentiates_labels(node)
     }
     assert builders == {"_rotation_phases"}
-
-
-def _name_of(node: ast.expr):
-    """``x`` for a name ``x`` or an attribute ``a.x``, else None."""
-    return getattr(node, "attr", getattr(node, "id", None))
 
 
 def _start_gathers(node: ast.AST) -> list[int]:

@@ -406,14 +406,14 @@ def test_exact_ramps_store_no_step_phase_table():
 @pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
 def test_warm_step_phases_are_the_uncached_ones(n, j):
     # An odd sector, an even one and one on the step loop.  A table has
-    # the entry row, one row per step and the readout's row.
+    # the entry row and one row per step.
     parity = quench._trotter_start(ChainSpec(n, j))[1]
     dim = quench._mirror_sector(n, parity).count.size
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
         quench._step_phases(proto, n, parity)
         warm = quench._step_phases(proto, n, parity)
         cold = quench._step_phases.__wrapped__(proto, n, parity)
-        assert warm.shape == (proto.steps + 2, dim)
+        assert warm.shape == (proto.steps + 1, dim)
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
 
 
@@ -488,8 +488,8 @@ def test_spin_readout_keeps_its_bits_under_label_wise_phases(monkeypatch):
 )
 def test_warm_pole_starts_are_the_uncached_ones(n, j):
     # The cached start is the sector state the per-call gathers built,
-    # with its bits; the single ramp reads its readout phases from the
-    # last row of its table and a stack of one builds them, alike.
+    # with its bits, and a single ramp from it reads out like its stack
+    # of one.
     spec = ChainSpec(n, j)
     block = (int(pole_system(spec).sectors[0]) + n) // 2
     quench._trotter_start(spec)
