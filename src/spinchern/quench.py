@@ -494,13 +494,8 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
 def _ramp_result(
     gap: float, protocol: QuenchProtocol, m_phi: float, overlap: float
 ) -> QuenchResult:
-    return QuenchResult(
-        m_phi=m_phi,
-        f_extracted=m_phi / protocol.v_theta,
-        v_theta=protocol.v_theta,
-        adiabatic_overlap=overlap,
-        gap=gap,
-    )
+    v = protocol.v_theta
+    return QuenchResult(m_phi, m_phi / v, v, overlap, gap)
 
 
 def evolve_quench(
@@ -541,11 +536,13 @@ def extract_curvature(results) -> float:
     results = list(results)
     if not results:
         raise OutOfRange("no quench results supplied")
-    if any(r.v_theta > LINEAR_ZONE_CAP for r in results):
-        warnings.warn(
-            f"ramp rate exceeds the linear response zone cap {LINEAR_ZONE_CAP}",
-            VelocityOutOfLinearZone,
-        )
+    for r in results:
+        if r.v_theta > LINEAR_ZONE_CAP:
+            warnings.warn(
+                f"ramp rate exceeds the linear response zone cap {LINEAR_ZONE_CAP}",
+                VelocityOutOfLinearZone,
+            )
+            break
     if len(results) == 1:
         return results[0].m_phi / results[0].v_theta
     v = np.array([r.v_theta for r in results])

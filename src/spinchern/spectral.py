@@ -225,7 +225,7 @@ def curvature_spectral(spec: ChainSpec, p: FieldPoint) -> CurvatureSample:
     m_g, gap = _pole_ground(spec, p)
     scale = -2.0 * p.magnitude**2 * math.sin(p.theta)
     f = scale * -m_g / (2.0 * p.magnitude) ** 2
-    return CurvatureSample(point=p, f_phitheta=f, gap=gap)
+    return CurvatureSample(p, f, gap)
 
 
 def chern_integral(spec: ChainSpec, grid: tuple[int, int] = (64, 16)) -> float:

@@ -464,6 +464,37 @@ def sorted_pole_ground(
     return float(level_m[order[0]]), float(levels[order[1]] - levels[order[0]])
 
 
+def sorted_level_crossings(
+    level_m: np.ndarray, level_x: np.ndarray, lo: float, hi: float
+) -> list[float]:
+    """Unit-field level crossings in [lo, hi], given every pole level's M
+    and interaction eigenvalue: each J where the lowest lines -M - J
+    lambda of two sectors meet, J = (M_b - M_a) / (lambda_a - lambda_b),
+    kept where a stable sort of every level puts those two sectors
+    lowest, less than 1e-8 apart.  A sector's lowest line takes its
+    smallest lambda for J < 0 and its largest for J > 0, so both are
+    tried.  Up to exact negations this is the division
+    ``find_crossings`` makes, so from the same eigenvalues both give the
+    same bits."""
+    lines = []
+    for m in np.unique(level_m):
+        lams = level_x[level_m == m]
+        lines += [(float(m), float(lams.min())), (float(m), float(lams.max()))]
+    crossings = set()
+    for (m_a, lam_a), (m_b, lam_b) in itertools.combinations(lines, 2):
+        if m_a == m_b or lam_a == lam_b:
+            continue
+        j = (m_b - m_a) / (lam_a - lam_b)
+        if not lo <= j <= hi:
+            continue
+        levels = -level_m - j * level_x
+        first, second = np.argsort(levels, kind="stable")[:2]
+        lowest = {float(level_m[first]), float(level_m[second])}
+        if lowest == {m_a, m_b} and levels[second] - levels[first] < 1e-8:
+            crossings.add(j)
+    return sorted(crossings)
+
+
 def assert_same_state(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> None:
     """States equal up to a global phase, entrywise within ``tol``."""
     phase = np.vdot(a, b)

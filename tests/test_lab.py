@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import spinchern
 from spinchern import (
     ChainSpec,
+    DimensionCap,
     FieldPoint,
     LengthMismatch,
     MoleculeSpec,
@@ -354,6 +355,56 @@ def test_worker_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("SPINCHERN_WORKERS", "2")
     parallel = run_sweep(cfg)
     assert parallel == serial
+
+
+def test_one_row_sweep_starts_no_worker_pool(monkeypatch):
+    # A pool's start-up costs tens of milliseconds, far more than a row, so
+    # a one-row sweep runs serially whatever the worker count.  The stand-in
+    # pool maps in this process; the two-row sweep shows it is the one
+    # run_sweep reaches.
+    import concurrent.futures
+
+    built = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("SPINCHERN_WORKERS", "2")
+    for method in lab.METHODS:
+        cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,), method=method)
+        assert run_sweep(cfg) == [lab._sweep_row(cfg, 1.0)]
+    assert built == []
+    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0, -1.0))
+    assert run_sweep(cfg) == [lab._sweep_row(cfg, -1.0), lab._sweep_row(cfg, 1.0)]
+    assert built == [2]
+
+
+@pytest.mark.parametrize("method", lab.METHODS)
+def test_sweep_rows_keep_the_template_cap(method):
+    # Each row builds its own spec from the template; one built without
+    # max_spins would take the default cap of 10 spins.
+    below = SweepConfig(
+        spec=ChainSpec(4, 0.0, max_spins=3), j_values=(1.0,), method=method
+    )
+    with pytest.raises(DimensionCap):
+        run_sweep(below)
+    if method == "trotter":
+        return  # an N = 11 Trotter ramp takes seconds; the cap check above suffices
+    above = SweepConfig(
+        spec=ChainSpec(11, 0.0, max_spins=11), j_values=(1.0,), method=method
+    )
+    (row,) = run_sweep(above)
+    assert row.converged and round(row.chern) == 11
 
 
 def test_import_leaves_the_process_pool_unloaded():

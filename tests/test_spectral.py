@@ -42,6 +42,7 @@ from _oracles import (
     dense_curvature,
     eigh,
     plaquette_curvature,
+    sorted_level_crossings,
     sorted_pole_ground,
 )
 
@@ -591,7 +592,11 @@ def test_ground_level_routes_gather_no_ground_state(monkeypatch):
 
 
 # find_crossings(ChainSpec(n, 0), (-2.5, 2.5)) as the sorted-levels code
-# returned it, digit for digit.
+# returned it, digit for digit, with multi-threaded OpenBLAS.  The block
+# eigenvalues' last bits move with the BLAS thread count (with one thread
+# N = 10's second crossing reads -0.5104939399426396), so the crossings'
+# bits are checked against ``sorted_level_crossings`` on the eigenvalues
+# the package reads, and these digits to 1e-12.
 SORTED_LEVEL_CROSSINGS = {
     1: [],
     2: [-0.5],
@@ -621,15 +626,16 @@ def test_pole_queries_equal_the_sorted_levels_bit_for_bit(n):
     # sort of all 2^n levels, with ==: on a grid in J, at every crossing
     # and 1e-9 past it, and at J = 0 and +-1e-12, at three magnitudes.
     # 2070 cases over n = 1-10.
-    crossings = find_crossings(ChainSpec(n, 0.0), (-2.5, 2.5))
-    assert crossings == SORTED_LEVEL_CROSSINGS[n]
-    couplings = [float(j) for j in np.linspace(-2.5, 2.5, 61)]
-    couplings += [j + d for j in crossings for d in (0.0, 1e-9)]
-    couplings += [0.0, 1e-12, -1e-12]
     # every level's M and interaction eigenvalue, block after block
     blocks = spectral._sector_data(n).blocks
     level_m = np.repeat([float(m) for m, *_ in blocks], [b[1].size for b in blocks])
     level_x = np.concatenate([values for _, _, values, _ in blocks])
+    crossings = find_crossings(ChainSpec(n, 0.0), (-2.5, 2.5))
+    assert crossings == sorted_level_crossings(level_m, level_x, -2.5, 2.5)
+    assert crossings == pytest.approx(SORTED_LEVEL_CROSSINGS[n], rel=1e-12, abs=0.0)
+    couplings = [float(j) for j in np.linspace(-2.5, 2.5, 61)]
+    couplings += [j + d for j in crossings for d in (0.0, 1e-9)]
+    couplings += [0.0, 1e-12, -1e-12]
     degenerate = 0
     for magnitude in (0.37, 1.0, 2.9):
         p = FieldPoint(theta=0.0, magnitude=magnitude)
