@@ -8,11 +8,10 @@ segments the resulting staircase and summarizes each quantized step.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -25,9 +24,6 @@ from .spectral import chern_lattice, curvature_spectral, ground_gap
 
 METHODS = ("dynamical", "spectral", "lattice", "trotter")
 RAMP_METHODS = ("dynamical", "trotter")
-
-# Worker count for row-parallel sweeps; unset or 1 keeps them serial.
-WORKERS_ENV = "SPINCHERN_WORKERS"
 
 # Most points a coupling grid may hold.  A sweep runs one row per point,
 # so a grid is built whole before its first row: 1e5 points is 2000 times
@@ -75,9 +71,10 @@ class SweepConfig:
                 f"'steps' must be a whole number >= 1, got {self.steps!r}"
             )
         try:
-            _check_grid(self.lattice_grid)
+            grid = _check_grid(self.lattice_grid)
         except OutOfRange as exc:
             raise OutOfRange(f"'lattice_grid': {exc}") from None
+        object.__setattr__(self, "lattice_grid", grid)
         protocols = ()
         if self.method in RAMP_METHODS:
             if not self.velocities:
@@ -88,7 +85,7 @@ class SweepConfig:
             protocols = tuple([QuenchProtocol(v, self.steps) for v in self.velocities])
         # Every ramp row reads these protocols, so they are built once, here.
         # Kept outside the fields, they leave equality, hashing, repr and the
-        # sidecar as they were; a pickled config carries them.
+        # sidecar as they were.
         object.__setattr__(self, "_protocols", protocols)
 
     def _numbers(self, name: str) -> tuple:
@@ -145,40 +142,13 @@ def _sweep_row(cfg: SweepConfig, j: float) -> SweepRow:
     return SweepRow(j, f, 2.0 * f, gap, method, converged)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-        if workers >= 1:
-            return workers
-    except ValueError:
-        pass
-    raise OutOfRange(f"{WORKERS_ENV}={raw!r} is not a positive integer")
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """One row per coupling value, sorted by J.
 
     Coupling values hitting a ground-state degeneracy are kept as
     non-converged rows so downstream plots show where the jump sits.
-    Set the worker-count environment variable to parallelize over rows;
-    output order is independent of the worker count.  A one-row sweep
-    runs serially whatever the count: with 2 workers, two spectral N = 4
-    rows took 22-32 ms, against 0.03-0.04 ms serially (one BLAS thread,
-    2-vCPU x86-64 VM), so a pool pays only over many heavy rows.
     """
-    workers = _worker_count()
-    js = sorted(cfg.j_values)
-    if workers > 1 and len(js) > 1:
-        # Imported here: it pulls in multiprocessing, which a serial
-        # sweep and a plain import never need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row, itertools.repeat(cfg), js))
-    return [_sweep_row(cfg, j) for j in js]
+    return [_sweep_row(cfg, j) for j in sorted(cfg.j_values)]
 
 
 def detect_plateaus(rows) -> list[PlateauStats]:
@@ -255,6 +225,13 @@ def _config_fields(config: SweepConfig) -> dict:
     return out
 
 
+def _json_count(value) -> int:
+    """A numpy integer as the int JSON writes; anything else raises."""
+    if not _is_count(value):
+        raise TypeError(f"{value!r} is not JSON serializable")
+    return int(value)
+
+
 def _sidecar_path(path) -> str:
     """The path of the JSON sidecar of the table at ``path``: its base
     with a .json extension.  A .json ``path``, in any letter case, raises
@@ -280,9 +257,19 @@ def export_results(
     Floats are serialized with 17 significant digits, so re-importing
     reproduces them bit-exactly.  The sidecar is ``path`` with a .json
     extension, so a .json ``path`` raises ``OutOfRange`` before any
-    write: the sidecar would overwrite the table.
+    write: the sidecar would overwrite the table.  The sidecar is
+    serialized before either file is opened, so a value JSON cannot
+    write raises ``TypeError`` and leaves no file behind.
     """
     sidecar_path = _sidecar_path(path)
+    sidecar = {
+        "version": __version__,
+        "seed": seed,
+        "config": None if config is None else _config_fields(config),
+        "plateaus": [asdict(s) for s in stats],
+        "crossings": [] if crossings is None else list(crossings),
+    }
+    text = json.dumps(sidecar, indent=2, default=_json_count) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
@@ -298,24 +285,8 @@ def export_results(
                 ]
             )
 
-    sidecar = {
-        "version": __version__,
-        "seed": seed,
-        "config": None if config is None else _config_fields(config),
-        "plateaus": [
-            {
-                "plateau_mean": s.plateau_mean,
-                "plateau_std": s.plateau_std,
-                "j_range": list(s.j_range),
-                "nearest_theory": s.nearest_theory,
-            }
-            for s in stats
-        ],
-        "crossings": [] if crossings is None else list(crossings),
-    }
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def import_results(path) -> list[SweepRow]:

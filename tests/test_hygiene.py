@@ -3,7 +3,8 @@ one eigensolver module, oracles that do not share it, one module that
 places spins on the bits and axes of a basis index, one ramp kernel with
 one builder of its phases and of their exponentials, pole starts
 gathered once per key, a shared cache list that holds every cached
-function, and a bound on each cache keyed by a ramp protocol.
+function, a bound on each cache keyed by a ramp protocol, and no read of
+the environment and no process pool.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -118,6 +119,43 @@ def test_only_qcore_calls_a_dense_eigensolver():
     assert uses.pop("qcore.py"), "qcore no longer calls np.linalg.eigh"
     stray = [f"{name} line {line}" for name, lines in uses.items() for line in lines]
     assert not stray, f"eigensolver outside qcore: {', '.join(stray)}"
+
+
+# What would let a run depend on its environment or spread over
+# processes: reads of the environment and the process-pool modules.
+ENV_READS = {"environ", "getenv"}
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _process_uses(tree: ast.Module) -> list[int]:
+    """Lines that read ``os.environ`` or ``os.getenv``, or import a pool
+    module or one of its submodules."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENV_READS:
+            if getattr(node.value, "id", None) == "os":
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            names = [alias.name for alias in node.names]
+            if module:
+                if module == "os" and ENV_READS.intersection(names):
+                    lines.append(node.lineno)
+                names = [module] + [f"{module}.{name}" for name in names]
+            if any(
+                n == m or n.startswith(m + ".") for n in names for m in POOL_MODULES
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_the_environment_or_starts_processes():
+    stray = [
+        f"{path.name} line {line}"
+        for path in MODULES
+        for line in _process_uses(_parse(path))
+    ]
+    assert not stray, f"environment read or process pool: {', '.join(stray)}"
 
 
 def _shift_lines(tree: ast.Module) -> list[int]:

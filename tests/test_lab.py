@@ -4,7 +4,6 @@ import argparse
 import json
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -109,6 +108,16 @@ def test_sweep_config_checks_every_field_whatever_the_method():
             with pytest.raises(OutOfRange, match=name):
                 SweepConfig(spec=spec, j_values=(1.0,), method=method, **fields)
     assert SweepConfig(spec=spec, j_values=(1.0,)).steps == QuenchProtocol(0.1).steps
+
+
+@pytest.mark.parametrize("grid", [[24, 24], np.array([24, 24])], ids=["list", "array"])
+def test_sweep_config_stores_its_grid_as_a_tuple(grid):
+    # The grid was kept as given: a list or an array made the config
+    # unhashable and unequal to one with the default grid.
+    default = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,))
+    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,), lattice_grid=grid)
+    assert type(cfg.lattice_grid) is tuple and cfg.lattice_grid == (24, 24)
+    assert cfg == default and hash(cfg) == hash(default)
 
 
 def _two_spins() -> MoleculeSpec:
@@ -313,8 +322,6 @@ def test_ramp_config_builds_its_protocols_once(tmp_path, monkeypatch):
     )
     assert all(row.converged for row in run_sweep(cfg))
     assert len(built) == 2
-    # a worker pool receives the config pickled, protocols and all
-    assert pickle.loads(pickle.dumps(cfg))._protocols == tuple(built)
     # The protocols are no field: a config rebuilt from its sidecar is
     # equal and writes the same bytes.
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
@@ -328,7 +335,7 @@ def test_ramp_config_builds_its_protocols_once(tmp_path, monkeypatch):
         steps=c["steps"],
         method=c["method"],
         output_path=c["output_path"],
-        lattice_grid=tuple(c["lattice_grid"]),
+        lattice_grid=c["lattice_grid"],
     )
     assert rebuilt == cfg and hash(rebuilt) == hash(cfg)
     assert repr(rebuilt) == repr(cfg) and "_protocols" not in repr(cfg)
@@ -337,56 +344,6 @@ def test_ramp_config_builds_its_protocols_once(tmp_path, monkeypatch):
         second.with_suffix(".json").read_bytes()
         == first.with_suffix(".json").read_bytes()
     )
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_bad_worker_count_is_rejected(monkeypatch, value):
-    monkeypatch.setenv("SPINCHERN_WORKERS", value)
-    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,), method="spectral")
-    with pytest.raises(SpinChernError, match="SPINCHERN_WORKERS"):
-        run_sweep(cfg)
-
-
-def test_worker_pool_matches_serial(monkeypatch):
-    cfg = SweepConfig(
-        spec=ChainSpec(2, 0.0), j_values=(-1.0, 0.0, 1.0), method="spectral"
-    )
-    serial = run_sweep(cfg)
-    monkeypatch.setenv("SPINCHERN_WORKERS", "2")
-    parallel = run_sweep(cfg)
-    assert parallel == serial
-
-
-def test_one_row_sweep_starts_no_worker_pool(monkeypatch):
-    # A pool's start-up costs tens of milliseconds, far more than a row, so
-    # a one-row sweep runs serially whatever the worker count.  The stand-in
-    # pool maps in this process; the two-row sweep shows it is the one
-    # run_sweep reaches.
-    import concurrent.futures
-
-    built = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    monkeypatch.setenv("SPINCHERN_WORKERS", "2")
-    for method in lab.METHODS:
-        cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0,), method=method)
-        assert run_sweep(cfg) == [lab._sweep_row(cfg, 1.0)]
-    assert built == []
-    cfg = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(1.0, -1.0))
-    assert run_sweep(cfg) == [lab._sweep_row(cfg, -1.0), lab._sweep_row(cfg, 1.0)]
-    assert built == [2]
 
 
 @pytest.mark.parametrize("method", lab.METHODS)
@@ -408,7 +365,7 @@ def test_sweep_rows_keep_the_template_cap(method):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # The pool's multiprocessing imports are paid only by a parallel sweep.
+    # Importing the package loads no multiprocessing, directly or via numpy.
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, spinchern; print('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -635,6 +592,36 @@ def test_export_to_a_json_path_is_refused_before_any_write(tmp_path, name):
     # overwrote a .json table, which import_results then refused.
     with pytest.raises(OutOfRange, match="sidecar"):
         export_results([_row(0.0, 1.0)], [], tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_writes_numpy_counts_as_json_ints(tmp_path):
+    # A config is valid with numpy integer counts, but json.dump raised
+    # on them after writing the table and part of the sidecar.
+    cfg = SweepConfig(
+        spec=ChainSpec(np.int64(2), 0.0),
+        j_values=(-1.0, 1.0),
+        steps=np.int64(300),
+        lattice_grid=np.array([24, 24]),
+    )
+    plain = SweepConfig(spec=ChainSpec(2, 0.0), j_values=(-1.0, 1.0))
+    export_results([], [], tmp_path / "numpy.csv", config=cfg, seed=np.int64(7))
+    export_results([], [], tmp_path / "plain.csv", config=plain, seed=7)
+    text = (tmp_path / "numpy.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "plain.json").read_text(encoding="utf-8")
+    c = json.loads(text)["config"]
+    rebuilt = SweepConfig(
+        spec=ChainSpec(c["n_spins"], c["coupling_j"], c["max_spins"]),
+        j_values=c["j_values"],
+        steps=c["steps"],
+        lattice_grid=c["lattice_grid"],
+    )
+    assert rebuilt == cfg
+
+
+def test_export_with_an_unserialisable_sidecar_writes_nothing(tmp_path):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        export_results([_row(0.0, 1.0)], [], tmp_path / "out.csv", seed=object())
     assert list(tmp_path.iterdir()) == []
 
 

@@ -32,7 +32,6 @@ from spinchern import (
     simulate_protocol_trotter,
     theta_of_t,
 )
-from spinchern.lab import WORKERS_ENV
 from spinchern.quench import CONVERGENCE_TOL
 
 from _internals import pole_ground_state, product_chunks
@@ -325,7 +324,6 @@ def test_dynamical_sweep_builds_one_free_spin_product(monkeypatch):
     # Every row of every chain size shares the protocol, so only the
     # first ramp misses the readout cache and runs the one-spin ramp.  A
     # rate no other test uses.
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     builds = []
     build = quench._ramp_state
     monkeypatch.setattr(
@@ -532,7 +530,6 @@ def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
     # it.  N = 2 starts in its odd sector at J = -1.25 and in its even
     # one at 0.75; N = 3 starts in its even one at every coupling.  A
     # rate no other test uses.
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
     angles = quench._midpoint_angles.cache_info()
     before = quench._step_phases.cache_info()
     rows = []
