@@ -34,6 +34,7 @@ from .model import (
     _is_real_list,
     _json_field,
     _json_file,
+    _write_text,
 )
 from .pulsesim import (
     _zz_fidelity,
@@ -102,10 +103,8 @@ def _cmd_spectrum(args) -> int:
     headers = ["j"] + [f"e{k}" for k in range(2**args.n)]
     _print_table(headers, table)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(",".join(headers) + "\n")
-            for row in table:
-                fh.write(",".join(row) + "\n")
+        lines = [",".join(row) + "\n" for row in [headers, *table]]
+        _write_text(args.output, "".join(lines))
         print(f"wrote {args.output}")
     return 0
 

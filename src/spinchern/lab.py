@@ -11,13 +11,20 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .errors import DegenerateGroundState, LengthMismatch, OutOfRange, TooFewRows
-from .model import ChainSpec, FieldPoint, _check_grid, _is_count
+from .model import (
+    ChainSpec,
+    FieldPoint,
+    _check_grid,
+    _is_count,
+    _json_count,
+    _write_text,
+)
 from .pulsesim import simulate_protocol_trotter
 from .quench import QuenchProtocol, evolve_quench, extract_curvature
 from .spectral import chern_lattice, curvature_spectral, ground_gap
@@ -207,9 +214,11 @@ def deviation_report(observed, theory) -> float:
 # The header row export_results writes and import_results requires.
 _CSV_HEADER = ["j", "f_phitheta", "chern", "gap_at_pole", "method", "converged"]
 
-
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+# One table row in csv's default dialect, which import_results reads:
+# 17 significant digits, so every float reads back bit-exactly, and CRLF
+# line ends.  No field needs quoting: a method outside METHODS is
+# refused before the row is written.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%s,%s\r\n"
 
 
 def _config_fields(config: SweepConfig) -> dict:
@@ -223,13 +232,6 @@ def _config_fields(config: SweepConfig) -> dict:
         else:
             out[f.name] = value
     return out
-
-
-def _json_count(value) -> int:
-    """A numpy integer as the int JSON writes; anything else raises."""
-    if not _is_count(value):
-        raise TypeError(f"{value!r} is not JSON serializable")
-    return int(value)
 
 
 def _sidecar_path(path) -> str:
@@ -257,36 +259,34 @@ def export_results(
     Floats are serialized with 17 significant digits, so re-importing
     reproduces them bit-exactly.  The sidecar is ``path`` with a .json
     extension, so a .json ``path`` raises ``OutOfRange`` before any
-    write: the sidecar would overwrite the table.  The sidecar is
-    serialized before either file is opened, so a value JSON cannot
-    write raises ``TypeError`` and leaves no file behind.
+    write: the sidecar would overwrite the table.  Both files are
+    serialized before either is opened, so a row whose ``method`` is
+    outside ``METHODS`` raises ``OutOfRange`` naming the row, and a
+    value JSON cannot write raises ``TypeError``, and neither leaves a
+    file behind.  An existing file is overwritten in place and cut to
+    the new length (``model._write_text`` says why).  Nothing is
+    fsynced, so an export is not crash-atomic.
     """
     sidecar_path = _sidecar_path(path)
+    lines = [",".join(_CSV_HEADER) + "\r\n"]
+    for k, r in enumerate(rows):
+        if r.method not in METHODS:
+            raise OutOfRange(
+                f"rows[{k}]: method must be one of {METHODS}, got {r.method!r}"
+            )
+        flag = "true" if r.converged else "false"
+        row = (r.j, r.f_phitheta, r.chern, r.gap_at_pole, r.method, flag)
+        lines.append(_CSV_ROW % row)
     sidecar = {
         "version": __version__,
         "seed": seed,
         "config": None if config is None else _config_fields(config),
-        "plateaus": [asdict(s) for s in stats],
+        "plateaus": [vars(s) for s in stats],
         "crossings": [] if crossings is None else list(crossings),
     }
     text = json.dumps(sidecar, indent=2, default=_json_count) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    _format_float(r.j),
-                    _format_float(r.f_phitheta),
-                    _format_float(r.chern),
-                    _format_float(r.gap_at_pole),
-                    r.method,
-                    "true" if r.converged else "false",
-                ]
-            )
-
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, "".join(lines))
+    _write_text(sidecar_path, text)
 
 
 def import_results(path) -> list[SweepRow]:

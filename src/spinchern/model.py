@@ -22,6 +22,8 @@ import functools
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,42 @@ def _json_file(path, kind: type, expected: str):
     if not isinstance(value, kind):
         raise OutOfRange(f"{path} must hold {expected}, got {value!r}")
     return value
+
+
+def _json_count(value) -> int:
+    """A numpy integer as the int JSON writes; anything else raises."""
+    if not _is_count(value):
+        raise TypeError(f"{value!r} is not JSON serializable")
+    return int(value)
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, over the file in place.
+
+    The file is opened without truncation and cut to the new length only
+    if it was longer: truncating a file to zero and rewriting it makes
+    ext4 (``auto_da_alloc``) start writeback on close, and the next
+    truncate of the file waits for it.  A pipe or device is never
+    truncated.  If a write fails, a regular file is cut to zero before
+    the error propagates, so it never holds new bytes followed by old
+    ones.  There is no ``fsync``: the file is not crash-atomic.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        info = os.fstat(fd)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except BaseException:
+            if stat.S_ISREG(info.st_mode):
+                os.ftruncate(fd, 0)
+            raise
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _json_field(record, key: str, where: str, valid=None, expected: str = ""):

@@ -33,12 +33,14 @@ from .model import (
     _is_count,
     _is_real,
     _is_real_list,
+    _json_count,
     _json_field,
     _json_file,
     _read_only,
     _rotate_spin,
     _rotate_y,
     _site_table,
+    _write_text,
 )
 from .qcore import PAULI, sector_eigh
 from .quench import (
@@ -445,7 +447,11 @@ def to_pulse_program(c: CompiledZZ) -> PulseProgram:
 
 
 def program_to_json(program: PulseProgram, path) -> None:
-    """Write the event list in the interchange format."""
+    """Write the event list in the interchange format.
+
+    Numpy integer spin indices are written as JSON ints.  The list is
+    serialized before the file is opened, so a value JSON cannot write
+    raises ``TypeError`` before the file is touched."""
     payload = []
     for ev in program.events:
         if isinstance(ev, Delay):
@@ -461,9 +467,7 @@ def program_to_json(program: PulseProgram, path) -> None:
                     "angle_rad": ev.angle,
                 }
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, default=_json_count) + "\n")
 
 
 def _is_spin_list(value) -> bool:

@@ -3,8 +3,8 @@ one eigensolver module, oracles that do not share it, one module that
 places spins on the bits and axes of a basis index, one ramp kernel with
 one builder of its phases and of their exponentials, pole starts
 gathered once per key, a shared cache list that holds every cached
-function, a bound on each cache keyed by a ramp protocol, and no read of
-the environment and no process pool.
+function, a bound on each cache keyed by a ramp protocol, no read of
+the environment and no process pool, and one function that writes files.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -156,6 +156,64 @@ def test_no_module_reads_the_environment_or_starts_processes():
         for line in _process_uses(_parse(path))
     ]
     assert not stray, f"environment read or process pool: {', '.join(stray)}"
+
+
+# What may create or change a file: an ``open`` mode holding one of these,
+# and the pathlib methods that write a path whole.
+WRITE_MODE_CHARS = set("wax+")
+PATH_WRITERS = {"write_text", "write_bytes"}
+
+
+def _open_mode(call: ast.Call):
+    """The mode of an ``open`` call: ``mode=``, else the builtin's second
+    argument or a method's (``Path.open``) first; None if not given."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    index = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[index] if len(call.args) > index else None
+
+
+def _file_writes(tree: ast.Module) -> list[tuple[str, int]]:
+    """The enclosing top-level name and the line of each call that may
+    write a file: ``os.open``, ``open`` with a mode that holds w, a, x or
+    + or is not a literal, and ``write_text`` or ``write_bytes``."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _name_of(node.func)
+            if name == "open" and _name_of(getattr(node.func, "value", None)) == "os":
+                writes = True
+            elif name == "open":
+                mode = _open_mode(node)
+                writes = mode is not None and not (
+                    isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)
+                    and not WRITE_MODE_CHARS.intersection(mode.value)
+                )
+            else:
+                writes = name in PATH_WRITERS
+            if writes:
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_only_model_write_text_writes_a_file():
+    # One writer overwrites a file in place, cuts it to length and never
+    # leaves new bytes followed by old ones when a write fails.
+    writes = {path.name: _file_writes(_parse(path)) for path in MODULES}
+    owners = [owner for owner, _ in writes["model.py"]]
+    assert "_write_text" in owners, "model._write_text no longer opens its file"
+    stray = [
+        f"{name} {owner} line {line}"
+        for name, found in writes.items()
+        for owner, line in found
+        if (name, owner) != ("model.py", "_write_text")
+    ]
+    assert not stray, f"file written outside model._write_text: {', '.join(stray)}"
 
 
 def _shift_lines(tree: ast.Module) -> list[int]:

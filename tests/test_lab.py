@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -575,6 +577,23 @@ def test_export_sidecar_text_is_pinned(tmp_path):
     assert text == expected.replace("VERSION", spinchern.__version__)
 
 
+def test_export_table_bytes_are_pinned(tmp_path):
+    # 17 significant digits and CRLF line ends, whatever writes the rows.
+    rows = [
+        SweepRow(-0.0, math.nan, math.nan, 1e-300, "spectral", False),
+        SweepRow(0.1 + 0.2, math.inf, -math.inf, 0.5, "lattice", True),
+        SweepRow(1 / 3, 2.0, 4.0, 123456789.0, "trotter", True),
+    ]
+    path = tmp_path / "pinned.csv"
+    export_results(rows, [], path)
+    assert path.read_bytes() == (
+        b"j,f_phitheta,chern,gap_at_pole,method,converged\r\n"
+        b"-0,nan,nan,1e-300,spectral,false\r\n"
+        b"0.30000000000000004,inf,-inf,0.5,lattice,true\r\n"
+        b"0.33333333333333331,2,4,123456789,trotter,true\r\n"
+    )
+
+
 def test_export_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
     export_results([], [], path)
@@ -623,6 +642,65 @@ def test_export_with_an_unserialisable_sidecar_writes_nothing(tmp_path):
     with pytest.raises(TypeError, match="not JSON serializable"):
         export_results([_row(0.0, 1.0)], [], tmp_path / "out.csv", seed=object())
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method", ["lattice,x", "bogus"])
+def test_export_refuses_a_method_import_would_refuse(tmp_path, method):
+    # The row was written, quoted for its comma, and import_results then
+    # raised OutOfRange on the table.
+    rows = [_row(0.0, 1.0), _row(0.5, 1.0, method=method)]
+    with pytest.raises(OutOfRange, match=r"rows\[1\]: method"):
+        export_results(rows, [], tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _staircase(count: int) -> tuple[list, list]:
+    rows = [_row(float(j), float(j > 0)) for j in np.linspace(-2.0, 2.0, count)]
+    return rows, detect_plateaus(rows)
+
+
+def test_export_over_a_longer_export_leaves_only_the_new_bytes(tmp_path):
+    # Files are written in place, so each must be cut to its new length.
+    path = tmp_path / "sweep.csv"
+    export_results(*_staircase(41), path, seed=12345)
+    export_results(*_staircase(5), path)
+    export_results(*_staircase(5), tmp_path / "fresh.csv")
+    for name in ("sweep", "fresh"):
+        assert len(import_results(tmp_path / f"{name}.csv")) == 5
+    for suffix in (".csv", ".json"):
+        fresh = (tmp_path / f"fresh{suffix}").read_bytes()
+        assert (tmp_path / f"sweep{suffix}").read_bytes() == fresh
+
+
+def test_export_through_a_symlink_writes_its_target_and_keeps_its_mode(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n" * 1000)
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    export_results(*_staircase(5), link)
+    export_results(*_staircase(5), tmp_path / "fresh.csv")
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_a_failed_export_write_leaves_an_empty_table(tmp_path, monkeypatch):
+    # Written in place over a longer table, a write that fails partway
+    # would leave the new bytes followed by the old ones.
+    path = tmp_path / "sweep.csv"
+    export_results(*_staircase(41), path)
+    write = os.write
+
+    def write_then_fail(fd, data):
+        write(fd, data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        export_results(*_staircase(5), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b""
 
 
 _CSV_HEADER = "j,f_phitheta,chern,gap_at_pole,method,converged"
@@ -782,6 +860,16 @@ def test_cli_spectrum_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "j,e0,e1,e2,e3"
     assert len(lines) == 4
+
+
+def test_cli_spectrum_writes_to_a_device(capsys):
+    # A device such as /dev/null takes the table but cannot be truncated.
+    code = cli_main(
+        ["spectrum", "--n", "2", "--j-min", "-1", "--j-max", "1", "--j-step", "1",
+         "--output", os.devnull]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {os.devnull}"
 
 
 @pytest.mark.parametrize(

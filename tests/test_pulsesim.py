@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -637,6 +638,28 @@ def test_program_json_roundtrip(tmp_path, molecule3):
     program_to_json(program, path)
     loaded = program_from_json(path)
     assert loaded == program
+
+
+def test_program_json_writes_numpy_spins_as_ints(tmp_path):
+    # PulseProgram accepts a numpy spin index, but json.dump raised on it
+    # partway through the file and left the part before it behind.
+    delay = Delay(duration=1e-3, frame_offsets=(0.0, 0.0))
+    numpy_spins = PulseProgram(
+        2, (Rotation(spins=(np.int64(1),), axis="x", angle=0.5), delay)
+    )
+    plain = PulseProgram(2, (Rotation(spins=(1,), axis="x", angle=0.5), delay))
+    program_to_json(numpy_spins, tmp_path / "numpy.json")
+    program_to_json(plain, tmp_path / "plain.json")
+    text = (tmp_path / "numpy.json").read_text(encoding="utf-8")
+    assert text == (tmp_path / "plain.json").read_text(encoding="utf-8")
+    assert program_from_json(tmp_path / "numpy.json") == plain
+
+
+def test_program_json_with_an_unserialisable_value_writes_nothing(tmp_path):
+    program = PulseProgram(1, (Delay(duration=Fraction(1, 2), frame_offsets=(0.0,)),))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        program_to_json(program, tmp_path / "events.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_program_validation():
