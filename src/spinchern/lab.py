@@ -264,8 +264,9 @@ def export_results(
     outside ``METHODS`` raises ``OutOfRange`` naming the row, and a
     value JSON cannot write raises ``TypeError``, and neither leaves a
     file behind.  An existing file is overwritten in place and cut to
-    the new length (``model._write_text`` says why).  Nothing is
-    fsynced, so an export is not crash-atomic.
+    the new length (``model._write_text`` says why), so a reader that
+    opens it during an export, or a crash, can see the new rows followed
+    by old ones.  Nothing is fsynced, so an export is not crash-atomic.
     """
     sidecar_path = _sidecar_path(path)
     lines = [",".join(_CSV_HEADER) + "\r\n"]

@@ -93,9 +93,12 @@ def _write_text(path, text: str) -> None:
     if it was longer: truncating a file to zero and rewriting it makes
     ext4 (``auto_da_alloc``) start writeback on close, and the next
     truncate of the file waits for it.  A pipe or device is never
-    truncated.  If a write fails, a regular file is cut to zero before
-    the error propagates, so it never holds new bytes followed by old
-    ones.  There is no ``fsync``: the file is not crash-atomic.
+    truncated.  If a write raises, a regular file is cut to zero before
+    the error propagates, so a failed write leaves no new bytes followed
+    by old ones.  Only that case is covered: a reader that opens the
+    file during the write, or a crash before writeback, can see new
+    bytes followed by old ones, or old bytes cut to the new length.
+    There is no ``fsync``: the file is not crash-atomic.
     """
     data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
