@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGroundState, OutOfRange
+from .errors import DegenerateGroundState, OutOfRange, SpinChernError
 from .model import (
     ChainSpec,
     FieldPoint,
@@ -45,10 +45,20 @@ DEGENERACY_RTOL = 1e-9
 LATTICE_MIN_OVERLAP = 0.5
 LATTICE_MAX_PHASE = 0.5 * math.pi
 
+# The plaquette sum over 2 pi may sit this far from its integer.  Over
+# 25575 admissible grids (M_g = 0-40, 1-79 cells an axis) it sat at most
+# 1.1e-14 away; a grid of one phi cell, where every row link is the same
+# phase, wound 0 for every M_g >= 1.
+LATTICE_INTEGER_ATOL = 1e-9
+
 # Sector-line slopes closer than this, relative to the largest |lambda|,
 # count as equal: sectors M and -M have the same blocks up to a spin
 # flip, so their lines are parallel up to roundoff and must not meet.
 _SLOPE_RTOL = 1e-12
+
+# The crossing nearest 0 may sit this far from J_sat(N).  At N = 2-14 it
+# sat at most 5.6e-17 away, on one BLAS thread and on two.
+_SATURATION_ATOL = 1e-10
 
 # A crossing is kept only where the pole gap closes below this.
 _CROSSING_GAP_TOL = 1e-8
@@ -289,9 +299,34 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
     when a link overlap falls below ``LATTICE_MIN_OVERLAP`` or a
     plaquette phase exceeds ``LATTICE_MAX_PHASE``, where a coarse grid
     can return a wrong integer.
+
+    The grid counts and the chain's pole ground (the size cap, the gap
+    and M_g) are checked on every call; the winding itself is summed
+    once per (M_g, grid) by ``_lattice_winding``.
     """
     n_theta, n_phi = _check_grid(grid)
     m_g = int(_pole_ground(spec)[0])
+    return _lattice_winding(m_g, n_theta, n_phi)
+
+
+# An entry is one int, but the grid counts are the caller's choice, so
+# the cache drops its oldest entries.  A sweep at one grid reads at most
+# N + 1 keys (the bench's staircase pass reads 7), so 64 holds every
+# ground sector of N <= 10 on five grids.
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_winding(m_g: int, n_theta: int, n_phi: int) -> int:
+    """The plaquette winding of ``chern_lattice`` for ground sector m_g
+    on an n_theta x n_phi grid.
+
+    A grid that fails the admissibility margin raises ``OutOfRange``,
+    and one on which the lattice breaks its own claims raises
+    ``SpinChernError``, so no entry is stored and each later call raises
+    again.  The claims: the plaquette sum over 2 pi lies within
+    ``LATTICE_INTEGER_ATOL`` = 1e-9 of the integer it rounds to, and
+    that integer is M_g, where the columns telescope.
+    """
     thetas = np.linspace(0.0, math.pi, n_theta + 1)
     dphi = np.diff(np.linspace(0.0, 2.0 * math.pi, n_phi + 1))
     weights, m = _multiplet_rows(m_g, thetas)
@@ -306,7 +341,28 @@ def chern_lattice(spec: ChainSpec, grid: tuple[int, int] = (24, 24)) -> int:
             f"{overlap:.3g} (needs >= {LATTICE_MIN_OVERLAP}), largest plaquette "
             f"phase {phase:.3g} (needs <= {LATTICE_MAX_PHASE:.3g})"
         )
-    return int(round(angles.sum() / (2.0 * math.pi)))
+    winding = float(angles.sum()) / (2.0 * math.pi)
+    chern = round(winding)
+    residual = abs(winding - chern)
+    if residual > LATTICE_INTEGER_ATOL or chern != m_g:
+        raise SpinChernError(
+            f"{n_theta}x{n_phi} plaquette winding {winding!r} at M_g = {m_g}: "
+            f"residual {residual:.3g} from {chern} (needs <= "
+            f"{LATTICE_INTEGER_ATOL:g} and an integer equal to M_g)"
+        )
+    return chern
+
+
+def _check_saturation(n_spins: int, root: float) -> None:
+    """``SpinChernError`` unless ``root`` is J_sat(N) (F3) to
+    ``_SATURATION_ATOL``."""
+    j_sat = -1.0 / (2.0 * (1.0 + math.cos(math.pi / n_spins)))
+    residual = abs(root - j_sat)
+    if residual > _SATURATION_ATOL:
+        raise SpinChernError(
+            f"crossing nearest 0 at N = {n_spins} is {root!r}, but J_sat(N) = "
+            f"{j_sat!r}: residual {residual:.3g} (needs <= {_SATURATION_ATOL:g})"
+        )
 
 
 def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[float]:
@@ -327,6 +383,13 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
     no energy is evaluated at either end.  Each sector's M and
     lambda_M come from the sector data's ``extremes`` table, so no level
     array is read.  A root is kept only if the pole gap closes there.
+
+    The walk's first root, the one nearest 0, is where the saturated
+    level -N - J (N - 1) meets the lowest one-magnon level, J_sat(N) =
+    -1 / (2 (1 + cos(pi / N))).  Whenever the walk reaches it, it is
+    checked against that closed form and raises ``SpinChernError`` if
+    they differ by more than ``_SATURATION_ATOL`` = 1e-10; the returned
+    roots are the walk's own.
     """
     lo, hi = j_interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -349,6 +412,8 @@ def find_crossings(spec: ChainSpec, j_interval: tuple[float, float]) -> list[flo
         if ts[nearest] > -lo:
             break
         roots.append(float(-ts[nearest]))
+        if len(roots) == 1:
+            _check_saturation(spec.n_spins, roots[0])
         ground = steeper[nearest]
     return [
         j

@@ -108,8 +108,14 @@ def test_warm_lp_bases_compile_the_bench_tables_like_cold_ones():
 
 def test_staircase_pass_on_a_warm_sector_cache_matches_reference(tmp_path):
     # Every staircase pass after the first reads the levels of each size
-    # from its cached sector blocks.
+    # from its cached sector blocks.  Its 11 lattice calls read 7 ground
+    # sectors on one grid, so a first pass from a cleared winding cache
+    # reads 4 stored windings, and every later pass reads all 11.
+    spectral._lattice_winding.cache_clear()
     _check_pass("staircase", tmp_path)
     warm = spectral._sector_data.cache_info()
+    warm_windings = spectral._lattice_winding.cache_info()
+    assert warm_windings[:2] == (4, 7)
     _check_pass("staircase", tmp_path)
     assert spectral._sector_data.cache_info().misses == warm.misses
+    assert spectral._lattice_winding.cache_info()[:2] == (4 + 11, 7)

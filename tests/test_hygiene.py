@@ -3,8 +3,9 @@ one eigensolver module, oracles that do not share it, one module that
 places spins on the bits and axes of a basis index, one ramp kernel with
 one builder of its phases and of their exponentials, pole starts
 gathered once per key, a shared cache list that holds every cached
-function, a bound on each cache keyed by a ramp protocol, no read of
-the environment and no process pool, and one function that writes files.
+function, a bound on each cache keyed by a value the caller chooses (a
+ramp protocol, a grid count), no read of the environment and no process
+pool, and one function that writes files.
 
 Each module under ``src/spinchern`` is parsed with the standard ``ast``
 module, so an import left behind when its last reader is deleted fails
@@ -456,24 +457,30 @@ def test_the_shared_cache_list_holds_every_cached_function():
     assert declared == {f"{c.__module__}.{c.__name__}" for c in CACHES}
 
 
+# Cache key parameters whose values the chain size bounds: the size, a
+# sector's parity, block index, end and ground sector M_g, and the
+# coupling rows of a molecule's linear program.
+SIZE_BOUNDED_KEYS = {"n_spins", "parity", "block", "top", "m_g", "pairs"}
+
+
 def test_protocol_keyed_caches_have_a_finite_maxsize():
-    # A cache keyed by the chain size is bounded by the size cap, but any
-    # rate and step count make a valid protocol, so a cache keyed by one
-    # must drop its oldest entries.
+    # A cache keyed only by the chain size and what it bounds is bounded
+    # by the size cap, but any rate and step count make a valid protocol
+    # and any two counts a plaquette grid, so a cache keyed by a value the
+    # caller chooses must drop its oldest entries.
     keyed = {
         f"{c.__module__}.{c.__name__}": c.cache_parameters()["maxsize"]
         for c in CACHES
-        if any(
-            p.annotation == "QuenchProtocol"
-            for p in inspect.signature(c.__wrapped__).parameters.values()
-        )
+        if set(inspect.signature(c.__wrapped__).parameters) - SIZE_BOUNDED_KEYS
     }
-    assert set(keyed) >= {
+    assert set(keyed) == {
+        "spinchern.quench._midpoint_angles",
         "spinchern.quench._spin_readout",
         "spinchern.quench._step_phases",
+        "spinchern.spectral._lattice_winding",
     }
     unbounded = sorted(name for name, size in keyed.items() if size is None)
-    assert not unbounded, f"unbounded protocol caches: {', '.join(unbounded)}"
+    assert not unbounded, f"unbounded caller-keyed caches: {', '.join(unbounded)}"
 
 
 def test_oracles_import_no_solver_from_the_package():

@@ -20,11 +20,13 @@ from spinchern import (
     DimensionCap,
     FieldPoint,
     OutOfRange,
+    SpinChernError,
     SweepConfig,
     build_heisenberg,
     chern_integral,
     chern_lattice,
     curvature_spectral,
+    default_j_grid,
     find_crossings,
     ground_gap,
     pole_system,
@@ -138,9 +140,18 @@ def test_chern_lattice_exact_integers():
 
 def test_chern_lattice_rejects_coarse_grids():
     # Unchecked, these grids return 1 and -2 for the Chern numbers 4 and 6.
+    # A rejected grid stores no winding, so a second call raises the same
+    # error.
     for spec, grid in ((ChainSpec(4, 1.0), (3, 3)), (ChainSpec(6, 1.0), (4, 4))):
-        with pytest.raises(OutOfRange, match=f"{grid[0]}x{grid[1]}.*overlap.*phase"):
-            chern_lattice(spec, grid)
+        stored = spectral._lattice_winding.cache_info().currsize
+        match = f"{grid[0]}x{grid[1]}.*overlap.*phase"
+        messages = []
+        for _ in range(2):
+            with pytest.raises(OutOfRange, match=match) as raised:
+                chern_lattice(spec, grid)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert spectral._lattice_winding.cache_info().currsize == stored
     for grid in ((0, 4), (4, 0)):
         with pytest.raises(OutOfRange, match="no cells"):
             chern_lattice(ChainSpec(2, 1.0), grid)
@@ -180,6 +191,78 @@ def test_every_grid_is_two_whole_counts(route, grid):
 def test_chern_lattice_raises_on_crossing():
     with pytest.raises(DegenerateGroundState):
         chern_lattice(ChainSpec(2, -0.5))
+
+
+def _other_multiplet(real):
+    """Rows of the multiplet two labels up, which wind to M_g + 2."""
+    return lambda m_g, thetas: real(m_g + 2, thetas)
+
+
+def _stretched_labels(real):
+    """Rows on labels 1.1 M, which wind to 1.1 M_g."""
+
+    def rows(m_g, thetas):
+        weights, m = real(m_g, thetas)
+        return weights, 1.1 * m
+
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows,spec,match",
+    [
+        pytest.param(
+            _other_multiplet,
+            ChainSpec(4, -0.5),
+            r"24x24 plaquette winding 4\.0.* at M_g = 2: residual .* from 4 ",
+            id="another_multiplet",
+        ),
+        pytest.param(
+            _stretched_labels,
+            ChainSpec(4, -0.5),
+            r"24x24 plaquette winding 2\.2.* at M_g = 2: residual 0\.2 from 2 ",
+            id="stretched_labels",
+        ),
+    ],
+)
+def test_a_winding_that_breaks_its_claims_raises_and_stores_nothing(
+    monkeypatch, rows, spec, match
+):
+    # A winding on another integer than M_g, or on M_g's integer but off
+    # it by more than the tolerance, names the grid, M_g and the residual;
+    # the next call with the true rows sums the grid again.
+    spectral._lattice_winding.cache_clear()
+    monkeypatch.setattr(spectral, "_multiplet_rows", rows(spectral._multiplet_rows))
+    with pytest.raises(SpinChernError, match=match):
+        chern_lattice(spec)
+    assert spectral._lattice_winding.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert chern_lattice(spec) == int(spectral._pole_ground(spec)[0])
+    assert spectral._lattice_winding.cache_info().misses == 2
+
+
+def test_a_one_column_grid_raises_instead_of_winding_zero():
+    # Every row link of a grid with one phi cell is the same phase, so
+    # its plaquette phases are all 0 and the sum wound 0 for every M_g.
+    match = r"24x1 plaquette winding .* at M_g = 3: .* from 0 "
+    with pytest.raises(SpinChernError, match=match):
+        chern_lattice(ChainSpec(3, 1.0), (24, 1))
+    assert chern_lattice(ChainSpec(2, -1.0), (24, 1)) == 0
+
+
+def test_a_lattice_sweep_sums_each_ground_sector_once():
+    # Rows on one plateau share M_g and the grid, so after its first row
+    # each reads the stored winding; a row at a crossing stores nothing.
+    n = 4
+    spectral._lattice_winding.cache_clear()
+    cfg = SweepConfig(
+        spec=ChainSpec(n, 0.0), j_values=default_j_grid(step=0.1), method="lattice"
+    )
+    rows = run_sweep(cfg)
+    assert len(rows) == 41
+    info = spectral._lattice_winding.cache_info()
+    assert info.misses <= n + 1
+    assert info.hits + info.misses == sum(r.converged for r in rows)
 
 
 def test_find_crossings_analytic_values():
@@ -370,13 +453,42 @@ def test_ferromagnetic_ground_sector_is_saturated(n):
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_first_crossing_is_the_one_magnon_saturation_coupling(n):
+def test_first_crossing_is_the_one_magnon_saturation_coupling(n, monkeypatch):
     # The saturated level -N - J (N - 1) first meets the lowest one-magnon
     # level for J < 0, -(N - 2) - J (N - 5 - 4 cos(pi / N)) at unit field,
-    # at J_sat = -1 / (2 (1 + cos(pi / N))).
+    # at J_sat = -1 / (2 (1 + cos(pi / N))).  find_crossings checks that
+    # root against J_sat once per search that reaches it, and not at all
+    # on an interval that stops short of it (J_sat lies in [-1/2, -1/4]).
+    seen = []
+    check = spectral._check_saturation
+
+    def record(n_spins, root):
+        seen.append((n_spins, root))
+        check(n_spins, root)
+
+    monkeypatch.setattr(spectral, "_check_saturation", record)
     j_sat = -1.0 / (2.0 * (1.0 + math.cos(math.pi / n)))
     nearest = min(find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0)), key=abs)
     assert nearest == pytest.approx(j_sat, abs=1e-12)
+    assert seen == [(n, nearest)]
+    assert find_crossings(ChainSpec(n, 0.0), (-0.2, 2.0)) == []
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("shift", [1e-8, -1e-8])
+def test_a_nearest_crossing_off_j_sat_raises(shift, monkeypatch):
+    # The one-magnon line, shifted in lambda_min, meets the saturated one
+    # about 4e-10 from J_sat at N = 4.
+    n = 4
+    true = spectral._sector_data(n)
+    extremes = tuple(
+        (m, (lows[0] + shift, *lows[1:]), highs) if m == n - 2 else (m, lows, highs)
+        for m, lows, highs in true.extremes
+    )
+    shifted = spectral._Sectors(true.blocks, extremes)
+    monkeypatch.setattr(spectral, "_sector_data", lambda size: shifted)
+    with pytest.raises(SpinChernError, match="nearest 0 at N = 4 .* residual"):
+        find_crossings(ChainSpec(n, 0.0), (-2.0, 2.0))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -392,7 +504,12 @@ def test_equator_curvature_is_half_the_pole_magnetization(n, j):
 
 @pytest.mark.parametrize("n,j", PLATEAU_CASES)
 def test_chern_lattice_matches_dense_oracle_on_every_plateau(n, j):
-    assert chern_lattice(ChainSpec(n, j)) == dense_chern_lattice(ChainSpec(n, j))
+    # on a cleared winding cache and then on the stored winding
+    spectral._lattice_winding.cache_clear()
+    cold = chern_lattice(ChainSpec(n, j))
+    warm = chern_lattice(ChainSpec(n, j))
+    assert spectral._lattice_winding.cache_info()[:2] == (1, 1)
+    assert cold == warm == dense_chern_lattice(ChainSpec(n, j))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -422,24 +539,42 @@ def test_size_cap_is_checked_before_any_cache_access(call):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,error",
     [
         pytest.param(
-            lambda s: find_crossings(s, (-math.inf, 2.0)), id="interval_infinite_lo"
+            lambda s: find_crossings(s, (-math.inf, 2.0)),
+            OutOfRange,
+            id="interval_infinite_lo",
         ),
         pytest.param(
-            lambda s: find_crossings(s, (-2.0, math.inf)), id="interval_infinite_hi"
+            lambda s: find_crossings(s, (-2.0, math.inf)),
+            OutOfRange,
+            id="interval_infinite_hi",
         ),
-        pytest.param(lambda s: chern_lattice(s, (2.5, 3)), id="fractional_grid"),
-        pytest.param(lambda s: chern_lattice(s, (True, 8)), id="bool_grid"),
+        pytest.param(
+            lambda s: chern_lattice(s, (2.5, 3)), OutOfRange, id="fractional_grid"
+        ),
+        pytest.param(lambda s: chern_lattice(s, (True, 8)), OutOfRange, id="bool_grid"),
+        pytest.param(
+            lambda s: chern_lattice(dataclasses.replace(s, coupling_j=-1.0 / 3.0)),
+            DegenerateGroundState,
+            id="degenerate_coupling",
+        ),
     ],
 )
-def test_bad_scan_inputs_raise_before_any_cache_access(call):
-    # Unchecked, the fractional grid raised a TypeError from numpy.
+def test_bad_scan_inputs_raise_before_any_cache_access(call, error):
+    # Unchecked, the fractional grid raised a TypeError from numpy.  A
+    # degenerate coupling is found from the size's sector levels, so it
+    # reads them, warm here; it touches no other cache, the lattice
+    # winding's included.
+    spectral._sector_data(3)
     before = cache_state()
-    with pytest.raises(OutOfRange):
+    with pytest.raises(error):
         call(ChainSpec(3, 1.0))
-    assert cache_state() == before
+    for cache, was, now in zip(CACHES, before, cache_state()):
+        if error is DegenerateGroundState and cache is spectral._sector_data:
+            now = now._replace(hits=was.hits)
+        assert now == was, f"{cache.__module__}.{cache.__name__}"
 
 
 def _fields(cached):
