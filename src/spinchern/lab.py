@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .model import (
 )
 from .pulsesim import simulate_protocol_trotter
 from .quench import QuenchProtocol, evolve_quench, extract_curvature
-from .spectral import chern_lattice, curvature_spectral, ground_gap
+from .spectral import _lattice_winding, _pole_ground, chern_lattice
+from .spectral import curvature_spectral, ground_gap
 
 METHODS = ("dynamical", "spectral", "lattice", "trotter")
 RAMP_METHODS = ("dynamical", "trotter")
@@ -154,8 +155,21 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
 
     Coupling values hitting a ground-state degeneracy are kept as
     non-converged rows so downstream plots show where the jump sits.
+
+    A lattice sweep first sums each ground sector's winding in row order,
+    so a grid too coarse for one raises ``OutOfRange`` before any row.
     """
-    return [_sweep_row(cfg, j) for j in sorted(cfg.j_values)]
+    j_values = sorted(cfg.j_values)
+    if cfg.method == "lattice":
+        sectors = {}
+        for j in j_values:
+            try:
+                sectors[int(_pole_ground(replace(cfg.spec, coupling_j=j))[0])] = None
+            except DegenerateGroundState:
+                pass
+        for m_g in sectors:
+            _lattice_winding(m_g, *cfg.lattice_grid)
+    return [_sweep_row(cfg, j) for j in j_values]
 
 
 def detect_plateaus(rows) -> list[PlateauStats]:

@@ -144,7 +144,10 @@ def perturbed_fidelity(
     the offset shifts that step's framing rotation pair coherently (the
     same miscalibrated angle enters the + and - rotation).  Trials use
     seeds seed+0 .. seed+trials-1, so the result is reproducible and
-    individual trials can run anywhere.
+    individual trials can run anywhere.  To first order in the bound b
+    (radians) their mean infidelity is eps = (b^2 / 3) (T^2 / steps) M_g,
+    T = pi / v: ||(1 - |g><g|) dH/dtheta g||^2 = M_g at every step, as
+    the gapped ground state g is the top of its multiplet.
 
     The arguments, the chain cap and the pole gap are checked before any
     work.  The ideal ramp and the trials run as one stack in the mirror

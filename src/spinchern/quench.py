@@ -99,28 +99,11 @@ def theta_of_t(protocol: QuenchProtocol, t):
     return protocol.v_theta**2 * t**2 / (2.0 * math.pi)
 
 
-# Real traffic needs few protocols: a sweep uses one per rate,
-# check_convergence adds the doubled-steps one and linear_zone_scan one
-# per rate it maps (the bench's ramp pass uses two, its pulse pass one).
-# 64 holds a scan over dozens of rates.  An entry of _midpoint_angles is
-# one float per step (2.4 KB at 300 steps), one of _spin_readout two
-# floats.
-
-
-@functools.lru_cache(maxsize=64)
 def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
-    """theta at the midpoint (k + 1/2) dt of each step k, read-only.
-
-    The build of every single ramp's table of step phases
-    (``_step_phases``) reads them, and so does every stack of noisy
-    Trotter trials.  Building them took about 23 us on a 2-vCPU
-    x86-64 VM, and uncached they added 0.1 ms to ``perturbed_fidelity``
-    per bench pulse pass, so they are built once per protocol too.
-    """
+    """theta at the midpoint (k + 1/2) dt of each step k, which every
+    table of step phases (``_step_phases``) and every stack reads."""
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
-    angles = theta_of_t(protocol, midpoints)
-    _read_only(angles)
-    return angles
+    return theta_of_t(protocol, midpoints)
 
 
 # --- ramp kernel -------------------------------------------------------------
@@ -138,11 +121,6 @@ def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
 # the diagonal phase W^dagger R(a) W = exp(-i a m / 2).
 
 _Y_FRAME = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-
-# A stack of T ramps on the step loop builds the diagonal phases of this
-# many ramp-steps at once, _PHASE_CHUNK // T steps of every ramp.  Single
-# ramps build none: they read their sector's ``_step_phases`` table.
-_PHASE_CHUNK = 64
 
 # Largest mirror-sector dimension at which a ramp multiplies its step
 # matrices together instead of applying them to the state one by one;
@@ -163,11 +141,11 @@ _PRODUCT_MAX_DIM = 12
 # d = 10.
 _GROUP_STEPS = 8
 
-# Bytes of group products, with their scaled copy, built at once on the
-# product path, whatever the stack: 32 d^2 / L per step, so a chunk
-# holds 1820 steps at d = 12 and a 65536-step ramp of one spin (d = 2).
-# The phases are read, not built, per chunk: a single ramp slices its
-# table, and each ramp of a stack builds its own, 16 d bytes per step.
+# The kernel's one memory budget, in bytes built at once per chunk of
+# steps: group products with their scaled copy on the product path,
+# 32 d^2 / L per step (1820 steps at d = 12, 65536 at d = 2), and a
+# stack's phases on the step loop, 16 d T per step of T ramps (546 steps
+# of 6 ramps at d = 20).  Other phases are built whole.
 _PRODUCT_BYTES = 2**20
 
 # --- mirror sectors ----------------------------------------------------------
@@ -322,7 +300,8 @@ def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.nd
     over or a sweep over 8 rates.  A table is 16 d bytes per step: at
     300 steps 0.35 MB for N = 7's even sector (d = 72) and 2.5 MB at the
     N = 10 cap (d = 528), so a full cache holds at most 5.5 MB at N <= 7
-    and 41 MB at the cap.
+    and 41 MB at the cap.  A table is built whole, outside the kernel's
+    memory budget ``_PRODUCT_BYTES``: 553.7 MB at the cap and 65536 steps.
     """
     angles = _midpoint_angles(protocol)
     rows = np.concatenate(([-angles[0]], _step_deltas(angles)))
@@ -405,7 +384,9 @@ def _ramp_state(
     through ``ndarray.dot``, one zgemv without the dispatch of the
     ``matmul`` ufunc.  A stack keeps the broadcast ``core @ psi``,
     which is one zgemv per ramp and so gives each ramp the bits of its
-    single run; one (d, T) zgemm over the stack would not.
+    single run; one (d, T) zgemm over the stack would not.  Both paths
+    build per chunk of steps within ``_PRODUCT_BYTES``, the kernel's one
+    memory budget: group products, or a stack's phases on the loop.
     """
     if offsets is None:
         table = _step_phases(protocol, n_spins, parity)
@@ -424,7 +405,7 @@ def _ramp_state(
             phases = _rotation_phases(ramp_deltas, sector)
             ramp[:] = _step_product(core, phases, ramp)
     else:
-        chunk = max(1, _PHASE_CHUNK // offsets.shape[1])
+        chunk = max(1, _PRODUCT_BYTES // (16 * ground.size * offsets.shape[1]))
         for start in range(0, protocol.steps, chunk):
             phases = _rotation_phases(deltas[start : start + chunk], sector)
             for phase in phases[..., None]:
@@ -479,8 +460,9 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     It depends only on the protocol, not on the chain or J, and building
     it is most of an exact ramp.  So it is cached per (v_theta, steps):
     every exact ramp with that protocol, at every N and J, reads the
-    same two floats.  The cache keeps the 64 most recently used
-    protocols, so a scan over many rates cannot grow it further.
+    same two floats.  Real traffic needs few protocols, one per rate of
+    a sweep or scan and check_convergence's doubled one, so the 64 most
+    recently used hold a scan over dozens of rates, and none grows more.
     Its ramp runs as a stack of one, with the single run's bits, so no
     table of its phases evicts a Trotter ramp's from ``_step_phases``.
     """

@@ -50,3 +50,13 @@ def product_chunks(steps: int, dim: int):
     budget = 32 * dim * dim * steps // quench._GROUP_STEPS
     with mock.patch.object(quench, "_PRODUCT_BYTES", budget):
         yield
+
+
+@contextlib.contextmanager
+def phase_chunks(steps: int, dim: int, width: int):
+    """Run a stack of ``width`` ramps on the ramp kernel's step loop in
+    phase chunks of ``steps`` steps at sector dimension ``dim``, so a
+    short stack crosses chunk bounds."""
+    budget = 16 * dim * width * steps
+    with mock.patch.object(quench, "_PRODUCT_BYTES", budget):
+        yield

@@ -474,7 +474,6 @@ def test_protocol_keyed_caches_have_a_finite_maxsize():
         if set(inspect.signature(c.__wrapped__).parameters) - SIZE_BOUNDED_KEYS
     }
     assert set(keyed) == {
-        "spinchern.quench._midpoint_angles",
         "spinchern.quench._spin_readout",
         "spinchern.quench._step_phases",
         "spinchern.spectral._lattice_winding",

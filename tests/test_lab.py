@@ -308,6 +308,46 @@ def test_sweep_rows_keep_the_bits_of_their_route(method, n, j):
     assert row.chern == 2.0 * direct
 
 
+def test_lattice_sweep_refuses_a_coarse_grid_before_its_first_row(monkeypatch):
+    # At N = 2 a 2x2 grid is admissible for the M_g = 0 rows (J < -1/2)
+    # but not for M_g = 2, where the rows once reached it after 17 calls.
+    with pytest.raises(OutOfRange) as direct:
+        chern_lattice(ChainSpec(2, -0.4), (2, 2))
+    calls = []
+    route = lab.chern_lattice
+    monkeypatch.setattr(
+        lab, "chern_lattice", lambda *args: calls.append(args) or route(*args)
+    )
+    cfg = SweepConfig(
+        spec=ChainSpec(2, 0.0), j_values=default_j_grid(step=0.1),
+        method="lattice", lattice_grid=(2, 2),
+    )  # fmt: skip
+    with pytest.raises(OutOfRange) as swept:
+        run_sweep(cfg)
+    assert str(swept.value) == str(direct.value)
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", lab.METHODS)
+def test_only_lattice_sweeps_sum_their_sectors_first(method, monkeypatch):
+    # A lattice sweep reads each coupling's ground sector before its rows,
+    # the crossing at -0.5 included, and sums each sector once, M_g = 0
+    # then 2; the other methods do no such work.
+    calls = {"_pole_ground": [], "_lattice_winding": []}
+    for name, seen in calls.items():
+        route = getattr(lab, name)
+        monkeypatch.setattr(
+            lab, name, lambda *args, r=route, s=seen: s.append(args) or r(*args)
+        )
+    js = (1.0, -0.5, 0.4, -1.0)
+    run_sweep(SweepConfig(spec=ChainSpec(2, 0.0), j_values=js, method=method))
+    if method == "lattice":
+        assert len(calls["_pole_ground"]) == 4
+        assert calls["_lattice_winding"] == [(0, 24, 24), (2, 24, 24)]
+    else:
+        assert calls == {"_pole_ground": [], "_lattice_winding": []}
+
+
 def test_ramp_config_builds_its_protocols_once(tmp_path, monkeypatch):
     built = []
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -47,11 +48,12 @@ from spinchern import (
     zz_target_propagator,
 )
 
-from _internals import pole_ground_state, product_chunks
+from _internals import phase_chunks, pole_ground_state, product_chunks
 from _oracles import (
     ORACLE_STEPS,
     PLATEAU_CASES,
     RAMP_RATES,
+    angle_noise_infidelity,
     assert_same_compile,
     assert_same_state,
     cache_state,
@@ -168,6 +170,21 @@ def test_perturbed_fidelity_deterministic_and_bounded():
     assert 0.0 <= a <= 1.0
 
 
+@pytest.mark.parametrize(
+    "n, j",
+    [(2, 1.0), (3, -0.3), (4, -0.5), (4, 1.0), (5, -0.4), (6, 1.0), (6, -0.31)],
+)
+def test_first_order_angle_noise_infidelity_is_the_closed_form(n, j):
+    # Each step kicks the gapped g, the top of its multiplet, out of
+    # itself with squared norm M_g, so the oracle's sum over 300 dense
+    # steps is eps = (b^2 / 3) (T^2 / steps) M_g.
+    spec, proto = ChainSpec(n, j), QuenchProtocol(0.1)
+    m_g = pole_system(spec).sectors[0]
+    eps = math.radians(5.0) ** 2 / 3.0 * proto.total_time**2 / proto.steps * m_g
+    oracle = angle_noise_infidelity(spec, proto, 5.0)
+    assert oracle == pytest.approx(eps, rel=1e-10, abs=0.0)
+
+
 def test_perturbed_fidelity_mean_monotone_in_error_bound():
     # trials=1 isolates single draws, so averaging over seeds gives the
     # Monte Carlo mean at each error bound.
@@ -178,15 +195,44 @@ def test_perturbed_fidelity_mean_monotone_in_error_bound():
     assert mean(1.0) >= mean(5.0)
 
 
-@pytest.mark.parametrize("n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (5, 0.86)])
-def test_stacked_trials_equal_single_trials_bit_for_bit(n, j):
+def _loop_chunks(monkeypatch, spec, steps, width):
+    """A context that runs ``spec``'s stacks of ``width`` ramps in phase
+    chunks of ``steps`` steps if they take the step loop, and the list in
+    which the loop records the step count of each phase chunk it builds
+    (only its chunks are built from 2-d angles)."""
+    dim = quench._mirror_sector(spec.n_spins, quench._trotter_start(spec)[1]).count.size
+    built = []
+    build = quench._rotation_phases
+
+    def recorded(angles, sector):
+        if np.ndim(angles) == 2:
+            built.append(len(angles))
+        return build(angles, sector)
+
+    monkeypatch.setattr(quench, "_rotation_phases", recorded)
+    if dim <= quench._PRODUCT_MAX_DIM:
+        return contextlib.nullcontext(), built
+    return phase_chunks(steps, dim, width), built
+
+
+@pytest.mark.parametrize(
+    "n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (5, 0.86), (6, 0.87)]
+)
+def test_stacked_trials_equal_single_trials_bit_for_bit(n, j, monkeypatch):
     # The trials run as one stack, each with its own mat-vec, so a trial's
-    # fidelity has the same bits alone as among the others.
+    # fidelity has the same bits alone as among the others.  On the step
+    # loop (N = 5 and 6, d = 20 and 36) the stack of 7 builds its phases
+    # in chunks of 13 steps, 4 chunks, while a single trial's stack of 2
+    # fits one.
     spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, ORACLE_STEPS)
-    worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=6)
-    singles = [
-        perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1) for k in range(6)
-    ]
+    chunks, built = _loop_chunks(monkeypatch, spec, 13, 7)
+    with chunks:
+        worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=6)
+        assert built == ([13, 13, 13, 1] if n >= 5 else [])
+        singles = [
+            perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1)
+            for k in range(6)
+        ]
     assert worst == min(singles)
 
 
@@ -227,23 +273,31 @@ CHUNK = 512
 
 
 @pytest.mark.parametrize(
-    "n, j", [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (4, -0.5), (5, 0.86)]
+    "n, j",
+    [(1, 1.0), (2, 0.75), (3, 0.8), (4, 0.85), (4, -0.5), (5, 0.86), (6, 0.87)],
 )
-def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j):
+def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j, monkeypatch):
     # 151 steps are no multiple of the group length, so every product
-    # ramp first applies its earliest steps one by one.
+    # ramp first applies its earliest steps one by one.  On the step loop
+    # the stack of 4 builds its phases in 4 chunks of up to 50 steps, the
+    # 5 ramps of the fidelity in 4 of up to 40, and a single ramp's stack
+    # of 1 or 2 in 1 or 2.
     spec, proto = ChainSpec(n, j), QuenchProtocol(0.1, 151)
     offsets = np.random.default_rng(n).uniform(-0.1, 0.1, (proto.steps, 4))
     offsets[:, 0] = 0.0
-    stacked = _sector_ramp(spec, proto, offsets)
-    assert np.array_equal(_sector_ramp(spec, proto), stacked[0, :, 0])
-    for t in range(1, 4):
-        alone = _sector_ramp(spec, proto, offsets[:, t : t + 1])
-        assert np.array_equal(alone[0], stacked[t])
-    worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=4)
-    singles = [
-        perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1) for k in range(4)
-    ]
+    chunks, built = _loop_chunks(monkeypatch, spec, 50, 4)
+    with chunks:
+        stacked = _sector_ramp(spec, proto, offsets)
+        assert built == ([50, 50, 50, 1] if n >= 5 else [])
+        assert np.array_equal(_sector_ramp(spec, proto), stacked[0, :, 0])
+        for t in range(1, 4):
+            alone = _sector_ramp(spec, proto, offsets[:, t : t + 1])
+            assert np.array_equal(alone[0], stacked[t])
+        worst = perturbed_fidelity(spec, proto, 5.0, seed=3, trials=4)
+        singles = [
+            perturbed_fidelity(spec, proto, 5.0, seed=3 + k, trials=1)
+            for k in range(4)
+        ]
     assert worst == min(singles)
 
 

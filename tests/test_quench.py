@@ -415,14 +415,6 @@ def test_warm_step_phases_are_the_uncached_ones(n, j):
         assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
 
 
-def test_warm_midpoint_angles_are_the_uncached_ones():
-    for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
-        quench._midpoint_angles(proto)
-        warm = quench._midpoint_angles(proto)
-        cold = quench._midpoint_angles.__wrapped__(proto)
-        assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
-
-
 def _sector_labels(n, parity):
     """The M_z labels of the sector's representatives, from the site
     table: every b <= rev(b), palindromes dropped in the odd sector."""
@@ -524,13 +516,11 @@ def test_pole_start_cache_is_bounded_by_its_key_space():
     assert all(sum(k[0] == n for k in keys) <= 2 * (n + 1) for n in range(1, 7))
 
 
-def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
+def test_trotter_sweep_builds_each_step_phase_table_once():
     # Over two sizes, each (protocol, sector) builds one table of step
-    # phases from the one protocol's angles, and every later row hits
-    # it.  N = 2 starts in its odd sector at J = -1.25 and in its even
-    # one at 0.75; N = 3 starts in its even one at every coupling.  A
-    # rate no other test uses.
-    angles = quench._midpoint_angles.cache_info()
+    # phases, and every later row hits it.  N = 2 starts in its odd
+    # sector at J = -1.25 and in its even one at 0.75; N = 3 starts in
+    # its even one at every coupling.  A rate no other test uses.
     before = quench._step_phases.cache_info()
     rows = []
     for n, couplings in ((2, (-1.25, 0.75, -1.3, 0.8)), (3, (-1.2, 0.8, 1.1))):
@@ -543,7 +533,6 @@ def test_trotter_sweep_builds_the_midpoint_angles_once(monkeypatch):
     assert len(rows) == 7 and all(row.converged for row in rows)
     assert after.misses - before.misses == 3
     assert after.hits - before.hits == len(rows) - 3
-    assert quench._midpoint_angles.cache_info().misses - angles.misses == 1
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
