@@ -87,15 +87,17 @@ def _trotter_core(
     h V diag(e^{iJ tau l}) V^T h, h the diagonal half step.  Its factors
     act on ``right`` one by one, so every array built has its shape.  V
     is real and acts on the interleaved real and imaginary parts, so it
-    is never cast to a complex copy.
+    is never cast to a complex copy.  The scalars fold first, so each
+    exponential's argument is one array product per term.
     """
     _check_cap(spec)
     sites = _site_table(spec.n_spins)
-    diagonal = -magnitude * sites.m - spec.coupling_j * sites.zz  # field and zz
-    half = np.exp(-0.5j * diagonal * tau)[:, None]
+    # -i (H_z + H_zz) tau / 2 with H_z + H_zz = -|h| m - J zz
+    field, zz = 0.5j * tau * magnitude, 0.5j * tau * spec.coupling_j
+    half = np.exp(field * sites.m + zz * sites.zz)[:, None]
     values, vectors = _exchange_system(spec.n_spins)
-    x = vectors.T.dot(np.ascontiguousarray(half * right).view(float)).view(complex)
-    x *= np.exp(1j * spec.coupling_j * tau * values)[:, None]
+    x = vectors.T.dot((half * right).view(float)).view(complex)
+    x *= np.exp((1j * spec.coupling_j * tau) * values)[:, None]
     x = vectors.dot(x.view(float)).view(complex)
     x *= half
     return left.dot(x)

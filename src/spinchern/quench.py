@@ -52,6 +52,14 @@ class QuenchProtocol:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.v_theta) and self.v_theta > 0.0):
             raise OutOfRange(f"v_theta must be positive and finite, got {self.v_theta}")
+        # theta(t) = v^2 t^2 / (2 pi) squares the rate and times up to
+        # pi / v, which overflow or vanish outside about 2.4e-154 to 1.3e154
+        rate, total = self.v_theta * self.v_theta, self.total_time * self.total_time
+        if not (0.0 < rate < math.inf and 0.0 < total < math.inf):
+            raise OutOfRange(
+                f"v_theta={self.v_theta} is outside the rates whose square and "
+                f"squared ramp time pi / v_theta are finite and nonzero"
+            )
         if not (_is_count(self.steps) and self.steps >= 1):
             raise OutOfRange(f"steps must be a whole number >= 1, got {self.steps!r}")
 
@@ -101,7 +109,7 @@ def theta_of_t(protocol: QuenchProtocol, t):
 
 def _midpoint_angles(protocol: QuenchProtocol) -> np.ndarray:
     """theta at the midpoint (k + 1/2) dt of each step k, which every
-    table of step phases (``_step_phases``) and every stack reads."""
+    single ramp's plan (``_step_phases``) and every stack reads."""
     midpoints = (np.arange(protocol.steps) + 0.5) * protocol.step_time
     return theta_of_t(protocol, midpoints)
 
@@ -142,8 +150,9 @@ _PRODUCT_MAX_DIM = 12
 _GROUP_STEPS = 8
 
 # The kernel's one memory budget, in bytes built at once per chunk of
-# steps: group products with their scaled copy on the product path,
-# 32 d^2 / L per step (1820 steps at d = 12, 65536 at d = 2), and a
+# steps: on the product path the groups' (d, d, groups) products and
+# the core's product with them that replaces them, 32 d^2 / L per step
+# (1820 steps at d = 12, 65536 at d = 2), and a
 # stack's phases on the step loop, 16 d T per step of T ramps (546 steps
 # of 6 ramps at d = 20).  Other phases are built whole.
 _PRODUCT_BYTES = 2**20
@@ -282,32 +291,54 @@ def _rotation_phases(angles, sector: _MirrorSector) -> np.ndarray:
     return np.take(np.concatenate((half, half.conj()), axis=-1), sector.lookup, axis=-1)
 
 
-@functools.lru_cache(maxsize=16)
-def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> np.ndarray:
-    """The diagonal phases of a single ramp in the mirror sector of
-    ``parity``, read-only: row 0 enters the first step's frame,
-    exp(i a_0 m / 2), and row k + 1 is step k's phase exp(-i delta_k m /
-    2), with m the sector's M_z labels (see ``_step_deltas``).
+@dataclass(frozen=True)
+class _RampPlan:
+    """Every phase of a single ramp that J does not change, read-only
+    views of one table built by one ``_rotation_phases`` call: the
+    ``entry`` row exp(i a_0 m / 2) into the first step's frame, one row
+    per step k of ``steps``, exp(-i delta_k m / 2) (see
+    ``_step_deltas``), and the ``readout`` row exp(-i theta_f m / 2) of
+    R(theta_f), with m the sector's M_z labels.  ``rows`` holds the step
+    rows as ready views for the step loop, and is empty on the product
+    path, which reads ``steps`` whole."""
 
-    They depend only on the protocol and the sector, not on J, so every
-    single ramp of a sweep shares one table.  A stack of noisy trials
-    builds its own phases, through the same ``_rotation_phases``.
+    entry: np.ndarray
+    steps: np.ndarray
+    rows: tuple
+    readout: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _step_phases(protocol: QuenchProtocol, n_spins: int, parity: float) -> _RampPlan:
+    """The plan of a single ramp in the mirror sector of ``parity`` (see
+    ``_RampPlan``).
+
+    It depends only on the protocol and the sector, not on J, so every
+    single ramp of a sweep shares one plan and looks it up once.  A stack
+    of noisy trials builds its own phases, through the same
+    ``_rotation_phases``, which gives each row the bits of its own call.
 
     A Trotter sweep uses one protocol per rate and at most 2 sectors of
-    its one size; the exact ramps' one-spin run stores no table.  The
-    bench's pulse pass reads 8 tables (one protocol, N = 2-7, both
+    its one size; the exact ramps' one-spin run stores no plan.  The
+    bench's pulse pass reads 8 plans (one protocol, N = 2-7, both
     sectors at N = 2 and 4).  The cache keeps 16, the pulse pass twice
-    over or a sweep over 8 rates.  A table is 16 d bytes per step: at
-    300 steps 0.35 MB for N = 7's even sector (d = 72) and 2.5 MB at the
-    N = 10 cap (d = 528), so a full cache holds at most 5.5 MB at N <= 7
-    and 41 MB at the cap.  A table is built whole, outside the kernel's
-    memory budget ``_PRODUCT_BYTES``: 553.7 MB at the cap and 65536 steps.
+    over or a sweep over 8 rates.  A plan's table is 16 d bytes per step,
+    plus the entry and readout rows: at 300 steps 0.35 MB for N = 7's
+    even sector (d = 72) and 2.5 MB at the N = 10 cap (d = 528), so a
+    full cache holds at most 5.5 MB at N <= 7 and 41 MB at the cap.  On
+    the step loop (d > ``_PRODUCT_MAX_DIM``) the tuple of row views adds
+    120 bytes per step, 36 KB at 300 steps.  A table is built whole,
+    outside the kernel's memory budget ``_PRODUCT_BYTES``: 553.7 MB at
+    the cap and 65536 steps.
     """
     angles = _midpoint_angles(protocol)
-    rows = np.concatenate(([-angles[0]], _step_deltas(angles)))
-    table = _rotation_phases(rows, _mirror_sector(n_spins, parity))
+    rows = np.concatenate(([-angles[0]], _step_deltas(angles), [protocol.final_angle]))
+    sector = _mirror_sector(n_spins, parity)
+    table = _rotation_phases(rows, sector)
     _read_only(table)
-    return table
+    steps = table[1:-1]
+    loop = tuple(steps) if sector.count.size > _PRODUCT_MAX_DIM else ()
+    return _RampPlan(table[0], steps, loop, table[-1])
 
 
 def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -316,13 +347,14 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
 
     The steps run in chunks of ``_PRODUCT_BYTES``.  Per chunk the
     earliest S mod L steps of its S are applied to psi one by one, L =
-    ``_GROUP_STEPS``.  The rest fall into groups of L
-    consecutive steps, all built at once from the left: G = P_last C,
-    then G <- (G P_k) C down to the group's earliest step, one stacked
-    (groups d, d) product with C = core per step.  The group products
-    are multiplied pairwise, later group on the left, one batched matmul
-    per round, until one is left; a round with an odd count first
-    applies its earliest product to psi.
+    ``_GROUP_STEPS``.  The rest fall into groups of L consecutive steps,
+    all built at once from the right in a (d, d, groups) layout, with
+    C = core: X = P_0 C, then X <- P_k (C X) up to the group's latest
+    step, one zgemm of C by X seen as (d, d groups) and one in-place
+    phase whose inner loop runs over the groups.  The group products,
+    transposed once to (groups, d, d), are multiplied pairwise, later
+    group on the left, one batched matmul per round, until one is left;
+    a round with an odd count first applies its earliest product to psi.
     """
     d = core.shape[0]
     steps = _PRODUCT_BYTES * _GROUP_STEPS // (32 * d * d)
@@ -333,11 +365,14 @@ def _step_product(core: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.n
             psi = phase * core.dot(psi)
         if peel == len(chunk):
             continue
+        # lanes[k, i, g] is phase i of step k of group g
         groups = chunk[peel:].reshape(-1, _GROUP_STEPS, d)
-        mats = groups[:, -1, :, None] * core
-        for k in range(_GROUP_STEPS - 2, -1, -1):
-            scaled = mats * groups[:, k, None, :]
-            mats = scaled.reshape(-1, d).dot(core).reshape(-1, d, d)
+        lanes = np.ascontiguousarray(groups.transpose(1, 2, 0))[:, :, None, :]
+        mats = lanes[0] * core[:, :, None]
+        for lane in lanes[1:]:
+            mats = core.dot(mats.reshape(d, -1)).reshape(mats.shape)
+            mats *= lane
+        mats = np.ascontiguousarray(mats.transpose(2, 0, 1))
         while len(mats) > 1:
             if len(mats) % 2:
                 psi = mats[0].dot(psi)
@@ -354,6 +389,7 @@ def _ramp_state(
     core: np.ndarray,
     protocol: QuenchProtocol,
     offsets: np.ndarray | None = None,
+    plan: _RampPlan | None = None,
 ) -> np.ndarray:
     """Final sector state of the ramp that applies R(a_k) C R(a_k)^T at
     step k, for the z-frame step C at the pole of ``n_spins`` spins (the
@@ -368,8 +404,9 @@ def _ramp_state(
 
     The ramp runs in the y frame of the sector, about half the basis,
     and returns the state there, shape (d,): the z-frame state is
-    ``right`` times it.  A single ramp reads its phases from the cached
-    ``_step_phases`` table of its protocol and sector.
+    ``right`` times it.  A single ramp reads its phases from ``plan``,
+    by default the cached ``_step_phases`` plan of its protocol and
+    sector.
 
     ``offsets`` of shape (steps, T) runs T ramps as one stack, ramp t at
     a_k + offsets[k, t], and returns their sector states with shape
@@ -389,11 +426,12 @@ def _ramp_state(
     memory budget: group products, or a stack's phases on the loop.
     """
     if offsets is None:
-        table = _step_phases(protocol, n_spins, parity)
-        psi = table[0] * ground
+        if plan is None:
+            plan = _step_phases(protocol, n_spins, parity)
+        psi = plan.entry * ground
         if ground.size <= _PRODUCT_MAX_DIM:
-            return _step_product(core, table[1:], psi)
-        for phase in table[1:]:
+            return _step_product(core, plan.steps, psi)
+        for phase in plan.rows:
             psi = phase * core.dot(psi)
         return psi
     sector = _mirror_sector(n_spins, parity)
@@ -425,11 +463,18 @@ def _ramp_readout(
     |sum c conj(R x_0) x|^2 of the single ramp of ``_ramp_state`` from
     x_0 = ``start``, with c the representatives' counts and R the y-frame
     phase of R(theta_f): the target is the rotated start, no eigensolve.
-    ``offsets`` of shape (steps, 1) runs the ramp as a stack of one."""
-    psi = _ramp_state(start, n_spins, parity, core, protocol, offsets).reshape(-1)
+    A single ramp reads R from the plan it steps with, one lookup;
+    ``offsets`` of shape (steps, 1) runs the ramp as a stack of one,
+    which builds R itself."""
     sector = _mirror_sector(n_spins, parity)
     theta = protocol.final_angle
-    rotation = _rotation_phases(theta, sector)
+    if offsets is None:
+        plan = _step_phases(protocol, n_spins, parity)
+        rotation = plan.readout
+    else:
+        plan, rotation = None, _rotation_phases(theta, sector)
+    psi = _ramp_state(start, n_spins, parity, core, protocol, offsets, plan)
+    psi = psi.reshape(-1)
     m_phi = math.sin(theta) * float(np.dot(sector.weights, (psi.conj() * psi).real))
     overlap = float(abs(np.vdot(rotation * start, sector.count * psi)) ** 2)
     return m_phi, overlap
@@ -464,7 +509,7 @@ def _spin_readout(protocol: QuenchProtocol) -> tuple[float, float]:
     a sweep or scan and check_convergence's doubled one, so the 64 most
     recently used hold a scan over dozens of rates, and none grows more.
     Its ramp runs as a stack of one, with the single run's bits, so no
-    table of its phases evicts a Trotter ramp's from ``_step_phases``.
+    plan of its phases evicts a Trotter ramp's from ``_step_phases``.
     """
     sector = _mirror_sector(1, 1.0)
     field = np.exp(1j * protocol.step_time * _site_table(1).m)

@@ -1223,10 +1223,12 @@ def test_cli_linear_zone(capsys):
 @pytest.mark.parametrize(
     "rates, named",
     [("", "velocities must not be empty"), ("0.1,nan", "velocities[1]"),
-     ("0.1,inf", "velocities[1]")],
+     ("0.1,inf", "velocities[1]"), ("0.1,1e155", "v_theta=1e+155"),
+     ("1e-160", "v_theta=1e-160")],
 )  # fmt: skip
 def test_cli_linear_zone_rejects_bad_rates(rates, named, capsys):
-    # An empty --v printed an empty table and exited 0.
+    # An empty --v printed an empty table and exited 0; a rate whose
+    # ramp arithmetic overflows exited with a traceback.
     assert cli_main(["linear-zone", "--v", rates]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -317,6 +317,7 @@ def test_product_ramps_have_the_same_bits_alone_and_stacked(n, j, monkeypatch):
 @example(case=(3, -1.2), v=0.29, steps=2 * CHUNK + 1, seed=1)
 @example(case=(4, 0.85), v=0.05, steps=CHUNK + 5, seed=4)
 @example(case=(5, -0.36), v=0.1, steps=CHUNK + 3, seed=5)
+@example(case=(4, 0.85), v=0.1, steps=300, seed=6)
 def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     # The oracle runs in the full 2^n space, so it checks the restriction
     # to the mirror sector too: each sector state is unfolded to the
@@ -324,7 +325,8 @@ def test_product_ramp_matches_dense_oracle(case, v, steps, seed):
     # length applies its earliest steps one by one, and one shorter than
     # a group has no product at all; past the chunk bound, here CHUNK
     # steps, a ramp multiplies several products.  Column 0 is the ideal
-    # ramp, column 1 a noisy one.
+    # ramp, column 1 a noisy one.  The pulse pass's most common product
+    # ramp is 300 steps at sector dimension 10 (N = 4, J > 0).
     n, j = case
     spec, proto = ChainSpec(n, j), QuenchProtocol(v, steps)
     offsets = np.zeros((steps, 2))

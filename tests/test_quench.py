@@ -86,6 +86,37 @@ def test_protocol_validation():
     assert QuenchProtocol(v_theta=2.0).total_time == pytest.approx(math.pi / 2)
 
 
+@pytest.mark.parametrize("v", [1e155, 1.35e154, 1.7e308, 2.3e-154, 1e-160, 5e-324])
+def test_protocol_rejects_rates_whose_ramp_arithmetic_overflows(v, monkeypatch):
+    # Finite rates whose square or squared ramp time pi / v overflows or
+    # vanishes: 1e155 raised a bare OverflowError from v_theta**2 and
+    # 1e-160 one from the squared ramp time, both mid-ramp.  A sweep and
+    # a scan refuse them before any ramp.
+    ramps = []
+    monkeypatch.setattr(quench, "evolve_quench", lambda *args: ramps.append(args))
+    with pytest.raises(OutOfRange, match="v_theta"):
+        QuenchProtocol(v_theta=v)
+    for method in ("dynamical", "trotter"):
+        with pytest.raises(OutOfRange, match="v_theta"):
+            SweepConfig(
+                spec=ChainSpec(2, 0.0), j_values=(1.0,), method=method,
+                velocities=(0.1, v),
+            )  # fmt: skip
+    with pytest.raises(OutOfRange, match="v_theta"):
+        linear_zone_scan(ChainSpec(2, 1.0), sorted([0.1, v]))
+    assert ramps == []
+
+
+@pytest.mark.parametrize("v", [2.4e-154, 1.3e154])
+def test_protocol_accepts_the_ends_of_the_rate_range(v):
+    # Just inside both ends, the ramp still ends at the equator and the
+    # exact ramp reads finite numbers.
+    proto = QuenchProtocol(v_theta=v)
+    assert proto.final_angle == pytest.approx(math.pi / 2, rel=1e-15)
+    result = evolve_quench(ChainSpec(2, 1.0), proto)
+    assert math.isfinite(result.m_phi) and math.isfinite(result.adiabatic_overlap)
+
+
 def test_protocol_rejects_fractional_steps():
     # The ramp is a product over a whole number of steps.
     with pytest.raises(OutOfRange):
@@ -403,16 +434,29 @@ def test_exact_ramps_store_no_step_phase_table():
 
 @pytest.mark.parametrize("n, j", [(2, -1.25), (3, 0.8), (5, 0.86)])
 def test_warm_step_phases_are_the_uncached_ones(n, j):
-    # An odd sector, an even one and one on the step loop.  A table has
-    # the entry row and one row per step.
+    # An odd sector, an even one and one on the step loop.  A plan has
+    # the entry row, one row per step, which only the step loop also
+    # reads as a tuple of views, and the readout row of R(theta_f), with
+    # the bits of its own phase call.
     parity = quench._trotter_start(ChainSpec(n, j))[1]
-    dim = quench._mirror_sector(n, parity).count.size
+    sector = quench._mirror_sector(n, parity)
+    dim = sector.count.size
+    loop = dim > quench._PRODUCT_MAX_DIM
     for proto in (SLOW, replace(SLOW, steps=600), replace(SLOW, v_theta=0.2)):
         quench._step_phases(proto, n, parity)
         warm = quench._step_phases(proto, n, parity)
         cold = quench._step_phases.__wrapped__(proto, n, parity)
-        assert warm.shape == (proto.steps + 1, dim)
-        assert warm.dtype == cold.dtype and warm.tobytes() == cold.tobytes()
+        shapes = {"entry": (dim,), "steps": (proto.steps, dim), "readout": (dim,)}
+        for name, shape in shapes.items():
+            got, want = getattr(warm, name), getattr(cold, name)
+            assert got.shape == shape and not got.flags.writeable
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(warm.rows) == len(cold.rows) == (proto.steps if loop else 0)
+        for got, want, step in zip(warm.rows, cold.rows, warm.steps):
+            assert got.shape == (dim,) and not got.flags.writeable
+            assert got.tobytes() == want.tobytes() == step.tobytes()
+        readout = quench._rotation_phases(proto.final_angle, sector)
+        assert warm.readout.tobytes() == readout.tobytes()
 
 
 def _sector_labels(n, parity):

@@ -601,8 +601,8 @@ def _arrays(value) -> list:
         ),
         pytest.param(
             lambda n: [
-                quench._step_phases(quench.QuenchProtocol(0.1 * n), n, 1.0),
-                quench._step_phases(quench.QuenchProtocol(0.1 * n), n, -1.0),
+                *_fields(quench._step_phases(quench.QuenchProtocol(0.1 * n), n, 1.0)),
+                *_fields(quench._step_phases(quench.QuenchProtocol(0.1 * n), n, -1.0)),
             ],
             id="step_phases",
         ),
